@@ -4,7 +4,9 @@ A degree-m product maps the disk to itself and the circle to the circle;
 z*phi(z) then winds m+1 times around the circle with strictly increasing
 phase, so z*phi(z) = 1 has exactly m+1 simple roots there.  Those roots and
 their partial-fraction residues are what the disk-family correspondence
-consumes.
+consumes.  The phase is lifted in closed form, factor by factor: on the
+circle (z - b)/(1 - conj(b) z) = z w/conj(w) with w = 1 - b/z and Re w > 0,
+so no sampled lift table is needed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 from .complexfn import TWO_PI, ConvergenceError, DomainError, _require_finite
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
+_EPS = float(np.finfo(float).eps)
+_POLISH_ITERS = 200  # every pass halves a root's bracket or its Newton step
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,16 @@ class BoundaryRootSet:
             raise ValueError("residues must sum to 1 within 1e-10")
 
 
+def _phase_offset(phi: BlaschkeProduct, t):
+    """Theta(t) - (m+1) t, where Theta lifts arg(e^(i t) phi(e^(i t))).
+
+    Each factor equals e^(i t) w/conj(w) with w = 1 - b e^(-i t) and
+    Re w > 0, so its argument lifts to t + 2 arg(w) in closed form.
+    """
+    w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * phi.zeros
+    return 2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor)
+
+
 def phase_function(phi: BlaschkeProduct, theta: float) -> float:
     """Continuous lift of arg(e^(i t) phi(e^(i t))) from 0 to theta.
 
@@ -162,102 +176,49 @@ def phase_function(phi: BlaschkeProduct, theta: float) -> float:
     increasing in theta with phase(2 pi) - phase(0) = 2 pi (degree + 1).
     """
     theta = float(theta)
-    if theta == 0.0:
-        return float(np.angle(phi(1.0 + 0.0j)))
-    speed_cap = 1.0 + _speed_cap(phi)
-    steps = max(8, int(math.ceil(abs(theta) * speed_cap / 1.0)))
-    if steps > 1 << 22:
-        raise ConvergenceError("zeros too close to the unit circle for "
-                               "phase lifting")
-    ts = np.linspace(0.0, theta, steps + 1)
-    vals = np.exp(1j * ts) * phi(np.exp(1j * ts))
-    lift = float(np.angle(vals[0]))
-    lift += float(np.sum(np.angle(vals[1:] / vals[:-1])))
-    return lift
-
-
-def _speed_cap(phi: BlaschkeProduct) -> float:
-    """Upper bound for sum_k (1-|b_k|^2)/|z - b_k|^2 on the circle."""
-    if phi.degree == 0:
-        return 0.0
-    mod = np.abs(phi.zeros)
-    return float(np.sum((1.0 + mod) / (1.0 - mod)))
+    lift = ((phi.degree + 1) * theta
+            + _phase_offset(phi, theta) - _phase_offset(phi, 0.0))
+    return float(np.angle(phi(1.0 + 0.0j)) + lift)
 
 
 def boundary_roots(phi: BlaschkeProduct) -> BoundaryRootSet:
     """Solve z*phi(z) = 1 on the circle and extract residues.
 
-    The lifted phase of B(z) = z*phi(z) increases strictly by
-    2 pi (m+1) over a full turn, so the roots are the crossings of the
-    lift through multiples of 2 pi.  Each crossing is bracketed on a
-    sampled lift table (increments kept below 0.5 rad) and polished with
-    safeguarded Newton steps on the local principal-branch residual.
+    The closed-form lift Theta(t) of arg(z*phi(z)), z = e^(i t), increases
+    strictly by 2 pi (m+1) over a full turn with Theta' = 1 + boundary_speed,
+    so the roots are the m+1 solutions of Theta(t) = 2 pi j for the levels
+    in [Theta(0), Theta(0) + 2 pi (m+1)).  All of them are polished at once
+    by Newton steps on (Theta - level)/(m+1), each guarded by its own
+    bisection bracket in [0, 2 pi], then finished with Newton steps on the
+    principal residual arg(z*phi(z)).
     """
-    m = phi.degree
-    speed_cap = 1.0 + _speed_cap(phi)
-    n_nodes = max(64, int(math.ceil(TWO_PI * speed_cap / 0.5)))
-    if n_nodes > 1 << 20:
-        raise ConvergenceError("zeros too close to the unit circle for "
-                               "boundary root solving")
-    pad = max(2, n_nodes // 128)
-    idx = np.arange(-pad, n_nodes + pad + 1)
-    ts = TWO_PI * idx / n_nodes
-    vals = np.exp(1j * ts) * phi(np.exp(1j * ts))
-    incs = np.angle(vals[1:] / vals[:-1])
-    if np.any(np.abs(incs) >= 0.5 * math.pi):
-        raise ConvergenceError("phase increments too large; zeros too close to the circle")
-    base = float(np.angle(vals[pad]))  # lift anchored at t = 0
-    lift = base + np.concatenate([[0.0], np.cumsum(incs)]) \
-        - float(np.sum(incs[:pad]))
-    total = lift[pad + n_nodes] - lift[pad]
-    if abs(total - TWO_PI * (m + 1)) > 1e-6:
-        raise ConvergenceError("boundary phase did not wind degree+1 times")
+    m1 = phi.degree + 1
+    theta0 = float(_phase_offset(phi, 0.0))
+    # levels and residual are scaled by 1/(m+1), so no term grows like 2 pi m
+    levels = TWO_PI * (math.ceil(theta0 / TWO_PI) + np.arange(m1)) / m1
+    t = levels - theta0 / m1
+    lo, hi = np.zeros(m1), np.full(m1, TWO_PI)
+    step = np.full(m1, TWO_PI)
+    for _ in range(_POLISH_ITERS):
+        g = t + _phase_offset(phi, t) / m1 - levels
+        lo = np.where(g < 0.0, t, lo)
+        hi = np.where(g < 0.0, hi, t)
+        newton = t - g * m1 / (1.0 + phi.boundary_speed(t))
+        # near enough for the principal-residual steps, or t resolved to roundoff
+        done = ((np.abs(g) * m1 <= 1e-10)
+                | (np.minimum(np.abs(newton - t), hi - lo) <= _EPS * TWO_PI))
+        if np.all(done):
+            break
+        bisect = ((newton < lo) | (newton > hi)
+                  | (np.abs(newton - t) > 0.5 * np.abs(step)))
+        t_new = np.where(done, t, np.where(bisect, 0.5 * (lo + hi), newton))
+        step, t = t_new - t, t_new
+    else:
+        raise ConvergenceError("boundary root polish did not converge")
+    for _ in range(2):
+        z = np.exp(1j * t)
+        t = t - np.angle(z * phi(z)) / (1.0 + phi.boundary_speed(t))
 
-    def residual(t: float, level: float) -> float:
-        # valid while the true lift is within pi of level
-        v = np.exp(1j * t) * phi(np.exp(1j * t))
-        return float(np.angle(v * np.exp(-1j * level)))
-
-    def speed(t: float) -> float:
-        return 1.0 + float(phi.boundary_speed(t))
-
-    angles = []
-    floors = np.floor(lift / TWO_PI + 1e-13)
-    for i in np.nonzero(np.diff(floors) > 0)[0]:
-        level = TWO_PI * floors[i + 1]
-        # residual is <= 0 at lo and >= 0 at hi; increments < pi/2 keep the
-        # principal-branch residual equal to lift - level on the bracket
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        t = 0.5 * (lo + hi)
-        for _ in range(80):
-            g = residual(t, level)
-            if g < 0.0:
-                lo = t
-            else:
-                hi = t
-            t_new = t - g / speed(t)
-            if not lo <= t_new <= hi:
-                t_new = 0.5 * (lo + hi)  # safeguarded bisection step
-            if abs(t_new - t) < 1e-15 or abs(g) < 1e-14:
-                t = t_new
-                break
-            t = t_new
-        angles.append(t % TWO_PI)
-
-    angles = np.sort(np.asarray(angles))
-    # padding can duplicate roots near the 0 / 2 pi seam
-    if angles.size:
-        keep = [0]
-        for j in range(1, angles.size):
-            if angles[j] - angles[keep[-1]] > 1e-7:
-                keep.append(j)
-        if len(keep) > 1 and (angles[keep[0]] + TWO_PI) - angles[keep[-1]] <= 1e-7:
-            keep.pop()
-        angles = angles[keep]
-    if angles.size != m + 1:
-        raise ConvergenceError(
-            f"expected {m + 1} boundary roots, located {angles.size}")
-
-    roots = np.exp(1j * angles)
-    residues = 1.0 / (1.0 + phi.boundary_speed(angles))
+    roots = np.exp(1j * t)
+    residues = 1.0 / (1.0 + phi.boundary_speed(t))
     return BoundaryRootSet(roots=roots, residues=residues)

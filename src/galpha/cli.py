@@ -50,10 +50,8 @@ def _grid_from(args: argparse.Namespace) -> DiskGrid:
         raise SpecFileError("--grid-radii must be at least 2")
     if not 0.0 < args.rmax < 1.0:
         raise SpecFileError("--rmax must lie in (0, 1)")
-    radii = 1.0 - np.geomspace(1.0, 1.0 - args.rmax, args.grid_radii)
-    radii[0] = 0.0
-    return DiskGrid(radii=radii, angles_per_circle=args.grid_angles,
-                    r_max=float(radii[-1]))
+    return default_grid(args.grid_radii, args.grid_angles,
+                        boundary_gap=1.0 - args.rmax)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,15 +207,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
         lines.append(f"qc extension constant: {report.qc_constant!r}")
     print("\n".join(lines))
     if args.out:
-        payload = {
-            "alpha": report.alpha,
-            "pre_schwarzian_norm": report.pre_schwarzian_norm.value,
-            "pre_schwarzian_bound": report.pre_schwarzian_bound,
-            "schwarzian_norm": report.schwarzian_norm.value,
-            "schwarzian_bound": report.schwarzian_bound,
-            "qc_constant": report.qc_constant,
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return EXIT_PASS
 
 

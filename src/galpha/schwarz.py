@@ -64,6 +64,17 @@ class SchwarzReport:
         if (self.qc_constant is not None) != (self.alpha < 0.5):
             raise ValueError("qc_constant is present exactly when alpha < 1/2")
 
+    def to_dict(self) -> dict:
+        """The JSON report block shared by `galpha norms` and `galpha verify`."""
+        return {
+            "alpha": self.alpha,
+            "pre_schwarzian_norm": self.pre_schwarzian_norm.value,
+            "pre_schwarzian_bound": self.pre_schwarzian_bound,
+            "schwarzian_norm": self.schwarzian_norm.value,
+            "schwarzian_bound": self.schwarzian_bound,
+            "qc_constant": self.qc_constant,
+        }
+
 
 def norms(f: GAlphaFunction, grid: DiskGrid | None = None,
           refine_iters: int = 40) -> SchwarzReport:

@@ -51,20 +51,12 @@ class VerifyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        sch = self.schwarz
         data: dict = {
             "membership_margin": self.membership_margin,
             "coefficient_max_ratio": self.coefficient_max_ratio,
             "real_part_bound_min_residual": self.real_part_bound_min_residual,
             "subordination_max_modulus": self.subordination_max_modulus,
-            "schwarz": {
-                "alpha": sch.alpha,
-                "pre_schwarzian_norm": sch.pre_schwarzian_norm.value,
-                "pre_schwarzian_bound": sch.pre_schwarzian_bound,
-                "schwarzian_norm": sch.schwarzian_norm.value,
-                "schwarzian_bound": sch.schwarzian_bound,
-                "qc_constant": sch.qc_constant,
-            },
+            "schwarz": self.schwarz.to_dict(),
             "roundtrip_error": self.roundtrip_error,
             "recovered_atoms": self.recovered_atoms,
             "passed": self.passed,

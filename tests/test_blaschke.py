@@ -110,6 +110,16 @@ class TestPhaseFunction:
         lifts = np.array([phase_function(phi, float(t)) for t in ts])
         assert np.all(np.diff(lifts) > 0.0)
 
+    def test_matches_dense_sampled_lift(self):
+        # accumulate principal increments of e^(it) phi(e^(it)) from t = 0
+        rng = np.random.default_rng(18)
+        phi = random_product(rng, 12)
+        for theta in (0.4, 1.7, np.pi, 4.2, 5.9):
+            ts = np.linspace(0.0, theta, 200_001)
+            vals = np.exp(1j * ts) * phi(np.exp(1j * ts))
+            lift = np.angle(vals[0]) + np.sum(np.angle(vals[1:] / vals[:-1]))
+            assert abs(phase_function(phi, theta) - lift) < 1e-12
+
 
 class TestBoundaryRoots:
     def test_zero_at_origin_roots(self):
@@ -140,8 +150,8 @@ class TestBoundaryRoots:
 
     def test_root_count_and_invariants_random(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            degree = int(rng.integers(1, 9))
+        for degree in [0] * 25 + [32, 64, 128]:
+            degree = degree or int(rng.integers(1, 9))  # 0: draw from 1..8
             phi = random_product(rng, degree)
             rs = boundary_roots(phi)
             assert rs.roots.size == degree + 1
@@ -149,6 +159,22 @@ class TestBoundaryRoots:
             assert np.all(rs.residues > 1e-12) and np.all(rs.residues < 1.0)
             # every root solves z*phi(z) = 1
             assert np.max(np.abs(rs.roots * phi(rs.roots) - 1.0)) < 1e-10
+
+    def test_zeros_near_the_circle(self):
+        # the lift steepens to ~2/(1-|b|) near arg b; every root must still
+        # solve z*phi(z) = 1 to roundoff in t
+        rng = np.random.default_rng(19)
+        eps = np.finfo(float).eps
+        for gap in (1e-6, 1e-9):
+            zeros = random_product(rng, 12).zeros.copy()
+            zeros[:2] = (1.0 - gap) * np.exp(1j * rng.uniform(0.0, TWO_PI, 2))
+            phi = BlaschkeProduct(zeros=zeros, prefactor=np.exp(0.7j))
+            rs = boundary_roots(phi)
+            assert rs.roots.size == 13
+            assert abs(rs.residues.sum() - 1.0) < 1e-10
+            speed = 1.0 + phi.boundary_speed(np.angle(rs.roots))
+            assert np.all(np.abs(np.angle(rs.roots * phi(rs.roots)))
+                          <= 64 * eps * speed)
 
     def test_partial_fraction_identity(self):
         # phi/(z phi - 1) = sum_k t_k/(z - z_k) on |z| <= 0.9
