@@ -58,24 +58,22 @@ class BlaschkeProduct:
         _require_finite("z", z)
         if np.any(np.abs(z) > 1.0 + 1e-9):
             raise DomainError("evaluation is restricted to |z| <= 1 + 1e-9")
-        out = np.full(z.shape, self.prefactor, dtype=complex)
-        for b in self.zeros:
-            denom = 1.0 - np.conj(b) * z
-            if np.any(np.abs(denom) < 1e-12):
-                raise DomainError("z coincides with a pole 1/conj(b)")
-            out = out * (z - b) / denom
+        zz = z[..., None]
+        denom = 1.0 - np.conj(self.zeros) * zz
+        if np.any(np.abs(denom) < 1e-12):
+            raise DomainError("z coincides with a pole 1/conj(b)")
+        out = self.prefactor * np.prod((zz - self.zeros) / denom, axis=-1)
         return out[()] if out.ndim == 0 else out
 
     def log_derivative(self, z):
         """phi'(z)/phi(z) = sum_k 1/(z - b_k) + conj(b_k)/(1 - conj(b_k) z)."""
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
-        out = np.zeros(z.shape, dtype=complex)
-        for b in self.zeros:
-            num, denom = z - b, 1.0 - np.conj(b) * z
-            if np.any(np.abs(num) < 1e-12) or np.any(np.abs(denom) < 1e-12):
-                raise DomainError("log_derivative undefined at zeros and poles")
-            out = out + 1.0 / num + np.conj(b) / denom
+        zz = z[..., None]
+        num, denom = zz - self.zeros, 1.0 - np.conj(self.zeros) * zz
+        if np.any(np.abs(num) < 1e-12) or np.any(np.abs(denom) < 1e-12):
+            raise DomainError("log_derivative undefined at zeros and poles")
+        out = (1.0 / num + np.conj(self.zeros) / denom).sum(axis=-1)
         return out[()] if out.ndim == 0 else out
 
     def boundary_speed(self, theta):
@@ -85,9 +83,10 @@ class BlaschkeProduct:
         Re(z phi'(z)/phi(z)) on the circle.
         """
         z = np.exp(1j * np.asarray(theta, dtype=float))
-        out = np.zeros(z.shape, dtype=float)
-        for b in self.zeros:
-            out = out + (1.0 - abs(b) ** 2) / np.abs(z - b) ** 2
+        b = self.zeros
+        # re^2 + im^2 rounds less than abs(b)**2; 1 - |b|^2 magnifies that
+        out = ((1.0 - (b.real ** 2 + b.imag ** 2))
+               / np.abs(z[..., None] - b) ** 2).sum(axis=-1)
         return out[()] if out.ndim == 0 else out
 
     def taylor_coefficients(self, n_max: int) -> np.ndarray:
@@ -153,7 +152,7 @@ class BoundaryRootSet:
         if roots.size > 1 and np.min(gaps) <= 1e-9:
             raise ValueError("roots must be pairwise distinct (separation > 1e-9)")
         # degree-0 products have the single residue exactly 1
-        if np.any(residues <= 1e-12) or np.any(residues > 1.0):
+        if np.any(residues <= 0.0) or np.any(residues > 1.0):
             raise ValueError("residues must lie in (0, 1]")
         if abs(residues.sum() - 1.0) > 1e-10:
             raise ValueError("residues must sum to 1 within 1e-10")

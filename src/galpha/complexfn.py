@@ -1,7 +1,7 @@
 """Numeric kernel for unit-disk computations.
 
-Principal-branch powers, disk sampling grids, Taylor coefficients by
-circle quadrature, and sup-norm estimation with local refinement.
+Disk sampling grids, Taylor coefficients by circle quadrature, and
+sup-norm estimation with local refinement.
 Everything here is pure and reentrant; grid sweeps may be chunked over
 worker threads with a deterministic reduction order.
 """
@@ -46,35 +46,6 @@ def worker_count() -> int:
 def _require_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite")
-
-
-def principal_power(base, exponent: float):
-    """(base)**exponent with the principal logarithm; base must satisfy Re > 0.
-
-    Accepts a complex scalar or ndarray and returns the same shape.  A base
-    outside the right half-plane signals a caller bug (for the disk family
-    every base 1 - zeta*z has Re > 0 when |z| < 1), so it raises DomainError
-    instead of silently picking a branch.
-    """
-    base = np.asarray(base, dtype=complex)
-    _require_finite("base", base)
-    _require_finite("exponent", exponent)
-    if np.any(base.real <= 0.0):
-        raise DomainError("principal_power requires Re(base) > 0")
-    out = np.exp(exponent * np.log(base))
-    return out[()] if out.ndim == 0 else out
-
-
-def eval_on_points(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(z))
-        if vals.shape == z.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    flat = np.asarray([f(p) for p in z.ravel()])
-    return flat.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -154,7 +125,8 @@ def cauchy_coefficients(f, n_max: int, radius: float | None = None,
                         samples: int | None = None) -> np.ndarray:
     """Taylor coefficients c_0..c_n_max of f at 0 by trapezoidal quadrature.
 
-    The trapezoid rule on |z| = radius with N samples returns
+    f is called once, on the array of quadrature points.  The trapezoid
+    rule on |z| = radius with N samples returns
     c_n + sum_{j>=1} c_{n+jN} radius^{jN}, so for functions analytic past
     the circle the truncation error is O(radius^(samples - n)).  Roundoff
     is amplified by radius^-n, hence the adaptive default radius
@@ -173,7 +145,7 @@ def cauchy_coefficients(f, n_max: int, radius: float | None = None,
 
     theta = TWO_PI * np.arange(samples) / samples
     z = radius * np.exp(1j * theta)
-    vals = eval_on_points(f, z)
+    vals = np.asarray(f(z))
     _require_finite("f(z) on the quadrature circle", vals)
     n = np.arange(n_max + 1)
     kernel = np.exp(-1j * np.outer(n, theta))

@@ -21,11 +21,7 @@ from .complexfn import (TWO_PI, DiskGrid, DomainError, _require_finite,
 from .family import GAlphaFunction
 
 _SENSE_MARGIN = 1e-9
-_BOUNDARY_RING_SAMPLES = 1024
-_BOUNDARY_RING_RADIUS = 1.0 - 1e-4
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-_KINDS = ("constant", "monomial", "polynomial", "blaschke_scaled")
 
 
 class InconclusiveProbeError(RuntimeError):
@@ -34,84 +30,76 @@ class InconclusiveProbeError(RuntimeError):
 
 @dataclass(frozen=True)
 class DilatationSpec:
-    """An analytic dilatation with sup |omega| <= 1 - 1e-9 over the default grid.
+    """An analytic dilatation with sup |omega| <= 1 - 1e-9 (sense-preserving).
 
-    Construct through the classmethods.  Validation samples the default
-    grid plus a 1024-point ring at r = 1 - 1e-4, since monomial and
-    Blaschke-scaled dilatations peak at the boundary.
+    Either a polynomial sum_j c_j z^j or scale * phi for a finite Blaschke
+    product phi; construct through the classmethods.  sup |scale * phi| over
+    the disk is |scale| exactly, as |phi| = 1 on the circle.  A polynomial
+    peaks on the unit circle (maximum principle), where it is sampled at 8
+    points per degree and at least 1024 points.
     """
 
-    kind: str
+    coefficients: np.ndarray | None = None
     scale: complex = 1.0 + 0.0j
-    degree: int = 0
-    poly_coefficients: np.ndarray | None = None
     blaschke: BlaschkeProduct | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if (self.coefficients is None) == (self.blaschke is None):
+            raise ValueError("exactly one of coefficients/blaschke must be given")
         _require_finite("scale", self.scale)
         object.__setattr__(self, "scale", complex(self.scale))
-        if self.poly_coefficients is not None:
-            coeffs = np.atleast_1d(np.asarray(self.poly_coefficients, dtype=complex))
-            _require_finite("poly_coefficients", coeffs)
-            object.__setattr__(self, "poly_coefficients", coeffs)
-        if self.kind == "monomial" and self.degree < 1:
-            raise ValueError("monomial degree must be at least 1")
-        grid = default_grid()
-        ring = _BOUNDARY_RING_RADIUS * np.exp(
-            1j * TWO_PI * np.arange(_BOUNDARY_RING_SAMPLES) / _BOUNDARY_RING_SAMPLES)
-        sup = max(float(np.max(np.abs(self(grid.points())))),
-                  float(np.max(np.abs(self(ring)))))
+        sup = abs(self.scale)
+        if self.blaschke is None:
+            if self.scale != 1.0:
+                raise ValueError("scale applies to Blaschke dilatations only")
+            coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+            _require_finite("coefficients", coeffs)
+            object.__setattr__(self, "coefficients", coeffs)
+            n = max(1024, 8 * coeffs.size)
+            sup = float(np.max(np.abs(self(np.exp(1j * TWO_PI * np.arange(n) / n)))))
         if sup > 1.0 - _SENSE_MARGIN:
             raise ValueError("dilatation must satisfy sup |omega| <= 1 - 1e-9 "
                              "(sense-preserving)")
 
     @classmethod
     def constant(cls, value: complex) -> "DilatationSpec":
-        return cls(kind="constant", scale=value)
+        return cls(coefficients=[value])
 
     @classmethod
     def monomial(cls, scale: complex, degree: int) -> "DilatationSpec":
         """omega(z) = scale * z^degree."""
-        return cls(kind="monomial", scale=scale, degree=degree)
+        if degree < 1:
+            raise ValueError("monomial degree must be at least 1")
+        return cls(coefficients=[0j] * degree + [scale])
 
     @classmethod
     def polynomial(cls, coefficients) -> "DilatationSpec":
         """omega(z) = sum_j c_j z^j with the given coefficients c_0.."""
-        return cls(kind="polynomial", poly_coefficients=coefficients)
+        return cls(coefficients=coefficients)
 
     @classmethod
     def blaschke_scaled(cls, scale: complex, phi: BlaschkeProduct) -> "DilatationSpec":
         """omega(z) = scale * phi(z)."""
-        return cls(kind="blaschke_scaled", scale=scale, blaschke=phi)
+        return cls(scale=scale, blaschke=phi)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.kind == "constant":
-            out = np.full(z.shape, self.scale, dtype=complex)
-        elif self.kind == "monomial":
-            out = self.scale * z ** self.degree
-        elif self.kind == "polynomial":
-            out = np.polynomial.polynomial.polyval(z, self.poly_coefficients)
-            out = np.asarray(out, dtype=complex)
+        if self.blaschke is None:
+            # factor z^k out of zero c_0..c_(k-1): a monomial is one power
+            k = int(np.argmax(self.coefficients != 0))
+            out = z ** k * np.polynomial.polynomial.polyval(z, self.coefficients[k:])
         else:
-            out = self.scale * np.asarray(self.blaschke(z), dtype=complex)
+            out = self.scale * self.blaschke(z)
+        out = np.asarray(out, dtype=complex)
         return out[()] if out.ndim == 0 else out
 
     def taylor_coefficients(self, n_max: int) -> np.ndarray:
         """Maclaurin coefficients c_0..c_n_max of the dilatation."""
+        if self.blaschke is not None:
+            return self.scale * self.blaschke.taylor_coefficients(n_max)
         coeffs = np.zeros(n_max + 1, dtype=complex)
-        if self.kind == "constant":
-            coeffs[0] = self.scale
-        elif self.kind == "monomial":
-            if self.degree <= n_max:
-                coeffs[self.degree] = self.scale
-        elif self.kind == "polynomial":
-            upto = min(n_max + 1, self.poly_coefficients.size)
-            coeffs[:upto] = self.poly_coefficients[:upto]
-        else:
-            coeffs = self.scale * self.blaschke.taylor_coefficients(n_max)
+        upto = min(n_max + 1, self.coefficients.size)
+        coeffs[:upto] = self.coefficients[:upto]
         return coeffs
 
 

@@ -10,7 +10,8 @@ Blaschke product -- and optionally a dilatation for harmonic shears:
     {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0.0}],
                                 "prefactor_angle": 0.0}}
 
-Angles are radians.  All module invariants are enforced on load; floats are
+Angles are radians.  Constant and monomial dilatations load as polynomials
+and are saved as such.  All module invariants are enforced on load; floats are
 written with Python's shortest round-trip repr, so load -> save -> load is
 an identity on the in-memory values.
 """
@@ -89,13 +90,7 @@ def spec_from_dict(data: dict) -> FunctionSpec:
             raise SpecFileError("every atom needs numeric theta and weight") from None
         measure = _wrap(lambda: AtomicMeasure(angles=angles, weights=weights))
     if "blaschke" in data:
-        raw = data["blaschke"]
-        if not isinstance(raw, dict) or "zeros" not in raw:
-            raise SpecFileError("blaschke must be an object with a zeros list")
-        zeros = [_complex_from(b, "blaschke zero") for b in raw["zeros"]]
-        prefactor = np.exp(1j * float(raw.get("prefactor_angle", 0.0)))
-        phi = _wrap(lambda: BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex),
-                                            prefactor=prefactor))
+        phi = _blaschke_from(data["blaschke"], "blaschke")
 
     dilatation = None
     if "dilatation" in data:
@@ -103,6 +98,20 @@ def spec_from_dict(data: dict) -> FunctionSpec:
 
     return FunctionSpec(alpha=alpha, measure=measure, blaschke=phi,
                         dilatation=dilatation)
+
+
+def _blaschke_from(raw, where: str) -> BlaschkeProduct:
+    if not isinstance(raw, dict) or not isinstance(raw.get("zeros"), list):
+        raise SpecFileError(f"{where} must be an object with a zeros list")
+    zeros = [_complex_from(b, f"{where} zero") for b in raw["zeros"]]
+    prefactor = np.exp(1j * float(raw.get("prefactor_angle", 0.0)))
+    return _wrap(lambda: BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex),
+                                         prefactor=prefactor))
+
+
+def _blaschke_to(phi: BlaschkeProduct) -> dict:
+    return {"zeros": [_complex_to(b) for b in phi.zeros],
+            "prefactor_angle": float(np.angle(phi.prefactor))}
 
 
 def _wrap(build):
@@ -121,30 +130,29 @@ def _dilatation_from(raw) -> DilatationSpec:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SpecFileError("dilatation params must be an object")
-    if kind == "constant":
-        return _wrap(lambda: DilatationSpec.constant(
-            _complex_from(params.get("value"), "dilatation value")))
-    if kind == "monomial":
+    if kind == "blaschke_scaled":
         scale = _complex_from(params.get("scale"), "dilatation scale")
-        degree = int(params.get("degree", 1))
-        return _wrap(lambda: DilatationSpec.monomial(scale, degree))
-    if kind == "polynomial":
+        phi = _blaschke_from(params, "blaschke_scaled dilatation")
+        return _wrap(lambda: DilatationSpec.blaschke_scaled(scale, phi))
+    if kind == "constant":
+        values = [_complex_from(params.get("value"), "dilatation value")]
+    elif kind == "monomial":
+        # the degree sizes a dense coefficient list, so it is bounded
+        degree = params.get("degree", 1)
+        if not (isinstance(degree, (int, float)) and float(degree).is_integer()
+                and 1 <= degree <= 4096):
+            raise SpecFileError(f"monomial degree must be an integer in 1..4096, "
+                                f"got {degree!r}")
+        scale = _complex_from(params.get("scale"), "dilatation scale")
+        values = [0j] * int(degree) + [scale]
+    elif kind == "polynomial":
         coeffs = params.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise SpecFileError("polynomial dilatation needs a coefficients list")
         values = [_complex_from(c, "dilatation coefficient") for c in coeffs]
-        return _wrap(lambda: DilatationSpec.polynomial(values))
-    if kind == "blaschke_scaled":
-        scale = _complex_from(params.get("scale"), "dilatation scale")
-        zeros = params.get("zeros")
-        if not isinstance(zeros, list):
-            raise SpecFileError("blaschke_scaled dilatation needs a zeros list")
-        zs = [_complex_from(b, "dilatation zero") for b in zeros]
-        prefactor = np.exp(1j * float(params.get("prefactor_angle", 0.0)))
-        return _wrap(lambda: DilatationSpec.blaschke_scaled(
-            scale, BlaschkeProduct(zeros=np.asarray(zs, dtype=complex),
-                                   prefactor=prefactor)))
-    raise SpecFileError(f"unknown dilatation kind {kind!r}")
+    else:
+        raise SpecFileError(f"unknown dilatation kind {kind!r}")
+    return _wrap(lambda: DilatationSpec.polynomial(values))
 
 
 def spec_to_dict(spec: FunctionSpec) -> dict:
@@ -153,27 +161,18 @@ def spec_to_dict(spec: FunctionSpec) -> dict:
         data["atoms"] = [{"theta": float(t), "weight": float(w)}
                          for t, w in zip(spec.measure.angles, spec.measure.weights)]
     if spec.blaschke is not None:
-        data["blaschke"] = {
-            "zeros": [_complex_to(b) for b in spec.blaschke.zeros],
-            "prefactor_angle": float(np.angle(spec.blaschke.prefactor)),
-        }
+        data["blaschke"] = _blaschke_to(spec.blaschke)
     if spec.dilatation is not None:
         data["dilatation"] = _dilatation_to(spec.dilatation)
     return data
 
 
 def _dilatation_to(spec: DilatationSpec) -> dict:
-    if spec.kind == "constant":
-        params: dict = {"value": _complex_to(spec.scale)}
-    elif spec.kind == "monomial":
-        params = {"scale": _complex_to(spec.scale), "degree": spec.degree}
-    elif spec.kind == "polynomial":
-        params = {"coefficients": [_complex_to(c) for c in spec.poly_coefficients]}
-    else:
-        params = {"scale": _complex_to(spec.scale),
-                  "zeros": [_complex_to(b) for b in spec.blaschke.zeros],
-                  "prefactor_angle": float(np.angle(spec.blaschke.prefactor))}
-    return {"kind": spec.kind, "params": params}
+    if spec.blaschke is None:
+        return {"kind": "polynomial",
+                "params": {"coefficients": [_complex_to(c) for c in spec.coefficients]}}
+    return {"kind": "blaschke_scaled",
+            "params": {"scale": _complex_to(spec.scale), **_blaschke_to(spec.blaschke)}}
 
 
 def load_function_spec(path: str | Path) -> FunctionSpec:

@@ -10,7 +10,7 @@ dilatation is present).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,25 +51,9 @@ class VerifyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        data: dict = {
-            "membership_margin": self.membership_margin,
-            "coefficient_max_ratio": self.coefficient_max_ratio,
-            "real_part_bound_min_residual": self.real_part_bound_min_residual,
-            "subordination_max_modulus": self.subordination_max_modulus,
-            "schwarz": self.schwarz.to_dict(),
-            "roundtrip_error": self.roundtrip_error,
-            "recovered_atoms": self.recovered_atoms,
-            "passed": self.passed,
-        }
-        if self.harmonic is not None:
-            data["harmonic"] = {
-                "univalence_criterion_holds": self.harmonic.univalence_criterion_holds,
-                "criterion_margin": self.harmonic.criterion_margin,
-                "jacobian_min": self.harmonic.jacobian_min,
-                "winding_ok": self.harmonic.winding_ok,
-            }
-        else:
-            data["harmonic"] = None
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["schwarz"] = self.schwarz.to_dict()
+        data["harmonic"] = asdict(self.harmonic) if self.harmonic is not None else None
         return data
 
     def render_text(self) -> str:

@@ -176,6 +176,13 @@ class TestBoundaryRoots:
             assert np.all(np.abs(np.angle(rs.roots * phi(rs.roots)))
                           <= 64 * eps * speed)
 
+    def test_zero_at_the_rejection_margin(self):
+        # the accepted |b| < 1 - 1e-12 leaves a residue near 1e-12 at z = 1
+        rs = boundary_roots(BlaschkeProduct(zeros=[1.0 - 2e-12]))
+        assert np.allclose(rs.roots, [1.0, -1.0], atol=1e-12)
+        assert 0.0 < rs.residues[0] < 2e-12
+        assert rs.residues[1] == pytest.approx(1.0, abs=1e-11)
+
     def test_partial_fraction_identity(self):
         # phi/(z phi - 1) = sum_k t_k/(z - z_k) on |z| <= 0.9
         rng = np.random.default_rng(12)
@@ -198,6 +205,9 @@ class TestBoundaryRoots:
         with pytest.raises(ValueError):
             BoundaryRootSet(roots=np.array([1.0 + 0.0j, -1.0 + 0.0j]),
                             residues=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError, match="residues must lie"):
+            BoundaryRootSet(roots=np.array([1.0 + 0.0j, -1.0 + 0.0j]),
+                            residues=np.array([0.0, 1.0]))
 
 
 class TestStructure:

@@ -20,22 +20,57 @@ HALF_ZERO = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0.0}],
 
 class TestSpecFile:
     def test_load_save_load_identity(self, tmp_path):
-        data = {
-            "alpha": 0.6,
-            "atoms": [{"theta": 0.25, "weight": 0.5}, {"theta": 2.0, "weight": 0.5}],
-            "dilatation": {"kind": "monomial",
-                           "params": {"scale": {"re": 0.37, "im": -0.11},
-                                      "degree": 2}},
-        }
-        first = load_function_spec(write_spec(tmp_path, data))
-        out = tmp_path / "copy.json"
-        save_function_spec(first, out)
-        second = load_function_spec(out)
-        assert second.alpha == first.alpha
-        assert np.array_equal(second.measure.angles, first.measure.angles)
-        assert np.array_equal(second.measure.weights, first.measure.weights)
-        assert second.dilatation.scale == first.dilatation.scale
-        assert second.dilatation.degree == first.dilatation.degree
+        # every JSON kind; constant and monomial are saved back as polynomial
+        dilatations = [
+            {"kind": "constant", "params": {"value": {"re": 0.3, "im": -0.2}}},
+            {"kind": "monomial", "params": {"scale": {"re": 0.37, "im": -0.11},
+                                            "degree": 2}},
+            {"kind": "polynomial",
+             "params": {"coefficients": [{"re": 0.1, "im": 0.0},
+                                         {"re": 0.0, "im": 0.2},
+                                         {"re": -0.15, "im": 0.05}]}},
+            {"kind": "blaschke_scaled",
+             "params": {"scale": {"re": 0.2, "im": 0.4},
+                        "zeros": [{"re": 0.5, "im": -0.1}, {"re": -0.3, "im": 0.6}],
+                        "prefactor_angle": 1.25}},
+        ]
+        z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 13)) * np.linspace(0.1, 1.0, 13)
+        for dilatation in dilatations:
+            data = {
+                "alpha": 0.6,
+                "atoms": [{"theta": 0.25, "weight": 0.5}, {"theta": 2.0, "weight": 0.5}],
+                "dilatation": dilatation,
+            }
+            first = load_function_spec(write_spec(tmp_path, data))
+            out = tmp_path / "copy.json"
+            save_function_spec(first, out)
+            second = load_function_spec(out)
+            assert second.alpha == first.alpha
+            assert np.array_equal(second.measure.angles, first.measure.angles)
+            assert np.array_equal(second.measure.weights, first.measure.weights)
+            assert np.array_equal(second.dilatation(z), first.dilatation(z))
+            assert np.array_equal(second.dilatation.taylor_coefficients(8),
+                                  first.dilatation.taylor_coefficients(8))
+
+    def test_monomial_degree_bounded(self, tmp_path):
+        for degree in (2.5, 5000, 0, "2"):
+            data = dict(EXTREMAL, alpha=0.3, dilatation={
+                "kind": "monomial",
+                "params": {"scale": {"re": 0.2, "im": 0.0}, "degree": degree}})
+            with pytest.raises(SpecFileError, match="monomial degree"):
+                load_function_spec(write_spec(tmp_path, data))
+        data["dilatation"]["params"]["degree"] = 4096.0
+        spec = load_function_spec(write_spec(tmp_path, data))
+        assert spec.dilatation.taylor_coefficients(4096)[-1] == 0.2
+
+    def test_blaschke_zeros_must_be_a_list(self, tmp_path):
+        source = {"alpha": 0.5, "blaschke": {"zeros": 5}}
+        shear = dict(EXTREMAL, alpha=0.3, dilatation={
+            "kind": "blaschke_scaled",
+            "params": {"scale": {"re": 0.2, "im": 0.0}, "zeros": 5}})
+        for data in (source, shear):
+            with pytest.raises(SpecFileError, match="zeros list"):
+                load_function_spec(write_spec(tmp_path, data))
 
     def test_blaschke_spec_roundtrip(self, tmp_path):
         spec = load_function_spec(write_spec(tmp_path, HALF_ZERO))

@@ -1,49 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from galpha.complexfn import (DiskGrid, DomainError, NormEstimate,
-                              cauchy_coefficients, default_grid,
-                              principal_power, sup_norm_estimate, worker_count)
-
-
-class TestPrincipalPower:
-    def test_identity_base(self):
-        assert principal_power(1.0 + 0.0j, 0.5) == pytest.approx(1.0)
-
-    def test_real_positive_base_unit_exponent(self):
-        assert principal_power(2.0 + 0.0j, 1.0) == pytest.approx(2.0)
-
-    def test_against_multiprecision_oracle(self):
-        # mpmath, 40 digits: exp(0.25*log(1-0.5j))
-        expected = 1.021385523951732499 - 0.11892381974360307767j
-        assert principal_power(1.0 - 0.5j, 0.25) == pytest.approx(expected, abs=1e-15)
-
-    def test_rejects_left_half_plane(self):
-        with pytest.raises(DomainError):
-            principal_power(-1.0 + 0.5j, 0.5)
-        with pytest.raises(DomainError):
-            principal_power(0.0 + 1.0j, 0.5)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            principal_power(complex(np.nan, 0.0), 0.5)
-
-    def test_vectorized(self):
-        z = np.array([1.0 + 0.0j, 2.0 + 1.0j])
-        out = principal_power(z, 2.0)
-        assert np.allclose(out, z ** 2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(re=st.floats(0.05, 2.0), im=st.floats(-2.0, 2.0),
-           e1=st.floats(-2.0, 2.0), e2=st.floats(-2.0, 2.0))
-    def test_exponent_additivity(self, re, im, e1, e2):
-        # 1e-12 is read relative to the result scale, which reaches ~4e3 here
-        b = complex(re, im)
-        lhs = principal_power(b, e1 + e2)
-        rhs = principal_power(b, e1) * principal_power(b, e2)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+from galpha.complexfn import (DiskGrid, NormEstimate, cauchy_coefficients,
+                              default_grid, sup_norm_estimate, worker_count)
 
 
 class TestCauchyCoefficients:
@@ -76,10 +35,6 @@ class TestCauchyCoefficients:
             cauchy_coefficients(f, 2, radius=1.2)
         with pytest.raises(ValueError):
             cauchy_coefficients(f, 0)
-
-    def test_scalar_only_callable_falls_back(self):
-        c = cauchy_coefficients(lambda z: complex(z) ** 2, 3, samples=64)
-        assert np.max(np.abs(c - np.array([0, 0, 1.0, 0]))) < 1e-12
 
 
 class TestDiskGrid:

@@ -38,6 +38,29 @@ class TestDilatationSpec:
             DilatationSpec.constant(1.0 + 0.0j)
         with pytest.raises(ValueError, match="sense-preserving"):
             DilatationSpec.polynomial([0.6, 0.6])  # modulus 1.2 near z = 1
+        # 5 (1 - z^1024) vanishes at the 1024th roots of unity
+        with pytest.raises(ValueError, match="sense-preserving"):
+            DilatationSpec.polynomial([5.0] + [0.0] * 1023 + [-5.0])
+        # |1.2 z^4096| is 0.8 at r = 1 - 1e-4 but exceeds 1 near the circle
+        with pytest.raises(ValueError, match="sense-preserving"):
+            DilatationSpec.monomial(1.2, 4096)
+        # |phi| = 1 on the circle, so sup |omega| over the disk is |scale|
+        phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
+        with pytest.raises(ValueError, match="sense-preserving"):
+            DilatationSpec.blaschke_scaled(1.0 - 1e-10, phi)
+        DilatationSpec.blaschke_scaled(1.0 - 2e-9, phi)
+
+    def test_one_representation(self):
+        phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
+        with pytest.raises(ValueError, match="exactly one"):
+            DilatationSpec()
+        with pytest.raises(ValueError, match="exactly one"):
+            DilatationSpec(coefficients=[0.1], blaschke=phi)
+        with pytest.raises(ValueError, match="scale applies"):
+            DilatationSpec(coefficients=[0.1], scale=0.5)
+        with pytest.raises(ValueError, match="degree"):
+            DilatationSpec.monomial(0.5, 0)
+        assert np.array_equal(DilatationSpec.monomial(0.5, 2).coefficients, [0, 0, 0.5])
 
     def test_taylor_coefficients(self):
         om = DilatationSpec.monomial(0.5, 3)
