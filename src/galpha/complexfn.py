@@ -1,7 +1,7 @@
 """Numeric kernel for unit-disk computations.
 
 Disk sampling grids, Taylor coefficients by circle quadrature, and
-sup-norm estimation with local refinement.
+sup-norm estimation with batched multi-start local refinement.
 Everything here is pure and reentrant; grid sweeps may be chunked over
 worker threads with a deterministic reduction order.
 """
@@ -17,8 +17,16 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# inverse golden ratio, the contraction factor of a golden-section step
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# refinement starts from the best point of this many top angle rows
+_ROW_STARTS = 8
+# samples per candidate in one zoom pass, and the step a zoom narrows below
+_ZOOM_SAMPLES = 17
+_ZOOM_STEP = 1e-13
+# refinement stops after a round that raises the best value by at most this
+# times max(1, |best|).  It sits above the rounding noise of the norm
+# objectives near the boundary (~1e-12 relative at r = 1 - 1e-4, where
+# 1 - |z|^2 loses four digits), so noise never buys another round.
+_ROUND_GAIN = 1e-10
 
 
 class DomainError(ValueError):
@@ -152,77 +160,112 @@ def cauchy_coefficients(f, n_max: int, radius: float | None = None,
     return (kernel @ vals) / samples / radius ** n
 
 
-def _golden_max(g, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximization of g on [lo, hi]; returns (x, g(x)).
+def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
+    """Maximize objective(points(t)) over every bracket [lo_c, hi_c] at once.
 
-    Assumes g is unimodal on the bracket; ~60 contractions reach the
-    floating-point limit for brackets of width O(1).
+    Each pass evaluates _ZOOM_SAMPLES equally spaced parameters per
+    candidate in one objective call, then narrows each bracket to one sample
+    step either side of its best sample (clipped to [lo_bound, hi_bound]),
+    so a pass shrinks the step at least 8-fold.  It makes as many passes as
+    the widest starting step needs to fall below _ZOOM_STEP at 8-fold per
+    pass, a count fixed by the brackets alone, and returns the best
+    parameter, point and value of each candidate in the last pass.
     """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-    if gc >= gd:
-        return c, gc
-    return d, gd
+    rows = np.arange(lo.size)
+    frac = np.linspace(0.0, 1.0, _ZOOM_SAMPLES)
+    widest = np.max(hi - lo) / (_ZOOM_SAMPLES - 1)
+    while True:
+        step = (hi - lo) / (_ZOOM_SAMPLES - 1)
+        t = lo[:, None] * (1.0 - frac) + hi[:, None] * frac
+        z = points(t)
+        v = np.asarray(objective(z), dtype=float)
+        _require_finite("objective during refinement", v)
+        best = np.argmax(v, axis=1)
+        t, z, v = t[rows, best], z[rows, best], v[rows, best]
+        if widest < _ZOOM_STEP:
+            return t, z, v
+        widest /= 8.0
+        lo = np.maximum(lo_bound, t - step)
+        hi = np.minimum(hi_bound, t + step)
 
 
-def sup_norm_estimate(objective, grid: DiskGrid,
-                      refine_iters: int = 40) -> NormEstimate:
-    """Sup of a real objective over the disk: grid sweep + local refinement.
+def sup_norm_estimate(objective, grid: DiskGrid, refine_iters: int = 40,
+                      seeds=()) -> NormEstimate:
+    """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
     The sweep takes the maximum over the grid (ties resolved toward the
-    smallest angle, then the smallest radius).  Each refinement round runs
-    a golden-section pass in angle around the incumbent, then one in radius
-    over [incumbent - local spacing, r_max]; the radial bracket is pinned
-    at r_max because the objectives this library sweeps peak jointly in
-    (angle -> atom direction, radius -> 1).  The result is the largest
-    value actually evaluated, hence a certified lower bound of the sup.
+    smallest angle, then the smallest radius).  Refinement starts from the
+    best point of each of the _ROW_STARTS highest angle rows and from every
+    point in seeds (which must lie in the open disk; radii are clipped to
+    r_max), and refines all candidates together.  Each round zooms in angle
+    over theta +- dtheta, then in radius over [r - dr, r_max], where dr is
+    the grid spacing at the candidate's starting radius; the radial bracket
+    is pinned at r_max because the objectives this library sweeps peak
+    jointly in (angle -> atom direction, radius -> 1).  A zoom evaluates
+    _ZOOM_SAMPLES points per candidate per objective call and narrows to
+    one sample step around the best until that step is below 1e-13.
+    dtheta starts at the grid's angular step and halves every round; the
+    rounds stop after refine_iters, or once a round raises the best value
+    by at most 1e-10 * max(1, |best|).  A candidate moves only to a point
+    that beats its current value.  The value returned is the objective
+    evaluated at argmax, never below the grid maximum, hence a certified
+    lower bound of the sup.
     """
     if refine_iters < 0:
         raise ValueError("refine_iters must be nonnegative")
+    seeds = np.asarray(seeds, dtype=complex).ravel()
+    _require_finite("seeds", seeds)
+    if np.any(np.abs(seeds) >= 1.0):
+        raise ValueError("seeds must lie in the open unit disk")
     pts = grid.points()
     vals = _sweep(objective, pts)
     _require_finite("objective on the grid", vals)
-    flat = int(np.argmax(vals))
-    ai, ri = np.unravel_index(flat, vals.shape)
-    best_val = float(vals[ai, ri])
-    best_pt = complex(pts[ai, ri])
+    ai, ri = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    grid_best = NormEstimate(value=float(vals[ai, ri]), argmax=complex(pts[ai, ri]),
+                             grid=grid, refined=False)
     if refine_iters == 0:
-        return NormEstimate(value=best_val, argmax=best_pt, grid=grid,
-                            refined=False)
-
-    def scalar(z: complex) -> float:
-        return float(np.asarray(objective(np.asarray(z, dtype=complex)), dtype=float))
+        return grid_best
 
     radii = grid.radii
-    theta = float(np.angle(best_pt)) % TWO_PI
-    r = float(abs(best_pt))
+    row_best = np.argmax(vals, axis=1)
+    row_vals = vals[np.arange(vals.shape[0]), row_best]
+    rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
+    cols = row_best[rows]
+    theta = np.concatenate([grid.angles()[rows], np.angle(seeds) % TWO_PI])
+    r = np.concatenate([radii[cols], np.minimum(np.abs(seeds), grid.r_max)])
+    point = np.concatenate([pts[rows, cols], seeds])
+    value = np.concatenate([vals[rows, cols], np.full(seeds.size, -np.inf)])
+    ix = np.minimum(np.searchsorted(radii, r), radii.size - 1)
+    dr = np.where(ix > 0, radii[ix] - radii[np.maximum(ix - 1, 0)],
+                  max(radii[0], radii[-1] / 8))
+    dr = np.maximum(dr, 1e-12)
     dtheta = TWO_PI / grid.angles_per_circle
-    dr = radii[ri] - radii[ri - 1] if ri > 0 else max(radii[0], radii[-1] / 8)
-    dr = max(float(dr), 1e-12)
+    best = value.max()
     for _ in range(refine_iters):
-        theta, v_t = _golden_max(lambda t: scalar(r * np.exp(1j * t)),
-                                 theta - dtheta, theta + dtheta)
-        if v_t > best_val:
-            best_val, best_pt = v_t, complex(r * np.exp(1j * theta))
-        r, v_r = _golden_max(lambda s: scalar(s * np.exp(1j * theta)),
-                             max(0.0, r - dr), grid.r_max)
-        if v_r > best_val:
-            best_val, best_pt = v_r, complex(r * np.exp(1j * theta))
+        t, z, v = _zoom(objective, lambda t: r[:, None] * np.exp(1j * t),
+                        theta - dtheta, theta + dtheta, -np.inf, np.inf)
+        up = v > value
+        theta, point = np.where(up, t, theta), np.where(up, z, point)
+        value = np.maximum(v, value)
+        s, z, v = _zoom(objective, lambda s: s * np.exp(1j * theta)[:, None],
+                        np.maximum(0.0, r - dr), np.full(r.size, grid.r_max),
+                        0.0, grid.r_max)
+        up = v > value
+        r, point = np.where(up, s, r), np.where(up, z, point)
+        value = np.maximum(v, value)
         dtheta *= 0.5
-    return NormEstimate(value=best_val, argmax=best_pt, grid=grid, refined=True)
+        gain, best = value.max() - best, value.max()
+        if gain <= _ROUND_GAIN * max(1.0, abs(best)):
+            break
+    # Batch and single-point evaluations can round differently (numpy squares
+    # arrays and scalars differently), and the zoom's maximum over many
+    # samples selects that dust, so the winner is evaluated once more on its
+    # own: the reported value is what objective(argmax) returns.
+    winner = point[int(np.argmax(value))]
+    final = float(np.asarray(objective(np.asarray(winner)), dtype=float))
+    if not final >= grid_best.value:
+        winner, final = grid_best.argmax, grid_best.value
+    return NormEstimate(value=final, argmax=complex(winner), grid=grid, refined=True)
 
 
 def _sweep(objective, pts: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ from .complexfn import (DiskGrid, NormEstimate, _require_finite, default_grid,
 from .family import GAlphaFunction
 
 _BOUND_SLACK = 1e-6
+# the norm refinement also starts toward conj(zeta_k) of this many heaviest atoms
+_ATOM_SEEDS = 8
 
 
 def pre_schwarzian(f: GAlphaFunction, z):
@@ -78,8 +80,15 @@ class SchwarzReport:
 
 def norms(f: GAlphaFunction, grid: DiskGrid | None = None,
           refine_iters: int = 40) -> SchwarzReport:
-    """Estimate both hyperbolic norms and report them against the bounds."""
+    """Estimate both hyperbolic norms and report them against the bounds.
+
+    Besides the grid's top rows, the refinement starts at r_max conj(zeta_k)
+    for the heaviest atoms, where the norms approach their closed-form
+    limits 2 alpha t_k and 2 alpha t_k (2 + alpha t_k).
+    """
     grid = grid if grid is not None else default_grid()
+    heaviest = np.argsort(-f.measure.weights, kind="stable")[:_ATOM_SEEDS]
+    seeds = grid.r_max * np.conj(f.measure.atoms[heaviest])
 
     def obj_pre(z):
         return (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))
@@ -89,8 +98,8 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None,
 
     alpha = f.alpha
     return SchwarzReport(
-        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, refine_iters),
-        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, refine_iters),
+        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, refine_iters, seeds),
+        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, refine_iters, seeds),
         alpha=alpha,
         pre_schwarzian_bound=2.0 * alpha,
         schwarzian_bound=2.0 * alpha * (2.0 + alpha),

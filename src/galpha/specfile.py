@@ -104,7 +104,10 @@ def _blaschke_from(raw, where: str) -> BlaschkeProduct:
     if not isinstance(raw, dict) or not isinstance(raw.get("zeros"), list):
         raise SpecFileError(f"{where} must be an object with a zeros list")
     zeros = [_complex_from(b, f"{where} zero") for b in raw["zeros"]]
-    prefactor = np.exp(1j * float(raw.get("prefactor_angle", 0.0)))
+    try:
+        prefactor = np.exp(1j * float(raw.get("prefactor_angle", 0.0)))
+    except (TypeError, ValueError):
+        raise SpecFileError(f"{where} prefactor_angle must be a number") from None
     return _wrap(lambda: BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex),
                                          prefactor=prefactor))
 

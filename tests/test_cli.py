@@ -162,6 +162,14 @@ class TestRoundtripCommand:
     def test_requires_blaschke_source(self, tmp_path, capsys):
         assert main(["roundtrip", str(write_spec(tmp_path, EXTREMAL))]) == 2
 
+    def test_non_numeric_prefactor_angle_exit_two(self, tmp_path, capsys):
+        data = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0}],
+                                           "prefactor_angle": None}}
+        path = write_spec(tmp_path, data)
+        for command in ("roundtrip", "verify"):
+            assert main([command, str(path)]) == 2
+            assert "prefactor_angle must be a number" in capsys.readouterr().err
+
 
 class TestRenderCommand:
     def test_csv_first_row(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from galpha.complexfn import (DiskGrid, NormEstimate, cauchy_coefficients,
+from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, cauchy_coefficients,
                               default_grid, sup_norm_estimate, worker_count)
 
 
@@ -99,6 +99,39 @@ class TestSupNormEstimate:
         r_sparse = sup_norm_estimate(obj, sparse).value
         r_dense = sup_norm_estimate(obj, dense).value
         assert r_dense >= r_sparse - 1e-12
+
+    def test_refinement_calls_are_batched(self):
+        # the single-atom Schwarzian objective at alpha = 1; refining one
+        # point per objective call took ~2,500 calls per estimate
+        calls = []
+
+        def obj(z):
+            calls.append(np.size(z))
+            return (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
+
+        est = sup_norm_estimate(obj, default_grid())
+        assert est.value == pytest.approx(6.0, abs=1e-3)
+        assert len(calls) <= 400
+
+    def test_seeds_start_candidates(self):
+        # a narrow peak between grid rows and away from the grid's best rows
+        # is found from a seed pointing at it
+        grid = default_grid(angles_per_circle=64)
+        peak = np.exp(1j * (TWO_PI * 20.5 / 64))
+        obj = lambda z: (np.abs(1.0 - 0.5 * z) / 2.0
+                         + np.exp(-(np.abs(z - 0.999 * peak) / 1e-3) ** 2))
+        plain = sup_norm_estimate(obj, grid)
+        seeded = sup_norm_estimate(obj, grid, seeds=[grid.r_max * peak])
+        assert plain.value < 0.8
+        assert seeded.value > 1.0
+        assert seeded.value == pytest.approx(float(obj(np.asarray(seeded.argmax))),
+                                             abs=1e-12)
+
+    def test_seeds_validated(self):
+        obj = lambda z: np.ones(z.shape)
+        for seeds in ([1.0 + 0.0j], [np.nan]):
+            with pytest.raises(ValueError, match="seeds"):
+                sup_norm_estimate(obj, default_grid(), seeds=seeds)
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2

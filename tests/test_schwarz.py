@@ -99,6 +99,31 @@ class TestNorms:
         gap = (np.angle(rep.schwarzian_norm.argmax) + theta) % TWO_PI
         assert min(gap, TWO_PI - gap) < 1e-3
 
+    def test_heaviest_atom_peak_found(self):
+        # The refinement once followed only the best grid point and reported
+        # 0.61816 here, 8.4e-3 below the limit toward the heaviest atom.
+        alpha = 0.444
+        f = GAlphaFunction(alpha=alpha, measure=AtomicMeasure(
+            angles=[0.9025, 4.1982, 5.5588, 6.2819],
+            weights=[0.3288, 0.279, 0.0675, 0.3247]))
+        t = f.measure.weights.max()
+        limit = 2 * alpha * t * (2 + alpha * t)
+        assert norms(f).schwarzian_norm.value >= limit - 1e-3
+
+    def test_random_members_between_limits_and_bounds(self):
+        # As z -> conj(zeta_k) radially, (1-|z|^2)|P| -> 2 alpha t_k and
+        # (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k): exact lower bounds.
+        rng = np.random.default_rng(45)
+        for i in range(20):
+            alpha = rng.uniform(0.05, 1.0)
+            f = GAlphaFunction(alpha=alpha, measure=random_measure(rng, 1 + i % 8))
+            t = f.measure.weights
+            rep = norms(f)
+            pre, sch = rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value
+            assert 2 * alpha * t.max() - 1e-3 <= pre <= 2 * alpha + 1e-6
+            assert (np.max(2 * alpha * t * (2 + alpha * t)) - 1e-3 <= sch
+                    <= 2 * alpha * (2 + alpha) + 1e-6)
+
     def test_report_invariant_enforced(self):
         f = GAlphaFunction(alpha=0.75, measure=single_atom(0.0))
         rep = norms(f)
