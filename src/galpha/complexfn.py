@@ -133,8 +133,9 @@ def cauchy_coefficients(f, n_max: int, radius: float | None = None,
                         samples: int | None = None) -> np.ndarray:
     """Taylor coefficients c_0..c_n_max of f at 0 by trapezoidal quadrature.
 
-    f is called once, on the array of quadrature points.  The trapezoid
-    rule on |z| = radius with N samples returns
+    f is called once, on the array of quadrature points, and the sums are
+    taken by one FFT of its values.  The trapezoid rule on |z| = radius
+    with N samples returns
     c_n + sum_{j>=1} c_{n+jN} radius^{jN}, so for functions analytic past
     the circle the truncation error is O(radius^(samples - n)).  Roundoff
     is amplified by radius^-n, hence the adaptive default radius
@@ -155,9 +156,9 @@ def cauchy_coefficients(f, n_max: int, radius: float | None = None,
     z = radius * np.exp(1j * theta)
     vals = np.asarray(f(z))
     _require_finite("f(z) on the quadrature circle", vals)
+    # the trapezoid sums sum_j vals_j e^(-i n theta_j) are the DFT of vals
     n = np.arange(n_max + 1)
-    kernel = np.exp(-1j * np.outer(n, theta))
-    return (kernel @ vals) / samples / radius ** n
+    return np.fft.fft(vals)[: n_max + 1] / samples / radius ** n
 
 
 def _zoom(objective, points, lo, hi, lo_bound, hi_bound):

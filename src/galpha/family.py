@@ -23,6 +23,36 @@ from .complexfn import (TWO_PI, ConvergenceError, DiskGrid, DomainError,
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
+# Per-point kernels run on slices of about this many (point, atom) pairs, so
+# their temporaries stay near 4 MB whatever the input size and atom count.
+# A smaller block splits the norm sweep's per-thread halves (16,384 points,
+# m <= 8): at 2^16 the norm benchmark's latency tail rose by 17%.
+_BLOCK = 1 << 17
+# Up to this many atoms the residual sums atom pairs one by one: a threaded
+# BLAS product of an (N x 2) by a (2 x 2) matrix can stall for 10-20 ms.
+_PAIR_LOOP_ATOMS = 4
+
+
+def _over_atoms(z, atoms, numerators):
+    """numerators_k / (1 - zeta_k z) for 1-d z, shape (z.size, m)."""
+    out = np.multiply.outer(z, atoms)
+    np.subtract(1.0, out, out=out)
+    return np.divide(numerators, out, out=out)
+
+
+def _log_sum(z, atoms, weights):
+    """sum_k t_k Log(1 - zeta_k z) for 1-d z in the disk, from real logs.
+
+    Re(1 - zeta_k z) > 0 there, so arctan2 gives the principal argument;
+    this is several times faster than numpy's complex log.
+    """
+    w = np.multiply.outer(z, atoms)
+    np.subtract(1.0, w, out=w)
+    re, im = w.real, w.imag
+    buf = re * re
+    buf += im * im
+    log_modulus = 0.5 * (np.log(buf, out=buf) @ weights)
+    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights)
 
 
 @dataclass(frozen=True)
@@ -160,27 +190,39 @@ class GAlphaFunction:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def _check_disk(self, z) -> np.ndarray:
+    def _blocks(self, z, dtype, kernel):
+        """kernel over the points of z, in slices of about _BLOCK // m points.
+
+        z must lie in the open disk.  kernel maps a 1-d complex array to a
+        1-d array of dtype; the result has the shape of z, and a 0-d z
+        gives a numpy scalar.
+        """
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation requires |z| < 1")
-        return z
+        flat = z.ravel()
+        step = max(1, _BLOCK // self.measure.count)
+        if flat.size <= step:
+            out = kernel(flat)
+        else:
+            out = np.empty(flat.size, dtype=dtype)
+            for start in range(0, flat.size, step):
+                out[start:start + step] = kernel(flat[start:start + step])
+        out = out.reshape(z.shape)
+        return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k); h'(0) = 1."""
-        z = self._check_disk(z)
-        logs = np.log(1.0 - z[..., None] * self.measure.atoms)
-        out = np.exp(self.alpha * (logs @ self.measure.weights))
-        return out[()] if out.ndim == 0 else out
+        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
+        return self._blocks(z, complex,
+                            lambda zb: np.exp(alpha * _log_sum(zb, atoms, weights)))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
-        z = self._check_disk(z)
-        atoms = self.measure.atoms
-        out = -self.alpha * ((atoms / (1.0 - z[..., None] * atoms))
-                             @ self.measure.weights)
-        return out[()] if out.ndim == 0 else out
+        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
+        return self._blocks(
+            z, complex, lambda zb: -alpha * (_over_atoms(zb, atoms, atoms) @ weights))
 
     def hprime_coefficients(self, n_max: int) -> np.ndarray:
         """Maclaurin coefficients c_0..c_n_max of h', by circle quadrature."""
@@ -237,16 +279,35 @@ class GAlphaFunction:
         (alpha/2) Re sum_{j != k} t_j t_k g_j conj(g_k) (1 - zeta_j conj(zeta_k))
         with g_k = 1/(1 - zeta_k z): the direct formula cancels two terms of
         size O(1/(1-|z|)) and loses ~1e-9 near the boundary, while here the
-        identically-zero diagonal is dropped exactly.
+        identically-zero diagonal is dropped exactly.  Each block contracts
+        tg_k = t_k g_k with the zero-diagonal matrix in one BLAS product,
+        q = tg @ cross, and sums Re(q_k conj(tg_k)); up to _PAIR_LOOP_ATOMS
+        atoms the pairs j < k are summed one by one instead.  The rank-two
+        form |sum tg|^2 - |sum zeta tg|^2 is not used: it cancels terms of
+        size O(1/(1-|z|)^2) and loses ~1e-8.
         """
-        z = self._check_disk(z)
-        atoms, weights = self.measure.atoms, self.measure.weights
-        tg = weights / (1.0 - z[..., None] * atoms)
-        cross = 1.0 - atoms[:, None] * np.conj(atoms[None, :])
+        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
+        m = self.measure.count
+        cross = 1.0 - np.outer(atoms, np.conj(atoms))
         np.fill_diagonal(cross, 0.0)
-        out = 0.5 * self.alpha * np.einsum("...j,...k,jk->...",
-                                           tg, np.conj(tg), cross).real
-        return out[()] if np.ndim(out) == 0 else out
+        if m <= _PAIR_LOOP_ATOMS:
+            pairs = list(zip(*np.triu_indices(m, 1)))
+
+            def kernel(zb):
+                # the (j, k) and (k, j) terms are complex conjugates
+                tg = _over_atoms(zb, atoms, weights)
+                out = np.zeros(zb.size)
+                for j, k in pairs:
+                    out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
+                return alpha * out
+        else:
+            def kernel(zb):
+                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
+                # over the interleaved real views of the two rows
+                tg = _over_atoms(zb, atoms, weights)
+                q = tg @ cross
+                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
+        return self._blocks(z, float, kernel)
 
     def subordination_witness(self, z):
         """The self-map omega with h' = (1 - omega)^alpha, omega(0) = 0.
@@ -254,10 +315,9 @@ class GAlphaFunction:
         omega(z) = 1 - exp(sum_k t_k Log(1 - zeta_k z)); the weighted log
         sum stays within |Im| < pi/2, so it agrees with Log(h')/alpha.
         """
-        z = self._check_disk(z)
-        logs = np.log(1.0 - z[..., None] * self.measure.atoms)
-        out = 1.0 - np.exp(logs @ self.measure.weights)
-        return out[()] if out.ndim == 0 else out
+        atoms, weights = self.measure.atoms, self.measure.weights
+        return self._blocks(z, complex,
+                            lambda zb: 1.0 - np.exp(_log_sum(zb, atoms, weights)))
 
     def induced_self_map(self, z):
         """The Blaschke-type self-map phi of the correspondence; see module doc."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexfn import (DiskGrid, NormEstimate, _require_finite, default_grid,
                         sup_norm_estimate)
-from .family import GAlphaFunction
+from .family import GAlphaFunction, _over_atoms
 
 _BOUND_SLACK = 1e-6
 # the norm refinement also starts toward conj(zeta_k) of this many heaviest atoms
@@ -33,14 +33,19 @@ def pre_schwarzian(f: GAlphaFunction, z):
 
 
 def schwarzian(f: GAlphaFunction, z):
-    """S(z) = P'(z) - P(z)^2/2, both terms in closed form."""
-    z = f._check_disk(z)
-    atoms, weights = f.measure.atoms, f.measure.weights
-    p_deriv = -f.alpha * ((atoms ** 2 / (1.0 - z[..., None] * atoms) ** 2)
-                          @ weights)
-    p = f.hprime_log_derivative(z)
-    out = p_deriv - 0.5 * p ** 2
-    return out[()] if np.ndim(out) == 0 else out
+    """S(z) = P'(z) - P(z)^2/2, both terms in closed form.
+
+    With g_k = zeta_k/(1 - zeta_k z), formed once per block,
+    P = -alpha sum_k t_k g_k and P' = -alpha sum_k t_k g_k^2.
+    """
+    atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
+
+    def kernel(zb):
+        g = _over_atoms(zb, atoms, atoms)
+        p = -alpha * (g @ weights)
+        return -alpha * (np.multiply(g, g, out=g) @ weights) - 0.5 * p ** 2
+
+    return f._blocks(z, complex, kernel)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, cauchy_coefficients,
                               default_grid, sup_norm_estimate, worker_count)
+from galpha.family import GAlphaFunction, roots_of_unity_measure
 
 
 class TestCauchyCoefficients:
@@ -35,6 +36,14 @@ class TestCauchyCoefficients:
             cauchy_coefficients(f, 2, radius=1.2)
         with pytest.raises(ValueError):
             cauchy_coefficients(f, 0)
+
+    def test_extremal_coefficients_by_fft_quadrature(self):
+        # |a_n| = alpha/(n(n-1)) exactly for the (n-1)-th roots of unity
+        for alpha in (0.5, 1.0):
+            for n in range(2, 51):
+                f = GAlphaFunction(alpha=alpha, measure=roots_of_unity_measure(n - 1))
+                bound = alpha / (n * (n - 1))
+                assert abs(abs(f.coefficients(n)[n - 1]) - bound) <= 1e-11 * bound, (alpha, n)
 
 
 class TestDiskGrid:

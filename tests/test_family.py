@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from galpha import family
 from galpha.blaschke import BlaschkeProduct, boundary_roots
 from galpha.complexfn import TWO_PI, DomainError, default_grid
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            from_blaschke, induced_self_map, measure_from_blaschke,
                            measure_from_roots, roots_of_unity_measure, single_atom)
+from galpha.schwarz import schwarzian
 
 from test_blaschke import random_product
 
@@ -303,3 +307,96 @@ class TestRoundTrips:
         f = from_blaschke(0.5, phi)
         assert np.allclose(np.sort(f.measure.weights), [0.25, 0.75], atol=1e-10)
         assert f.membership_margin() > 0.0
+
+
+# Whole-array forms of the per-point kernels, as written before blocking:
+# one (points x m) temporary per step, complex logs and a three-operand einsum.
+def whole_array_log_sum(f, z):
+    return np.log(1.0 - z[..., None] * f.measure.atoms) @ f.measure.weights
+
+
+def whole_array_kernels(f, z):
+    z = np.asarray(z, dtype=complex)
+    atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
+    tg = weights / (1.0 - z[..., None] * atoms)
+    cross = 1.0 - atoms[:, None] * np.conj(atoms[None, :])
+    np.fill_diagonal(cross, 0.0)
+    p = -alpha * ((atoms / (1.0 - z[..., None] * atoms)) @ weights)
+    p_deriv = -alpha * ((atoms ** 2 / (1.0 - z[..., None] * atoms) ** 2) @ weights)
+    return {
+        "hprime": np.exp(alpha * whole_array_log_sum(f, z)),
+        "hprime_log_derivative": p,
+        "real_part_bound_residual": 0.5 * alpha * np.einsum(
+            "...j,...k,jk->...", tg, np.conj(tg), cross).real,
+        "subordination_witness": 1.0 - np.exp(whole_array_log_sum(f, z)),
+        "schwarzian": p_deriv - 0.5 * p ** 2,
+    }
+
+
+def blocked_kernels(f, z):
+    return {"hprime": f.hprime(z),
+            "hprime_log_derivative": f.hprime_log_derivative(z),
+            "real_part_bound_residual": f.real_part_bound_residual(z),
+            "subordination_witness": f.subordination_witness(z),
+            "schwarzian": schwarzian(f, z)}
+
+
+class TestBlockedKernels:
+    def test_match_whole_array_formulas(self):
+        # m = 3 sums the residual's atom pairs one by one, m = 64 through BLAS
+        rng = np.random.default_rng(62)
+        for m in (3, 64):
+            f = GAlphaFunction(alpha=0.75, measure=random_measure(rng, m))
+            step = family._BLOCK // m
+            inputs = [default_grid().points(),
+                      random_points(rng, 2 * step + 123, r_max=0.999),
+                      np.asarray(0.3 - 0.6j), 0.95j]
+            for z in inputs:
+                got, ref = blocked_kernels(f, z), whole_array_kernels(f, z)
+                # the residual's rounding scale is the size of its pair terms
+                tg = f.measure.weights / (1.0 - np.asarray(z)[..., None] * f.measure.atoms)
+                pair_scale = 0.5 * f.alpha * np.abs(tg).sum(axis=-1) ** 2
+                for name in ref:
+                    assert np.shape(got[name]) == np.shape(z), name
+                    scale = (pair_scale if name == "real_part_bound_residual"
+                             else np.abs(ref[name]))
+                    assert np.all(np.abs(got[name] - ref[name]) <= 1e-12 * scale), (m, name)
+
+    def test_single_atom_residual_exactly_zero(self):
+        f = GAlphaFunction(alpha=0.9, measure=single_atom(2.1))
+        assert np.all(f.real_part_bound_residual(default_grid().points()) == 0.0)
+
+    def test_residual_near_clustered_atoms_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        # two atoms 1e-3 apart, alone and with four light atoms elsewhere
+        measures = [AtomicMeasure(angles=[1.0, 1.001], weights=[0.6, 0.4]),
+                    AtomicMeasure(angles=[1.0, 1.001, 2.5, 3.7, 4.9, 5.8],
+                                  weights=[0.5, 0.4, 0.04, 0.03, 0.02, 0.01])]
+        z = (1.0 - 1e-4) * np.exp(-1j * np.linspace(0.995, 1.006, 23))
+        for measure in measures:
+            f = GAlphaFunction(alpha=0.8, measure=measure)
+            got = f.real_part_bound_residual(z)
+            alpha = mpmath.mpf(f.alpha)
+            atoms = [mpmath.mpc(a.real, a.imag) for a in measure.atoms]
+            for zf, value in zip(z, got):
+                w = mpmath.mpc(zf.real, zf.imag)
+                p = -alpha * mpmath.fsum(mpmath.mpf(t) * a / (1 - a * w)
+                                         for t, a in zip(measure.weights, atoms))
+                ref = (alpha / 2 - (1 - abs(w) ** 2) * abs(p) ** 2 / (2 * alpha)
+                       - mpmath.re(w * p))
+                # the direct formula in floats is off by up to 1.5e-10 here
+                assert abs(value - float(ref)) <= 1e-11 * abs(float(ref))
+
+    def test_temporaries_bounded(self):
+        rng = np.random.default_rng(63)
+        f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
+        z = default_grid().points()
+        for kernel in (f.real_part_bound_residual, f.subordination_witness):
+            tracemalloc.start()
+            try:
+                kernel(z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2 ** 20, kernel.__name__
