@@ -9,7 +9,7 @@ as analytic parts of sheared univalent harmonic mappings.
 from .blaschke import (BlaschkeProduct, BoundaryRootSet, boundary_roots,
                        normalized_prefactor, phase_function)
 from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
-                        cauchy_coefficients, default_grid, sup_norm_estimate)
+                        default_grid, sup_norm_estimate)
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                      from_blaschke, induced_self_map, measure_from_blaschke,
                      measure_from_roots, roots_of_unity_measure, single_atom)
@@ -45,7 +45,6 @@ __all__ = [
     "blaschke_from_measure",
     "blaschke_roundtrip_error",
     "boundary_roots",
-    "cauchy_coefficients",
     "default_grid",
     "from_blaschke",
     "induced_self_map",

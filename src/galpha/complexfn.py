@@ -1,7 +1,7 @@
 """Numeric kernel for unit-disk computations.
 
-Disk sampling grids, Taylor coefficients by circle quadrature, and
-sup-norm estimation with batched multi-start local refinement.
+Disk sampling grids and sup-norm estimation with batched multi-start
+local refinement.
 Everything here is pure and reentrant; grid sweeps may be chunked over
 worker threads with a deterministic reduction order.
 """
@@ -111,10 +111,12 @@ def default_grid(n_radii: int = 64, angles_per_circle: int = 512,
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A certified lower bound for a supremum over the disk.
+    """An estimate of a supremum over the disk.
 
-    value is exactly the objective evaluated at argmax; refined records
-    whether local refinement ran after the grid sweep.
+    value is the objective evaluated in floats at argmax, never below the
+    grid maximum; refined records whether local refinement ran after the
+    grid sweep.  It is an estimate, not a certified bound: near the circle
+    the float objective can read ~1e-11 above its exact value.
     """
 
     value: float
@@ -127,38 +129,6 @@ class NormEstimate:
         _require_finite("argmax", self.argmax)
         if abs(self.argmax) >= 1.0:
             raise ValueError("argmax must lie in the open unit disk")
-
-
-def cauchy_coefficients(f, n_max: int, radius: float | None = None,
-                        samples: int | None = None) -> np.ndarray:
-    """Taylor coefficients c_0..c_n_max of f at 0 by trapezoidal quadrature.
-
-    f is called once, on the array of quadrature points, and the sums are
-    taken by one FFT of its values.  The trapezoid rule on |z| = radius
-    with N samples returns
-    c_n + sum_{j>=1} c_{n+jN} radius^{jN}, so for functions analytic past
-    the circle the truncation error is O(radius^(samples - n)).  Roundoff
-    is amplified by radius^-n, hence the adaptive default radius
-    max(0.5, exp(-6.9/n_max)), which keeps radius^n_max >= ~1e-3.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    if radius is None:
-        radius = max(0.5, math.exp(-6.9 / n_max))
-    if samples is None:
-        samples = max(256, 8 * n_max)
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    if samples < 4 * n_max:
-        raise ValueError("samples must be at least 4 * n_max")
-
-    theta = TWO_PI * np.arange(samples) / samples
-    z = radius * np.exp(1j * theta)
-    vals = np.asarray(f(z))
-    _require_finite("f(z) on the quadrature circle", vals)
-    # the trapezoid sums sum_j vals_j e^(-i n theta_j) are the DFT of vals
-    n = np.arange(n_max + 1)
-    return np.fft.fft(vals)[: n_max + 1] / samples / radius ** n
 
 
 def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
@@ -209,8 +179,8 @@ def sup_norm_estimate(objective, grid: DiskGrid, refine_iters: int = 40,
     rounds stop after refine_iters, or once a round raises the best value
     by at most 1e-10 * max(1, |best|).  A candidate moves only to a point
     that beats its current value.  The value returned is the objective
-    evaluated at argmax, never below the grid maximum, hence a certified
-    lower bound of the sup.
+    evaluated in floats at argmax, never below the grid maximum; it is an
+    estimate of the sup, not a certified bound.
     """
     if refine_iters < 0:
         raise ValueError("refine_iters must be nonnegative")

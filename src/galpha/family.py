@@ -19,7 +19,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
 from .complexfn import (TWO_PI, ConvergenceError, DiskGrid, DomainError,
-                        _require_finite, cauchy_coefficients, default_grid)
+                        _require_finite, default_grid)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -31,6 +31,8 @@ _BLOCK = 1 << 17
 # Up to this many atoms the residual sums atom pairs one by one: a threaded
 # BLAS product of an (N x 2) by a (2 x 2) matrix can stall for 10-20 ms.
 _PAIR_LOOP_ATOMS = 4
+# h and the harmonic g are evaluated as partial sums of this degree
+_SERIES_TERMS = 256
 
 
 def _over_atoms(z, atoms, numerators):
@@ -225,10 +227,27 @@ class GAlphaFunction:
             z, complex, lambda zb: -alpha * (_over_atoms(zb, atoms, atoms) @ weights))
 
     def hprime_coefficients(self, n_max: int) -> np.ndarray:
-        """Maclaurin coefficients c_0..c_n_max of h', by circle quadrature."""
+        """Maclaurin coefficients c_0..c_n_max of h', from h'' = P h'.
+
+        P = h''/h' = sum_j p_j z^j with p_j = -alpha sum_k t_k zeta_k^(j+1),
+        so c_0 = 1 and c_(n+1) = (1/(n+1)) sum_(j<=n) p_(n-j) c_j (Knuth,
+        TAOCP vol. 2, 4.7).  The powers zeta_k^j come from a cumulative
+        product: cos/sin of j theta_k would inherit the rounding of
+        j theta_k, ~1.5e-13 alpha/n at n = 255 against <= 1e-14 alpha/n
+        here.  p_j is summed over atoms elementwise, as a threaded complex
+        BLAS product of this skinny shape can stall for milliseconds.
+        """
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
         key = ("hp", n_max)
         if key not in self._cache:
-            self._cache[key] = cauchy_coefficients(self.hprime, n_max)
+            atoms = self.measure.atoms
+            powers = np.cumprod(np.broadcast_to(atoms, (n_max, atoms.size)), axis=0)
+            p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
+            c = np.ones(n_max + 1, dtype=complex)
+            for n in range(n_max):
+                c[n + 1] = np.dot(p[n::-1], c[: n + 1]) / (n + 1)
+            self._cache[key] = c
         return self._cache[key]
 
     def coefficients(self, n_max: int) -> np.ndarray:
@@ -243,21 +262,18 @@ class GAlphaFunction:
         c = self.hprime_coefficients(n_max - 1)
         return c / np.arange(1, n_max + 1)
 
-    def h(self, z, n_terms: int = 256):
-        """h(z) as the degree-n_terms partial sum of its Taylor series.
+    def h(self, z):
+        """h(z) as the degree-256 partial sum of its Taylor series.
 
         The coefficient bound makes the truncation error at most
-        alpha * sum_{n > n_terms} |z|^n / (n (n-1)) <= alpha / n_terms,
+        alpha * sum_{n > 256} |z|^n / (n (n-1)) <= alpha / 256,
         so evaluation is restricted to |z| <= 1 - 1e-6.
         """
-        if n_terms < 2:
-            raise ValueError("n_terms must be at least 2")
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
         if np.any(np.abs(z) > 1.0 - 1e-6):
             raise DomainError("series evaluation requires |z| <= 1 - 1e-6")
-        a = self.coefficients(n_terms)
-        full = np.concatenate([[0.0], a])  # h(0) = 0
+        full = np.concatenate([[0.0], self.coefficients(_SERIES_TERMS)])  # h(0) = 0
         out = np.polynomial.polynomial.polyval(z, full)
         return out[()] if np.ndim(out) == 0 else out
 

@@ -18,7 +18,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .complexfn import (TWO_PI, DiskGrid, DomainError, _require_finite,
                         default_grid)
-from .family import GAlphaFunction
+from .family import _SERIES_TERMS, GAlphaFunction
 
 _SENSE_MARGIN = 1e-9
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -105,26 +105,26 @@ class DilatationSpec:
 
 @dataclass(frozen=True)
 class HarmonicMap:
-    """f = h + conj(g), g' = omega * h', g(0) = 0, evaluated by series."""
+    """f = h + conj(g), g' = omega * h', g(0) = 0.
+
+    h and g are evaluated as their degree-256 Taylor partial sums.
+    """
 
     analytic_part: GAlphaFunction
     dilatation: DilatationSpec
-    series_terms: int = 256
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.series_terms < 2:
-            raise ValueError("series_terms must be at least 2")
         # J(0) = 1 - |omega(0)|^2; the dilatation invariant keeps it positive
         if self.jacobian(0.0 + 0.0j) <= 0.0:
             raise ValueError("Jacobian must be positive at the origin")
 
     def g_coefficients(self) -> np.ndarray:
-        """Coefficients g_0..g_series_terms of g: Cauchy product of omega
-        and h' coefficients, antidifferentiated (g_0 = 0)."""
+        """Coefficients g_0..g_256 of g: Cauchy product of omega and h'
+        coefficients, antidifferentiated (g_0 = 0)."""
         key = "g"
         if key not in self._cache:
-            n = self.series_terms
+            n = _SERIES_TERMS
             hp = self.analytic_part.hprime_coefficients(n - 1)
             om = self.dilatation.taylor_coefficients(n - 1)
             gp = np.convolve(om, hp)[:n]
@@ -144,7 +144,7 @@ class HarmonicMap:
 
     def evaluate(self, z):
         """f(z) = h(z) + conj(g(z))."""
-        return self.analytic_part.h(z, self.series_terms) + np.conj(self.g(z))
+        return self.analytic_part.h(z) + np.conj(self.g(z))
 
     def jacobian(self, z):
         """J(z) = |h'|^2 - |g'|^2 with g' = omega h'; equals |h'|^2 (1 - |omega|^2)."""

@@ -1,49 +1,8 @@
 import numpy as np
 import pytest
 
-from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, cauchy_coefficients,
-                              default_grid, sup_norm_estimate, worker_count)
-from galpha.family import GAlphaFunction, roots_of_unity_measure
-
-
-class TestCauchyCoefficients:
-    def test_linear_polynomial_exact(self):
-        c = cauchy_coefficients(lambda z: 1.0 - z, 2)
-        assert np.max(np.abs(c - np.array([1.0, -1.0, 0.0]))) < 1e-12
-
-    def test_zero_function(self):
-        c = cauchy_coefficients(lambda z: np.zeros_like(z), 4)
-        assert np.max(np.abs(c)) < 1e-14
-
-    def test_square_root_binomial_series(self):
-        # (1-z)^(1/2) = 1 - z/2 - z^2/8 - z^3/16 - ...
-        c = cauchy_coefficients(lambda z: (1.0 - z) ** 0.5, 3)
-        expected = np.array([1.0, -0.5, -0.125, -0.0625])
-        assert np.max(np.abs(c - expected)) < 1e-13
-
-    def test_degree_d_polynomial_reproduced(self):
-        coeffs = np.array([0.3, -1.2, 0.0, 0.7, 2.0 - 1.0j, -0.25])
-        f = lambda z: np.polynomial.polynomial.polyval(z, coeffs)
-        c = cauchy_coefficients(f, 9)
-        assert np.max(np.abs(c[:6] - coeffs)) < 1e-12
-        assert np.max(np.abs(c[6:])) < 1e-10
-
-    def test_invalid_arguments(self):
-        f = lambda z: z
-        with pytest.raises(ValueError):
-            cauchy_coefficients(f, 8, samples=16)
-        with pytest.raises(ValueError):
-            cauchy_coefficients(f, 2, radius=1.2)
-        with pytest.raises(ValueError):
-            cauchy_coefficients(f, 0)
-
-    def test_extremal_coefficients_by_fft_quadrature(self):
-        # |a_n| = alpha/(n(n-1)) exactly for the (n-1)-th roots of unity
-        for alpha in (0.5, 1.0):
-            for n in range(2, 51):
-                f = GAlphaFunction(alpha=alpha, measure=roots_of_unity_measure(n - 1))
-                bound = alpha / (n * (n - 1))
-                assert abs(abs(f.coefficients(n)[n - 1]) - bound) <= 1e-11 * bound, (alpha, n)
+from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, default_grid,
+                              sup_norm_estimate, worker_count)
 
 
 class TestDiskGrid:

@@ -26,22 +26,6 @@ def random_points(rng, n, r_max=0.9):
     return r_max * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
 
 
-def series_coefficient_oracle(member, n_max):
-    """h' coefficients from the log-series recurrence, independent of quadrature.
-
-    log h' = sum_j L_j z^j with L_j = -(alpha/j) sum_k t_k zeta_k^j, and
-    exp of a power series follows c_n = (1/n) sum_j (j L_j) c_(n-j).
-    """
-    atoms, weights = member.measure.atoms, member.measure.weights
-    j = np.arange(1, n_max + 1)
-    ell = -(member.alpha / j) * (atoms[None, :] ** j[:, None] @ weights)
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(1, n_max + 1):
-        c[n] = np.sum(j[:n] * ell[:n] * c[n - 1 :: -1][:n]) / n
-    return c
-
-
 class TestAtomicMeasure:
     def test_canonicalization_sorts_and_wraps(self):
         m = AtomicMeasure(angles=[5.0, -1.0], weights=[0.5, 0.5])
@@ -124,7 +108,7 @@ class TestLogDerivative:
 class TestHEval:
     def test_extremal_partial_sum(self):
         f = GAlphaFunction(alpha=1.0, measure=single_atom(0.0))
-        assert f.h(0.5 + 0.0j, n_terms=16) == pytest.approx(0.375, abs=1e-14)
+        assert f.h(0.5 + 0.0j) == pytest.approx(0.375, abs=1e-14)
 
     def test_origin_is_zero(self):
         rng = np.random.default_rng(22)
@@ -154,6 +138,9 @@ class TestCoefficients:
         a = f.coefficients(5)
         assert a[0] == pytest.approx(1.0, abs=1e-12)
         assert a[1] == pytest.approx(-0.5, abs=1e-12)
+        assert np.array_equal(f.hprime_coefficients(0), [1.0])
+        with pytest.raises(ValueError):
+            f.hprime_coefficients(-1)
 
     def test_equality_generator_third_coefficient(self):
         # h' = (1-z^2)^(1/2): binomial gives a_3 = -1/6
@@ -163,11 +150,41 @@ class TestCoefficients:
         assert abs(a[2]) * 3 * 2 / f.alpha == pytest.approx(1.0, abs=1e-10)
 
     def test_against_series_recurrence_oracle(self):
+        # c_(n+1) = (1/(n+1)) sum_(j<=n) p_(n-j) c_j with
+        # p_j = -alpha sum_k t_k zeta_k^(j+1), run in 40 digits on the same atoms
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(23)
-        f = GAlphaFunction(alpha=0.7, measure=random_measure(rng, 4))
-        hp = f.hprime_coefficients(49)
-        oracle = series_coefficient_oracle(f, 49)
-        assert np.max(np.abs(hp - oracle)) < 1e-10
+        n_max = 255
+        n = np.arange(1, n_max + 1)
+        for count in (1, 3, 64):
+            measure = random_measure(rng, count)
+            with mpmath.workdps(40):
+                atoms = [mpmath.mpc(a.real, a.imag) for a in measure.atoms]
+                weighted = [mpmath.mpf(t) for t in measure.weights]
+                moments = []  # sum_k t_k zeta_k^(j+1)
+                for _ in range(n_max):
+                    weighted = [w * a for w, a in zip(weighted, atoms)]
+                    moments.append(mpmath.fsum(weighted))
+            for alpha in (0.1, 0.7, 1.0):
+                f = GAlphaFunction(alpha=alpha, measure=measure)
+                with mpmath.workdps(40):
+                    p = [-mpmath.mpf(alpha) * s for s in moments]
+                    c = [mpmath.mpc(1)]
+                    for k in range(n_max):
+                        c.append(mpmath.fsum(p[k - j] * c[j] for j in range(k + 1)) / (k + 1))
+                    oracle = np.array([complex(x) for x in c])
+                hp = f.hprime_coefficients(n_max)
+                assert hp[0] == 1.0
+                err = np.abs(hp[1:] - oracle[1:]) * n / alpha
+                assert np.max(err) <= 1e-13, (count, alpha)
+
+    def test_extremal_coefficients_by_fft_quadrature(self):
+        # |a_n| = alpha/(n(n-1)) exactly for the (n-1)-th roots of unity
+        for alpha in (0.5, 1.0):
+            for n in range(2, 51):
+                f = GAlphaFunction(alpha=alpha, measure=roots_of_unity_measure(n - 1))
+                bound = alpha / (n * (n - 1))
+                assert abs(abs(f.coefficients(n)[n - 1]) - bound) <= 1e-13 * bound, (alpha, n)
 
     def test_coefficient_bound_random_members(self):
         rng = np.random.default_rng(24)
