@@ -1,8 +1,6 @@
 """Command-line surface: verify, roundtrip, render, gen, norms.
 
-Exit codes: 0 = pass, 1 = a check failed, 2 = malformed input.  Sweep
-parallelism is capped by the GALPHA_THREADS environment variable
-(0 or unset = auto).
+Exit codes: 0 = pass, 1 = a check failed, 2 = malformed input.
 """
 
 from __future__ import annotations
@@ -225,10 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecFileError, ConvergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    # SpecFileError is a ValueError
+    except (ValueError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

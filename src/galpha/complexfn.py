@@ -1,16 +1,12 @@
 """Numeric kernel for unit-disk computations.
 
 Disk sampling grids and sup-norm estimation with batched multi-start
-local refinement.
-Everything here is pure and reentrant; grid sweeps may be chunked over
-worker threads with a deterministic reduction order.
+local refinement.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +18,8 @@ _ROW_STARTS = 8
 # samples per candidate in one zoom pass, and the step a zoom narrows below
 _ZOOM_SAMPLES = 17
 _ZOOM_STEP = 1e-13
+# refinement runs at most this many rounds
+_MAX_ROUNDS = 40
 # refinement stops after a round that raises the best value by at most this
 # times max(1, |best|).  It sits above the rounding noise of the norm
 # objectives near the boundary (~1e-12 relative at r = 1 - 1e-4, where
@@ -37,18 +35,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its target accuracy."""
 
 
+# kept only because the benchmark's environment record still calls it
 def worker_count() -> int:
-    """Worker cap for grid sweeps, from GALPHA_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("GALPHA_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GALPHA_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError("GALPHA_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads a norm sweep uses: always 1, the calling thread."""
+    return 1
 
 
 def _require_finite(name: str, value) -> None:
@@ -114,15 +104,13 @@ class NormEstimate:
     """An estimate of a supremum over the disk.
 
     value is the objective evaluated in floats at argmax, never below the
-    grid maximum; refined records whether local refinement ran after the
-    grid sweep.  It is an estimate, not a certified bound: near the circle
+    grid maximum.  It is an estimate, not a certified bound: near the circle
     the float objective can read ~1e-11 above its exact value.
     """
 
     value: float
     argmax: complex
     grid: DiskGrid
-    refined: bool
 
     def __post_init__(self) -> None:
         _require_finite("value", self.value)
@@ -160,43 +148,35 @@ def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
         hi = np.minimum(hi_bound, t + step)
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, refine_iters: int = 40,
-                      seeds=()) -> NormEstimate:
+def sup_norm_estimate(objective, grid: DiskGrid, seeds=()) -> NormEstimate:
     """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
-    The sweep takes the maximum over the grid (ties resolved toward the
-    smallest angle, then the smallest radius).  Refinement starts from the
-    best point of each of the _ROW_STARTS highest angle rows and from every
-    point in seeds (which must lie in the open disk; radii are clipped to
-    r_max), and refines all candidates together.  Each round zooms in angle
-    over theta +- dtheta, then in radius over [r - dr, r_max], where dr is
-    the grid spacing at the candidate's starting radius; the radial bracket
-    is pinned at r_max because the objectives this library sweeps peak
-    jointly in (angle -> atom direction, radius -> 1).  A zoom evaluates
-    _ZOOM_SAMPLES points per candidate per objective call and narrows to
-    one sample step around the best until that step is below 1e-13.
-    dtheta starts at the grid's angular step and halves every round; the
-    rounds stop after refine_iters, or once a round raises the best value
-    by at most 1e-10 * max(1, |best|).  A candidate moves only to a point
+    The sweep evaluates the whole grid in one objective call and takes the
+    maximum (ties resolved toward the smallest angle, then the smallest
+    radius).  Refinement starts from the best point of each of the
+    _ROW_STARTS highest angle rows and from every point in seeds (which
+    must lie in the open disk; radii are clipped to r_max), and refines all
+    candidates together.  Each round zooms in angle over theta +- dtheta,
+    then in radius over [r - dr, r_max], where dr is the grid spacing at
+    the candidate's starting radius; the radial bracket is pinned at r_max
+    because the objectives this library sweeps peak jointly in (angle ->
+    atom direction, radius -> 1).  A zoom evaluates _ZOOM_SAMPLES points
+    per candidate per objective call and narrows to one sample step around
+    the best until that step is below 1e-13.  dtheta starts at the grid's
+    angular step and halves every round; the rounds stop after _MAX_ROUNDS
+    (40), or once a round raises the best value by at most
+    1e-10 * max(1, |best|).  A candidate moves only to a point
     that beats its current value.  The value returned is the objective
     evaluated in floats at argmax, never below the grid maximum; it is an
     estimate of the sup, not a certified bound.
     """
-    if refine_iters < 0:
-        raise ValueError("refine_iters must be nonnegative")
     seeds = np.asarray(seeds, dtype=complex).ravel()
     _require_finite("seeds", seeds)
     if np.any(np.abs(seeds) >= 1.0):
         raise ValueError("seeds must lie in the open unit disk")
     pts = grid.points()
-    vals = _sweep(objective, pts)
+    vals = np.asarray(objective(pts), dtype=float)
     _require_finite("objective on the grid", vals)
-    ai, ri = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    grid_best = NormEstimate(value=float(vals[ai, ri]), argmax=complex(pts[ai, ri]),
-                             grid=grid, refined=False)
-    if refine_iters == 0:
-        return grid_best
-
     radii = grid.radii
     row_best = np.argmax(vals, axis=1)
     row_vals = vals[np.arange(vals.shape[0]), row_best]
@@ -212,7 +192,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, refine_iters: int = 40,
     dr = np.maximum(dr, 1e-12)
     dtheta = TWO_PI / grid.angles_per_circle
     best = value.max()
-    for _ in range(refine_iters):
+    for _ in range(_MAX_ROUNDS):
         t, z, v = _zoom(objective, lambda t: r[:, None] * np.exp(1j * t),
                         theta - dtheta, theta + dtheta, -np.inf, np.inf)
         up = v > value
@@ -234,19 +214,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, refine_iters: int = 40,
     # own: the reported value is what objective(argmax) returns.
     winner = point[int(np.argmax(value))]
     final = float(np.asarray(objective(np.asarray(winner)), dtype=float))
-    if not final >= grid_best.value:
-        winner, final = grid_best.argmax, grid_best.value
-    return NormEstimate(value=final, argmax=complex(winner), grid=grid, refined=True)
-
-
-def _sweep(objective, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized objective over grid points, chunked by angle rows."""
-    workers = worker_count()
-    n_rows = pts.shape[0]
-    if workers <= 1 or n_rows < 4 * workers:
-        return np.asarray(objective(pts), dtype=float)
-    blocks = np.array_split(np.arange(n_rows), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ix: np.asarray(objective(pts[ix]), dtype=float),
-                              blocks))
-    return np.concatenate(parts, axis=0)
+    top = int(np.argmax(vals))
+    if not final >= vals.flat[top]:
+        winner, final = pts.flat[top], float(vals.flat[top])
+    return NormEstimate(value=final, argmax=complex(winner), grid=grid)

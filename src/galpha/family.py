@@ -25,8 +25,6 @@ _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
 # Per-point kernels run on slices of about this many (point, atom) pairs, so
 # their temporaries stay near 4 MB whatever the input size and atom count.
-# A smaller block splits the norm sweep's per-thread halves (16,384 points,
-# m <= 8): at 2^16 the norm benchmark's latency tail rose by 17%.
 _BLOCK = 1 << 17
 # Up to this many atoms the residual sums atom pairs one by one: a threaded
 # BLAS product of an (N x 2) by a (2 x 2) matrix can stall for 10-20 ms.

@@ -22,6 +22,8 @@ from .family import _SERIES_TERMS, GAlphaFunction
 
 _SENSE_MARGIN = 1e-9
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# samples of the image circle in the winding probe
+_CURVE_SAMPLES = 4096
 
 
 class InconclusiveProbeError(RuntimeError):
@@ -182,8 +184,7 @@ def winding_number(curve: np.ndarray, target: complex) -> float:
     return float(np.sum(np.angle(closed[1:] / closed[:-1])) / TWO_PI)
 
 
-def winding_injectivity_probe(map_, radius: float, targets: int = 20,
-                              curve_samples: int = 4096) -> bool:
+def winding_injectivity_probe(map_, radius: float, targets: int = 20) -> bool:
     """Heuristic injectivity check via winding numbers of an image circle.
 
     Samples w = f(rho e^(i phi)) at deterministic interior points with
@@ -197,7 +198,7 @@ def winding_injectivity_probe(map_, radius: float, targets: int = 20,
     if targets < 1:
         raise ValueError("targets must be positive")
     evaluate = map_.evaluate if isinstance(map_, HarmonicMap) else map_
-    theta = TWO_PI * np.arange(curve_samples) / curve_samples
+    theta = TWO_PI * np.arange(_CURVE_SAMPLES) / _CURVE_SAMPLES
     curve = np.asarray(evaluate(radius * np.exp(1j * theta)))
 
     idx = np.arange(targets)

@@ -83,8 +83,7 @@ class SchwarzReport:
         }
 
 
-def norms(f: GAlphaFunction, grid: DiskGrid | None = None,
-          refine_iters: int = 40) -> SchwarzReport:
+def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
     Besides the grid's top rows, the refinement starts at r_max conj(zeta_k)
@@ -103,8 +102,8 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None,
 
     alpha = f.alpha
     return SchwarzReport(
-        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, refine_iters, seeds),
-        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, refine_iters, seeds),
+        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, seeds=seeds),
+        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, seeds=seeds),
         alpha=alpha,
         pre_schwarzian_bound=2.0 * alpha,
         schwarzian_bound=2.0 * alpha * (2.0 + alpha),

@@ -14,11 +14,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .complexfn import TWO_PI, DiskGrid, default_grid
+from .complexfn import DiskGrid, default_grid
 from .family import GAlphaFunction, induced_self_map, measure_from_blaschke
 from .harmonic import HarmonicMap, univalence_criterion, winding_injectivity_probe
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
+
+# the round trip is compared on these points filling |z| <= 0.9
+_ROUNDTRIP_GRID = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8),
+                           angles_per_circle=96, r_max=0.9)
+# coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
+_N_COEFFICIENTS = 50
 
 
 @dataclass(frozen=True)
@@ -91,24 +97,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def roundtrip_samples(r_max: float = 0.9, n_radii: int = 8,
-                      n_angles: int = 96) -> np.ndarray:
-    """Deterministic comparison points filling |z| <= r_max."""
-    radii = np.linspace(r_max / n_radii, r_max, n_radii)
-    angles = TWO_PI * np.arange(n_angles) / n_angles
-    return np.exp(1j * angles)[:, None] * radii[None, :]
-
-
 def blaschke_roundtrip_error(phi, measure=None) -> float:
     """Max pointwise |phi - phi_hat| on |z| <= 0.9 through the measure."""
     measure = measure if measure is not None else measure_from_blaschke(phi)
-    z = roundtrip_samples()
+    z = _ROUNDTRIP_GRID.points()
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
 def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
-                     grid: DiskGrid | None = None, n_coefficients: int = 50,
-                     refine_iters: int = 40) -> VerifyReport:
+                     grid: DiskGrid | None = None) -> VerifyReport:
     tol = tol if tol is not None else Tolerances()
     grid = grid if grid is not None else default_grid()
     member = spec.resolve_member()
@@ -116,8 +113,8 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
 
     membership_margin = member.membership_margin(grid)
 
-    n = np.arange(2, n_coefficients + 1)
-    a = member.coefficients(n_coefficients)[1:]
+    n = np.arange(2, _N_COEFFICIENTS + 1)
+    a = member.coefficients(_N_COEFFICIENTS)[1:]
     coefficient_max_ratio = float(np.max(np.abs(a) * n * (n - 1) / member.alpha))
 
     residual_min = float(np.min(member.real_part_bound_residual(z)))
@@ -126,7 +123,7 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
     subordination_max = float(np.max(np.abs(omega)))
     origin_witness = abs(member.subordination_witness(0.0 + 0.0j))
 
-    schwarz_report = norms(member, grid, refine_iters)
+    schwarz_report = norms(member, grid)
 
     roundtrip_error = None
     recovered = None

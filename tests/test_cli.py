@@ -274,3 +274,13 @@ class TestNormsCommand:
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["norms", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_out_in_missing_directory_exit_two(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, EXTREMAL)
+        out = tmp_path / "absent" / "report.json"
+        code = main([command, str(path), "--out", str(out),
+                     "--grid-radii", "8", "--grid-angles", "64"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()

@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, default_grid,
-                              sup_norm_estimate, worker_count)
+                              sup_norm_estimate)
 
 
 class TestDiskGrid:
@@ -24,7 +26,7 @@ class TestDiskGrid:
     def test_norm_estimate_argmax_in_disk(self):
         grid = default_grid()
         with pytest.raises(ValueError):
-            NormEstimate(value=1.0, argmax=1.0 + 0.0j, grid=grid, refined=False)
+            NormEstimate(value=1.0, argmax=1.0 + 0.0j, grid=grid)
 
 
 class TestSupNormEstimate:
@@ -46,7 +48,6 @@ class TestSupNormEstimate:
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
         est = sup_norm_estimate(obj, default_grid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
-        assert est.refined
 
     def test_value_matches_objective_at_argmax(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
@@ -61,9 +62,6 @@ class TestSupNormEstimate:
                           r_max=float(radii[-1]))
         dense = DiskGrid(radii=radii, angles_per_circle=128,
                          r_max=float(radii[-1]))
-        v_sparse = sup_norm_estimate(obj, sparse, refine_iters=0).value
-        v_dense = sup_norm_estimate(obj, dense, refine_iters=0).value
-        assert v_dense >= v_sparse  # dense points are a superset
         r_sparse = sup_norm_estimate(obj, sparse).value
         r_dense = sup_norm_estimate(obj, dense).value
         assert r_dense >= r_sparse - 1e-12
@@ -104,33 +102,19 @@ class TestSupNormEstimate:
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2
         grid = default_grid()
-        coarse = sup_norm_estimate(obj, grid, refine_iters=0)
-        refined = sup_norm_estimate(obj, grid)
-        assert refined.value >= coarse.value
+        est = sup_norm_estimate(obj, grid)
+        assert est.value >= np.max(obj(grid.points()))
 
+    def test_grid_swept_in_one_call_on_the_calling_thread(self, monkeypatch):
+        # a thread-count variable left in the environment changes nothing
+        monkeypatch.setenv("GALPHA_THREADS", "2")
+        calls = []
 
-class TestWorkerCount:
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("GALPHA_THREADS", "4")
-        assert worker_count() == 4
+        def obj(z):
+            calls.append((np.shape(z), threading.get_ident()))
+            return (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.99 * z))
 
-    def test_auto(self, monkeypatch):
-        monkeypatch.setenv("GALPHA_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv("GALPHA_THREADS")
-        assert worker_count() >= 1
+        sup_norm_estimate(obj, default_grid())
+        assert calls[0][0] == (512, 64)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("GALPHA_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_parallel_sweep_matches_serial(self, monkeypatch):
-        obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.99 * z))
-        grid = default_grid(n_radii=16, angles_per_circle=64)
-        monkeypatch.setenv("GALPHA_THREADS", "1")
-        serial = sup_norm_estimate(obj, grid, refine_iters=0)
-        monkeypatch.setenv("GALPHA_THREADS", "3")
-        parallel = sup_norm_estimate(obj, grid, refine_iters=0)
-        assert parallel.value == serial.value
-        assert parallel.argmax == serial.argmax

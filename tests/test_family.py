@@ -385,25 +385,25 @@ class TestBlockedKernels:
 
     def test_residual_near_clustered_atoms_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         # two atoms 1e-3 apart, alone and with four light atoms elsewhere
         measures = [AtomicMeasure(angles=[1.0, 1.001], weights=[0.6, 0.4]),
                     AtomicMeasure(angles=[1.0, 1.001, 2.5, 3.7, 4.9, 5.8],
                                   weights=[0.5, 0.4, 0.04, 0.03, 0.02, 0.01])]
         z = (1.0 - 1e-4) * np.exp(-1j * np.linspace(0.995, 1.006, 23))
-        for measure in measures:
-            f = GAlphaFunction(alpha=0.8, measure=measure)
-            got = f.real_part_bound_residual(z)
-            alpha = mpmath.mpf(f.alpha)
-            atoms = [mpmath.mpc(a.real, a.imag) for a in measure.atoms]
-            for zf, value in zip(z, got):
-                w = mpmath.mpc(zf.real, zf.imag)
-                p = -alpha * mpmath.fsum(mpmath.mpf(t) * a / (1 - a * w)
-                                         for t, a in zip(measure.weights, atoms))
-                ref = (alpha / 2 - (1 - abs(w) ** 2) * abs(p) ** 2 / (2 * alpha)
-                       - mpmath.re(w * p))
-                # the direct formula in floats is off by up to 1.5e-10 here
-                assert abs(value - float(ref)) <= 1e-11 * abs(float(ref))
+        with mpmath.workdps(50):
+            for measure in measures:
+                f = GAlphaFunction(alpha=0.8, measure=measure)
+                got = f.real_part_bound_residual(z)
+                alpha = mpmath.mpf(f.alpha)
+                atoms = [mpmath.mpc(a.real, a.imag) for a in measure.atoms]
+                for zf, value in zip(z, got):
+                    w = mpmath.mpc(zf.real, zf.imag)
+                    p = -alpha * mpmath.fsum(mpmath.mpf(t) * a / (1 - a * w)
+                                             for t, a in zip(measure.weights, atoms))
+                    ref = (alpha / 2 - (1 - abs(w) ** 2) * abs(p) ** 2 / (2 * alpha)
+                           - mpmath.re(w * p))
+                    # the direct formula in floats is off by up to 1.5e-10 here
+                    assert abs(value - float(ref)) <= 1e-11 * abs(float(ref))
 
     def test_temporaries_bounded(self):
         rng = np.random.default_rng(63)
