@@ -6,13 +6,12 @@ z*phi(z) = 1, satisfy sharp pre-Schwarzian/Schwarzian norm bounds, and serve
 as analytic parts of sheared univalent harmonic mappings.
 """
 
-from .blaschke import (BlaschkeProduct, BoundaryRootSet, boundary_roots,
-                       normalized_prefactor, phase_function)
+from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
 from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
                         default_grid, sup_norm_estimate)
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
-                     from_blaschke, induced_self_map, measure_from_blaschke,
-                     measure_from_roots, roots_of_unity_measure, single_atom)
+                     induced_self_map, measure_from_blaschke, measure_from_roots,
+                     roots_of_unity_measure, single_atom)
 from .harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
                        univalence_criterion, winding_injectivity_probe,
                        winding_number)
@@ -46,14 +45,11 @@ __all__ = [
     "blaschke_roundtrip_error",
     "boundary_roots",
     "default_grid",
-    "from_blaschke",
     "induced_self_map",
     "load_function_spec",
     "measure_from_blaschke",
     "measure_from_roots",
-    "normalized_prefactor",
     "norms",
-    "phase_function",
     "pre_schwarzian",
     "roots_of_unity_measure",
     "run_verification",

@@ -65,17 +65,6 @@ class BlaschkeProduct:
         out = self.prefactor * np.prod((zz - self.zeros) / denom, axis=-1)
         return out[()] if out.ndim == 0 else out
 
-    def log_derivative(self, z):
-        """phi'(z)/phi(z) = sum_k 1/(z - b_k) + conj(b_k)/(1 - conj(b_k) z)."""
-        z = np.asarray(z, dtype=complex)
-        _require_finite("z", z)
-        zz = z[..., None]
-        num, denom = zz - self.zeros, 1.0 - np.conj(self.zeros) * zz
-        if np.any(np.abs(num) < 1e-12) or np.any(np.abs(denom) < 1e-12):
-            raise DomainError("log_derivative undefined at zeros and poles")
-        out = (1.0 / num + np.conj(self.zeros) / denom).sum(axis=-1)
-        return out[()] if out.ndim == 0 else out
-
     def boundary_speed(self, theta):
         """d/dtheta of arg(phi(e^(i theta))) = sum_k (1-|b_k|^2)/|e^(i theta)-b_k|^2.
 
@@ -107,22 +96,6 @@ class BlaschkeProduct:
                 factor[1:] = (1.0 - abs(b) ** 2) * np.conj(b) ** np.arange(n_max)
             coeffs = np.convolve(coeffs, factor)[: n_max + 1]
         return coeffs
-
-    def rotated(self, theta: float) -> "BlaschkeProduct":
-        """The product induced by the rotation z -> e^(i theta) z.
-
-        phi_theta(z) = e^(i theta) phi(e^(i theta) z): zeros rotate to
-        b_k e^(-i theta) and the prefactor picks up e^(i (m+1) theta).
-        """
-        rot = np.exp(1j * theta)
-        return BlaschkeProduct(zeros=self.zeros / rot,
-                               prefactor=self.prefactor * rot ** (self.degree + 1))
-
-
-def normalized_prefactor(phi: BlaschkeProduct) -> tuple[BlaschkeProduct, float]:
-    """Rotate so the prefactor becomes 1; returns (rotated product, angle used)."""
-    theta = -np.angle(phi.prefactor) / (phi.degree + 1)
-    return phi.rotated(theta), float(theta)
 
 
 @dataclass(frozen=True)
@@ -166,18 +139,6 @@ def _phase_offset(phi: BlaschkeProduct, t):
     """
     w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * phi.zeros
     return 2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor)
-
-
-def phase_function(phi: BlaschkeProduct, theta: float) -> float:
-    """Continuous lift of arg(e^(i t) phi(e^(i t))) from 0 to theta.
-
-    Normalized so phase(0) is the principal argument at t = 0; strictly
-    increasing in theta with phase(2 pi) - phase(0) = 2 pi (degree + 1).
-    """
-    theta = float(theta)
-    lift = ((phi.degree + 1) * theta
-            + _phase_offset(phi, theta) - _phase_offset(phi, 0.0))
-    return float(np.angle(phi(1.0 + 0.0j)) + lift)
 
 
 def boundary_roots(phi: BlaschkeProduct) -> BoundaryRootSet:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexfn import ConvergenceError, DiskGrid, default_grid
-from .family import AtomicMeasure, measure_from_blaschke
+from .family import _SERIES_LIMIT, AtomicMeasure, measure_from_blaschke
 from .harmonic import HarmonicMap
 from .schwarz import norms
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
@@ -48,8 +48,7 @@ def _grid_from(args: argparse.Namespace) -> DiskGrid:
         raise SpecFileError("--grid-radii must be at least 2")
     if not 0.0 < args.rmax < 1.0:
         raise SpecFileError("--rmax must lie in (0, 1)")
-    return default_grid(args.grid_radii, args.grid_angles,
-                        boundary_gap=1.0 - args.rmax)
+    return default_grid(args.grid_radii, args.grid_angles, args.rmax)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +130,7 @@ def _render_curve(spec: FunctionSpec, radius: float, samples: int) -> np.ndarray
 
 def cmd_render(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
-    if not 0.0 < args.radius <= 1.0 - 1e-6:
+    if not 0.0 < args.radius <= _SERIES_LIMIT:
         raise SpecFileError("radius must lie in (0, 1 - 1e-6]")
     if args.samples < 4:
         raise SpecFileError("samples must be at least 4")

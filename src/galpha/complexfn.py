@@ -48,15 +48,14 @@ def _require_finite(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Polar sampling grid on the closed disk of radius r_max < 1.
+    """Polar sampling grid on the closed disk of radius r_max = radii[-1] < 1.
 
-    radii are strictly increasing within [0, r_max]; every circle carries
+    radii are strictly increasing within [0, 1); every circle carries
     angles_per_circle equally spaced angles starting at 0.
     """
 
     radii: np.ndarray
     angles_per_circle: int
-    r_max: float
 
     def __post_init__(self) -> None:
         radii = np.asarray(self.radii, dtype=float)
@@ -66,12 +65,15 @@ class DiskGrid:
             raise ValueError("radii must be a nonempty 1-d array")
         if np.any(np.diff(radii) <= 0.0):
             raise ValueError("radii must be strictly increasing")
-        if radii[0] < 0.0 or radii[-1] > self.r_max:
-            raise ValueError("radii must lie in [0, r_max]")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+        if radii[0] < 0.0 or not 0.0 < radii[-1] < 1.0:
+            raise ValueError("radii must lie in [0, 1) with a positive last radius")
         if self.angles_per_circle < 8:
             raise ValueError("angles_per_circle must be at least 8")
+
+    @property
+    def r_max(self) -> float:
+        """The outermost radius, radii[-1]."""
+        return float(self.radii[-1])
 
     def angles(self) -> np.ndarray:
         k = self.angles_per_circle
@@ -87,16 +89,15 @@ class DiskGrid:
 
 
 def default_grid(n_radii: int = 64, angles_per_circle: int = 512,
-                 boundary_gap: float = 1e-4) -> DiskGrid:
-    """Default sweep grid: radii accumulate geometrically at 1 - boundary_gap.
+                 r_max: float = 1.0 - 1e-4) -> DiskGrid:
+    """Default sweep grid: n_radii radii accumulating geometrically at r_max < 1.
 
     The norm objectives of this family peak at the boundary, so the radii
-    are chosen as 1 - geomspace(1, boundary_gap, n_radii), starting at 0.
+    are 1 - geomspace(1, 1 - r_max, n_radii), starting at 0 and ending at r_max.
     """
-    radii = 1.0 - np.geomspace(1.0, boundary_gap, n_radii)
+    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_radii)
     radii[0] = 0.0
-    return DiskGrid(radii=radii, angles_per_circle=angles_per_circle,
-                    r_max=float(radii[-1]))
+    return DiskGrid(radii=radii, angles_per_circle=angles_per_circle)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class NormEstimate:
 
     value: float
     argmax: complex
-    grid: DiskGrid
 
     def __post_init__(self) -> None:
         _require_finite("value", self.value)
@@ -217,4 +217,4 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=()) -> NormEstimate:
     top = int(np.argmax(vals))
     if not final >= vals.flat[top]:
         winner, final = pts.flat[top], float(vals.flat[top])
-    return NormEstimate(value=final, argmax=complex(winner), grid=grid)
+    return NormEstimate(value=final, argmax=complex(winner))

@@ -29,8 +29,19 @@ _BLOCK = 1 << 17
 # Up to this many atoms the residual sums atom pairs one by one: a threaded
 # BLAS product of an (N x 2) by a (2 x 2) matrix can stall for 10-20 ms.
 _PAIR_LOOP_ATOMS = 4
-# h and the harmonic g are evaluated as partial sums of this degree
+# h and the harmonic g are partial sums of this degree on |z| <= _SERIES_LIMIT
 _SERIES_TERMS = 256
+_SERIES_LIMIT = 1.0 - 1e-6
+
+
+def _series(coefficients, z):
+    """The power series sum_n coefficients[n] z^n, for |z| <= _SERIES_LIMIT."""
+    z = np.asarray(z, dtype=complex)
+    _require_finite("z", z)
+    if np.any(np.abs(z) > _SERIES_LIMIT):
+        raise DomainError("series evaluation requires |z| <= 1 - 1e-6")
+    out = np.polynomial.polynomial.polyval(z, coefficients)
+    return out[()] if np.ndim(out) == 0 else out
 
 
 def _over_atoms(z, atoms, numerators):
@@ -267,13 +278,8 @@ class GAlphaFunction:
         alpha * sum_{n > 256} |z|^n / (n (n-1)) <= alpha / 256,
         so evaluation is restricted to |z| <= 1 - 1e-6.
         """
-        z = np.asarray(z, dtype=complex)
-        _require_finite("z", z)
-        if np.any(np.abs(z) > 1.0 - 1e-6):
-            raise DomainError("series evaluation requires |z| <= 1 - 1e-6")
         full = np.concatenate([[0.0], self.coefficients(_SERIES_TERMS)])  # h(0) = 0
-        out = np.polynomial.polynomial.polyval(z, full)
-        return out[()] if np.ndim(out) == 0 else out
+        return _series(full, z)
 
     def membership_margin(self, grid: DiskGrid | None = None) -> float:
         """1/2 - max_grid Re(z h''/(alpha h')); positive on every grid."""
@@ -332,12 +338,3 @@ class GAlphaFunction:
         atoms, weights = self.measure.atoms, self.measure.weights
         return self._blocks(z, complex,
                             lambda zb: 1.0 - np.exp(_log_sum(zb, atoms, weights)))
-
-    def induced_self_map(self, z):
-        """The Blaschke-type self-map phi of the correspondence; see module doc."""
-        return induced_self_map(self.measure, z)
-
-
-def from_blaschke(alpha: float, phi: BlaschkeProduct) -> GAlphaFunction:
-    """Member whose self-map is the given finite Blaschke product."""
-    return GAlphaFunction(alpha=alpha, measure=measure_from_blaschke(phi))

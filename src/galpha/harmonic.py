@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import (TWO_PI, DiskGrid, DomainError, _require_finite,
-                        default_grid)
-from .family import _SERIES_TERMS, GAlphaFunction
+from .complexfn import TWO_PI, DiskGrid, _require_finite, default_grid
+from .family import _SERIES_TERMS, GAlphaFunction, _series
 
 _SENSE_MARGIN = 1e-9
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -137,12 +136,7 @@ class HarmonicMap:
 
     def g(self, z):
         """g(z) from its truncated series."""
-        z = np.asarray(z, dtype=complex)
-        _require_finite("z", z)
-        if np.any(np.abs(z) > 1.0 - 1e-6):
-            raise DomainError("series evaluation requires |z| <= 1 - 1e-6")
-        out = np.polynomial.polynomial.polyval(z, self.g_coefficients())
-        return out[()] if np.ndim(out) == 0 else out
+        return _series(self.g_coefficients(), z)
 
     def evaluate(self, z):
         """f(z) = h(z) + conj(g(z))."""

@@ -15,14 +15,13 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .complexfn import DiskGrid, default_grid
-from .family import GAlphaFunction, induced_self_map, measure_from_blaschke
+from .family import induced_self_map, measure_from_blaschke
 from .harmonic import HarmonicMap, univalence_criterion, winding_injectivity_probe
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
 
 # the round trip is compared on these points filling |z| <= 0.9
-_ROUNDTRIP_GRID = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8),
-                           angles_per_circle=96, r_max=0.9)
+_ROUNDTRIP_GRID = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8), angles_per_circle=96)
 # coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
 _N_COEFFICIENTS = 50
 

@@ -95,8 +95,7 @@ class TestCriterion03BlaschkeRoundTrip:
     def test_hundred_random_products(self):
         rng = np.random.default_rng(3)
         # the comparison points of galpha verify's round trip: |z| <= 0.9
-        z = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8), angles_per_circle=96,
-                     r_max=0.9).points()
+        z = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8), angles_per_circle=96).points()
         start = time.perf_counter()
         ok = True
         for _ in range(100):

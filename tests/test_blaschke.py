@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpha.blaschke import (BlaschkeProduct, BoundaryRootSet, boundary_roots,
-                             normalized_prefactor, phase_function)
+from galpha.blaschke import (BlaschkeProduct, BoundaryRootSet, _phase_offset,
+                             boundary_roots)
 from galpha.complexfn import DomainError, TWO_PI
 
 
@@ -13,6 +13,11 @@ def random_product(rng, degree, r_cap=0.95, random_prefactor=True):
     zeros = radii * np.exp(1j * rng.uniform(0.0, TWO_PI, degree))
     pre = np.exp(1j * rng.uniform(0.0, TWO_PI)) if random_prefactor else 1.0
     return BlaschkeProduct(zeros=zeros, prefactor=pre)
+
+
+def phase_lift(phi, t):
+    """Lift of arg(e^(it) phi(e^(it))) from t = 0: the form boundary_roots solves."""
+    return (phi.degree + 1) * t + _phase_offset(phi, t) - _phase_offset(phi, 0.0)
 
 
 class TestEvaluation:
@@ -57,43 +62,14 @@ class TestEvaluation:
         assert abs(abs(phi(np.exp(1j * theta))) - 1.0) < 1e-12
 
 
-class TestLogDerivative:
-    def test_zero_at_origin(self):
-        phi = BlaschkeProduct(zeros=[0.0 + 0.0j])
-        assert phi.log_derivative(0.5 + 0.0j) == pytest.approx(2.0)  # 1/z
-
-    def test_half_zero_at_one(self):
-        # phi = (z-1/2)/(1-z/2): phi'(1) = 0.75/0.25 = 3, phi(1) = 1
-        phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
-        assert phi.log_derivative(1.0 + 0.0j) == pytest.approx(3.0)
-
-    def test_half_zero_at_minus_one(self):
-        # phi'(-1) = 0.75/2.25 = 1/3, phi(-1) = -1
-        phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
-        assert phi.log_derivative(-1.0 + 0.0j) == pytest.approx(-1.0 / 3.0)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        phi = random_product(rng, 4)
-        z = 0.7 * np.exp(1j * rng.uniform(0, TWO_PI, 20))
-        h = 1e-6
-        fd = (phi(z + h) - phi(z - h)) / (2 * h) / phi(z)
-        assert np.max(np.abs(fd - phi.log_derivative(z))) < 1e-6
-
-    def test_domain_error_at_zero_of_product(self):
-        phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
-        with pytest.raises(DomainError):
-            phi.log_derivative(0.5 + 0.0j)
-
-
 class TestPhaseFunction:
     def test_degree_zero_identity_phase(self):
         phi = BlaschkeProduct(zeros=[])
-        assert phase_function(phi, np.pi) == pytest.approx(np.pi)
+        assert phase_lift(phi, np.pi) == pytest.approx(np.pi)
 
     def test_total_increase_counts_degree(self):
         phi = BlaschkeProduct(zeros=[0.0 + 0.0j])  # z*phi = z^2
-        total = phase_function(phi, TWO_PI) - phase_function(phi, 0.0)
+        total = phase_lift(phi, TWO_PI) - phase_lift(phi, 0.0)
         assert total == pytest.approx(2.0 * TWO_PI, abs=1e-9)
 
     def test_strictly_increasing_dense_sample(self):
@@ -107,7 +83,7 @@ class TestPhaseFunction:
     def test_sampled_phase_function_increasing(self):
         phi = BlaschkeProduct(zeros=[0.5 + 0.0j, -0.3 + 0.2j])
         ts = np.linspace(0.0, TWO_PI, 64)
-        lifts = np.array([phase_function(phi, float(t)) for t in ts])
+        lifts = np.array([phase_lift(phi, float(t)) for t in ts])
         assert np.all(np.diff(lifts) > 0.0)
 
     def test_matches_dense_sampled_lift(self):
@@ -117,8 +93,8 @@ class TestPhaseFunction:
         for theta in (0.4, 1.7, np.pi, 4.2, 5.9):
             ts = np.linspace(0.0, theta, 200_001)
             vals = np.exp(1j * ts) * phi(np.exp(1j * ts))
-            lift = np.angle(vals[0]) + np.sum(np.angle(vals[1:] / vals[:-1]))
-            assert abs(phase_function(phi, theta) - lift) < 1e-12
+            lift = np.sum(np.angle(vals[1:] / vals[:-1]))
+            assert abs(phase_lift(phi, theta) - lift) < 1e-12
 
 
 class TestBoundaryRoots:
@@ -196,7 +172,7 @@ class TestBoundaryRoots:
     def test_total_phase_winding(self):
         rng = np.random.default_rng(13)
         phi = random_product(rng, 6)
-        total = phase_function(phi, TWO_PI) - phase_function(phi, 0.0)
+        total = phase_lift(phi, TWO_PI) - phase_lift(phi, 0.0)
         assert abs(total - (6 + 1) * TWO_PI) < 1e-9
 
     def test_rootset_validation(self):
@@ -227,17 +203,3 @@ class TestStructure:
         z = 0.4 * np.exp(1j * rng.uniform(0, TWO_PI, 10))
         series = np.polynomial.polynomial.polyval(z, c)
         assert np.max(np.abs(series - phi(z))) < 1e-12
-
-    def test_rotation_identity(self):
-        rng = np.random.default_rng(16)
-        phi = random_product(rng, 3)
-        theta = 0.83
-        rot = phi.rotated(theta)
-        z = 0.7 * np.exp(1j * rng.uniform(0, TWO_PI, 25))
-        assert np.max(np.abs(rot(z) - np.exp(1j * theta) * phi(np.exp(1j * theta) * z))) < 1e-12
-
-    def test_normalized_prefactor(self):
-        rng = np.random.default_rng(17)
-        phi = random_product(rng, 4)
-        normalized, _ = normalized_prefactor(phi)
-        assert normalized.prefactor == pytest.approx(1.0 + 0.0j, abs=1e-12)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from galpha.cli import main
+from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
+from galpha.verify import run_verification
 
 
 def write_spec(tmp_path, data, name="fn.json"):
@@ -274,6 +276,19 @@ class TestNormsCommand:
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["norms", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_default_grid_report_equals_library_report(self, tmp_path, capsys,
+                                                        command):
+        # the CLI's default --rmax must sweep exactly the library's default grid
+        path, out = tmp_path / "gen.json", tmp_path / "report.json"
+        main(["gen", "--seed", "1", "--atoms", "3", "--alpha", "0.6",
+              "--out", str(path)])
+        main([command, str(path), "--out", str(out)])
+        spec = load_function_spec(path)
+        library = (run_verification(spec) if command == "verify"
+                   else norms(spec.resolve_member()))
+        assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_out_in_missing_directory_exit_two(self, tmp_path, capsys, command):

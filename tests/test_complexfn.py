@@ -17,16 +17,15 @@ class TestDiskGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.5, 0.2]), angles_per_circle=16, r_max=0.9)
+            DiskGrid(radii=np.array([0.5, 0.2]), angles_per_circle=16)
         with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.1, 0.5]), angles_per_circle=4, r_max=0.9)
+            DiskGrid(radii=np.array([0.1, 0.5]), angles_per_circle=4)
         with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.1, 0.5]), angles_per_circle=16, r_max=1.0)
+            DiskGrid(radii=np.array([0.1, 1.0]), angles_per_circle=16)
 
     def test_norm_estimate_argmax_in_disk(self):
-        grid = default_grid()
         with pytest.raises(ValueError):
-            NormEstimate(value=1.0, argmax=1.0 + 0.0j, grid=grid)
+            NormEstimate(value=1.0, argmax=1.0 + 0.0j)
 
 
 class TestSupNormEstimate:
@@ -38,7 +37,7 @@ class TestSupNormEstimate:
     def test_pre_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2) * |1/(1-z)| = 1+r along the positive axis, so the sup over
         # |z| <= 0.999 is exactly 2 - 1e-3; the slack covers cancellation dust
-        grid = default_grid(boundary_gap=1e-3)
+        grid = default_grid(r_max=1 - 1e-3)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
         est = sup_norm_estimate(obj, grid)
         assert est.value == pytest.approx(2.0, abs=1e-3 + 1e-10)
@@ -58,10 +57,8 @@ class TestSupNormEstimate:
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - 0.93j * z) ** 2
         radii = 1.0 - np.geomspace(1.0, 1e-4, 33)
         radii[0] = 0.0
-        sparse = DiskGrid(radii=radii[::2], angles_per_circle=64,
-                          r_max=float(radii[-1]))
-        dense = DiskGrid(radii=radii, angles_per_circle=128,
-                         r_max=float(radii[-1]))
+        sparse = DiskGrid(radii=radii[::2], angles_per_circle=64)
+        dense = DiskGrid(radii=radii, angles_per_circle=128)
         r_sparse = sup_norm_estimate(obj, sparse).value
         r_dense = sup_norm_estimate(obj, dense).value
         assert r_dense >= r_sparse - 1e-12

@@ -7,8 +7,8 @@ from galpha import family
 from galpha.blaschke import BlaschkeProduct, boundary_roots
 from galpha.complexfn import TWO_PI, DomainError, default_grid
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
-                           from_blaschke, induced_self_map, measure_from_blaschke,
-                           measure_from_roots, roots_of_unity_measure, single_atom)
+                           induced_self_map, measure_from_blaschke, measure_from_roots,
+                           roots_of_unity_measure, single_atom)
 from galpha.schwarz import schwarzian
 
 from test_blaschke import random_product
@@ -321,7 +321,7 @@ class TestRoundTrips:
 
     def test_from_blaschke_member_is_wellformed(self):
         phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
-        f = from_blaschke(0.5, phi)
+        f = GAlphaFunction(alpha=0.5, measure=measure_from_blaschke(phi))
         assert np.allclose(np.sort(f.measure.weights), [0.25, 0.75], atol=1e-10)
         assert f.membership_margin() > 0.0
 
