@@ -19,7 +19,8 @@ from .schwarz import (SchwarzianBoundWitness, SchwarzReport, norms,
                       pre_schwarzian, schwarzian, schwarzian_bound_witness)
 from .specfile import (FunctionSpec, SpecFileError, load_function_spec,
                        save_function_spec)
-from .verify import Tolerances, VerifyReport, blaschke_roundtrip_error, run_verification
+from .verify import (Check, Tolerances, VerifyReport, blaschke_roundtrip_error,
+                     run_verification)
 
 __version__ = "0.1.0"
 
@@ -27,6 +28,7 @@ __all__ = [
     "AtomicMeasure",
     "BlaschkeProduct",
     "BoundaryRootSet",
+    "Check",
     "ConvergenceError",
     "DilatationSpec",
     "DiskGrid",

@@ -26,21 +26,24 @@ EXIT_INPUT_ERROR = 2
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-radii", type=int, default=64, metavar="N",
-                   help="number of grid radii (default 64)")
-    p.add_argument("--grid-angles", type=int, default=512, metavar="N",
-                   help="angles per circle (default 512)")
-    p.add_argument("--rmax", type=float, default=1.0 - 1e-4, metavar="X",
-                   help="outermost grid radius (default 1 - 1e-4)")
+    grid = default_grid()
+    p.add_argument("--grid-radii", type=int, default=grid.radii.size, metavar="N",
+                   help="number of grid radii (default %(default)s)")
+    p.add_argument("--grid-angles", type=int, default=grid.angles_per_circle,
+                   metavar="N", help="angles per circle (default %(default)s)")
+    p.add_argument("--rmax", type=float, default=grid.r_max, metavar="X",
+                   help="outermost grid radius (default %(default)s)")
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-roundtrip", type=float, default=1e-8,
-                   help="round-trip tolerance (default 1e-8)")
-    p.add_argument("--tol-norm", type=float, default=1e-3,
-                   help="norm-vs-sharp-value tolerance (default 1e-3)")
-    p.add_argument("--tol-pointwise", type=float, default=1e-9,
-                   help="pointwise inequality slack (default 1e-9)")
+_TOLERANCE_HELP = {"roundtrip": "round-trip tolerance",
+                   "norm": "norm-vs-sharp-value tolerance",
+                   "pointwise": "pointwise inequality slack"}
+
+
+def _add_tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--tol-{name}", type=float, default=getattr(Tolerances(), name),
+                       help=f"{_TOLERANCE_HELP[name]} (default %(default)s)")
 
 
 def _grid_from(args: argparse.Namespace) -> DiskGrid:
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("spec", help="path to a function spec file")
-    _add_tolerance_flags(p_verify)
+    _add_tolerance_flags(p_verify, "roundtrip", "norm", "pointwise")
     _add_grid_flags(p_verify)
     p_verify.add_argument("--out", default=None,
                           help="machine-readable report path "
@@ -69,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("roundtrip",
                              help="Blaschke product -> atoms -> product round trip")
     p_round.add_argument("spec", help="spec file with a blaschke source")
-    p_round.add_argument("--tol-roundtrip", type=float, default=1e-8)
+    _add_tolerance_flags(p_round, "roundtrip")
 
     p_render = sub.add_parser("render", help="export an image-circle curve")
     p_render.add_argument("spec", help="path to a function spec file")
@@ -111,11 +114,12 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     if spec.blaschke is None:
         raise SpecFileError("roundtrip requires a spec with a blaschke source")
+    tol = Tolerances(roundtrip=args.tol_roundtrip)
     measure = measure_from_blaschke(spec.blaschke)
     error = blaschke_roundtrip_error(spec.blaschke, measure)
     print(f"roundtrip max pointwise error on |z| <= 0.9: {error:.3e}")
     print(f"recovered atoms: {measure.count}")
-    return EXIT_PASS if error < args.tol_roundtrip else EXIT_CHECK_FAILED
+    return EXIT_PASS if error < tol.roundtrip else EXIT_CHECK_FAILED
 
 
 def _render_curve(spec: FunctionSpec, radius: float, samples: int) -> np.ndarray:

@@ -1,16 +1,17 @@
 """The verification battery: every family property checked on one member.
 
-Produces a VerifyReport whose `passed` flag is the conjunction of the
-individual checks against the configured tolerances.  The battery covers
-membership, the coefficient bound, the sharp pointwise real-part bound,
-the subordination witness, both derivative norms, the Blaschke round trip
-(when the spec came from a product), and the harmonic-shear checks (when a
-dilatation is present).
+`run_verification` returns a VerifyReport whose one list of named Check
+records (value, comparison, threshold) covers membership, the coefficient
+bound, the sharp real-part bound, the subordination witness, both norms,
+the Blaschke round trip (for product specs) and the harmonic-shear checks
+(for specs with a dilatation).  Its verdict, text and JSON all read that list.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import math
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .specfile import FunctionSpec
 _ROUNDTRIP_GRID = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8), angles_per_circle=96)
 # coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
 _N_COEFFICIENTS = 50
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "==": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -34,65 +37,63 @@ class Tolerances:
     norm: float = 1e-3
     pointwise: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and >= 0: {value!r}")
+
 
 @dataclass(frozen=True)
-class HarmonicChecks:
-    univalence_criterion_holds: bool
-    criterion_margin: float
-    jacobian_min: float
-    winding_ok: bool
+class Check:
+    """A named check that passes when `value comparison threshold` holds."""
+
+    name: str
+    value: float | bool
+    comparison: str
+    threshold: float | bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARISONS[self.comparison](self.value, self.threshold))
+
+
+def _text(x: float | bool) -> str:
+    return str(x) if isinstance(x, bool) else f"{x:.12g}"
 
 
 @dataclass(frozen=True)
 class VerifyReport:
-    membership_margin: float
-    coefficient_max_ratio: float
-    real_part_bound_min_residual: float
-    subordination_max_modulus: float
+    checks: list[Check]
     schwarz: SchwarzReport
-    roundtrip_error: float | None
     recovered_atoms: list | None
-    harmonic: HarmonicChecks | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["schwarz"] = self.schwarz.to_dict()
-        data["harmonic"] = asdict(self.harmonic) if self.harmonic is not None else None
-        return data
+        roundtrip = [c.value for c in self.checks if c.name == "roundtrip_error"]
+        return {
+            "checks": [dict(asdict(c), passed=c.passed) for c in self.checks],
+            "schwarz": self.schwarz.to_dict(),
+            "roundtrip_error": roundtrip[0] if roundtrip else None,
+            "recovered_atoms": self.recovered_atoms,
+            "passed": self.passed,
+        }
 
     def render_text(self) -> str:
-        sch = self.schwarz
-        lines = [
-            "verification report",
-            f"  membership margin            : {self.membership_margin:.6e}  (> 0)",
-            f"  coefficient max ratio        : {self.coefficient_max_ratio:.12f}  (<= 1)",
-            f"  real-part bound min residual : {self.real_part_bound_min_residual:.6e}  (>= 0)",
-            f"  subordination max |omega|    : {self.subordination_max_modulus:.12f}  (< 1)",
-            f"  pre-Schwarzian norm          : {sch.pre_schwarzian_norm.value:.9f}"
-            f"  (bound {sch.pre_schwarzian_bound:.9f})",
-            f"  Schwarzian norm              : {sch.schwarzian_norm.value:.9f}"
-            f"  (bound {sch.schwarzian_bound:.9f})",
-        ]
-        if sch.qc_constant is not None:
-            lines.append(f"  quasiconformal constant      : {sch.qc_constant:.9f}")
-        if self.roundtrip_error is not None:
-            lines.append(f"  blaschke roundtrip error     : {self.roundtrip_error:.3e}")
+        lines = ["verification report"]
+        lines += [f"  {c.name:<29}: {_text(c.value)}  ({c.comparison} "
+                  f"{_text(c.threshold)})  {'ok' if c.passed else 'FAIL'}"
+                  for c in self.checks]
+        if self.schwarz.qc_constant is not None:
+            lines.append(f"  {'quasiconformal constant':<29}: "
+                         f"{self.schwarz.qc_constant:.9f}")
         if self.recovered_atoms is not None:
             lines.append("  recovered atoms (theta, weight):")
             for theta, weight in self.recovered_atoms:
                 lines.append(f"    ({theta:.12f}, {weight:.12f})")
-        if self.harmonic is not None:
-            h = self.harmonic
-            lines += [
-                f"  univalence criterion         : "
-                f"{'holds' if h.univalence_criterion_holds else 'fails'}"
-                f" (margin {h.criterion_margin:.6e})",
-                f"  jacobian min on grid         : {h.jacobian_min:.6e}  (> 0)",
-                f"  winding probe                : {'ok' if h.winding_ok else 'failed'}",
-            ]
-        lines.append(f"  result                       : "
-                     f"{'PASS' if self.passed else 'FAIL'}")
+        lines.append(f"  {'result':<29}: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
@@ -109,67 +110,45 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
     grid = grid if grid is not None else default_grid()
     member = spec.resolve_member()
     z = grid.points()
-
-    membership_margin = member.membership_margin(grid)
-
     n = np.arange(2, _N_COEFFICIENTS + 1)
     a = member.coefficients(_N_COEFFICIENTS)[1:]
-    coefficient_max_ratio = float(np.max(np.abs(a) * n * (n - 1) / member.alpha))
+    sch = norms(member, grid)
 
-    residual_min = float(np.min(member.real_part_bound_residual(z)))
+    checks = [
+        Check("membership_margin", member.membership_margin(grid), ">", 0.0),
+        Check("coefficient_max_ratio",
+              float(np.max(np.abs(a) * n * (n - 1) / member.alpha)),
+              "<=", 1.0 + tol.pointwise),
+        Check("real_part_bound_min_residual",
+              float(np.min(member.real_part_bound_residual(z))), ">=", -tol.pointwise),
+        Check("subordination_max_modulus",
+              float(np.max(np.abs(member.subordination_witness(z)))), "<", 1.0),
+        Check("subordination_origin_modulus",
+              float(abs(member.subordination_witness(0j))), "<=", tol.pointwise),
+        Check("pre_schwarzian_norm", sch.pre_schwarzian_norm.value,
+              "<=", sch.pre_schwarzian_bound + tol.norm),
+        Check("schwarzian_norm", sch.schwarzian_norm.value,
+              "<=", sch.schwarzian_bound + tol.norm),
+    ]
 
-    omega = member.subordination_witness(z)
-    subordination_max = float(np.max(np.abs(omega)))
-    origin_witness = abs(member.subordination_witness(0.0 + 0.0j))
-
-    schwarz_report = norms(member, grid)
-
-    roundtrip_error = None
     recovered = None
     if spec.blaschke is not None:
-        roundtrip_error = blaschke_roundtrip_error(spec.blaschke, member.measure)
+        checks.append(Check("roundtrip_error",
+                            blaschke_roundtrip_error(spec.blaschke, member.measure),
+                            "<", tol.roundtrip))
         recovered = [(float(t), float(w)) for t, w in
                      zip(member.measure.angles, member.measure.weights)]
 
-    harmonic = None
     if spec.dilatation is not None:
         hmap = HarmonicMap(analytic_part=member, dilatation=spec.dilatation)
-        holds, margin = univalence_criterion(hmap, grid)
-        jac_min = float(np.min(hmap.jacobian(z)))
-        winding_ok = all(winding_injectivity_probe(hmap, r, targets=20)
-                         for r in (0.5, 0.9))
-        harmonic = HarmonicChecks(univalence_criterion_holds=holds,
-                                  criterion_margin=margin,
-                                  jacobian_min=jac_min,
-                                  winding_ok=winding_ok)
-
-    checks = [
-        membership_margin > 0.0,
-        coefficient_max_ratio <= 1.0 + tol.pointwise,
-        residual_min >= -tol.pointwise,
-        subordination_max < 1.0,
-        origin_witness <= tol.pointwise,
-        schwarz_report.pre_schwarzian_norm.value
-        <= schwarz_report.pre_schwarzian_bound + tol.norm,
-        schwarz_report.schwarzian_norm.value
-        <= schwarz_report.schwarzian_bound + tol.norm,
-    ]
-    if roundtrip_error is not None:
-        checks.append(roundtrip_error < tol.roundtrip)
-    if harmonic is not None:
-        checks += [harmonic.jacobian_min > 0.0, harmonic.winding_ok]
-        # the criterion is a sufficient condition only under alpha < 1/2
+        checks += [
+            Check("jacobian_min", float(np.min(hmap.jacobian(z))), ">", 0.0),
+            Check("winding_probe", all(winding_injectivity_probe(hmap, r, targets=20)
+                                       for r in (0.5, 0.9)), "==", True),
+        ]
+        # the criterion implies univalence only under alpha < 1/2
         if member.alpha < 0.5:
-            checks.append(harmonic.univalence_criterion_holds)
+            checks.append(Check("univalence_criterion_margin",
+                                univalence_criterion(hmap, grid)[1], ">=", 0.0))
 
-    return VerifyReport(
-        membership_margin=membership_margin,
-        coefficient_max_ratio=coefficient_max_ratio,
-        real_part_bound_min_residual=residual_min,
-        subordination_max_modulus=subordination_max,
-        schwarz=schwarz_report,
-        roundtrip_error=roundtrip_error,
-        recovered_atoms=recovered,
-        harmonic=harmonic,
-        passed=all(checks),
-    )
+    return VerifyReport(checks=checks, schwarz=sch, recovered_atoms=recovered)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from galpha.cli import main
+from galpha.cli import build_parser, main
+from galpha.complexfn import default_grid
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
-from galpha.verify import run_verification
+from galpha.verify import Tolerances, run_verification
 
 
 def write_spec(tmp_path, data, name="fn.json"):
@@ -18,6 +19,9 @@ def write_spec(tmp_path, data, name="fn.json"):
 EXTREMAL = {"alpha": 1.0, "atoms": [{"theta": 0.0, "weight": 1.0}]}
 HALF_ZERO = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0.0}],
                                         "prefactor_angle": 0.0}}
+CONSTANT_SHEAR = {"alpha": 0.25, "atoms": [{"theta": 0.0, "weight": 1.0}],
+                  "dilatation": {"kind": "constant",
+                                 "params": {"value": {"re": 0.5, "im": 0.0}}}}
 
 
 class TestSpecFile:
@@ -132,15 +136,67 @@ class TestVerifyCommand:
         assert report["roundtrip_error"] < 1e-8
 
     def test_harmonic_spec_checks(self, tmp_path, capsys):
-        data = {"alpha": 0.25, "atoms": [{"theta": 0.0, "weight": 1.0}],
-                "dilatation": {"kind": "constant",
-                               "params": {"value": {"re": 0.5, "im": 0.0}}}}
-        code = main(["verify", str(write_spec(tmp_path, data))])
+        code = main(["verify", str(write_spec(tmp_path, CONSTANT_SHEAR))])
         assert code == 0
         report = json.loads((tmp_path / "fn.report.json").read_text())
-        assert report["harmonic"]["univalence_criterion_holds"] is True
-        assert report["harmonic"]["jacobian_min"] > 0.0
-        assert report["harmonic"]["winding_ok"] is True
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["univalence_criterion_margin"]["passed"] is True
+        assert checks["jacobian_min"]["value"] > 0.0
+        assert checks["winding_probe"]["value"] is True
+
+    def test_failing_check_is_named(self, tmp_path, capsys):
+        # |omega| = 1/2 exceeds 1 - 0.4 |z| (1 + |z|) near the circle
+        data = dict(CONSTANT_SHEAR, alpha=0.4)
+        out = tmp_path / "r.json"
+        code = main(["verify", str(write_spec(tmp_path, data)), "--out", str(out),
+                     "--tol-pointwise", "1e-3"])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+            "univalence_criterion_margin"]
+        lines = {line.split(":")[0].strip(): line
+                 for line in capsys.readouterr().out.splitlines()}
+        assert [name for name, line in lines.items() if "FAIL" in line] == [
+            "univalence_criterion_margin", "result"]
+        coefficient = next(c for c in report["checks"]
+                           if c["name"] == "coefficient_max_ratio")
+        assert coefficient["threshold"] == 1.001
+        assert "(<= 1.001)" in lines["coefficient_max_ratio"]
+
+    def test_no_criterion_for_alpha_at_least_half(self, tmp_path, capsys):
+        # the criterion proves univalence only for alpha < 1/2, so it is not a check
+        data = dict(CONSTANT_SHEAR, alpha=0.8)
+        out = tmp_path / "r.json"
+        assert main(["verify", str(write_spec(tmp_path, data)), "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert "jacobian_min" in names
+        assert "univalence_criterion_margin" not in names
+        text = capsys.readouterr().out
+        assert "univalence" not in text
+        assert "fails" not in text
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol-norm", "nan"), ("--tol-norm", "-1"), ("--tol-norm", "inf"),
+        ("--tol-pointwise", "nan"), ("--tol-roundtrip", "-1e-8"),
+    ])
+    def test_malformed_tolerance_exit_two(self, tmp_path, capsys, flag, value):
+        path = write_spec(tmp_path, HALF_ZERO)
+        commands = ["verify"] + (["roundtrip"] if flag == "--tol-roundtrip" else [])
+        for command in commands:
+            assert main([command, str(path), f"{flag}={value}"]) == 2
+            assert capsys.readouterr().err.startswith("error: tolerance ")
+        assert not (tmp_path / "fn.report.json").exists()
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["verify", "x.json"])
+        assert Tolerances(roundtrip=args.tol_roundtrip, norm=args.tol_norm,
+                          pointwise=args.tol_pointwise) == Tolerances()
+        assert (args.grid_radii, args.grid_angles, args.rmax) == (
+            default_grid().radii.size, default_grid().angles_per_circle,
+            default_grid().r_max)
+        args = build_parser().parse_args(["roundtrip", "x.json"])
+        assert args.tol_roundtrip == Tolerances().roundtrip
 
 
 class TestRoundtripCommand:
