@@ -7,6 +7,7 @@ local refinement.  Everything here is pure and reentrant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,12 @@ TWO_PI = 2.0 * math.pi
 
 # refinement starts from the best point of this many top angle rows
 _ROW_STARTS = 8
+# the sweep's blocks of angles x radii, and its first batch of blocks
+_BLOCK_ANGLES = 8
+_BLOCK_RADII = 2
+_FIRST_BATCH = 64
+# relative allowance for the rounding of a float objective above a cell bound
+_BOUND_MARGIN = 1e-9
 # samples per candidate in one zoom pass, and the step a zoom narrows below
 _ZOOM_SAMPLES = 17
 _ZOOM_STEP = 1e-13
@@ -51,7 +58,8 @@ class DiskGrid:
     """Polar sampling grid on the closed disk of radius r_max = radii[-1] < 1.
 
     radii are strictly increasing within [0, 1); every circle carries
-    angles_per_circle equally spaced angles starting at 0.
+    angles_per_circle equally spaced angles starting at 0, an integer of at
+    least 8.
     """
 
     radii: np.ndarray
@@ -67,7 +75,12 @@ class DiskGrid:
             raise ValueError("radii must be strictly increasing")
         if radii[0] < 0.0 or not 0.0 < radii[-1] < 1.0:
             raise ValueError("radii must lie in [0, 1) with a positive last radius")
-        if self.angles_per_circle < 8:
+        try:
+            count = operator.index(self.angles_per_circle)
+        except TypeError:
+            raise ValueError("angles_per_circle must be an integer") from None
+        object.__setattr__(self, "angles_per_circle", count)
+        if count < 8:
             raise ValueError("angles_per_circle must be at least 8")
 
     @property
@@ -148,15 +161,72 @@ def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
         hi = np.minimum(hi_bound, t + step)
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, seeds=()) -> NormEstimate:
+def _sweep(objective, grid: DiskGrid, pts, cell_bound) -> np.ndarray:
+    """The objective on the grid's points pts, -inf where the cell bounds
+    rule a block out (see sup_norm_estimate).  Edge blocks may be partial;
+    a batch of every block is pts itself, in its own shape.
+    """
+    n_angles, n_radii = pts.shape
+    a_lo, r_lo = (lo.ravel() for lo in np.meshgrid(
+        np.arange(0, n_angles, _BLOCK_ANGLES), np.arange(0, n_radii, _BLOCK_RADII),
+        indexing="ij"))
+    a_hi = np.minimum(a_lo + _BLOCK_ANGLES, n_angles) - 1
+    r_hi = np.minimum(r_lo + _BLOCK_RADII, n_radii) - 1
+    if cell_bound is None:
+        bound = np.full(a_lo.size, np.inf)
+    else:
+        angles, radii = grid.angles(), grid.radii
+        bound = np.asarray(cell_bound(radii[r_lo], radii[r_hi], angles[a_lo],
+                                      angles[a_hi]), dtype=float)
+        if bound.shape != a_lo.shape or np.any(np.isnan(bound)):
+            raise ValueError("cell_bound must return one bound per block")
+    order = np.argsort(-bound, kind="stable")
+    ranked = bound[order]
+    raised = ranked + _BOUND_MARGIN * np.abs(ranked)
+    vals = np.full(pts.shape, -np.inf)
+    flat = vals.reshape(-1)
+    done, size = 0, max(_FIRST_BATCH, int(np.count_nonzero(np.isposinf(bound))))
+    kth = -np.inf
+    while (live := int(np.count_nonzero(raised >= kth))) > done:
+        batch = order[done:min(done + size, live)]
+        if batch.size == order.size:
+            idx, z = slice(None), pts
+        else:
+            a = a_lo[batch, None, None] + np.arange(_BLOCK_ANGLES)[:, None]
+            r = r_lo[batch, None, None] + np.arange(_BLOCK_RADII)
+            keep = (a <= a_hi[batch, None, None]) & (r <= r_hi[batch, None, None])
+            idx = (a * n_radii + r)[keep]
+            z = pts.reshape(-1)[idx]
+        v = np.asarray(objective(z), dtype=float)
+        _require_finite("objective on the grid", v)
+        flat[idx] = v.reshape(-1)
+        kth = np.partition(vals.max(axis=1), -_ROW_STARTS)[-_ROW_STARTS]
+        done, size = done + batch.size, 2 * size
+    return vals
+
+
+def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
+                      cell_bound=None) -> NormEstimate:
     """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
-    The sweep evaluates the whole grid in one objective call and takes the
-    maximum (ties resolved toward the smallest angle, then the smallest
-    radius).  Refinement starts from the best point of each of the
-    _ROW_STARTS highest angle rows and from every point in seeds (which
-    must lie in the open disk; radii are clipped to r_max), and refines all
-    candidates together.  Each round zooms in angle over theta +- dtheta,
+    The sweep takes the maximum over the grid (ties resolved toward the
+    smallest angle, then the smallest radius).  Without cell_bound it
+    evaluates the whole grid in one objective call.  cell_bound(r0, r1,
+    th0, th1) takes arrays of closed polar sectors r0 <= |z| <= r1,
+    th0 <= arg z <= th1 (0 <= th0 <= th1 < 2 pi) and returns an upper
+    bound of the objective on each; the float objective may exceed it by
+    at most 1e-9 relative.  The sweep then evaluates blocks of 8 angles by
+    2 radii in descending order of bound, in batches that start at 64
+    blocks and double, and stops once every block left has a bound, raised
+    by 1e-9 relative, below the 8th-highest row maximum found so far.  Such
+    a block holds neither the grid maximum nor the maximum of any of the 8
+    best rows, so for an objective whose value at a point does not depend
+    on the other points of the call, the starting candidates, the
+    refinement and the result are those of the full sweep, bit for bit.
+    Refinement starts from the best point of each of the _ROW_STARTS
+    highest angle rows and from every point in seeds (which must lie in the
+    open disk; radii are clipped to r_max), and refines all candidates
+    together.  Each round zooms in angle over theta +- dtheta,
     then in radius over [r - dr, r_max], where dr is the grid spacing at
     the candidate's starting radius; the radial bracket is pinned at r_max
     because the objectives this library sweeps peak jointly in (angle ->
@@ -175,8 +245,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=()) -> NormEstimate:
     if np.any(np.abs(seeds) >= 1.0):
         raise ValueError("seeds must lie in the open unit disk")
     pts = grid.points()
-    vals = np.asarray(objective(pts), dtype=float)
-    _require_finite("objective on the grid", vals)
+    vals = _sweep(objective, grid, pts, cell_bound)
     radii = grid.radii
     row_best = np.argmax(vals, axis=1)
     row_vals = vals[np.arange(vals.shape[0]), row_best]

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexfn import (DiskGrid, NormEstimate, _require_finite, default_grid,
-                        sup_norm_estimate)
+from .complexfn import (TWO_PI, DiskGrid, NormEstimate, _require_finite,
+                        default_grid, sup_norm_estimate)
 from .family import GAlphaFunction, _over_atoms
 
 _BOUND_SLACK = 1e-6
@@ -83,16 +83,62 @@ class SchwarzReport:
         }
 
 
+def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
+    """The bounds of `norms` on the sectors r0 <= |z| <= r1, th0 <= arg z <= th1.
+
+    With delta the angular gap from arg conj(zeta_k) to the sector (0 in
+    it) and r = clip(cos delta, r0, r1), where cos delta is taken as
+    1 - 2 sin^2(delta/2), d_k = sqrt((1 - r)^2 + 4 r sin^2(delta/2)), free
+    of the cancellation in 1 + r^2 - 2 r cos delta.  1 - r0^2 is raised by 16 eps/(1 - r1) to cover the rounding here and
+    the few-eps absolute errors of the objectives' 1 - |z|^2 and
+    1 - zeta_k z near the circle.  Two (atoms x sectors) buffers are reused
+    to keep the peak memory low.
+    """
+    # gap runs counterclockwise from th0 to arg conj(zeta_k): delta is how
+    # far that passes th1, or 2 pi - gap back to th0, whichever is smaller
+    gap = np.mod(-f.measure.angles, TWO_PI)[:, None] - th0
+    np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
+    work = TWO_PI - gap
+    gap -= th1 - th0
+    delta = np.maximum(np.minimum(gap, work, out=gap), 0.0, out=gap)
+    half_sin2 = np.square(np.sin(np.multiply(delta, 0.5, out=delta), out=delta), out=delta)
+    r = np.clip(np.subtract(1.0, 2.0 * half_sin2, out=work), r0, r1, out=work)
+    d = np.multiply(4.0 * r, half_sin2, out=half_sin2)
+    d += np.square(np.subtract(1.0, r, out=r), out=r)
+    np.sqrt(d, out=d)
+    t = np.divide(f.measure.weights[:, None], d, out=work)
+    s1 = f.alpha * t.sum(axis=0)
+    s2 = f.alpha * np.divide(t, d, out=t).sum(axis=0)
+    shrink = (1.0 - r0) * (1.0 + r0) * (1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1))
+    return shrink * s1, shrink ** 2 * (s2 + 0.5 * s1 ** 2)
+
+
 def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
     Besides the grid's top rows, the refinement starts at r_max conj(zeta_k)
     for the heaviest atoms, where the norms approach their closed-form
-    limits 2 alpha t_k and 2 alpha t_k (2 + alpha t_k).
+    limits 2 alpha t_k and 2 alpha t_k (2 + alpha t_k).  The sweeps skip
+    the grid cells these bounds rule out, with d_k the distance from
+    conj(zeta_k) to the cell r0 <= |z| <= r1, th0 <= arg z <= th1, so that
+    |1 - zeta_k z| >= d_k on it:
+
+        (1-|z|^2) |P|    <= (1 - r0^2) alpha sum_k t_k/d_k
+        (1-|z|^2)^2 |S|  <= (1 - r0^2)^2 (alpha sum_k t_k/d_k^2
+                                          + (alpha sum_k t_k/d_k)^2 / 2)
     """
     grid = grid if grid is not None else default_grid()
     heaviest = np.argsort(-f.measure.weights, kind="stable")[:_ATOM_SEEDS]
     seeds = grid.r_max * np.conj(f.measure.atoms[heaviest])
+    bounds = []
+
+    def cell_bound(which):
+        # both sweeps ask for the sectors of `grid`, so one pass serves both
+        def bound(*sector):
+            if not bounds:
+                bounds.extend(_cell_bounds(f, *sector))
+            return bounds[which]
+        return bound
 
     def obj_pre(z):
         return (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))
@@ -102,8 +148,10 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
 
     alpha = f.alpha
     return SchwarzReport(
-        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, seeds=seeds),
-        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, seeds=seeds),
+        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, seeds=seeds,
+                                              cell_bound=cell_bound(0)),
+        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, seeds=seeds,
+                                          cell_bound=cell_bound(1)),
         alpha=alpha,
         pre_schwarzian_bound=2.0 * alpha,
         schwarzian_bound=2.0 * alpha * (2.0 + alpha),

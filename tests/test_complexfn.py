@@ -23,6 +23,16 @@ class TestDiskGrid:
         with pytest.raises(ValueError):
             DiskGrid(radii=np.array([0.1, 1.0]), angles_per_circle=16)
 
+    def test_angle_count_must_be_an_integer(self):
+        # 8.5 used to build 9 angles with a short last gap
+        radii = np.array([0.0, 0.5, 0.9])
+        for count in (8.5, 16.0, "16"):
+            with pytest.raises(ValueError, match="integer"):
+                DiskGrid(radii=radii, angles_per_circle=count)
+        grid = DiskGrid(radii=radii, angles_per_circle=np.int64(12))
+        assert type(grid.angles_per_circle) is int
+        assert np.allclose(np.diff(grid.angles()), TWO_PI / 12)
+
     def test_norm_estimate_argmax_in_disk(self):
         with pytest.raises(ValueError):
             NormEstimate(value=1.0, argmax=1.0 + 0.0j)
@@ -95,6 +105,39 @@ class TestSupNormEstimate:
         for seeds in ([1.0 + 0.0j], [np.nan]):
             with pytest.raises(ValueError, match="seeds"):
                 sup_norm_estimate(obj, default_grid(), seeds=seeds)
+
+    def test_tight_cell_bound_keeps_the_top_rows(self):
+        # 1 + cos(arg z) on the grid, bounded by its exact max on each
+        # sector.  The rows at angles just below 2 pi are among the 8 best,
+        # in blocks whose bound lies below the grid maximum, so the sweep
+        # must evaluate them for the refinement to start from the same
+        # candidates and repeat the full sweep's run call for call.  With 512
+        # radii the blocks of the best rows fill several batches.
+        grid = DiskGrid(radii=np.linspace(0.1, 0.9, 512), angles_per_circle=512)
+        bound = lambda r0, r1, th0, th1: 1.0 + np.maximum(np.cos(th0), np.cos(th1))
+        runs = []
+        for cell_bound in (None, bound):
+            calls = []
+
+            def obj(z, calls=calls):
+                calls.append(np.array(z))
+                return 1.0 + z.real / np.maximum(np.abs(z), 0.05)
+
+            runs.append((sup_norm_estimate(obj, grid, cell_bound=cell_bound), calls))
+        (full, full_calls), (pruned, pruned_calls) = runs
+        assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
+        refinement = full_calls[1:]
+        swept = sum(np.size(z) for z in pruned_calls[:-len(refinement)])
+        assert swept < grid.points().size / 4
+        for x, y in zip(pruned_calls[-len(refinement):], refinement):
+            assert np.array_equal(x, y)
+
+    def test_cell_bound_gives_one_bound_per_block(self):
+        obj = lambda z: np.ones(z.shape)
+        for cell_bound in (lambda r0, r1, th0, th1: np.ones(3),
+                           lambda r0, r1, th0, th1: np.full(r0.shape, np.nan)):
+            with pytest.raises(ValueError, match="cell_bound"):
+                sup_norm_estimate(obj, default_grid(), cell_bound=cell_bound)
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2

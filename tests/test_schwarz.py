@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpha.complexfn import TWO_PI, default_grid
+from galpha.complexfn import (_BLOCK_ANGLES, _BLOCK_RADII, TWO_PI, default_grid,
+                              sup_norm_estimate)
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
-from galpha.schwarz import (SchwarzReport, norms, pre_schwarzian, schwarzian,
-                            schwarzian_bound_witness)
+from galpha.schwarz import (SchwarzReport, _cell_bounds, norms, pre_schwarzian,
+                            schwarzian, schwarzian_bound_witness)
 
 from test_family import random_measure, random_points
 
@@ -134,6 +135,122 @@ class TestNorms:
                           pre_schwarzian_bound=rep.pre_schwarzian_bound,
                           schwarzian_bound=rep.schwarzian_bound,
                           qc_constant=3.0)  # alpha >= 1/2 must omit it
+
+
+def norm_objectives(f):
+    """The two objectives `norms` sweeps."""
+    return ((lambda z: (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))),
+            (lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(f, z))))
+
+
+def cell_bound(f, which):
+    return lambda *sector: _cell_bounds(f, *sector)[which]
+
+
+def recording(objective):
+    def recorded(z):
+        recorded.calls.append(np.array(z))
+        return objective(z)
+    recorded.calls = []
+    return recorded
+
+
+def sweep_blocks(grid, vals):
+    """Each sweep block's sector (r0, r1, th0, th1) and the max of vals on it."""
+    n_a, n_r = vals.shape
+    pad = np.full((-(-n_a // _BLOCK_ANGLES) * _BLOCK_ANGLES,
+                   -(-n_r // _BLOCK_RADII) * _BLOCK_RADII), -np.inf)
+    pad[:n_a, :n_r] = vals
+    maxima = pad.reshape(pad.shape[0] // _BLOCK_ANGLES, _BLOCK_ANGLES,
+                         pad.shape[1] // _BLOCK_RADII, _BLOCK_RADII).max(axis=(1, 3))
+    a_lo, r_lo = np.meshgrid(np.arange(0, n_a, _BLOCK_ANGLES),
+                             np.arange(0, n_r, _BLOCK_RADII), indexing="ij")
+    a_hi = np.minimum(a_lo + _BLOCK_ANGLES, n_a) - 1
+    r_hi = np.minimum(r_lo + _BLOCK_RADII, n_r) - 1
+    angles, radii = grid.angles(), grid.radii
+    sector = (radii[r_lo].ravel(), radii[r_hi].ravel(),
+              angles[a_lo].ravel(), angles[a_hi].ravel())
+    return sector, maxima.ravel()
+
+
+# the default grid and a ragged one, whose edge blocks are partial
+GRIDS = (default_grid(), default_grid(n_radii=11, angles_per_circle=100))
+
+
+def panel_members():
+    """Members like the norms-small benchmark panel: the extremal single
+    atoms, a four-atom member, and 24 random members with 1-8 atoms, all
+    turned by a multiple of the default grid step."""
+    rng = np.random.default_rng(7)
+    members = [GAlphaFunction(alpha=0.5, measure=single_atom(0.0)),
+               GAlphaFunction(alpha=1.0, measure=single_atom(0.0)),
+               GAlphaFunction(alpha=0.444, measure=AtomicMeasure(
+                   angles=[0.9025, 4.1982, 5.5588, 6.2819],
+                   weights=[0.3288, 0.279, 0.0675, 0.3247]))]
+    members += [GAlphaFunction(alpha=1.0 - rng.uniform(),
+                               measure=random_measure(rng, 1 + i % 8))
+                for i in range(24)]
+    turn = TWO_PI * 137 / 512
+    return [GAlphaFunction(alpha=f.alpha, measure=AtomicMeasure(
+                angles=f.measure.angles + turn, weights=f.measure.weights))
+            for f in members]
+
+
+class TestCellBounds:
+    def test_bounds_dominate_the_float_objectives(self):
+        # every block of the default grid, a ragged one and one reaching
+        # 1 - 1e-9 (where the float objectives on a one-radius edge block
+        # read up to 2e-7 above the exact bound), for 1-64 atoms, half of
+        # the members with atoms exactly on grid angles
+        grids = GRIDS + (default_grid(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
+        rng = np.random.default_rng(97)
+        worst = 0.0
+        for i in range(48):
+            m = int(rng.integers(1, 65))
+            measure = random_measure(rng, m)
+            grid = grids[i % 3]
+            if (i // 3) % 2 == 0:
+                steps = rng.choice(grid.angles_per_circle, m, replace=False)
+                measure = AtomicMeasure(angles=TWO_PI * steps / grid.angles_per_circle,
+                                        weights=measure.weights)
+            f = GAlphaFunction(alpha=1.0 - rng.uniform(), measure=measure)
+            pts = grid.points()
+            for which, objective in enumerate(norm_objectives(f)):
+                sector, maxima = sweep_blocks(grid, objective(pts))
+                ratio = maxima / _cell_bounds(f, *sector)[which]
+                assert ratio.max() <= 1.0
+                worst = max(worst, ratio.max())
+        assert worst > 0.9  # the bounds are close where the objectives peak
+
+    def test_pruned_sweep_equals_full_sweep(self):
+        for f in panel_members():
+            seeds = 0.999 * np.conj(f.measure.atoms)
+            for grid in GRIDS:
+                for which, objective in enumerate(norm_objectives(f)):
+                    full, pruned = recording(objective), recording(objective)
+                    a = sup_norm_estimate(full, grid, seeds=seeds)
+                    b = sup_norm_estimate(pruned, grid, seeds=seeds,
+                                          cell_bound=cell_bound(f, which))
+                    assert (b.value, b.argmax) == (a.value, a.argmax)
+                    # after the full sweep's one call, the refinement starts
+                    # from the same candidates and repeats call for call
+                    refinement = full.calls[1:]
+                    assert len(pruned.calls) > len(refinement)
+                    for x, y in zip(pruned.calls[-len(refinement):], refinement):
+                        assert np.array_equal(x, y)
+
+    def test_single_atom_sweeps_few_points(self):
+        # the refinement is the same with and without the bound, so the
+        # difference in points is what the bound saved on the grid
+        f = GAlphaFunction(alpha=0.5, measure=single_atom(0.0))
+        grid = default_grid()
+        size = grid.points().size
+        for which, objective in enumerate(norm_objectives(f)):
+            full, pruned = recording(objective), recording(objective)
+            sup_norm_estimate(full, grid)
+            sup_norm_estimate(pruned, grid, cell_bound=cell_bound(f, which))
+            points = [sum(np.size(z) for z in run.calls) for run in (full, pruned)]
+            assert points[1] - (points[0] - size) <= 0.1 * size
 
 
 class TestBoundWitness:
