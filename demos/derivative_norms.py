@@ -28,9 +28,9 @@ print(f"  |S| = {rep.schwarzian_norm.value:.6f} < 6")
 print(f"  Schwarzian argmax at {rep.schwarzian_norm.argmax:.6f}"
       f" (|z| = {abs(rep.schwarzian_norm.argmax):.6f})")
 
-# the norm objective peaks along the branch direction conj(zeta) of the
-# dominant factor; the batched zoom narrows its brackets to steps below
-# 1e-13 and pins that direction to ~1e-11
+# the norm objective tends to its sup along the branch direction conj(zeta)
+# of the dominant factor; norms reports that closed-form boundary limit
+# with argmax exactly conj(zeta)
 theta = 0.7
 member = GAlphaFunction(alpha=0.5, measure=single_atom(theta))
 rep = norms(member)

@@ -18,7 +18,8 @@ from .harmonic import HarmonicMap
 from .schwarz import norms
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
                        load_function_spec, save_function_spec)
-from .verify import Tolerances, blaschke_roundtrip_error, run_verification
+from .verify import (Tolerances, blaschke_roundtrip_error, norm_checks,
+                     run_verification)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -206,11 +207,13 @@ def cmd_norms(args: argparse.Namespace) -> int:
     ]
     if report.qc_constant is not None:
         lines.append(f"qc extension constant: {report.qc_constant!r}")
+    checks = norm_checks(report, Tolerances())
+    lines += [c.render() for c in checks]
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS
+    return EXIT_PASS if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {

@@ -27,10 +27,10 @@ _ZOOM_SAMPLES = 17
 _ZOOM_STEP = 1e-13
 # refinement runs at most this many rounds
 _MAX_ROUNDS = 40
-# refinement stops after a round that raises the best value by at most this
-# times max(1, |best|).  It sits above the rounding noise of the norm
-# objectives near the boundary (~1e-12 relative at r = 1 - 1e-4, where
-# 1 - |z|^2 loses four digits), so noise never buys another round.
+# refinement stops after a round that raises max(limit, best) by at most
+# this times its magnitude (at least 1).  It sits above the rounding noise of
+# the norm objectives near the boundary (~1e-12 relative at r = 1 - 1e-4,
+# where 1 - |z|^2 loses four digits), so noise never buys another round.
 _ROUND_GAIN = 1e-10
 
 
@@ -117,9 +117,10 @@ def default_grid(n_radii: int = 64, angles_per_circle: int = 512,
 class NormEstimate:
     """An estimate of a supremum over the disk.
 
-    value is the objective evaluated in floats at argmax, never below the
-    grid maximum.  It is an estimate, not a certified bound: near the circle
-    the float objective can read ~1e-11 above its exact value.
+    value is the objective evaluated in floats at argmax or, where |argmax|
+    = 1 up to rounding, its closed-form limit as z -> argmax radially.  It is
+    an estimate, not a certified bound: near the circle the float objective
+    can read ~1e-11 above its exact value.
     """
 
     value: float
@@ -128,8 +129,8 @@ class NormEstimate:
     def __post_init__(self) -> None:
         _require_finite("value", self.value)
         _require_finite("argmax", self.argmax)
-        if abs(self.argmax) >= 1.0:
-            raise ValueError("argmax must lie in the open unit disk")
+        if abs(self.argmax) > 1.0 + 4.0 * np.finfo(float).eps:
+            raise ValueError("argmax must lie in the closed unit disk")
 
 
 def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
@@ -205,7 +206,7 @@ def _sweep(objective, grid: DiskGrid, pts, cell_bound) -> np.ndarray:
     return vals
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
+def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = None,
                       cell_bound=None) -> NormEstimate:
     """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
@@ -223,27 +224,23 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
     best rows, so for an objective whose value at a point does not depend
     on the other points of the call, the starting candidates, the
     refinement and the result are those of the full sweep, bit for bit.
-    Refinement starts from the best point of each of the _ROW_STARTS
-    highest angle rows and from every point in seeds (which must lie in the
-    open disk; radii are clipped to r_max), and refines all candidates
-    together.  Each round zooms in angle over theta +- dtheta,
-    then in radius over [r - dr, r_max], where dr is the grid spacing at
-    the candidate's starting radius; the radial bracket is pinned at r_max
-    because the objectives this library sweeps peak jointly in (angle ->
-    atom direction, radius -> 1).  A zoom evaluates _ZOOM_SAMPLES points
-    per candidate per objective call and narrows to one sample step around
-    the best until that step is below 1e-13.  dtheta starts at the grid's
-    angular step and halves every round; the rounds stop after _MAX_ROUNDS
-    (40), or once a round raises the best value by at most
-    1e-10 * max(1, |best|).  A candidate moves only to a point
-    that beats its current value.  The value returned is the objective
-    evaluated in floats at argmax, never below the grid maximum; it is an
-    estimate of the sup, not a certified bound.
+    Refinement starts from the best point of each of the _ROW_STARTS highest
+    angle rows and refines them together.  Each round zooms in angle over
+    theta +- dtheta, then in radius over [r - dr, r_max], with dr the grid
+    spacing below the starting radius (the first radius counts from
+    -r_max/8); the radial bracket is pinned at r_max because the objectives
+    this library sweeps peak jointly in (angle -> atom direction,
+    radius -> 1).  A zoom evaluates _ZOOM_SAMPLES points per candidate per
+    objective call and narrows to one sample step around the best until
+    that step is below 1e-13.  dtheta starts at the grid's angular step and
+    halves every round; the rounds stop after _MAX_ROUNDS (40), or once a
+    round raises max(limit, best) by at most 1e-10 * max(1, |that
+    maximum|).  A candidate moves only to a point that beats its current
+    value.  limit, a known lower bound of the sup such as a closed-form
+    boundary limit, is returned unless a point evaluated beats it;
+    otherwise the value is the objective evaluated in floats at argmax,
+    never below the grid maximum.
     """
-    seeds = np.asarray(seeds, dtype=complex).ravel()
-    _require_finite("seeds", seeds)
-    if np.any(np.abs(seeds) >= 1.0):
-        raise ValueError("seeds must lie in the open unit disk")
     pts = grid.points()
     vals = _sweep(objective, grid, pts, cell_bound)
     radii = grid.radii
@@ -251,16 +248,12 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
     row_vals = vals[np.arange(vals.shape[0]), row_best]
     rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
     cols = row_best[rows]
-    theta = np.concatenate([grid.angles()[rows], np.angle(seeds) % TWO_PI])
-    r = np.concatenate([radii[cols], np.minimum(np.abs(seeds), grid.r_max)])
-    point = np.concatenate([pts[rows, cols], seeds])
-    value = np.concatenate([vals[rows, cols], np.full(seeds.size, -np.inf)])
-    ix = np.minimum(np.searchsorted(radii, r), radii.size - 1)
-    dr = np.where(ix > 0, radii[ix] - radii[np.maximum(ix - 1, 0)],
-                  max(radii[0], radii[-1] / 8))
-    dr = np.maximum(dr, 1e-12)
+    theta, r = grid.angles()[rows], radii[cols]
+    point, value = pts[rows, cols], vals[rows, cols]
+    dr = np.maximum(np.diff(radii, prepend=-radii[-1] / 8)[cols], 1e-12)
     dtheta = TWO_PI / grid.angles_per_circle
-    best = value.max()
+    floor = -np.inf if limit is None else limit.value
+    best = max(value.max(), floor)
     for _ in range(_MAX_ROUNDS):
         t, z, v = _zoom(objective, lambda t: r[:, None] * np.exp(1j * t),
                         theta - dtheta, theta + dtheta, -np.inf, np.inf)
@@ -274,7 +267,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
         r, point = np.where(up, s, r), np.where(up, z, point)
         value = np.maximum(v, value)
         dtheta *= 0.5
-        gain, best = value.max() - best, value.max()
+        gain, best = max(value.max(), floor) - best, max(value.max(), floor)
         if gain <= _ROUND_GAIN * max(1.0, abs(best)):
             break
     # Batch and single-point evaluations can round differently (numpy squares
@@ -286,4 +279,6 @@ def sup_norm_estimate(objective, grid: DiskGrid, seeds=(),
     top = int(np.argmax(vals))
     if not final >= vals.flat[top]:
         winner, final = pts.flat[top], float(vals.flat[top])
+    if limit is not None and not final > limit.value:
+        return limit
     return NormEstimate(value=final, argmax=complex(winner))

@@ -56,9 +56,12 @@ class Check:
     def passed(self) -> bool:
         return bool(_COMPARISONS[self.comparison](self.value, self.threshold))
 
-
-def _text(x: float | bool) -> str:
-    return str(x) if isinstance(x, bool) else f"{x:.12g}"
+    def render(self) -> str:
+        """The text line `name : value  (comparison threshold)  ok|FAIL`."""
+        value, threshold = (str(x) if isinstance(x, bool) else f"{x:.12g}"
+                            for x in (self.value, self.threshold))
+        return (f"  {self.name:<29}: {value}  ({self.comparison} {threshold})  "
+                f"{'ok' if self.passed else 'FAIL'}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,7 @@ class VerifyReport:
 
     def render_text(self) -> str:
         lines = ["verification report"]
-        lines += [f"  {c.name:<29}: {_text(c.value)}  ({c.comparison} "
-                  f"{_text(c.threshold)})  {'ok' if c.passed else 'FAIL'}"
-                  for c in self.checks]
+        lines += [c.render() for c in self.checks]
         if self.schwarz.qc_constant is not None:
             lines.append(f"  {'quasiconformal constant':<29}: "
                          f"{self.schwarz.qc_constant:.9f}")
@@ -95,6 +96,14 @@ class VerifyReport:
                 lines.append(f"    ({theta:.12f}, {weight:.12f})")
         lines.append(f"  {'result':<29}: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def norm_checks(sch: SchwarzReport, tol: Tolerances) -> list[Check]:
+    """Each norm against its sharp bound, up to tol.norm."""
+    return [Check("pre_schwarzian_norm", sch.pre_schwarzian_norm.value,
+                  "<=", sch.pre_schwarzian_bound + tol.norm),
+            Check("schwarzian_norm", sch.schwarzian_norm.value,
+                  "<=", sch.schwarzian_bound + tol.norm)]
 
 
 def blaschke_roundtrip_error(phi, measure=None) -> float:
@@ -125,10 +134,7 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
               float(np.max(np.abs(member.subordination_witness(z)))), "<", 1.0),
         Check("subordination_origin_modulus",
               float(abs(member.subordination_witness(0j))), "<=", tol.pointwise),
-        Check("pre_schwarzian_norm", sch.pre_schwarzian_norm.value,
-              "<=", sch.pre_schwarzian_bound + tol.norm),
-        Check("schwarzian_norm", sch.schwarzian_norm.value,
-              "<=", sch.schwarzian_bound + tol.norm),
+        *norm_checks(sch, tol),
     ]
 
     recovered = None

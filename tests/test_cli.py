@@ -347,6 +347,20 @@ class TestNormsCommand:
         assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_norm_above_its_bound_is_a_failed_check(self, tmp_path, capsys, command):
+        # at r_max = 1 - 1e-12 the float objectives of this atom read 4.3e-4
+        # and 2.6e-3 above the sharp values; that fails the Schwarzian norm
+        # check, and is not malformed input
+        path = write_spec(tmp_path, {"alpha": 1.0, "atoms": [
+            {"theta": 0.03681553890925539, "weight": 1.0}]})
+        code = main([command, str(path), "--rmax", "0.999999999999",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("FAIL")]
+        assert [name for name in failed if name != "result"] == ["schwarzian_norm"]
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_out_in_missing_directory_exit_two(self, tmp_path, capsys, command):
         path = write_spec(tmp_path, EXTREMAL)
         out = tmp_path / "absent" / "report.json"

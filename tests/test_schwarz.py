@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpha.complexfn import (_BLOCK_ANGLES, _BLOCK_RADII, TWO_PI, default_grid,
-                              sup_norm_estimate)
+from galpha.complexfn import (_BLOCK_ANGLES, _BLOCK_RADII, TWO_PI, NormEstimate,
+                              default_grid, sup_norm_estimate)
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import (SchwarzReport, _cell_bounds, norms, pre_schwarzian,
                             schwarzian, schwarzian_bound_witness)
@@ -111,18 +111,45 @@ class TestNorms:
         limit = 2 * alpha * t * (2 + alpha * t)
         assert norms(f).schwarzian_norm.value >= limit - 1e-3
 
+    def test_single_atoms_attain_the_sharp_values(self):
+        # the sup of both objectives is the radial limit toward conj(zeta),
+        # which no grid point reaches, so norms reports that limit exactly
+        for grid in LIMIT_GRIDS:
+            for alpha in (0.05, 0.5, 1.0):
+                for theta in (0.0, 0.7, TWO_PI * 137 / 512):
+                    f = GAlphaFunction(alpha=alpha, measure=single_atom(theta))
+                    rep = norms(f, grid)
+                    assert rep.pre_schwarzian_norm.value == 2.0 * alpha
+                    assert rep.schwarzian_norm.value == 2.0 * alpha * (2.0 + alpha)
+                    boundary = complex(np.conj(f.measure.atoms[0]))
+                    assert rep.pre_schwarzian_norm.argmax == boundary
+                    assert rep.schwarzian_norm.argmax == boundary
+
     def test_random_members_between_limits_and_bounds(self):
         # As z -> conj(zeta_k) radially, (1-|z|^2)|P| -> 2 alpha t_k and
         # (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k): exact lower bounds.
+        # 1-64 atoms, a third of the members clustered 1e-4 apart and a
+        # third on grid angles
         rng = np.random.default_rng(45)
-        for i in range(20):
-            alpha = rng.uniform(0.05, 1.0)
-            f = GAlphaFunction(alpha=alpha, measure=random_measure(rng, 1 + i % 8))
+        for i in range(24):
+            grid = LIMIT_GRIDS[i % 3]
+            m = int(rng.integers(1, 65))
+            measure = random_measure(rng, m)
+            if (i // 3) % 3 == 1:
+                start = rng.uniform(0.0, TWO_PI)
+                measure = AtomicMeasure(angles=start + 1e-4 * np.arange(m),
+                                        weights=measure.weights)
+            elif (i // 3) % 3 == 2:
+                steps = rng.choice(grid.angles_per_circle, m, replace=False)
+                measure = AtomicMeasure(angles=TWO_PI * steps / grid.angles_per_circle,
+                                        weights=measure.weights)
+            alpha = float(rng.choice([0.05, 0.5, 1.0]))
+            f = GAlphaFunction(alpha=alpha, measure=measure)
             t = f.measure.weights
-            rep = norms(f)
+            rep = norms(f, grid)
             pre, sch = rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value
-            assert 2 * alpha * t.max() - 1e-3 <= pre <= 2 * alpha + 1e-6
-            assert (np.max(2 * alpha * t * (2 + alpha * t)) - 1e-3 <= sch
+            assert 2 * alpha * t.max() <= pre <= 2 * alpha + 1e-6
+            assert (np.max(2 * alpha * t * (2 + alpha * t)) <= sch
                     <= 2 * alpha * (2 + alpha) + 1e-6)
 
     def test_report_invariant_enforced(self):
@@ -141,6 +168,14 @@ def norm_objectives(f):
     """The two objectives `norms` sweeps."""
     return ((lambda z: (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))),
             (lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(f, z))))
+
+
+def boundary_limit(f, which):
+    """The radial limit toward the heaviest atom that `norms` passes on."""
+    k = int(np.argmax(f.measure.weights))
+    t = f.measure.weights[k]
+    value = 2 * f.alpha * t * ((2 + f.alpha * t) if which else 1)
+    return NormEstimate(value=value, argmax=complex(np.conj(f.measure.atoms[k])))
 
 
 def cell_bound(f, which):
@@ -175,6 +210,8 @@ def sweep_blocks(grid, vals):
 
 # the default grid and a ragged one, whose edge blocks are partial
 GRIDS = (default_grid(), default_grid(n_radii=11, angles_per_circle=100))
+# ... and one reaching closer to the circle
+LIMIT_GRIDS = GRIDS + (default_grid(r_max=1 - 1e-6),)
 
 
 def panel_members():
@@ -224,12 +261,12 @@ class TestCellBounds:
 
     def test_pruned_sweep_equals_full_sweep(self):
         for f in panel_members():
-            seeds = 0.999 * np.conj(f.measure.atoms)
             for grid in GRIDS:
                 for which, objective in enumerate(norm_objectives(f)):
+                    limit = boundary_limit(f, which)
                     full, pruned = recording(objective), recording(objective)
-                    a = sup_norm_estimate(full, grid, seeds=seeds)
-                    b = sup_norm_estimate(pruned, grid, seeds=seeds,
+                    a = sup_norm_estimate(full, grid, limit=limit)
+                    b = sup_norm_estimate(pruned, grid, limit=limit,
                                           cell_bound=cell_bound(f, which))
                     assert (b.value, b.argmax) == (a.value, a.argmax)
                     # after the full sweep's one call, the refinement starts
