@@ -210,10 +210,12 @@ def cmd_norms(args: argparse.Namespace) -> int:
     checks = norm_checks(report, Tolerances())
     lines += [c.render() for c in checks]
     print("\n".join(lines))
+    passed = all(c.passed for c in checks)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS if all(c.passed for c in checks) else EXIT_CHECK_FAILED
+        data = dict(report.to_dict(), checks=[c.to_dict() for c in checks],
+                    passed=passed)
+        Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {

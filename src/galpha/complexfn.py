@@ -16,10 +16,9 @@ TWO_PI = 2.0 * math.pi
 
 # refinement starts from the best point of this many top angle rows
 _ROW_STARTS = 8
-# the sweep's blocks of angles x radii, and its first batch of blocks
+# the sweep's blocks of angles x radii
 _BLOCK_ANGLES = 8
 _BLOCK_RADII = 2
-_FIRST_BATCH = 64
 # relative allowance for the rounding of a float objective above a cell bound
 _BOUND_MARGIN = 1e-9
 # samples per candidate in one zoom pass, and the step a zoom narrows below
@@ -162,10 +161,12 @@ def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
         hi = np.minimum(hi_bound, t + step)
 
 
-def _sweep(objective, grid: DiskGrid, pts, cell_bound) -> np.ndarray:
-    """The objective on the grid's points pts, -inf where the cell bounds
-    rule a block out (see sup_norm_estimate).  Edge blocks may be partial;
-    a batch of every block is pts itself, in its own shape.
+def _sweep(objective, grid: DiskGrid, pts, limit, cell_bound):
+    """The objective on the grid's points pts in one call, -inf in the blocks
+    whose cell bound, raised by _BOUND_MARGIN, lies below the limit (see
+    sup_norm_estimate); None if no block reaches it.  Edge blocks may be
+    partial; when no block is pruned the call takes pts in its own shape,
+    otherwise the points of the blocks kept in row-major order.
     """
     n_angles, n_radii = pts.shape
     a_lo, r_lo = (lo.ravel() for lo in np.meshgrid(
@@ -173,36 +174,24 @@ def _sweep(objective, grid: DiskGrid, pts, cell_bound) -> np.ndarray:
         indexing="ij"))
     a_hi = np.minimum(a_lo + _BLOCK_ANGLES, n_angles) - 1
     r_hi = np.minimum(r_lo + _BLOCK_RADII, n_radii) - 1
-    if cell_bound is None:
-        bound = np.full(a_lo.size, np.inf)
-    else:
+    keep = np.ones(a_lo.size, dtype=bool)
+    if cell_bound is not None:
         angles, radii = grid.angles(), grid.radii
         bound = np.asarray(cell_bound(radii[r_lo], radii[r_hi], angles[a_lo],
                                       angles[a_hi]), dtype=float)
         if bound.shape != a_lo.shape or np.any(np.isnan(bound)):
             raise ValueError("cell_bound must return one bound per block")
-    order = np.argsort(-bound, kind="stable")
-    ranked = bound[order]
-    raised = ranked + _BOUND_MARGIN * np.abs(ranked)
+        if limit is not None:
+            keep = bound + _BOUND_MARGIN * np.abs(bound) >= limit.value
+    if not keep.any():
+        return None
+    blocks = keep.reshape(-1, -(-n_radii // _BLOCK_RADII))
+    inside = np.repeat(np.repeat(blocks, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
+                       axis=1)[:n_angles, :n_radii]
+    v = np.asarray(objective(pts if keep.all() else pts[inside]), dtype=float)
+    _require_finite("objective on the grid", v)
     vals = np.full(pts.shape, -np.inf)
-    flat = vals.reshape(-1)
-    done, size = 0, max(_FIRST_BATCH, int(np.count_nonzero(np.isposinf(bound))))
-    kth = -np.inf
-    while (live := int(np.count_nonzero(raised >= kth))) > done:
-        batch = order[done:min(done + size, live)]
-        if batch.size == order.size:
-            idx, z = slice(None), pts
-        else:
-            a = a_lo[batch, None, None] + np.arange(_BLOCK_ANGLES)[:, None]
-            r = r_lo[batch, None, None] + np.arange(_BLOCK_RADII)
-            keep = (a <= a_hi[batch, None, None]) & (r <= r_hi[batch, None, None])
-            idx = (a * n_radii + r)[keep]
-            z = pts.reshape(-1)[idx]
-        v = np.asarray(objective(z), dtype=float)
-        _require_finite("objective on the grid", v)
-        flat[idx] = v.reshape(-1)
-        kth = np.partition(vals.max(axis=1), -_ROW_STARTS)[-_ROW_STARTS]
-        done, size = done + batch.size, 2 * size
+    vals[inside] = v.reshape(-1)
     return vals
 
 
@@ -210,24 +199,23 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
                       cell_bound=None) -> NormEstimate:
     """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
-    The sweep takes the maximum over the grid (ties resolved toward the
-    smallest angle, then the smallest radius).  Without cell_bound it
-    evaluates the whole grid in one objective call.  cell_bound(r0, r1,
-    th0, th1) takes arrays of closed polar sectors r0 <= |z| <= r1,
-    th0 <= arg z <= th1 (0 <= th0 <= th1 < 2 pi) and returns an upper
-    bound of the objective on each; the float objective may exceed it by
-    at most 1e-9 relative.  The sweep then evaluates blocks of 8 angles by
-    2 radii in descending order of bound, in batches that start at 64
-    blocks and double, and stops once every block left has a bound, raised
-    by 1e-9 relative, below the 8th-highest row maximum found so far.  Such
-    a block holds neither the grid maximum nor the maximum of any of the 8
-    best rows, so for an objective whose value at a point does not depend
-    on the other points of the call, the starting candidates, the
-    refinement and the result are those of the full sweep, bit for bit.
-    Refinement starts from the best point of each of the _ROW_STARTS highest
-    angle rows and refines them together.  Each round zooms in angle over
-    theta +- dtheta, then in radius over [r - dr, r_max], with dr the grid
-    spacing below the starting radius (the first radius counts from
+    limit, a known lower bound of the sup such as a closed-form boundary
+    limit, is returned unless a point evaluated beats it.  The sweep takes
+    the objective on the grid in one call.  cell_bound(r0, r1, th0, th1)
+    takes arrays of closed polar sectors r0 <= |z| <= r1, th0 <= arg z <= th1
+    (0 <= th0 <= th1 < 2 pi), one per block of 8 angles by 2 radii, and
+    returns an upper bound of the objective on each; the float objective may
+    exceed it by at most 1e-9 relative.  Given both, the sweep evaluates only
+    the blocks whose bound, raised by 1e-9 relative, reaches limit.value, and
+    returns limit without calling the objective if there are none.  So every
+    grid point whose value beats the limit is evaluated; candidates below
+    the limit come only from blocks whose bound reaches it.  Without a limit
+    nothing is pruned.
+    Refinement starts from the best evaluated point of each of the (at most)
+    _ROW_STARTS highest angle rows and refines them together (ties go to the
+    smallest angle, then the smallest radius).  Each round zooms in angle
+    over theta +- dtheta, then in radius over [r - dr, r_max], with dr the
+    grid spacing below the starting radius (the first radius counts from
     -r_max/8); the radial bracket is pinned at r_max because the objectives
     this library sweeps peak jointly in (angle -> atom direction,
     radius -> 1).  A zoom evaluates _ZOOM_SAMPLES points per candidate per
@@ -236,17 +224,18 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
     halves every round; the rounds stop after _MAX_ROUNDS (40), or once a
     round raises max(limit, best) by at most 1e-10 * max(1, |that
     maximum|).  A candidate moves only to a point that beats its current
-    value.  limit, a known lower bound of the sup such as a closed-form
-    boundary limit, is returned unless a point evaluated beats it;
-    otherwise the value is the objective evaluated in floats at argmax,
-    never below the grid maximum.
+    value.  Unless limit is returned, the value is the objective evaluated
+    in floats at argmax, never below the grid maximum.
     """
     pts = grid.points()
-    vals = _sweep(objective, grid, pts, cell_bound)
+    vals = _sweep(objective, grid, pts, limit, cell_bound)
+    if vals is None:
+        return limit
     radii = grid.radii
     row_best = np.argmax(vals, axis=1)
     row_vals = vals[np.arange(vals.shape[0]), row_best]
     rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
+    rows = rows[row_vals[rows] > -np.inf]
     cols = row_best[rows]
     theta, r = grid.angles()[rows], radii[cols]
     point, value = pts[rows, cols], vals[rows, cols]

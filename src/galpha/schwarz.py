@@ -65,6 +65,7 @@ class SchwarzReport:
 
     def to_dict(self) -> dict:
         """The JSON report block shared by `galpha norms` and `galpha verify`."""
+        pre, sch = self.pre_schwarzian_norm.argmax, self.schwarzian_norm.argmax
         return {
             "alpha": self.alpha,
             "pre_schwarzian_norm": self.pre_schwarzian_norm.value,
@@ -72,6 +73,8 @@ class SchwarzReport:
             "schwarzian_norm": self.schwarzian_norm.value,
             "schwarzian_bound": self.schwarzian_bound,
             "qc_constant": self.qc_constant,
+            "pre_schwarzian_argmax": [pre.real, pre.imag],
+            "schwarzian_argmax": [sch.real, sch.imag],
         }
 
 
@@ -81,7 +84,8 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     With delta the angular gap from arg conj(zeta_k) to the sector (0 in
     it) and r = clip(cos delta, r0, r1), where cos delta is taken as
     1 - 2 sin^2(delta/2), d_k = sqrt((1 - r)^2 + 4 r sin^2(delta/2)), free
-    of the cancellation in 1 + r^2 - 2 r cos delta.  1 - r0^2 is raised by 16 eps/(1 - r1) to cover the rounding here and
+    of the cancellation in 1 + r^2 - 2 r cos delta.
+    1 - r0^2 is raised by 16 eps/(1 - r1) to cover the rounding here and
     the few-eps absolute errors of the objectives' 1 - |z|^2 and
     1 - zeta_k z near the circle.  Two (atoms x sectors) buffers are reused
     to keep the peak memory low.
@@ -112,9 +116,9 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
     (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k); off the atoms both tend
     to 0 at the circle.  So the search reports the heaviest atom's limits
     (argmax conj(zeta_k), on the circle) unless a point it evaluates beats
-    them.  The sweeps skip the grid cells these bounds rule out, with d_k
-    the distance from conj(zeta_k) to the cell r0 <= |z| <= r1,
-    th0 <= arg z <= th1, so that |1 - zeta_k z| >= d_k on it:
+    them.  The sweeps skip the grid cells whose bounds lie below those
+    limits, with d_k the distance from conj(zeta_k) to the cell
+    r0 <= |z| <= r1, th0 <= arg z <= th1, so that |1 - zeta_k z| >= d_k on it:
 
         (1-|z|^2) |P|    <= (1 - r0^2) alpha sum_k t_k/d_k
         (1-|z|^2)^2 |S|  <= (1 - r0^2)^2 (alpha sum_k t_k/d_k^2

@@ -63,6 +63,10 @@ class Check:
         return (f"  {self.name:<29}: {value}  ({self.comparison} {threshold})  "
                 f"{'ok' if self.passed else 'FAIL'}")
 
+    def to_dict(self) -> dict:
+        """The JSON record of the check, with its verdict."""
+        return dict(asdict(self), passed=self.passed)
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -77,7 +81,7 @@ class VerifyReport:
     def to_dict(self) -> dict:
         roundtrip = [c.value for c in self.checks if c.name == "roundtrip_error"]
         return {
-            "checks": [dict(asdict(c), passed=c.passed) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
             "schwarz": self.schwarz.to_dict(),
             "roundtrip_error": roundtrip[0] if roundtrip else None,
             "recovered_atoms": self.recovered_atoms,

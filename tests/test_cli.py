@@ -344,7 +344,28 @@ class TestNormsCommand:
         spec = load_function_spec(path)
         library = (run_verification(spec) if command == "verify"
                    else norms(spec.resolve_member()))
-        assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
+        payload = json.loads(out.read_text())
+        if command == "norms":  # norms adds its checks to the shared block
+            payload = {k: v for k, v in payload.items() if k not in ("checks", "passed")}
+        assert payload == json.loads(json.dumps(library.to_dict()))
+
+    @pytest.mark.parametrize("rmax, code", [("0.9999", 0), ("0.999999999999", 1)])
+    def test_norms_json_records_argmax_checks_and_verdict(self, tmp_path, capsys,
+                                                          rmax, code):
+        # a single atom's norms are its closed-form boundary limits, at
+        # |argmax| = 1, unless the float objectives read above them near the
+        # circle, which fails the Schwarzian check
+        path = write_spec(tmp_path, {"alpha": 1.0, "atoms": [
+            {"theta": 0.03681553890925539, "weight": 1.0}]})
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(path), "--rmax", rmax, "--out", str(out)]) == code
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is (code == 0)
+        assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+            ("pre_schwarzian_norm", True), ("schwarzian_norm", code == 0)]
+        for which in ("pre_schwarzian", "schwarzian"):
+            radius = abs(complex(*payload[f"{which}_argmax"]))
+            assert (radius == pytest.approx(1.0, abs=1e-15)) is (code == 0)
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_norm_above_its_bound_is_a_failed_check(self, tmp_path, capsys, command):

@@ -4,8 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from galpha.complexfn import (TWO_PI, DiskGrid, NormEstimate, default_grid,
-                              sup_norm_estimate)
+from galpha.complexfn import (_BLOCK_ANGLES, TWO_PI, DiskGrid, NormEstimate,
+                              default_grid, sup_norm_estimate)
 
 
 class TestDiskGrid:
@@ -127,38 +127,64 @@ class TestSupNormEstimate:
         names = list(inspect.signature(sup_norm_estimate).parameters)
         assert names[:2] == ["objective", "grid"]
 
-    def test_tight_cell_bound_keeps_the_top_rows(self):
-        # 1 + cos(arg z) on the grid, bounded by its exact max on each
-        # sector.  The rows at angles just below 2 pi are among the 8 best,
-        # in blocks whose bound lies below the grid maximum, so the sweep
-        # must evaluate them for the refinement to start from the same
-        # candidates and repeat the full sweep's run call for call.  With 512
-        # radii the blocks of the best rows fill several batches.
-        grid = DiskGrid(radii=np.linspace(0.1, 0.9, 512), angles_per_circle=512)
+    def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
+        # 1 + cos(arg z) on the grid, bounded by its exact max on each sector
+        # (the bound of a block of 8 angles does not depend on its radii).
+        # The one sweep call takes exactly the blocks whose bound, raised by
+        # 1e-9 relative, reaches the limit, and with them every grid point
+        # above the limit; the result is the full sweep's.
+        grid = DiskGrid(radii=np.linspace(0.1, 0.9, 64), angles_per_circle=512)
         bound = lambda r0, r1, th0, th1: 1.0 + np.maximum(np.cos(th0), np.cos(th1))
+        obj = lambda z: 1.0 + z.real / np.maximum(np.abs(z), 0.05)
+        limit = NormEstimate(value=1.9, argmax=1.0)
         runs = []
         for cell_bound in (None, bound):
             calls = []
 
-            def obj(z, calls=calls):
+            def recorded(z, calls=calls):
                 calls.append(np.array(z))
-                return 1.0 + z.real / np.maximum(np.abs(z), 0.05)
+                return obj(z)
 
-            runs.append((sup_norm_estimate(obj, grid, cell_bound=cell_bound), calls))
-        (full, full_calls), (pruned, pruned_calls) = runs
+            runs.append((sup_norm_estimate(recorded, grid, limit=limit,
+                                           cell_bound=cell_bound), calls))
+        (full, _), (pruned, pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
-        refinement = full_calls[1:]
-        swept = sum(np.size(z) for z in pruned_calls[:-len(refinement)])
-        assert swept < grid.points().size / 4
-        for x, y in zip(pruned_calls[-len(refinement):], refinement):
-            assert np.array_equal(x, y)
+        pts, angles = grid.points(), grid.angles()
+        first = np.arange(grid.angles_per_circle) // _BLOCK_ANGLES * _BLOCK_ANGLES
+        last = np.minimum(first + _BLOCK_ANGLES, grid.angles_per_circle) - 1
+        block = bound(None, None, angles[first], angles[last])
+        reach = block + 1e-9 * np.abs(block) >= limit.value
+        swept = pruned_calls[0]
+        assert np.array_equal(np.sort(swept), np.sort(pts[reach].ravel()))
+        above = pts[obj(pts) > limit.value]
+        assert above.size and np.isin(above, swept).all()
+        assert swept.size < pts.size / 4
+
+    def test_cell_bound_without_a_limit_prunes_nothing(self):
+        # a bound below the objective everywhere prunes nothing without a
+        # limit: the grid is swept in one call in its own shape
+        grid = default_grid(16, 64)
+        obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
+        calls = []
+
+        def recorded(z):
+            calls.append(np.shape(z))
+            return obj(z)
+
+        low = lambda r0, r1, th0, th1: np.zeros(r0.shape)
+        assert sup_norm_estimate(recorded, grid, cell_bound=low) == \
+            sup_norm_estimate(obj, grid)
+        assert calls[0] == (64, 16)
 
     def test_cell_bound_gives_one_bound_per_block(self):
+        # the bound is checked with and without a limit to compare it with
         obj = lambda z: np.ones(z.shape)
-        for cell_bound in (lambda r0, r1, th0, th1: np.ones(3),
-                           lambda r0, r1, th0, th1: np.full(r0.shape, np.nan)):
-            with pytest.raises(ValueError, match="cell_bound"):
-                sup_norm_estimate(obj, default_grid(), cell_bound=cell_bound)
+        for limit in (None, NormEstimate(value=1.0, argmax=0j)):
+            for cell_bound in (lambda r0, r1, th0, th1: np.ones(3),
+                               lambda r0, r1, th0, th1: np.full(r0.shape, np.nan)):
+                with pytest.raises(ValueError, match="cell_bound"):
+                    sup_norm_estimate(obj, default_grid(), limit=limit,
+                                      cell_bound=cell_bound)
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2

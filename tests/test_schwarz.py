@@ -283,11 +283,30 @@ class TestCellBounds:
         grid = default_grid()
         size = grid.points().size
         for which, objective in enumerate(norm_objectives(f)):
+            limit = boundary_limit(f, which)
             full, pruned = recording(objective), recording(objective)
-            sup_norm_estimate(full, grid)
-            sup_norm_estimate(pruned, grid, cell_bound=cell_bound(f, which))
+            sup_norm_estimate(full, grid, limit=limit)
+            sup_norm_estimate(pruned, grid, limit=limit, cell_bound=cell_bound(f, which))
             points = [sum(np.size(z) for z in run.calls) for run in (full, pruned)]
-            assert points[1] - (points[0] - size) <= 0.1 * size
+            assert points[1] - (points[0] - size) <= 0.02 * size
+
+    def test_no_block_reaching_the_limit_skips_the_search(self, monkeypatch):
+        # one atom at alpha = 1/2 on a grid out to r = 1/2: every cell bound
+        # lies below the boundary limits 1 and 2.5, so norms reports them
+        # without evaluating either objective
+        calls = []
+
+        def counted(objective, grid, **kwargs):
+            def recorded(z):
+                calls.append(np.size(z))
+                return objective(z)
+            return sup_norm_estimate(recorded, grid, **kwargs)
+
+        monkeypatch.setattr("galpha.schwarz.sup_norm_estimate", counted)
+        f = GAlphaFunction(alpha=0.5, measure=single_atom(0.3))
+        rep = norms(f, default_grid(16, 64, 0.5))
+        assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
+        assert calls == []
 
 
 class TestBoundWitness:
