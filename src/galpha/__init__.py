@@ -8,7 +8,7 @@ as analytic parts of sheared univalent harmonic mappings.
 
 from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
 from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
-                        default_grid, sup_norm_estimate)
+                        sup_norm_estimate)
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                      induced_self_map, measure_from_blaschke, measure_from_roots,
                      roots_of_unity_measure, single_atom)
@@ -46,7 +46,6 @@ __all__ = [
     "blaschke_from_measure",
     "blaschke_roundtrip_error",
     "boundary_roots",
-    "default_grid",
     "induced_self_map",
     "load_function_spec",
     "measure_from_blaschke",

@@ -1,12 +1,14 @@
 """Numeric kernel for unit-disk computations.
 
-Disk sampling grids and sup-norm estimation with batched multi-start
-local refinement.  Everything here is pure and reentrant.
+Disk sampling grids, each three numbers that fix its radii and the cells
+its sweep prunes, and sup-norm estimation with batched multi-start local
+refinement.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ TWO_PI = 2.0 * math.pi
 
 # refinement starts from the best point of this many top angle rows
 _ROW_STARTS = 8
-# the sweep's blocks of angles x radii
+# the sweep's cells of angles x radii
 _BLOCK_ANGLES = 8
 _BLOCK_RADII = 2
 # relative allowance for the rounding of a float objective above a cell bound
@@ -54,62 +56,55 @@ def _require_finite(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Polar sampling grid on the closed disk of radius r_max = radii[-1] < 1.
-
-    radii are strictly increasing within [0, 1); every circle carries
-    angles_per_circle equally spaced angles starting at 0, an integer of at
-    least 8.
+    """Polar grid whose radii accumulate toward r_max, where this family's
+    norm objectives peak: radii = 1 - geomspace(1, 1 - r_max, n_radii), a
+    read-only array from radii[0] = 0 to radii[-1] = r_max exactly; each
+    circle carries angles_per_circle equally spaced angles from 0.  Both
+    counts are integers, n_radii >= 2, angles_per_circle >= 8; 0 < r_max < 1.
     """
 
-    radii: np.ndarray
-    angles_per_circle: int
+    n_radii: int = 64
+    angles_per_circle: int = 512
+    r_max: float = 1.0 - 1e-4
 
     def __post_init__(self) -> None:
-        radii = np.asarray(self.radii, dtype=float)
+        for name, least in (("n_radii", 2), ("angles_per_circle", 8)):
+            try:
+                count = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if count < least:
+                raise ValueError(f"{name} must be at least {least}")
+            object.__setattr__(self, name, count)
+        if not isinstance(self.r_max, numbers.Real) or not 0.0 < self.r_max < 1.0:
+            raise ValueError("r_max must be a real number in (0, 1)")
+        object.__setattr__(self, "r_max", float(self.r_max))
+        radii = 1.0 - np.geomspace(1.0, 1.0 - self.r_max, self.n_radii)
+        radii[0], radii[-1] = 0.0, self.r_max
+        radii.flags.writeable = False
         object.__setattr__(self, "radii", radii)
-        _require_finite("radii", radii)
-        if radii.ndim != 1 or radii.size == 0:
-            raise ValueError("radii must be a nonempty 1-d array")
-        if np.any(np.diff(radii) <= 0.0):
-            raise ValueError("radii must be strictly increasing")
-        if radii[0] < 0.0 or not 0.0 < radii[-1] < 1.0:
-            raise ValueError("radii must lie in [0, 1) with a positive last radius")
-        try:
-            count = operator.index(self.angles_per_circle)
-        except TypeError:
-            raise ValueError("angles_per_circle must be an integer") from None
-        object.__setattr__(self, "angles_per_circle", count)
-        if count < 8:
-            raise ValueError("angles_per_circle must be at least 8")
-
-    @property
-    def r_max(self) -> float:
-        """The outermost radius, radii[-1]."""
-        return float(self.radii[-1])
 
     def angles(self) -> np.ndarray:
         k = self.angles_per_circle
         return TWO_PI * np.arange(k) / k
 
     def points(self) -> np.ndarray:
-        """Complex sample points, shape (angles_per_circle, len(radii)).
+        """Complex sample points, shape (angles_per_circle, n_radii).
 
         Row-major order puts the smallest angle first, then the smallest
         radius, which fixes the argmax tie-breaking rule for sweeps.
         """
         return np.exp(1j * self.angles())[:, None] * self.radii[None, :]
 
-
-def default_grid(n_radii: int = 64, angles_per_circle: int = 512,
-                 r_max: float = 1.0 - 1e-4) -> DiskGrid:
-    """Default sweep grid: n_radii radii accumulating geometrically at r_max < 1.
-
-    The norm objectives of this family peak at the boundary, so the radii
-    are 1 - geomspace(1, 1 - r_max, n_radii), starting at 0 and ending at r_max.
-    """
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_radii)
-    radii[0] = 0.0
-    return DiskGrid(radii=radii, angles_per_circle=angles_per_circle)
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sweep's cells (r0, r1, th0, th1): the closed polar sectors of 8
+        angles by 2 radii of points() in row-major order, edge cells partial."""
+        k, n = self.angles_per_circle, self.n_radii
+        a_lo, r_lo = (lo.ravel() for lo in np.mgrid[0:k:_BLOCK_ANGLES, 0:n:_BLOCK_RADII])
+        a_hi = np.minimum(a_lo + _BLOCK_ANGLES, k) - 1
+        r_hi = np.minimum(r_lo + _BLOCK_RADII, n) - 1
+        angles = self.angles()
+        return self.radii[r_lo], self.radii[r_hi], angles[a_lo], angles[a_hi]
 
 
 @dataclass(frozen=True)
@@ -161,32 +156,25 @@ def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
         hi = np.minimum(hi_bound, t + step)
 
 
-def _sweep(objective, grid: DiskGrid, pts, limit, cell_bound):
-    """The objective on the grid's points pts in one call, -inf in the blocks
-    whose cell bound, raised by _BOUND_MARGIN, lies below the limit (see
-    sup_norm_estimate); None if no block reaches it.  Edge blocks may be
-    partial; when no block is pruned the call takes pts in its own shape,
-    otherwise the points of the blocks kept in row-major order.
+def _sweep(objective, pts, limit, cell_bounds):
+    """The objective on the grid's points pts in one call, -inf in the cells
+    whose bound, raised by _BOUND_MARGIN, lies below the limit (see
+    sup_norm_estimate); None if no cell reaches it.  When no cell is pruned
+    the call takes pts in its own shape, otherwise the points of the cells
+    kept in row-major order.
     """
     n_angles, n_radii = pts.shape
-    a_lo, r_lo = (lo.ravel() for lo in np.meshgrid(
-        np.arange(0, n_angles, _BLOCK_ANGLES), np.arange(0, n_radii, _BLOCK_RADII),
-        indexing="ij"))
-    a_hi = np.minimum(a_lo + _BLOCK_ANGLES, n_angles) - 1
-    r_hi = np.minimum(r_lo + _BLOCK_RADII, n_radii) - 1
-    keep = np.ones(a_lo.size, dtype=bool)
-    if cell_bound is not None:
-        angles, radii = grid.angles(), grid.radii
-        bound = np.asarray(cell_bound(radii[r_lo], radii[r_hi], angles[a_lo],
-                                      angles[a_hi]), dtype=float)
-        if bound.shape != a_lo.shape or np.any(np.isnan(bound)):
-            raise ValueError("cell_bound must return one bound per block")
+    shape = (-(-n_angles // _BLOCK_ANGLES), -(-n_radii // _BLOCK_RADII))
+    keep = np.ones(shape, dtype=bool)
+    if cell_bounds is not None:
+        bound = np.asarray(cell_bounds, dtype=float)
+        if bound.shape != (keep.size,) or np.any(np.isnan(bound)):
+            raise ValueError("cell_bounds must hold one bound per cell")
         if limit is not None:
-            keep = bound + _BOUND_MARGIN * np.abs(bound) >= limit.value
+            keep = (bound + _BOUND_MARGIN * np.abs(bound) >= limit.value).reshape(shape)
     if not keep.any():
         return None
-    blocks = keep.reshape(-1, -(-n_radii // _BLOCK_RADII))
-    inside = np.repeat(np.repeat(blocks, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
+    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
                        axis=1)[:n_angles, :n_radii]
     v = np.asarray(objective(pts if keep.all() else pts[inside]), dtype=float)
     _require_finite("objective on the grid", v)
@@ -196,21 +184,19 @@ def _sweep(objective, grid: DiskGrid, pts, limit, cell_bound):
 
 
 def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = None,
-                      cell_bound=None) -> NormEstimate:
+                      cell_bounds=None) -> NormEstimate:
     """Sup of a real objective over the disk: grid sweep + multi-start zoom.
 
     limit, a known lower bound of the sup such as a closed-form boundary
     limit, is returned unless a point evaluated beats it.  The sweep takes
-    the objective on the grid in one call.  cell_bound(r0, r1, th0, th1)
-    takes arrays of closed polar sectors r0 <= |z| <= r1, th0 <= arg z <= th1
-    (0 <= th0 <= th1 < 2 pi), one per block of 8 angles by 2 radii, and
-    returns an upper bound of the objective on each; the float objective may
-    exceed it by at most 1e-9 relative.  Given both, the sweep evaluates only
-    the blocks whose bound, raised by 1e-9 relative, reaches limit.value, and
-    returns limit without calling the objective if there are none.  So every
-    grid point whose value beats the limit is evaluated; candidates below
-    the limit come only from blocks whose bound reaches it.  Without a limit
-    nothing is pruned.
+    the objective on the grid in one call.  cell_bounds holds an upper
+    bound of the objective on each of grid.cells(), in their order; the
+    float objective may exceed it by at most 1e-9 relative.  Given both,
+    the sweep evaluates only the cells whose bound, raised by 1e-9
+    relative, reaches limit.value, and returns limit without calling the
+    objective if there are none.  So every grid point whose value beats
+    the limit is evaluated; candidates below the limit come only from cells
+    whose bound reaches it.  Without a limit nothing is pruned.
     Refinement starts from the best evaluated point of each of the (at most)
     _ROW_STARTS highest angle rows and refines them together (ties go to the
     smallest angle, then the smallest radius).  Each round zooms in angle
@@ -228,7 +214,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
     in floats at argmax, never below the grid maximum.
     """
     pts = grid.points()
-    vals = _sweep(objective, grid, pts, limit, cell_bound)
+    vals = _sweep(objective, pts, limit, cell_bounds)
     if vals is None:
         return limit
     radii = grid.radii

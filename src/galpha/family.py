@@ -19,7 +19,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
 from .complexfn import (TWO_PI, ConvergenceError, DiskGrid, DomainError,
-                        _require_finite, default_grid)
+                        _require_finite)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -281,9 +281,8 @@ class GAlphaFunction:
         full = np.concatenate([[0.0], self.coefficients(_SERIES_TERMS)])  # h(0) = 0
         return _series(full, z)
 
-    def membership_margin(self, grid: DiskGrid | None = None) -> float:
+    def membership_margin(self, grid: DiskGrid = DiskGrid()) -> float:
         """1/2 - max_grid Re(z h''/(alpha h')); positive on every grid."""
-        grid = grid if grid is not None else default_grid()
         z = grid.points()
         vals = (z * self.hprime_log_derivative(z)).real / self.alpha
         return float(0.5 - vals.max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import TWO_PI, DiskGrid, _require_finite, default_grid
+from .complexfn import TWO_PI, DiskGrid, _require_finite
 from .family import _SERIES_TERMS, GAlphaFunction, _series
 
 _SENSE_MARGIN = 1e-9
@@ -151,14 +151,13 @@ class HarmonicMap:
 
 
 def univalence_criterion(map_: HarmonicMap,
-                         grid: DiskGrid | None = None) -> tuple[bool, float]:
+                         grid: DiskGrid = DiskGrid()) -> tuple[bool, float]:
     """Check |omega(z)| <= 1 - alpha |z| (1 + |z|) over a grid.
 
     Returns (holds, worst_margin) where worst_margin is the minimum of
     (1 - alpha |z| (1 + |z|)) - |omega(z)|; the criterion guarantees
     univalence of the shear when alpha < 1/2.
     """
-    grid = grid if grid is not None else default_grid()
     z = grid.points()
     r = np.abs(z)
     alpha = map_.analytic_part.alpha

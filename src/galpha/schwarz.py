@@ -8,7 +8,8 @@ For a member with atoms zeta_k, weights t_k:
 with hyperbolic norms sup (1-|z|^2)|P| and sup (1-|z|^2)^2 |S|.  The sharp
 bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
-with constant (1 + 2 alpha)/(1 - 2 alpha).
+with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` sweeps a DiskGrid and
+bounds both objectives on its cells() in closed form, once per call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexfn import (TWO_PI, DiskGrid, NormEstimate, _require_finite,
-                        default_grid, sup_norm_estimate)
+                        sup_norm_estimate)
 from .family import GAlphaFunction, _over_atoms
 
 
@@ -109,14 +110,14 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     return shrink * s1, shrink ** 2 * (s2 + 0.5 * s1 ** 2)
 
 
-def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
+def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
     As z -> conj(zeta_k) radially, (1-|z|^2)|P| -> 2 alpha t_k and
     (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k); off the atoms both tend
     to 0 at the circle.  So the search reports the heaviest atom's limits
     (argmax conj(zeta_k), on the circle) unless a point it evaluates beats
-    them.  The sweeps skip the grid cells whose bounds lie below those
+    them.  The sweeps skip the grid.cells() whose bounds lie below those
     limits, with d_k the distance from conj(zeta_k) to the cell
     r0 <= |z| <= r1, th0 <= arg z <= th1, so that |1 - zeta_k z| >= d_k on it:
 
@@ -124,20 +125,11 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
         (1-|z|^2)^2 |S|  <= (1 - r0^2)^2 (alpha sum_k t_k/d_k^2
                                           + (alpha sum_k t_k/d_k)^2 / 2)
     """
-    grid = grid if grid is not None else default_grid()
     alpha, k = f.alpha, int(np.argmax(f.measure.weights))
     t, at = float(f.measure.weights[k]), complex(np.conj(f.measure.atoms[k]))
     pre_limit = NormEstimate(2.0 * alpha * t, at)
     schwarz_limit = NormEstimate(2.0 * alpha * t * (2.0 + alpha * t), at)
-    bounds = []
-
-    def cell_bound(which):
-        # both sweeps ask for the sectors of `grid`, so one pass serves both
-        def bound(*sector):
-            if not bounds:
-                bounds.extend(_cell_bounds(f, *sector))
-            return bounds[which]
-        return bound
+    pre_bounds, schwarz_bounds = _cell_bounds(f, *grid.cells())
 
     def obj_pre(z):
         return (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))
@@ -147,9 +139,9 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
 
     return SchwarzReport(
         pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, limit=pre_limit,
-                                              cell_bound=cell_bound(0)),
+                                              cell_bounds=pre_bounds),
         schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, limit=schwarz_limit,
-                                          cell_bound=cell_bound(1)),
+                                          cell_bounds=schwarz_bounds),
         alpha=alpha,
         pre_schwarzian_bound=2.0 * alpha,
         schwarzian_bound=2.0 * alpha * (2.0 + alpha),

@@ -15,14 +15,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexfn import DiskGrid, default_grid
+from .complexfn import TWO_PI, DiskGrid
 from .family import induced_self_map, measure_from_blaschke
 from .harmonic import HarmonicMap, univalence_criterion, winding_injectivity_probe
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
 
 # the round trip is compared on these points filling |z| <= 0.9
-_ROUNDTRIP_GRID = DiskGrid(radii=np.linspace(0.9 / 8, 0.9, 8), angles_per_circle=96)
+_ROUNDTRIP_POINTS = (np.exp(1j * (TWO_PI * np.arange(96) / 96))[:, None]
+                     * np.linspace(0.9 / 8, 0.9, 8)[None, :])
 # coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
 _N_COEFFICIENTS = 50
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -113,14 +114,13 @@ def norm_checks(sch: SchwarzReport, tol: Tolerances) -> list[Check]:
 def blaschke_roundtrip_error(phi, measure=None) -> float:
     """Max pointwise |phi - phi_hat| on |z| <= 0.9 through the measure."""
     measure = measure if measure is not None else measure_from_blaschke(phi)
-    z = _ROUNDTRIP_GRID.points()
+    z = _ROUNDTRIP_POINTS
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
 def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
-                     grid: DiskGrid | None = None) -> VerifyReport:
+                     grid: DiskGrid = DiskGrid()) -> VerifyReport:
     tol = tol if tol is not None else Tolerances()
-    grid = grid if grid is not None else default_grid()
     member = spec.resolve_member()
     z = grid.points()
     n = np.arange(2, _N_COEFFICIENTS + 1)

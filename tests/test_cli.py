@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from galpha.cli import build_parser, main
-from galpha.complexfn import default_grid
+from galpha.complexfn import DiskGrid
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
@@ -188,13 +188,27 @@ class TestVerifyCommand:
             assert capsys.readouterr().err.startswith("error: tolerance ")
         assert not (tmp_path / "fn.report.json").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--grid-radii", "1", {"n_radii": 1}),
+        ("--grid-angles", "4", {"angles_per_circle": 4}),
+        ("--rmax", "1", {"r_max": 1.0}),
+    ])
+    def test_malformed_grid_exit_two(self, tmp_path, capsys, flag, value, field):
+        # the flags are DiskGrid's fields, so its message is the error
+        with pytest.raises(ValueError) as rejected:
+            DiskGrid(**field)
+        path = write_spec(tmp_path, EXTREMAL)
+        for command in ("verify", "norms"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(path), flag, value, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {rejected.value}")
+            assert not out.exists()
+
     def test_flag_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["verify", "x.json"])
         assert Tolerances(roundtrip=args.tol_roundtrip, norm=args.tol_norm,
                           pointwise=args.tol_pointwise) == Tolerances()
-        assert (args.grid_radii, args.grid_angles, args.rmax) == (
-            default_grid().radii.size, default_grid().angles_per_circle,
-            default_grid().r_max)
+        assert DiskGrid(args.grid_radii, args.grid_angles, args.rmax) == DiskGrid()
         args = build_parser().parse_args(["roundtrip", "x.json"])
         assert args.tol_roundtrip == Tolerances().roundtrip
 

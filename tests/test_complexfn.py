@@ -4,13 +4,16 @@ import threading
 import numpy as np
 import pytest
 
-from galpha.complexfn import (_BLOCK_ANGLES, TWO_PI, DiskGrid, NormEstimate,
-                              default_grid, sup_norm_estimate)
+from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+
+# the grids of the norm panel: the default, ragged, near-circle and small ones
+PANEL_GRIDS = (DiskGrid(), DiskGrid(11, 100), DiskGrid(33, 77, 1 - 1e-6),
+               DiskGrid(7, 8), DiskGrid(16, 64, 0.5), DiskGrid(40, 256, 0.99))
 
 
 class TestDiskGrid:
     def test_default_shape(self):
-        grid = default_grid()
+        grid = DiskGrid()
         assert grid.radii.size == 64
         assert grid.angles_per_circle == 512
         assert grid.r_max == pytest.approx(1.0 - 1e-4)
@@ -18,21 +21,72 @@ class TestDiskGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.5, 0.2]), angles_per_circle=16)
+            DiskGrid(angles_per_circle=4)
         with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.1, 0.5]), angles_per_circle=4)
-        with pytest.raises(ValueError):
-            DiskGrid(radii=np.array([0.1, 1.0]), angles_per_circle=16)
+            DiskGrid(r_max=1.0)
+        # the radii are strictly increasing within [0, r_max] by construction
+        for grid in PANEL_GRIDS + (DiskGrid(2, 8, 0.01),):
+            assert grid.radii[0] == 0.0 and grid.radii[-1] == grid.r_max < 1.0
+            assert np.all(np.diff(grid.radii) > 0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_radii": 1}, {"n_radii": 8.5}, {"n_radii": "16"},
+        {"angles_per_circle": 4}, {"angles_per_circle": 8.5},
+        {"r_max": 0.0}, {"r_max": 1.0}, {"r_max": -0.1}, {"r_max": np.nan},
+    ])
+    def test_malformed_fields_rejected_before_allocating(self, monkeypatch, kwargs):
+        allocated = []
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: allocated.append(a))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DiskGrid(**kwargs)
+        assert allocated == []
 
     def test_angle_count_must_be_an_integer(self):
         # 8.5 used to build 9 angles with a short last gap
-        radii = np.array([0.0, 0.5, 0.9])
         for count in (8.5, 16.0, "16"):
             with pytest.raises(ValueError, match="integer"):
-                DiskGrid(radii=radii, angles_per_circle=count)
-        grid = DiskGrid(radii=radii, angles_per_circle=np.int64(12))
-        assert type(grid.angles_per_circle) is int
+                DiskGrid(3, count)
+        grid = DiskGrid(np.int64(3), np.int64(12), 0.9)
+        assert type(grid.angles_per_circle) is int and type(grid.n_radii) is int
         assert np.allclose(np.diff(grid.angles()), TWO_PI / 12)
+
+    def test_radii_are_read_only(self):
+        grid = DiskGrid()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.radii[1] = 0.5
+        assert np.array_equal(grid.radii, DiskGrid().radii)
+
+    def test_equal_fields_give_equal_grids(self):
+        assert DiskGrid() == DiskGrid(64, 512, 1 - 1e-4)
+        assert hash(DiskGrid()) == hash(DiskGrid(64, 512, 1 - 1e-4))
+        assert DiskGrid() != DiskGrid(64, 512, 1 - 1e-5)
+
+    def test_radii_law_unchanged_on_the_panel_grids(self):
+        for grid in PANEL_GRIDS:
+            radii = 1.0 - np.geomspace(1.0, 1.0 - grid.r_max, grid.n_radii)
+            radii[0] = 0.0
+            assert np.array_equal(grid.radii, radii)
+
+    def test_r_max_is_kept_exactly(self):
+        # --rmax 0.3 used to sweep out to 1 - (1 - 0.3) = 0.30000000000000004;
+        # that round trip is exact from 1/2 up (Sterbenz's lemma) but moved
+        # 32 of these 99 values, all below 1/2
+        values = [float(f"0.{k:02d}") for k in range(1, 100)]
+        assert sum(1.0 - (1.0 - x) != x for x in values) == 32
+        for x in values:
+            grid = DiskGrid(8, 8, x)
+            assert grid.r_max == grid.radii[-1] == x
+
+    def test_cells_tile_the_grid_in_row_major_order(self):
+        grid = DiskGrid(11, 100)
+        r0, r1, th0, th1 = grid.cells()
+        assert r0.shape == (13 * 6,)
+        angles = grid.angles()
+        assert np.array_equal(th0.reshape(13, 6)[:, 0], angles[::8])
+        assert np.array_equal(th1.reshape(13, 6)[:, 0],
+                              angles[np.minimum(np.arange(7, 104, 8), 99)])
+        assert np.array_equal(r0.reshape(13, 6)[0], grid.radii[::2])
+        assert np.array_equal(r1.reshape(13, 6)[0], grid.radii[[1, 3, 5, 7, 9, 10]])
 
     def test_norm_estimate_argmax_in_disk(self):
         for value, argmax in ((1.0, 1.0 + 1e-12), (1.0, -1.1j), (np.nan, 0.5j),
@@ -47,14 +101,14 @@ class TestDiskGrid:
 
 class TestSupNormEstimate:
     def test_constant_objective(self):
-        est = sup_norm_estimate(lambda z: np.ones(z.shape), default_grid())
+        est = sup_norm_estimate(lambda z: np.ones(z.shape), DiskGrid())
         assert est.value == pytest.approx(1.0)
         assert abs(est.argmax) < 1.0
 
     def test_pre_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2) * |1/(1-z)| = 1+r along the positive axis, so the sup over
         # |z| <= 0.999 is exactly 2 - 1e-3; the slack covers cancellation dust
-        grid = default_grid(r_max=1 - 1e-3)
+        grid = DiskGrid(r_max=1 - 1e-3)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
         est = sup_norm_estimate(obj, grid)
         assert est.value == pytest.approx(2.0, abs=1e-3 + 1e-10)
@@ -62,20 +116,18 @@ class TestSupNormEstimate:
     def test_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2)^2 * (3/2)/|1-z|^2 -> sup 6 (the classical sharp value)
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
-        est = sup_norm_estimate(obj, default_grid())
+        est = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
 
     def test_value_matches_objective_at_argmax(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        est = sup_norm_estimate(obj, default_grid())
+        est = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(float(obj(np.asarray(est.argmax))), abs=1e-12)
 
     def test_monotone_in_grid_density(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - 0.93j * z) ** 2
-        radii = 1.0 - np.geomspace(1.0, 1e-4, 33)
-        radii[0] = 0.0
-        sparse = DiskGrid(radii=radii[::2], angles_per_circle=64)
-        dense = DiskGrid(radii=radii, angles_per_circle=128)
+        # the dense grid holds every point of the sparse one
+        sparse, dense = DiskGrid(17, 64), DiskGrid(33, 128)
         r_sparse = sup_norm_estimate(obj, sparse).value
         r_dense = sup_norm_estimate(obj, dense).value
         assert r_dense >= r_sparse - 1e-12
@@ -89,7 +141,7 @@ class TestSupNormEstimate:
             calls.append(np.size(z))
             return (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
 
-        est = sup_norm_estimate(obj, default_grid())
+        est = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
         assert len(calls) <= 400
 
@@ -109,7 +161,7 @@ class TestSupNormEstimate:
                 return ((1.0 - np.abs(z) ** 2) ** 2 * 1.5
                         / np.abs(1.0 - z / boundary) ** 2)
 
-            runs.append((sup_norm_estimate(obj, default_grid(), limit=limit), calls))
+            runs.append((sup_norm_estimate(obj, DiskGrid(), limit=limit), calls))
         (plain, plain_calls), (floored, floored_calls) = runs
         assert plain.value < 6.0 and abs(plain.argmax) < 1.0
         assert floored == NormEstimate(value=6.0, argmax=boundary)
@@ -117,7 +169,7 @@ class TestSupNormEstimate:
 
     def test_limit_below_the_interior_sup_changes_nothing(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
-        grid = default_grid()
+        grid = DiskGrid()
         plain = sup_norm_estimate(obj, grid)
         floored = sup_norm_estimate(obj, grid, limit=NormEstimate(value=0.5, argmax=1j))
         assert floored == plain
@@ -128,17 +180,18 @@ class TestSupNormEstimate:
         assert names[:2] == ["objective", "grid"]
 
     def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
-        # 1 + cos(arg z) on the grid, bounded by its exact max on each sector
-        # (the bound of a block of 8 angles does not depend on its radii).
-        # The one sweep call takes exactly the blocks whose bound, raised by
-        # 1e-9 relative, reaches the limit, and with them every grid point
-        # above the limit; the result is the full sweep's.
-        grid = DiskGrid(radii=np.linspace(0.1, 0.9, 64), angles_per_circle=512)
-        bound = lambda r0, r1, th0, th1: 1.0 + np.maximum(np.cos(th0), np.cos(th1))
+        # 1 + cos(arg z) off the origin and 1 at it, bounded by its exact
+        # max on each sector (the bound does not depend on the radii).  The
+        # one sweep call takes exactly the points of the cells whose bound,
+        # raised by 1e-9 relative, reaches the limit, and with them every
+        # grid point above the limit; the result is the full sweep's.
+        grid = DiskGrid(64, 512, 0.9)
+        r0, r1, th0, th1 = grid.cells()
+        bounds = 1.0 + np.maximum(np.maximum(np.cos(th0), np.cos(th1)), 0.0)
         obj = lambda z: 1.0 + z.real / np.maximum(np.abs(z), 0.05)
         limit = NormEstimate(value=1.9, argmax=1.0)
         runs = []
-        for cell_bound in (None, bound):
+        for cell_bounds in (None, bounds):
             calls = []
 
             def recorded(z, calls=calls):
@@ -146,16 +199,18 @@ class TestSupNormEstimate:
                 return obj(z)
 
             runs.append((sup_norm_estimate(recorded, grid, limit=limit,
-                                           cell_bound=cell_bound), calls))
+                                           cell_bounds=cell_bounds), calls))
         (full, _), (pruned, pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
-        pts, angles = grid.points(), grid.angles()
-        first = np.arange(grid.angles_per_circle) // _BLOCK_ANGLES * _BLOCK_ANGLES
-        last = np.minimum(first + _BLOCK_ANGLES, grid.angles_per_circle) - 1
-        block = bound(None, None, angles[first], angles[last])
-        reach = block + 1e-9 * np.abs(block) >= limit.value
+        # the grid points in the closed sectors of the cells that reach it
+        reach = bounds + 1e-9 * np.abs(bounds) >= limit.value
+        a, r = grid.angles()[:, None], grid.radii[:, None]
+        in_angle = (th0[reach] <= a) & (a <= th1[reach])
+        in_radius = (r0[reach] <= r) & (r <= r1[reach])
+        inside = in_angle.astype(int) @ in_radius.T.astype(int) > 0
+        pts = grid.points()
         swept = pruned_calls[0]
-        assert np.array_equal(np.sort(swept), np.sort(pts[reach].ravel()))
+        assert np.array_equal(np.sort(swept), np.sort(pts[inside]))
         above = pts[obj(pts) > limit.value]
         assert above.size and np.isin(above, swept).all()
         assert swept.size < pts.size / 4
@@ -163,7 +218,7 @@ class TestSupNormEstimate:
     def test_cell_bound_without_a_limit_prunes_nothing(self):
         # a bound below the objective everywhere prunes nothing without a
         # limit: the grid is swept in one call in its own shape
-        grid = default_grid(16, 64)
+        grid = DiskGrid(16, 64)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
         calls = []
 
@@ -171,24 +226,24 @@ class TestSupNormEstimate:
             calls.append(np.shape(z))
             return obj(z)
 
-        low = lambda r0, r1, th0, th1: np.zeros(r0.shape)
-        assert sup_norm_estimate(recorded, grid, cell_bound=low) == \
+        low = np.zeros(grid.cells()[0].shape)
+        assert sup_norm_estimate(recorded, grid, cell_bounds=low) == \
             sup_norm_estimate(obj, grid)
         assert calls[0] == (64, 16)
 
     def test_cell_bound_gives_one_bound_per_block(self):
         # the bound is checked with and without a limit to compare it with
         obj = lambda z: np.ones(z.shape)
+        cells = DiskGrid().cells()[0].size
         for limit in (None, NormEstimate(value=1.0, argmax=0j)):
-            for cell_bound in (lambda r0, r1, th0, th1: np.ones(3),
-                               lambda r0, r1, th0, th1: np.full(r0.shape, np.nan)):
-                with pytest.raises(ValueError, match="cell_bound"):
-                    sup_norm_estimate(obj, default_grid(), limit=limit,
-                                      cell_bound=cell_bound)
+            for cell_bounds in (np.ones(3), np.ones((cells, 1)), np.full(cells, np.nan)):
+                with pytest.raises(ValueError, match="cell_bounds"):
+                    sup_norm_estimate(obj, DiskGrid(), limit=limit,
+                                      cell_bounds=cell_bounds)
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2
-        grid = default_grid()
+        grid = DiskGrid()
         est = sup_norm_estimate(obj, grid)
         assert est.value >= np.max(obj(grid.points()))
 
@@ -201,7 +256,7 @@ class TestSupNormEstimate:
             calls.append((np.shape(z), threading.get_ident()))
             return (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.99 * z))
 
-        sup_norm_estimate(obj, default_grid())
+        sup_norm_estimate(obj, DiskGrid())
         assert calls[0][0] == (512, 64)
         assert {ident for _, ident in calls} == {threading.get_ident()}
 

@@ -5,7 +5,7 @@ import pytest
 
 from galpha import family
 from galpha.blaschke import BlaschkeProduct, boundary_roots
-from galpha.complexfn import TWO_PI, DomainError, default_grid
+from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke, measure_from_roots,
                            roots_of_unity_measure, single_atom)
@@ -269,7 +269,7 @@ class TestSubordinationWitness:
     def test_stays_in_disk_on_grid(self):
         rng = np.random.default_rng(31)
         f = GAlphaFunction(alpha=0.85, measure=random_measure(rng, 5))
-        w = f.subordination_witness(default_grid().points())
+        w = f.subordination_witness(DiskGrid().points())
         assert np.max(np.abs(w)) < 1.0
 
 
@@ -365,7 +365,7 @@ class TestBlockedKernels:
         for m in (3, 64):
             f = GAlphaFunction(alpha=0.75, measure=random_measure(rng, m))
             step = family._BLOCK // m
-            inputs = [default_grid().points(),
+            inputs = [DiskGrid().points(),
                       random_points(rng, 2 * step + 123, r_max=0.999),
                       np.asarray(0.3 - 0.6j), 0.95j]
             for z in inputs:
@@ -381,7 +381,7 @@ class TestBlockedKernels:
 
     def test_single_atom_residual_exactly_zero(self):
         f = GAlphaFunction(alpha=0.9, measure=single_atom(2.1))
-        assert np.all(f.real_part_bound_residual(default_grid().points()) == 0.0)
+        assert np.all(f.real_part_bound_residual(DiskGrid().points()) == 0.0)
 
     def test_residual_near_clustered_atoms_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -408,7 +408,7 @@ class TestBlockedKernels:
     def test_temporaries_bounded(self):
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
-        z = default_grid().points()
+        z = DiskGrid().points()
         for kernel in (f.real_part_bound_residual, f.subordination_witness):
             tracemalloc.start()
             try:

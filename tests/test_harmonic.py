@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from galpha.blaschke import BlaschkeProduct
-from galpha.complexfn import TWO_PI, default_grid
+from galpha.complexfn import TWO_PI, DiskGrid
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
                              univalence_criterion, winding_injectivity_probe,
@@ -139,7 +139,7 @@ class TestJacobian:
         rng = np.random.default_rng(53)
         f = GAlphaFunction(alpha=0.4, measure=random_measure(rng, 5))
         m = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.7j))
-        assert np.min(m.jacobian(default_grid().points())) > 0.0
+        assert np.min(m.jacobian(DiskGrid().points())) > 0.0
 
 
 class TestUnivalenceCriterion:

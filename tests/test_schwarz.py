@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpha.complexfn import (_BLOCK_ANGLES, _BLOCK_RADII, TWO_PI, NormEstimate,
-                              default_grid, sup_norm_estimate)
+from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import (SchwarzReport, _cell_bounds, norms, pre_schwarzian,
                             schwarzian, schwarzian_bound_witness)
@@ -81,7 +80,7 @@ class TestNorms:
 
     def test_pointwise_bounds_on_grid(self):
         rng = np.random.default_rng(43)
-        grid = default_grid()
+        grid = DiskGrid()
         z = grid.points()
         for _ in range(5):
             alpha = rng.uniform(0.2, 1.0)
@@ -178,8 +177,8 @@ def boundary_limit(f, which):
     return NormEstimate(value=value, argmax=complex(np.conj(f.measure.atoms[k])))
 
 
-def cell_bound(f, which):
-    return lambda *sector: _cell_bounds(f, *sector)[which]
+def cell_bounds(f, grid, which):
+    return _cell_bounds(f, *grid.cells())[which]
 
 
 def recording(objective):
@@ -191,27 +190,24 @@ def recording(objective):
 
 
 def sweep_blocks(grid, vals):
-    """Each sweep block's sector (r0, r1, th0, th1) and the max of vals on it."""
-    n_a, n_r = vals.shape
-    pad = np.full((-(-n_a // _BLOCK_ANGLES) * _BLOCK_ANGLES,
-                   -(-n_r // _BLOCK_RADII) * _BLOCK_RADII), -np.inf)
-    pad[:n_a, :n_r] = vals
-    maxima = pad.reshape(pad.shape[0] // _BLOCK_ANGLES, _BLOCK_ANGLES,
-                         pad.shape[1] // _BLOCK_RADII, _BLOCK_RADII).max(axis=(1, 3))
-    a_lo, r_lo = np.meshgrid(np.arange(0, n_a, _BLOCK_ANGLES),
-                             np.arange(0, n_r, _BLOCK_RADII), indexing="ij")
-    a_hi = np.minimum(a_lo + _BLOCK_ANGLES, n_a) - 1
-    r_hi = np.minimum(r_lo + _BLOCK_RADII, n_r) - 1
-    angles, radii = grid.angles(), grid.radii
-    sector = (radii[r_lo].ravel(), radii[r_hi].ravel(),
-              angles[a_lo].ravel(), angles[a_hi].ravel())
+    """Each sweep cell's sector (r0, r1, th0, th1) and the max of vals on it.
+
+    The cells tile the grid in row-major order, so a cell's points run from
+    its (th0, r0) to the next cell's along each axis.
+    """
+    sector = grid.cells()
+    r0, _, th0, _ = sector
+    rows = np.unique(np.searchsorted(grid.angles(), th0))
+    cols = np.unique(np.searchsorted(grid.radii, r0))
+    maxima = np.maximum.reduceat(np.maximum.reduceat(vals, rows, axis=0), cols, axis=1)
+    assert maxima.size == r0.size
     return sector, maxima.ravel()
 
 
 # the default grid and a ragged one, whose edge blocks are partial
-GRIDS = (default_grid(), default_grid(n_radii=11, angles_per_circle=100))
+GRIDS = (DiskGrid(), DiskGrid(n_radii=11, angles_per_circle=100))
 # ... and one reaching closer to the circle
-LIMIT_GRIDS = GRIDS + (default_grid(r_max=1 - 1e-6),)
+LIMIT_GRIDS = GRIDS + (DiskGrid(r_max=1 - 1e-6),)
 
 
 def panel_members():
@@ -239,7 +235,7 @@ class TestCellBounds:
         # 1 - 1e-9 (where the float objectives on a one-radius edge block
         # read up to 2e-7 above the exact bound), for 1-64 atoms, half of
         # the members with atoms exactly on grid angles
-        grids = GRIDS + (default_grid(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
+        grids = GRIDS + (DiskGrid(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
         rng = np.random.default_rng(97)
         worst = 0.0
         for i in range(48):
@@ -267,7 +263,7 @@ class TestCellBounds:
                     full, pruned = recording(objective), recording(objective)
                     a = sup_norm_estimate(full, grid, limit=limit)
                     b = sup_norm_estimate(pruned, grid, limit=limit,
-                                          cell_bound=cell_bound(f, which))
+                                          cell_bounds=cell_bounds(f, grid, which))
                     assert (b.value, b.argmax) == (a.value, a.argmax)
                     # after the full sweep's one call, the refinement starts
                     # from the same candidates and repeats call for call
@@ -280,13 +276,14 @@ class TestCellBounds:
         # the refinement is the same with and without the bound, so the
         # difference in points is what the bound saved on the grid
         f = GAlphaFunction(alpha=0.5, measure=single_atom(0.0))
-        grid = default_grid()
+        grid = DiskGrid()
         size = grid.points().size
         for which, objective in enumerate(norm_objectives(f)):
             limit = boundary_limit(f, which)
             full, pruned = recording(objective), recording(objective)
             sup_norm_estimate(full, grid, limit=limit)
-            sup_norm_estimate(pruned, grid, limit=limit, cell_bound=cell_bound(f, which))
+            sup_norm_estimate(pruned, grid, limit=limit,
+                              cell_bounds=cell_bounds(f, grid, which))
             points = [sum(np.size(z) for z in run.calls) for run in (full, pruned)]
             assert points[1] - (points[0] - size) <= 0.02 * size
 
@@ -304,7 +301,7 @@ class TestCellBounds:
 
         monkeypatch.setattr("galpha.schwarz.sup_norm_estimate", counted)
         f = GAlphaFunction(alpha=0.5, measure=single_atom(0.3))
-        rep = norms(f, default_grid(16, 64, 0.5))
+        rep = norms(f, DiskGrid(16, 64, 0.5))
         assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
         assert calls == []
 
