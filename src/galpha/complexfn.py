@@ -1,8 +1,8 @@
 """Numeric kernel for unit-disk computations.
 
 Disk sampling grids, each three numbers that fix its radii and the cells
-its sweep prunes, and sup-norm estimation with batched multi-start local
-refinement.  Everything here is pure and reentrant.
+its sweep prunes, and sup-norm estimation by a grid sweep and a batched
+finite-difference Newton ascent.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -23,16 +23,8 @@ _BLOCK_ANGLES = 8
 _BLOCK_RADII = 2
 # relative allowance for the rounding of a float objective above a cell bound
 _BOUND_MARGIN = 1e-9
-# samples per candidate in one zoom pass, and the step a zoom narrows below
-_ZOOM_SAMPLES = 17
-_ZOOM_STEP = 1e-13
-# refinement runs at most this many rounds
-_MAX_ROUNDS = 40
-# refinement stops after a round that raises max(limit, best) by at most
-# this times its magnitude (at least 1).  It sits above the rounding noise of
-# the norm objectives near the boundary (~1e-12 relative at r = 1 - 1e-4,
-# where 1 - |z|^2 loses four digits), so noise never buys another round.
-_ROUND_GAIN = 1e-10
+# refinement stops after this many stencil evaluations
+_MAX_STEPS = 60
 
 
 class DomainError(ValueError):
@@ -50,7 +42,7 @@ def worker_count() -> int:
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -127,33 +119,35 @@ class NormEstimate:
             raise ValueError("argmax must lie in the closed unit disk")
 
 
-def _zoom(objective, points, lo, hi, lo_bound, hi_bound):
-    """Maximize objective(points(t)) over every bracket [lo_c, hi_c] at once.
+def _clip(z, r_max):
+    """z, scaled radially onto |z| = r_max (1 - 2**-50) where it lies beyond
+    that radius; the 4 eps margin covers the rounding here and in abs."""
+    return z * np.minimum(1.0, r_max * (1.0 - 2.0 ** -50) / (np.abs(z) + 1e-300))
 
-    Each pass evaluates _ZOOM_SAMPLES equally spaced parameters per
-    candidate in one objective call, then narrows each bracket to one sample
-    step either side of its best sample (clipped to [lo_bound, hi_bound]),
-    so a pass shrinks the step at least 8-fold.  It makes as many passes as
-    the widest starting step needs to fall below _ZOOM_STEP at 8-fold per
-    pass, a count fixed by the brackets alone, and returns the best
-    parameter, point and value of each candidate in the last pass.
+
+def _stencil():
+    """The refinement's 3x3 stencil s, in units of its spacing, and the
+    central-difference weights that take values f on it to f @ weights =
+    (f_x + i f_y, q = (f_xx - f_yy)/2 + i f_xy, (f_xx + f_yy)/2)."""
+    s = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    edge = np.abs(s) == 1.0
+    return s, np.stack([edge * s / 2.0, s * s / np.where(edge, 2.0, 8.0),
+                        edge / 2.0 - 2.0 * (s == 0)], axis=1)
+
+
+def _model_step(m):
+    """The step, in units of the spacing, that maximizes the quadratic model
+    m = f @ weights (see _stencil) over the box of half-width sqrt(2) in its
+    Hessian's eigenbasis e, i e, where e = sqrt(q / |q|) and the eigenvalues
+    are (f_xx + f_yy)/2 -+ |q|: along each, the Newton step where the
+    curvature is negative and the step fits, else the box's edge uphill.
     """
-    rows = np.arange(lo.size)
-    frac = np.linspace(0.0, 1.0, _ZOOM_SAMPLES)
-    widest = np.max(hi - lo) / (_ZOOM_SAMPLES - 1)
-    while True:
-        step = (hi - lo) / (_ZOOM_SAMPLES - 1)
-        t = lo[:, None] * (1.0 - frac) + hi[:, None] * frac
-        z = points(t)
-        v = np.asarray(objective(z), dtype=float)
-        _require_finite("objective during refinement", v)
-        best = np.argmax(v, axis=1)
-        t, z, v = t[rows, best], z[rows, best], v[rows, best]
-        if widest < _ZOOM_STEP:
-            return t, z, v
-        widest /= 8.0
-        lo = np.maximum(lo_bound, t - step)
-        hi = np.minimum(hi_bound, t + step)
+    g, q, lam = m.T
+    e = np.exp(0.5j * np.angle(q))
+    u = (e.conj() * g).view(float).reshape(-1, 2)
+    curvature = np.multiply.outer(np.abs(q), np.array([-1.0, 1.0])) - lam.real[:, None]
+    u /= np.maximum(np.maximum(curvature, np.abs(u) / math.sqrt(2.0)), 1e-300)
+    return e * u.view(complex)[:, 0]
 
 
 def _sweep(objective, pts, limit, cell_bounds):
@@ -185,7 +179,7 @@ def _sweep(objective, pts, limit, cell_bounds):
 
 def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = None,
                       cell_bounds=None) -> NormEstimate:
-    """Sup of a real objective over the disk: grid sweep + multi-start zoom.
+    """Sup of a real objective over the disk: grid sweep + batched Newton ascent.
 
     limit, a known lower bound of the sup such as a closed-form boundary
     limit, is returned unless a point evaluated beats it.  The sweep takes
@@ -198,56 +192,58 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
     the limit is evaluated; candidates below the limit come only from cells
     whose bound reaches it.  Without a limit nothing is pruned.
     Refinement starts from the best evaluated point of each of the (at most)
-    _ROW_STARTS highest angle rows and refines them together (ties go to the
-    smallest angle, then the smallest radius).  Each round zooms in angle
-    over theta +- dtheta, then in radius over [r - dr, r_max], with dr the
-    grid spacing below the starting radius (the first radius counts from
-    -r_max/8); the radial bracket is pinned at r_max because the objectives
-    this library sweeps peak jointly in (angle -> atom direction,
-    radius -> 1).  A zoom evaluates _ZOOM_SAMPLES points per candidate per
-    objective call and narrows to one sample step around the best until
-    that step is below 1e-13.  dtheta starts at the grid's angular step and
-    halves every round; the rounds stop after _MAX_ROUNDS (40), or once a
-    round raises max(limit, best) by at most 1e-10 * max(1, |that
-    maximum|).  A candidate moves only to a point that beats its current
-    value.  Unless limit is returned, the value is the objective evaluated
+    _ROW_STARTS highest angle rows (ties go to the smallest angle, then the
+    smallest radius).  Each step evaluates every live candidate's stencil
+    c + h e^(i arg c) s (see _stencil) in one objective call and proposes
+    the trial step of _model_step, pulling points beyond r_max inside.  A
+    candidate moves only to a point that beats its value.  If the centre c
+    is no worse than its best point, the next stencil is centred on the
+    trial point and h becomes the trial step's length; else it goes back
+    to the best point with h/8.  h starts at min(1 - |c|, 2 pi /
+    angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate stops once
+    it lies within h of a better one or h < sqrt(eps) (1 - |c|), where the
+    differences reach the objective's rounding; all stop after _MAX_STEPS
+    steps.  Unless limit is returned, the value is the objective evaluated
     in floats at argmax, never below the grid maximum.
     """
     pts = grid.points()
     vals = _sweep(objective, pts, limit, cell_bounds)
     if vals is None:
         return limit
-    radii = grid.radii
     row_best = np.argmax(vals, axis=1)
     row_vals = vals[np.arange(vals.shape[0]), row_best]
     rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
     rows = rows[row_vals[rows] > -np.inf]
-    cols = row_best[rows]
-    theta, r = grid.angles()[rows], radii[cols]
-    point, value = pts[rows, cols], vals[rows, cols]
-    dr = np.maximum(np.diff(radii, prepend=-radii[-1] / 8)[cols], 1e-12)
-    dtheta = TWO_PI / grid.angles_per_circle
-    floor = -np.inf if limit is None else limit.value
-    best = max(value.max(), floor)
-    for _ in range(_MAX_ROUNDS):
-        t, z, v = _zoom(objective, lambda t: r[:, None] * np.exp(1j * t),
-                        theta - dtheta, theta + dtheta, -np.inf, np.inf)
-        up = v > value
-        theta, point = np.where(up, t, theta), np.where(up, z, point)
-        value = np.maximum(v, value)
-        s, z, v = _zoom(objective, lambda s: s * np.exp(1j * theta)[:, None],
-                        np.maximum(0.0, r - dr), np.full(r.size, grid.r_max),
-                        0.0, grid.r_max)
-        up = v > value
-        r, point = np.where(up, s, r), np.where(up, z, point)
-        value = np.maximum(v, value)
-        dtheta *= 0.5
-        gain, best = max(value.max(), floor) - best, max(value.max(), floor)
-        if gain <= _ROUND_GAIN * max(1.0, abs(best)):
+    point = _clip(pts[rows, row_best[rows]], grid.r_max)
+    value = vals[rows, row_best[rows]]
+    center, room = point.copy(), 1.0 - np.abs(point)
+    h = np.minimum(room, TWO_PI / grid.angles_per_circle) / 2.0
+    tol = math.sqrt(np.finfo(float).eps)
+    stencil, weights = _stencil()
+    live = np.ones(point.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        rival = (np.abs(point - point[:, None]) < h[:, None]) & (value > value[:, None])
+        live &= (h >= tol * room) & ~rival.any(axis=1)
+        at = np.flatnonzero(live)
+        if not at.size:
             break
+        c, p, v = center[at], point[at], value[at]
+        step = h[at] * np.exp(1j * np.angle(c))
+        w = _clip(c[:, None] + step[:, None] * stencil, grid.r_max)
+        f = np.asarray(objective(w), dtype=float)
+        _require_finite("objective during refinement", f)
+        # the centre is a trial point unless it is the candidate's best point
+        ok = (c == p) | (f[:, 0] >= v)
+        best = np.arange(at.size), f.argmax(axis=1)
+        point[at] = p = np.where(f[best] > v, w[best], p)
+        value[at] = np.maximum(f[best], v)
+        trial = _clip(c + step * _model_step(f @ weights), grid.r_max)
+        center[at] = np.where(ok, trial, p)
+        room[at] = r = 1.0 - np.abs(center[at])
+        h[at] = np.minimum(np.where(ok, np.abs(trial - c), h[at] / 8.0), r / 2.0)
     # Batch and single-point evaluations can round differently (numpy squares
-    # arrays and scalars differently), and the zoom's maximum over many
-    # samples selects that dust, so the winner is evaluated once more on its
+    # arrays and scalars differently), and the maximum over many stencil
+    # points selects that dust, so the winner is evaluated once more on its
     # own: the reported value is what objective(argmax) returns.
     winner = point[int(np.argmax(value))]
     final = float(np.asarray(objective(np.asarray(winner)), dtype=float))

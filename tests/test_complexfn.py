@@ -5,10 +5,31 @@ import numpy as np
 import pytest
 
 from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+from galpha.family import AtomicMeasure, GAlphaFunction
+from galpha.schwarz import norms, pre_schwarzian, schwarzian
 
 # the grids of the norm panel: the default, ragged, near-circle and small ones
 PANEL_GRIDS = (DiskGrid(), DiskGrid(11, 100), DiskGrid(33, 77, 1 - 1e-6),
                DiskGrid(7, 8), DiskGrid(16, 64, 0.5), DiskGrid(40, 256, 0.99))
+
+
+def panel_member(i):
+    """Member i of a seeded panel: 1-32 atoms, every third spaced 1e-3 apart."""
+    rng = np.random.default_rng(5)
+    for k in range(i + 1):
+        m = (1, 2, 3, 4, 6, 8, 16, 32)[k % 8]
+        angles = np.sort(rng.uniform(0.0, TWO_PI, m))
+        if k % 3 == 0:
+            angles = angles[0] + 1e-3 * np.arange(m)
+        alpha = 1.0 - rng.uniform()
+        weights = rng.dirichlet(np.ones(m))
+    return GAlphaFunction(alpha=alpha, measure=AtomicMeasure(angles=angles, weights=weights))
+
+
+def norm_objectives(f):
+    """The pre-Schwarzian and Schwarzian objectives of schwarz.norms."""
+    return ((lambda z: (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))),
+            (lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(f, z))))
 
 
 class TestDiskGrid:
@@ -134,7 +155,8 @@ class TestSupNormEstimate:
 
     def test_refinement_calls_are_batched(self):
         # the single-atom Schwarzian objective at alpha = 1; refining one
-        # point per objective call took ~2,500 calls per estimate
+        # point per objective call took ~2,500 calls per estimate.  It takes
+        # 12: the sweep, 10 stencil steps and the winner's re-evaluation.
         calls = []
 
         def obj(z):
@@ -148,24 +170,56 @@ class TestSupNormEstimate:
     def test_limit_floors_the_search(self):
         # the single-atom Schwarzian objective at alpha = 1 tends to its sup 6
         # only as z -> conj(zeta), here off the grid's angles: nothing
-        # evaluated beats that limit, so the search returns it and stops
-        # after one round, where without it the first round's gain buys a
-        # second
+        # evaluated beats that limit, so the search returns it, where without
+        # it the search reports an interior point below 6
         boundary = complex(np.exp(-0.7j))
-        runs = []
-        for limit in (None, NormEstimate(value=6.0, argmax=boundary)):
-            calls = []
-
-            def obj(z, calls=calls):
-                calls.append(np.size(z))
-                return ((1.0 - np.abs(z) ** 2) ** 2 * 1.5
-                        / np.abs(1.0 - z / boundary) ** 2)
-
-            runs.append((sup_norm_estimate(obj, DiskGrid(), limit=limit), calls))
-        (plain, plain_calls), (floored, floored_calls) = runs
+        obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z / boundary) ** 2
+        plain = sup_norm_estimate(obj, DiskGrid())
+        floored = sup_norm_estimate(obj, DiskGrid(),
+                                    limit=NormEstimate(value=6.0, argmax=boundary))
         assert plain.value < 6.0 and abs(plain.argmax) < 1.0
         assert floored == NormEstimate(value=6.0, argmax=boundary)
-        assert len(floored_calls) < len(plain_calls)
+
+    @pytest.mark.parametrize("i", [3, 7, 9, 11, 20])
+    def test_interior_argmax_is_a_local_maximum(self, i):
+        # no point of two small rings around an interior argmax beats it;
+        # member 7's maxima lie on ridges along neither angle nor radius
+        f = panel_member(i)
+        report = norms(f)
+        ring = np.exp(1j * TWO_PI * np.arange(16) / 16)
+        interior = 0
+        for est, obj in zip((report.pre_schwarzian_norm, report.schwarzian_norm),
+                            norm_objectives(f)):
+            z = est.argmax
+            if abs(z) > DiskGrid().r_max:
+                continue  # the closed-form limit at an atom
+            interior += 1
+            for delta in (1e-3 * (1.0 - abs(z)), 1e-5 * (1.0 - abs(z))):
+                assert obj(z + delta * ring).max() <= est.value + 1e-12 * max(1.0, est.value)
+        assert interior
+        if i == 7:
+            assert report.pre_schwarzian_norm.value >= 0.10924580891
+            assert report.schwarzian_norm.value >= 0.11881171375
+
+    def test_refinement_stays_in_the_grid_disk(self):
+        # once with a sup at the circle, so that candidates press against
+        # r_max, and once on member 7's Schwarzian objective
+        grid = DiskGrid()
+        boundary = complex(np.exp(-0.7j))
+        at_circle = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z / boundary) ** 2
+        farthest = []
+        for obj in (at_circle, norm_objectives(panel_member(7))[1]):
+            calls = []
+
+            def recorded(z, obj=obj, calls=calls):
+                calls.append(np.array(z))
+                return obj(z)
+
+            sup_norm_estimate(recorded, grid)
+            refined = np.abs(np.concatenate([z.ravel() for z in calls[1:]]))
+            assert refined.size and refined.max() <= grid.r_max
+            farthest.append(refined.max())
+        assert farthest[0] > grid.r_max - 1e-12
 
     def test_limit_below_the_interior_sup_changes_nothing(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
