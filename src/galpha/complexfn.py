@@ -1,8 +1,9 @@
 """Numeric kernel for unit-disk computations.
 
 Disk sampling grids, each three numbers that fix its radii and the cells
-its sweep prunes, and sup-norm estimation by a grid sweep and a batched
-finite-difference Newton ascent.  Everything here is pure and reentrant.
+its sweep prunes, and sup-norm estimation of several objectives at once by
+one grid sweep and one batched finite-difference Newton ascent.  Everything
+here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ class DiskGrid:
         """Complex sample points, shape (angles_per_circle, n_radii).
 
         Row-major order puts the smallest angle first, then the smallest
-        radius, which fixes the argmax tie-breaking rule for sweeps.
+        radius, which fixes the argmax tie-breaking rule for sweeps.  _clip
+        pulls in the outer circle, where e^(i theta) r_max can round out.
         """
-        return np.exp(1j * self.angles())[:, None] * self.radii[None, :]
+        pts = np.exp(1j * self.angles())[:, None] * self.radii[None, :]
+        pts[:, -1] = _clip(pts[:, -1], self.r_max)
+        return pts
 
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The sweep's cells (r0, r1, th0, th1): the closed polar sectors of 8
@@ -151,78 +155,92 @@ def _model_step(m):
 
 
 def _sweep(objective, pts, limit, cell_bounds):
-    """The objective on the grid's points pts in one call, -inf in the cells
-    whose bound, raised by _BOUND_MARGIN, lies below the limit (see
-    sup_norm_estimate); None if no cell reaches it.  When no cell is pruned
-    the call takes pts in its own shape, otherwise the points of the cells
-    kept in row-major order.
+    """The K objectives on the grid's points pts in one call, shape (K,) +
+    pts.shape.  Objective k is -inf in the cells whose bound in row k of
+    cell_bounds, raised by _BOUND_MARGIN, lies below limit[k] (see
+    sup_norm_estimate); None if no cell reaches its limit.  When no cell is
+    pruned the call takes pts in its own shape, otherwise the points of the
+    cells some objective keeps, in row-major order.
     """
     n_angles, n_radii = pts.shape
     shape = (-(-n_angles // _BLOCK_ANGLES), -(-n_radii // _BLOCK_RADII))
-    keep = np.ones(shape, dtype=bool)
+    keep = np.ones((1,) + shape, dtype=bool)
     if cell_bounds is not None:
         bound = np.asarray(cell_bounds, dtype=float)
-        if bound.shape != (keep.size,) or np.any(np.isnan(bound)):
-            raise ValueError("cell_bounds must hold one bound per cell")
+        rows = len(bound) if limit is None else len(limit)
+        if bound.shape != (rows, keep.size) or np.any(np.isnan(bound)):
+            raise ValueError("cell_bounds must hold one bound per cell for each objective")
         if limit is not None:
-            keep = (bound + _BOUND_MARGIN * np.abs(bound) >= limit.value).reshape(shape)
+            floor = np.array([[est.value] for est in limit])
+            keep = (bound + _BOUND_MARGIN * np.abs(bound) >= floor).reshape((-1,) + shape)
     if not keep.any():
         return None
-    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
-                       axis=1)[:n_angles, :n_radii]
-    v = np.asarray(objective(pts if keep.all() else pts[inside]), dtype=float)
+    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=1), _BLOCK_RADII,
+                       axis=2)[:, :n_angles, :n_radii]
+    union = inside.any(axis=0)
+    v = np.asarray(objective(pts if union.all() else pts[union]), dtype=float)
     _require_finite("objective on the grid", v)
-    vals = np.full(pts.shape, -np.inf)
-    vals[inside] = v.reshape(-1)
+    vals = np.full((v.size // np.count_nonzero(union),) + pts.shape, -np.inf)
+    vals[:, union] = v.reshape(len(vals), -1)
+    np.copyto(vals, -np.inf, where=~inside)
     return vals
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = None,
-                      cell_bounds=None) -> NormEstimate:
-    """Sup of a real objective over the disk: grid sweep + batched Newton ascent.
+def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
+                      cell_bounds=None) -> tuple[NormEstimate, ...]:
+    """Sups of K real objectives over the disk by one grid sweep and one
+    batched Newton ascent; one NormEstimate per objective.
 
-    limit, a known lower bound of the sup such as a closed-form boundary
-    limit, is returned unless a point evaluated beats it.  The sweep takes
-    the objective on the grid in one call.  cell_bounds holds an upper
-    bound of the objective on each of grid.cells(), in their order; the
-    float objective may exceed it by at most 1e-9 relative.  Given both,
-    the sweep evaluates only the cells whose bound, raised by 1e-9
-    relative, reaches limit.value, and returns limit without calling the
-    objective if there are none.  So every grid point whose value beats
-    the limit is evaluated; candidates below the limit come only from cells
-    whose bound reaches it.  Without a limit nothing is pruned.
-    Refinement starts from the best evaluated point of each of the (at most)
-    _ROW_STARTS highest angle rows (ties go to the smallest angle, then the
-    smallest radius).  Each step evaluates every live candidate's stencil
-    c + h e^(i arg c) s (see _stencil) in one objective call and proposes
-    the trial step of _model_step, pulling points beyond r_max inside.  A
-    candidate moves only to a point that beats its value.  If the centre c
-    is no worse than its best point, the next stencil is centred on the
-    trial point and h becomes the trial step's length; else it goes back
-    to the best point with h/8.  h starts at min(1 - |c|, 2 pi /
-    angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate stops once
-    it lies within h of a better one or h < sqrt(eps) (1 - |c|), where the
+    objective(z) returns the K objectives stacked, shape (K,) + z.shape
+    (z.shape alone when K = 1).  limit, K known lower bounds of the sups
+    such as closed-form boundary limits, gives limit[k] as estimate k
+    unless a point evaluated beats it.  The sweep takes the objectives on
+    the grid in one call.  Row k of cell_bounds, shape (K, cells), bounds
+    objective k on each of grid.cells(), in their order; the float
+    objective may exceed it by at most 1e-9 relative.  Given both, the call
+    takes the union of the cells whose bound, raised by 1e-9 relative,
+    reaches its limit, each objective is -inf outside its own cells, and
+    the limits are returned without a call if there are none.  So every
+    grid point whose value beats its limit is evaluated; candidates below
+    a limit come only from cells whose bound reaches it.
+    Refinement starts, for each objective, from the best evaluated point of
+    each of the (at most) _ROW_STARTS highest angle rows (ties go to the
+    smallest angle, then the smallest radius).  Each step evaluates every
+    live candidate's stencil c + h e^(i arg c) s (see _stencil) in one
+    objective call, reads its own objective and proposes the trial step of
+    _model_step, pulling points beyond r_max inside.  A candidate moves
+    only to a point that beats its value.  If the centre c is no worse
+    than its best point, the next stencil is centred on the trial point
+    and h becomes the trial step's length; else it goes back to the best
+    point with h/8.  h starts at min(1 - |c|, 2 pi / angles_per_circle)/2
+    and stays <= (1 - |c|)/2.  A candidate stops once it lies within h of
+    a better one of its objective or h < sqrt(eps) (1 - |c|), where the
     differences reach the objective's rounding; all stop after _MAX_STEPS
-    steps.  Unless limit is returned, the value is the objective evaluated
-    in floats at argmax, never below the grid maximum.
+    steps.  So each objective's estimate is the one a search of it alone
+    would give.  Unless limit[k] is returned, estimate k's value is
+    objective k evaluated in floats at its argmax, never below its grid
+    maximum.
     """
     pts = grid.points()
     vals = _sweep(objective, pts, limit, cell_bounds)
     if vals is None:
-        return limit
-    row_best = np.argmax(vals, axis=1)
-    row_vals = vals[np.arange(vals.shape[0]), row_best]
-    rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
+        return tuple(limit)
+    # the angle rows of all objectives, objective k's from k * n_angles on
+    n_obj, n_angles = vals.shape[:2]
+    row_best = np.argmax(vals, axis=2).ravel()
+    row_vals = vals.reshape(n_obj * n_angles, -1)[np.arange(row_best.size), row_best]
+    rows = np.argsort(-row_vals.reshape(n_obj, -1), axis=1, kind="stable")[:, :_ROW_STARTS]
+    rows = (rows + n_angles * np.arange(n_obj)[:, None]).ravel()
     rows = rows[row_vals[rows] > -np.inf]
-    point = _clip(pts[rows, row_best[rows]], grid.r_max)
-    value = vals[rows, row_best[rows]]
+    owner, angle = np.divmod(rows, n_angles)
+    point, value = pts[angle, row_best[rows]], row_vals[rows]
     center, room = point.copy(), 1.0 - np.abs(point)
     h = np.minimum(room, TWO_PI / grid.angles_per_circle) / 2.0
     tol = math.sqrt(np.finfo(float).eps)
     stencil, weights = _stencil()
-    live = np.ones(point.size, dtype=bool)
+    live, same = np.ones(point.size, dtype=bool), owner == owner[:, None]
     for _ in range(_MAX_STEPS):
-        rival = (np.abs(point - point[:, None]) < h[:, None]) & (value > value[:, None])
+        rival = (np.abs(point - point[:, None]) < h[:, None]) & (value > value[:, None]) & same
         live &= (h >= tol * room) & ~rival.any(axis=1)
         at = np.flatnonzero(live)
         if not at.size:
@@ -230,7 +248,8 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
         c, p, v = center[at], point[at], value[at]
         step = h[at] * np.exp(1j * np.angle(c))
         w = _clip(c[:, None] + step[:, None] * stencil, grid.r_max)
-        f = np.asarray(objective(w), dtype=float)
+        f = np.asarray(objective(w), dtype=float).reshape((n_obj,) + w.shape)
+        f = f[owner[at], np.arange(at.size)]
         _require_finite("objective during refinement", f)
         # the centre is a trial point unless it is the candidate's best point
         ok = (c == p) | (f[:, 0] >= v)
@@ -243,13 +262,18 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate | None = No
         h[at] = np.minimum(np.where(ok, np.abs(trial - c), h[at] / 8.0), r / 2.0)
     # Batch and single-point evaluations can round differently (numpy squares
     # arrays and scalars differently), and the maximum over many stencil
-    # points selects that dust, so the winner is evaluated once more on its
+    # points selects that dust, so each winner is evaluated once more on its
     # own: the reported value is what objective(argmax) returns.
-    winner = point[int(np.argmax(value))]
-    final = float(np.asarray(objective(np.asarray(winner)), dtype=float))
-    top = int(np.argmax(vals))
-    if not final >= vals.flat[top]:
-        winner, final = pts.flat[top], float(vals.flat[top])
-    if limit is not None and not final > limit.value:
-        return limit
-    return NormEstimate(value=final, argmax=complex(winner))
+    estimates = []
+    for k, mine in enumerate(owner == np.arange(n_obj)[:, None]):
+        if not mine.any():  # every cell of objective k was pruned
+            estimates.append(limit[k])
+            continue
+        winner = point[mine][np.argmax(value[mine])]
+        final = float(np.asarray(objective(np.asarray(winner)), dtype=float).reshape(n_obj)[k])
+        top = int(np.argmax(vals[k]))
+        if not final >= vals[k].flat[top]:
+            winner, final = pts.flat[top], float(vals[k].flat[top])
+        beaten = limit is None or final > limit[k].value
+        estimates.append(NormEstimate(value=final, argmax=complex(winner)) if beaten else limit[k])
+    return tuple(estimates)

@@ -8,8 +8,9 @@ For a member with atoms zeta_k, weights t_k:
 with hyperbolic norms sup (1-|z|^2)|P| and sup (1-|z|^2)^2 |S|.  The sharp
 bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
-with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` sweeps a DiskGrid and
-bounds both objectives on its cells() in closed form, once per call.
+with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` bounds both objectives
+on the cells() of a DiskGrid in closed form, by a cap per atom, and
+searches both in one sweep and one ascent.
 """
 
 from __future__ import annotations
@@ -80,16 +81,18 @@ class SchwarzReport:
 
 
 def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
-    """The bounds of `norms` on the sectors r0 <= |z| <= r1, th0 <= arg z <= th1.
+    """The bounds of `norms` on the sectors r0 <= |z| <= r1, th0 <= arg z <= th1,
+    as an array of two rows, (1-|z|^2)|P| and (1-|z|^2)^2 |S|.
 
     With delta the angular gap from arg conj(zeta_k) to the sector (0 in
     it) and r = clip(cos delta, r0, r1), where cos delta is taken as
     1 - 2 sin^2(delta/2), d_k = sqrt((1 - r)^2 + 4 r sin^2(delta/2)), free
-    of the cancellation in 1 + r^2 - 2 r cos delta.
-    1 - r0^2 is raised by 16 eps/(1 - r1) to cover the rounding here and
-    the few-eps absolute errors of the objectives' 1 - |z|^2 and
-    1 - zeta_k z near the circle.  Two (atoms x sectors) buffers are reused
-    to keep the peak memory low.
+    of the cancellation in 1 + r^2 - 2 r cos delta.  The cap c_k is taken
+    at u = 1 - rho = clip(d_k, 1 - r1, 1 - r0) as u (2 - u)/max(d_k, u), and
+    raised by 16 eps/(1 - r1) to cover the rounding here and the
+    few-eps absolute errors of the objectives' 1 - |z|^2 and 1 - zeta_k z
+    near the circle.  Two (atoms x sectors) buffers are reused to keep the
+    peak memory low.
     """
     # gap runs counterclockwise from th0 to arg conj(zeta_k): delta is how
     # far that passes th1, or 2 pi - gap back to th0, whichever is smaller
@@ -99,15 +102,19 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     gap -= th1 - th0
     delta = np.maximum(np.minimum(gap, work, out=gap), 0.0, out=gap)
     half_sin2 = np.square(np.sin(np.multiply(delta, 0.5, out=delta), out=delta), out=delta)
-    r = np.clip(np.subtract(1.0, 2.0 * half_sin2, out=work), r0, r1, out=work)
-    d = np.multiply(4.0 * r, half_sin2, out=half_sin2)
+    r = np.subtract(1.0, np.multiply(half_sin2, 2.0, out=work), out=work)
+    r = np.clip(r, r0, r1, out=r)
+    d = np.multiply(np.multiply(half_sin2, 4.0, out=half_sin2), r, out=half_sin2)
     d += np.square(np.subtract(1.0, r, out=r), out=r)
     np.sqrt(d, out=d)
-    t = np.divide(f.measure.weights[:, None], d, out=work)
+    u = np.clip(d, 1.0 - r1, 1.0 - r0, out=work)
+    c = np.divide(u, np.maximum(d, u, out=d), out=d)
+    c *= np.subtract(2.0, u, out=u)
+    t = np.multiply(f.measure.weights[:, None], c, out=work)
     s1 = f.alpha * t.sum(axis=0)
-    s2 = f.alpha * np.divide(t, d, out=t).sum(axis=0)
-    shrink = (1.0 - r0) * (1.0 + r0) * (1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1))
-    return shrink * s1, shrink ** 2 * (s2 + 0.5 * s1 ** 2)
+    s2 = f.alpha * np.multiply(t, c, out=t).sum(axis=0)
+    allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
+    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
 
 def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
@@ -117,32 +124,33 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
     (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k); off the atoms both tend
     to 0 at the circle.  So the search reports the heaviest atom's limits
     (argmax conj(zeta_k), on the circle) unless a point it evaluates beats
-    them.  The sweeps skip the grid.cells() whose bounds lie below those
-    limits, with d_k the distance from conj(zeta_k) to the cell
-    r0 <= |z| <= r1, th0 <= arg z <= th1, so that |1 - zeta_k z| >= d_k on it:
+    them.  One sup_norm_estimate call searches both objectives and skips
+    each on the grid.cells() whose bound lies below its limit.  With d_k
+    the distance from conj(zeta_k) to the cell r0 <= |z| <= r1,
+    th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so
+    (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k = (1 - rho^2)/max(d_k,
+    1 - rho) at rho = clip(1 - d_k, r0, r1), where it peaks over the cell:
 
-        (1-|z|^2) |P|    <= (1 - r0^2) alpha sum_k t_k/d_k
-        (1-|z|^2)^2 |S|  <= (1 - r0^2)^2 (alpha sum_k t_k/d_k^2
-                                          + (alpha sum_k t_k/d_k)^2 / 2)
+        (1-|z|^2) |P|    <= alpha sum_k t_k c_k
+        (1-|z|^2)^2 |S|  <= alpha sum_k t_k c_k^2 + (alpha sum_k t_k c_k)^2 / 2
+
+    A lone atom's cell bounds are at most alpha t (1 + r_max) < 2 alpha t.
     """
     alpha, k = f.alpha, int(np.argmax(f.measure.weights))
     t, at = float(f.measure.weights[k]), complex(np.conj(f.measure.atoms[k]))
-    pre_limit = NormEstimate(2.0 * alpha * t, at)
-    schwarz_limit = NormEstimate(2.0 * alpha * t * (2.0 + alpha * t), at)
-    pre_bounds, schwarz_bounds = _cell_bounds(f, *grid.cells())
+    limits = (NormEstimate(2.0 * alpha * t, at),
+              NormEstimate(2.0 * alpha * t * (2.0 + alpha * t), at))
 
-    def obj_pre(z):
-        return (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))
+    def objective(z):
+        # the kernels run before 1 - |z|^2 is formed, to keep the peak memory low
+        sch, pre = np.abs(schwarzian(f, z)), np.abs(pre_schwarzian(f, z))
+        w = 1.0 - np.abs(z) ** 2
+        return np.stack([w * pre, w ** 2 * sch])
 
-    def obj_schwarz(z):
-        return (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(f, z))
-
+    pre, sch = sup_norm_estimate(objective, grid, limit=limits,
+                                 cell_bounds=_cell_bounds(f, *grid.cells()))
     return SchwarzReport(
-        pre_schwarzian_norm=sup_norm_estimate(obj_pre, grid, limit=pre_limit,
-                                              cell_bounds=pre_bounds),
-        schwarzian_norm=sup_norm_estimate(obj_schwarz, grid, limit=schwarz_limit,
-                                          cell_bounds=schwarz_bounds),
-        alpha=alpha,
+        pre_schwarzian_norm=pre, schwarzian_norm=sch, alpha=alpha,
         pre_schwarzian_bound=2.0 * alpha,
         schwarzian_bound=2.0 * alpha * (2.0 + alpha),
         qc_constant=(1.0 + 2.0 * alpha) / (1.0 - 2.0 * alpha) if alpha < 0.5 else None,

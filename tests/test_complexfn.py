@@ -98,6 +98,15 @@ class TestDiskGrid:
             grid = DiskGrid(8, 8, x)
             assert grid.r_max == grid.radii[-1] == x
 
+    def test_points_lie_within_r_max(self):
+        # e^(i theta) r_max used to round beyond r_max on 98 of the 512
+        # outer points of DiskGrid(); the outer circle is pulled inside
+        for grid in PANEL_GRIDS:
+            pts = grid.points()
+            assert np.abs(pts).max() <= grid.r_max
+            assert np.abs(pts[:, -1]).min() > grid.r_max * (1.0 - 4e-15)
+            assert np.allclose(np.angle(pts[:, -1]), np.angle(pts[:, -2]), atol=1e-15)
+
     def test_cells_tile_the_grid_in_row_major_order(self):
         grid = DiskGrid(11, 100)
         r0, r1, th0, th1 = grid.cells()
@@ -122,7 +131,7 @@ class TestDiskGrid:
 
 class TestSupNormEstimate:
     def test_constant_objective(self):
-        est = sup_norm_estimate(lambda z: np.ones(z.shape), DiskGrid())
+        (est,) = sup_norm_estimate(lambda z: np.ones(z.shape), DiskGrid())
         assert est.value == pytest.approx(1.0)
         assert abs(est.argmax) < 1.0
 
@@ -131,26 +140,26 @@ class TestSupNormEstimate:
         # |z| <= 0.999 is exactly 2 - 1e-3; the slack covers cancellation dust
         grid = DiskGrid(r_max=1 - 1e-3)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        est = sup_norm_estimate(obj, grid)
+        (est,) = sup_norm_estimate(obj, grid)
         assert est.value == pytest.approx(2.0, abs=1e-3 + 1e-10)
 
     def test_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2)^2 * (3/2)/|1-z|^2 -> sup 6 (the classical sharp value)
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
-        est = sup_norm_estimate(obj, DiskGrid())
+        (est,) = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
 
     def test_value_matches_objective_at_argmax(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        est = sup_norm_estimate(obj, DiskGrid())
+        (est,) = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(float(obj(np.asarray(est.argmax))), abs=1e-12)
 
     def test_monotone_in_grid_density(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - 0.93j * z) ** 2
         # the dense grid holds every point of the sparse one
         sparse, dense = DiskGrid(17, 64), DiskGrid(33, 128)
-        r_sparse = sup_norm_estimate(obj, sparse).value
-        r_dense = sup_norm_estimate(obj, dense).value
+        r_sparse = sup_norm_estimate(obj, sparse)[0].value
+        r_dense = sup_norm_estimate(obj, dense)[0].value
         assert r_dense >= r_sparse - 1e-12
 
     def test_refinement_calls_are_batched(self):
@@ -163,7 +172,7 @@ class TestSupNormEstimate:
             calls.append(np.size(z))
             return (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
 
-        est = sup_norm_estimate(obj, DiskGrid())
+        (est,) = sup_norm_estimate(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
         assert len(calls) <= 400
 
@@ -174,9 +183,9 @@ class TestSupNormEstimate:
         # it the search reports an interior point below 6
         boundary = complex(np.exp(-0.7j))
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z / boundary) ** 2
-        plain = sup_norm_estimate(obj, DiskGrid())
-        floored = sup_norm_estimate(obj, DiskGrid(),
-                                    limit=NormEstimate(value=6.0, argmax=boundary))
+        (plain,) = sup_norm_estimate(obj, DiskGrid())
+        (floored,) = sup_norm_estimate(obj, DiskGrid(),
+                                       limit=[NormEstimate(value=6.0, argmax=boundary)])
         assert plain.value < 6.0 and abs(plain.argmax) < 1.0
         assert floored == NormEstimate(value=6.0, argmax=boundary)
 
@@ -225,7 +234,7 @@ class TestSupNormEstimate:
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
         grid = DiskGrid()
         plain = sup_norm_estimate(obj, grid)
-        floored = sup_norm_estimate(obj, grid, limit=NormEstimate(value=0.5, argmax=1j))
+        floored = sup_norm_estimate(obj, grid, limit=[NormEstimate(value=0.5, argmax=1j)])
         assert floored == plain
 
     def test_objective_and_grid_lead_the_signature(self):
@@ -245,16 +254,16 @@ class TestSupNormEstimate:
         obj = lambda z: 1.0 + z.real / np.maximum(np.abs(z), 0.05)
         limit = NormEstimate(value=1.9, argmax=1.0)
         runs = []
-        for cell_bounds in (None, bounds):
+        for cell_bounds in (None, [bounds]):
             calls = []
 
             def recorded(z, calls=calls):
                 calls.append(np.array(z))
                 return obj(z)
 
-            runs.append((sup_norm_estimate(recorded, grid, limit=limit,
+            runs.append((sup_norm_estimate(recorded, grid, limit=[limit],
                                            cell_bounds=cell_bounds), calls))
-        (full, _), (pruned, pruned_calls) = runs
+        ((full,), _), ((pruned,), pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
         # the grid points in the closed sectors of the cells that reach it
         reach = bounds + 1e-9 * np.abs(bounds) >= limit.value
@@ -280,25 +289,30 @@ class TestSupNormEstimate:
             calls.append(np.shape(z))
             return obj(z)
 
-        low = np.zeros(grid.cells()[0].shape)
+        low = np.zeros((1,) + grid.cells()[0].shape)
         assert sup_norm_estimate(recorded, grid, cell_bounds=low) == \
             sup_norm_estimate(obj, grid)
         assert calls[0] == (64, 16)
 
     def test_cell_bound_gives_one_bound_per_block(self):
-        # the bound is checked with and without a limit to compare it with
+        # the bound is checked with and without a limit to compare it with:
+        # one row of one bound per cell for each objective, and no NaN
         obj = lambda z: np.ones(z.shape)
         cells = DiskGrid().cells()[0].size
-        for limit in (None, NormEstimate(value=1.0, argmax=0j)):
-            for cell_bounds in (np.ones(3), np.ones((cells, 1)), np.full(cells, np.nan)):
+        for limit in (None, [NormEstimate(value=1.0, argmax=0j)]):
+            for cell_bounds in (np.ones(3), np.ones((cells, 1)), np.ones(cells),
+                                np.full((1, cells), np.nan)):
                 with pytest.raises(ValueError, match="cell_bounds"):
                     sup_norm_estimate(obj, DiskGrid(), limit=limit,
                                       cell_bounds=cell_bounds)
+        with pytest.raises(ValueError, match="cell_bounds"):
+            sup_norm_estimate(obj, DiskGrid(), limit=[NormEstimate(value=1.0, argmax=0j)],
+                              cell_bounds=np.ones((2, cells)))
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2
         grid = DiskGrid()
-        est = sup_norm_estimate(obj, grid)
+        (est,) = sup_norm_estimate(obj, grid)
         assert est.value >= np.max(obj(grid.points()))
 
     def test_grid_swept_in_one_call_on_the_calling_thread(self, monkeypatch):
