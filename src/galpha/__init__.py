@@ -15,8 +15,7 @@ from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
 from .harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
                        univalence_criterion, winding_injectivity_probe,
                        winding_number)
-from .schwarz import (SchwarzianBoundWitness, SchwarzReport, norms,
-                      pre_schwarzian, schwarzian, schwarzian_bound_witness)
+from .schwarz import SchwarzReport, norms, pre_schwarzian, schwarzian
 from .specfile import (FunctionSpec, SpecFileError, load_function_spec,
                        save_function_spec)
 from .verify import (Check, Tolerances, VerifyReport, blaschke_roundtrip_error,
@@ -39,7 +38,6 @@ __all__ = [
     "InconclusiveProbeError",
     "NormEstimate",
     "SchwarzReport",
-    "SchwarzianBoundWitness",
     "SpecFileError",
     "Tolerances",
     "VerifyReport",
@@ -56,7 +54,6 @@ __all__ = [
     "run_verification",
     "save_function_spec",
     "schwarzian",
-    "schwarzian_bound_witness",
     "single_atom",
     "sup_norm_estimate",
     "univalence_criterion",

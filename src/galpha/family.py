@@ -202,24 +202,28 @@ class GAlphaFunction:
             raise ValueError("alpha must lie in (0, 1]")
 
     def _blocks(self, z, dtype, kernel):
-        """kernel over the points of z, in slices of about _BLOCK // m points.
+        """kernel over the points of z, in the fewest slices of at most
+        _BLOCK // m points, whose sizes differ by at most one.
 
-        z must lie in the open disk.  kernel maps a 1-d complex array to a
-        1-d array of dtype; the result has the shape of z, and a 0-d z
-        gives a numpy scalar.
+        Balanced slices leave no short tail: a one-point slice runs its
+        kernel's products down a different numpy path, which rounds
+        differently.  z must lie in the open disk.  kernel maps a 1-d
+        complex array to a 1-d array of dtype; the result has the shape of
+        z, and a 0-d z gives a numpy scalar.
         """
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation requires |z| < 1")
         flat = z.ravel()
-        step = max(1, _BLOCK // self.measure.count)
-        if flat.size <= step:
+        n = -(-flat.size // max(1, _BLOCK // self.measure.count))
+        if n <= 1:
             out = kernel(flat)
         else:
             out = np.empty(flat.size, dtype=dtype)
-            for start in range(0, flat.size, step):
-                out[start:start + step] = kernel(flat[start:start + step])
+            ends = np.arange(n + 1) * flat.size // n
+            for start, stop in zip(ends[:-1], ends[1:]):
+                out[start:stop] = kernel(flat[start:stop])
         out = out.reshape(z.shape)
         return out[()] if out.ndim == 0 else out
 

@@ -16,12 +16,10 @@ searches both in one sweep and one ascent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .complexfn import (TWO_PI, DiskGrid, NormEstimate, _require_finite,
-                        sup_norm_estimate)
+from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from .family import GAlphaFunction, _over_atoms
 
 
@@ -156,53 +154,3 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
         qc_constant=(1.0 + 2.0 * alpha) / (1.0 - 2.0 * alpha) if alpha < 0.5 else None,
     )
 
-
-class SchwarzianBoundWitness(NamedTuple):
-    """Sampled certificate quantities behind the sharp Schwarzian bound.
-
-    value and value_at_zero are the slack expression at the given alpha and
-    at alpha = 0; monotonicity_factor controls the sign of d(value)/d(alpha).
-    The bound's proof amounts to value <= value_at_zero <= 0 and
-    monotonicity_factor < 0 for every |z| < 1, |w| <= 1.
-    """
-
-    value: np.ndarray | float
-    value_at_zero: np.ndarray | float
-    monotonicity_factor: np.ndarray | float
-
-
-def schwarzian_bound_witness(alpha, z, w) -> SchwarzianBoundWitness:
-    """Evaluate the bound-certificate quantities at (alpha, z, w).
-
-    w stands in for any value of a disk self-map at z, so it ranges over the
-    full closed disk; alpha ranges over [0, 1].  Accepts scalars or
-    broadcastable arrays.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    _require_finite("alpha", alpha)
-    _require_finite("z", z)
-    _require_finite("w", w)
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("z must lie in the open unit disk")
-    if np.any(np.abs(w) > 1.0 + 1e-15):
-        raise ValueError("w must lie in the closed unit disk")
-
-    zz = np.abs(z) ** 2
-    ww = np.abs(w) ** 2
-    cross = (z * w).real
-
-    def slack(a):
-        return (((2.0 + a) * zz ** 2 - (10.0 + 6.0 * a) * zz + a) * ww
-                + 8.0 * (2.0 + a) * cross - 2.0 * (zz + 2.0 * a + 3.0))
-
-    value = slack(alpha)
-    value_at_zero = slack(np.zeros_like(alpha))
-    monotonicity_factor = (1.0 - zz) * np.abs(w) - 2.0 * np.abs(z * w - 1.0)
-    if value.ndim == 0:
-        return SchwarzianBoundWitness(float(value), float(value_at_zero),
-                                      float(monotonicity_factor))
-    return SchwarzianBoundWitness(value, value_at_zero, monotonicity_factor)

@@ -16,7 +16,9 @@ from galpha.family import (AtomicMeasure, GAlphaFunction, measure_from_roots,
 from galpha.harmonic import (DilatationSpec, HarmonicMap, univalence_criterion,
                              winding_injectivity_probe)
 from galpha.family import induced_self_map
-from galpha.schwarz import norms, schwarzian_bound_witness
+from galpha.schwarz import norms
+
+from test_certificates import nonnegative_on_box, schwarzian_slack
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -176,18 +178,18 @@ class TestCriterion07SubordinationWitness:
 
 class TestCriterion08BoundWitnessSampler:
     def test_hundred_thousand_samples(self):
+        # the slack F of the Schwarzian bound is <= 0 on [0,1]^3 by its
+        # Bernstein coefficients, and so at samples from its coefficients
+        slack = schwarzian_slack()
+        ok = nonnegative_on_box(-slack, (1, 4, 2))
         rng = np.random.default_rng(8)
         n = 100_000
         z = np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
         z *= 1.0 - 1e-12  # uniform over the open disk
         w = np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
         alpha = rng.uniform(0.0, 1.0, n)
-        out = schwarzian_bound_witness(alpha, z, w)
-        ok = bool(np.all(out.value <= 0.0)
-                  and np.all(out.value <= out.value_at_zero)
-                  and np.all(out.value_at_zero <= 0.0)
-                  and np.all(out.monotonicity_factor < 0.0))
-        report("08 10^5 samples: M(a) <= M(0) <= 0 and N < 0, zero violations", ok)
+        ok &= bool(np.all(slack(alpha, np.abs(z), np.abs(w)) <= 0.0))
+        report("08 slack F <= 0 by Bernstein coefficients; 10^5 samples, zero violations", ok)
 
 
 class TestCriterion09HarmonicShear:

@@ -1,0 +1,246 @@
+"""Exact proofs of the closed forms the norm search and its bounds rest on.
+
+Each proof expands polynomials with exact integer and Fraction arithmetic
+and shows a sign on a box [0,1]^n from its Bernstein coefficients: if every
+coefficient of p in the tensor Bernstein basis is >= 0, then p >= 0 on the
+box, because each basis polynomial is (Farouki, The Bernstein polynomial
+basis: a centennial retrospective, CAGD 29, 2012).  Standard library only.
+"""
+
+from fractions import Fraction
+from itertools import chain, product
+from math import comb, prod
+
+
+class Poly(dict):
+    """A polynomial in n variables, {exponent tuple: int or Fraction}, with
+    no zero terms, so two equal polynomials are equal dicts."""
+
+    def __init__(self, n, terms=()):
+        super().__init__()
+        self.n = n
+        for exps, c in terms:
+            c += self.pop(exps, 0)
+            if c != 0:
+                self[exps] = c
+
+    def _lift(self, other):
+        return other if isinstance(other, Poly) else Poly(self.n, [((0,) * self.n, other)])
+
+    def __add__(self, other):
+        return Poly(self.n, chain(self.items(), self._lift(other).items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.n, ((e, -c) for e, c in self.items()))
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return Poly(self.n, ((tuple(i + j for i, j in zip(e, f)), c * d)
+                             for (e, c), (f, d) in product(self.items(), other.items())))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return prod([self] * k, start=self._lift(1))
+
+    def __eq__(self, other):
+        return dict.__eq__(self, self._lift(other))
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __call__(self, *values):
+        """The value at a point; values may be Fractions, floats or arrays."""
+        return sum(c * prod(x ** k for x, k in zip(values, e)) for e, c in self.items())
+
+    def subs(self, i, value):
+        """Variable i replaced by a number or a polynomial in the same variables."""
+        value = self._lift(value)
+        return sum((Poly(self.n, [(e[:i] + (0,) + e[i + 1:], c)]) * value ** e[i]
+                    for e, c in self.items()), Poly(self.n))
+
+    def diff(self, i):
+        """The partial derivative in variable i."""
+        return Poly(self.n, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                             for e, c in self.items() if e[i] > 0))
+
+    def degrees(self):
+        return tuple(max((e[i] for e in self), default=0) for i in range(self.n))
+
+
+def variables(n):
+    return tuple(Poly(n, [(tuple(int(i == j) for j in range(n)), 1)]) for i in range(n))
+
+
+def bernstein_coefficients(p, degrees=None):
+    """p's coefficients in the tensor Bernstein basis of the given degrees on
+    [0,1]^n: b_J = sum_{I <= J} a_I prod_i C(j_i, i_i)/C(d_i, i_i)."""
+    degrees = p.degrees() if degrees is None else degrees
+    assert all(e <= d for e, d in zip(p.degrees(), degrees)), (p.degrees(), degrees)
+    return [sum(c * prod(Fraction(comb(j, i), comb(d, i)) for i, j, d in zip(e, js, degrees))
+                for e, c in p.items())
+            for js in product(*(range(d + 1) for d in degrees))]
+
+
+def nonnegative_on_box(p, degrees=None):
+    """True if every Bernstein coefficient of p is >= 0, which proves p >= 0
+    on [0,1]^n (the converse does not hold)."""
+    return all(b >= 0 for b in bernstein_coefficients(p, degrees))
+
+
+def schwarzian_slack():
+    """F(alpha, s, v), which the sharp Schwarzian bound 2 alpha (2 + alpha)
+    needs to be <= 0 on [0,1]^3.
+
+    The bound's slack at |z| = s < 1, a value w of a disk self-map at z with
+    |w| = v <= 1, and alpha in [0, 1] is
+
+        ((2+alpha) s^4 - (10+6 alpha) s^2 + alpha) v^2
+            + 8 (2+alpha) Re(zw) - 2 (s^2 + 2 alpha + 3),
+
+    and F is that slack with Re(zw) raised to its upper bound s v, which
+    raises it since 8 (2+alpha) > 0.  So F <= 0 proves the slack <= 0.
+    """
+    a, s, v = variables(3)
+    return (((2 + a) * s ** 4 - (10 + 6 * a) * s ** 2 + a) * v ** 2
+            + 8 * (2 + a) * s * v - 2 * (s ** 2 + 2 * a + 3))
+
+
+class TestPoly:
+    def test_arithmetic(self):
+        x, y = variables(2)
+        assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
+        assert (x - y) * (x + y) - x ** 2 == -y ** 2
+        assert (x + y) - (y + x) == 0
+        assert ((x * y) ** 3).subs(0, 1 - y) == (y - y ** 2) ** 3
+        assert (x ** 3 * y).diff(0) == 3 * x ** 2 * y
+        assert (Fraction(1, 3) * x + y)(Fraction(3), 2) == 3
+
+    def test_bernstein_sign_test(self):
+        (x,) = variables(1)
+        # the test is sufficient, not necessary: (2x - 1)^2 >= 0 on [0,1]
+        assert bernstein_coefficients((2 * x - 1) ** 2) == [1, -1, 1]
+        assert nonnegative_on_box(x * (1 - x) ** 3)
+        assert not nonnegative_on_box(x - Fraction(1, 100))
+        # degree elevation keeps the polynomial: p(x) = sum b_j C(d,j) x^j (1-x)^(d-j)
+        p = 3 - 5 * x + x ** 2 + x ** 3
+        b = bernstein_coefficients(p, (5,))
+        assert sum((c * comb(5, j) * x ** j * (1 - x) ** (5 - j) for j, c in enumerate(b)),
+                   Poly(1)) == p
+
+
+class TestSchwarzianBoundSlack:
+    def test_slack_is_nonpositive_on_the_box(self):
+        f = schwarzian_slack()
+        assert f.degrees() == (1, 4, 2)
+        assert nonnegative_on_box(-f, (1, 4, 2))
+
+    def test_alpha_term_factors_into_sign_definite_factors(self):
+        # F - F|alpha=0 = alpha * A * B with A >= 0 and B <= 0: F falls in alpha
+        a, s, v = variables(3)
+        f = schwarzian_slack()
+        first = 2 - v * (1 + 2 * s - s ** 2)
+        second = v * (s ** 2 + 2 * s - 1) - 2
+        assert f - f.subs(0, 0) == a * first * second
+        assert nonnegative_on_box(first) and nonnegative_on_box(-second)
+
+    def test_slack_at_alpha_zero_factors(self):
+        a, s, v = variables(3)
+        f0 = schwarzian_slack().subs(0, 0)
+        assert f0 == 2 * (s * v - 1) * (s ** 3 * v + s ** 2 - 5 * s * v + 3)
+        assert nonnegative_on_box(1 - s * v)
+        assert nonnegative_on_box(s ** 3 * v + s ** 2 - 5 * s * v + 3)
+
+    def test_equality_only_at_the_circle(self):
+        # on |w| = 1 the slack is (alpha + 2)(s - 1)^3 (s + 3): zero only at s = 1
+        a, s, v = variables(3)
+        assert schwarzian_slack().subs(2, 1) == (a + 2) * (s - 1) ** 3 * (s + 3)
+
+    def test_monotonicity_factor_is_negative(self):
+        # the factor (1 - s^2) v - 2|zw - 1| of d(slack)/d(alpha) is at most
+        # its value at |zw - 1| = 1 - sv, which is -first <= -(1 - s)^2
+        a, s, v = variables(3)
+        upper = (1 - s ** 2) * v - 2 * (1 - s * v)
+        assert upper == -(2 - v * (1 + 2 * s - s ** 2))
+        assert nonnegative_on_box(-(upper + (1 - s) ** 2))
+
+
+class TestCapBound:
+    """The cap in schwarz._cell_bounds.  On a sector r0 <= |z| <= r1,
+    th0 <= arg z <= th1, at angular gap delta from conj(zeta), put
+    sigma = sin^2(delta/2), u = 1 - |z| and d the distance from conj(zeta)
+    to the sector.  Then (1 - |z|^2)/|1 - zeta z| <= u (2 - u)/max(d, u),
+    which over u in [1 - r1, 1 - r0] peaks at u = clip(d, 1 - r1, 1 - r0),
+    at a value <= max(2 - d, 1) <= 1 + r1, since d >= 1 - r1."""
+
+    def test_distance_to_the_sector(self):
+        # |r e^(i delta) - 1|^2 = 1 + r^2 - 2 r cos(delta) = g with
+        # cos(delta) = 1 - 2 sigma; g is convex in r with its vertex at
+        # r = cos(delta) and grows with sigma, so its least value on the
+        # sector is at the least gap and at r = clip(1 - 2 sigma, r0, r1)
+        r, sigma = variables(2)
+        g = (1 - r) ** 2 + 4 * r * sigma
+        assert g == 1 + r ** 2 - 2 * r * (1 - 2 * sigma)
+        assert g.diff(0).diff(0) == 2
+        assert g.diff(0) == 2 * (r - (1 - 2 * sigma))
+        assert nonnegative_on_box(g.diff(1))
+
+    def test_cap_bounds_the_objective_factor(self):
+        # |1 - zeta z| = |conj(zeta) - z| >= d on the sector, and
+        # |1 - zeta z|^2 - (1 - |z|)^2 = 4 r sigma >= 0; 1 - |z|^2 = u (2 - u)
+        r, sigma = variables(2)
+        g = (1 - r) ** 2 + 4 * r * sigma
+        assert g - (1 - r) ** 2 == 4 * r * sigma
+        assert nonnegative_on_box(g - (1 - r) ** 2)
+        u = 1 - r
+        assert 1 - r ** 2 == u * (2 - u)
+
+    def test_cap_rises_below_d_and_falls_above_it(self):
+        # for u <= d, u (2 - u)/d rises with u on [0, 1]; for u >= d the cap
+        # is u (2 - u)/u = 2 - u, which falls
+        (u,) = variables(1)
+        assert nonnegative_on_box((u * (2 - u)).diff(0))
+        assert (2 - u).diff(0) == -1
+
+    def test_peak_is_at_most_two_minus_d_or_one(self):
+        # (2 - d) d - u (2 - u) = (d - u)(2 - d - u), >= 0 for u <= d <= 1,
+        # shown with u = d x, x in [0, 1]; for d >= 1 the cap is
+        # u (2 - u)/d <= 1, as 1 - u (2 - u) = (1 - u)^2
+        d, u = variables(2)
+        assert (2 - d) * d - u * (2 - u) == (d - u) * (2 - d - u)
+        assert nonnegative_on_box(((d - u) * (2 - d - u)).subs(1, d * u))
+        assert 1 - u * (2 - u) == (1 - u) ** 2
+
+
+class TestRadialLimits:
+    """On z = r conj(zeta) for one atom of weight t, zeta z = r, so with
+    P = -alpha t zeta/(1 - zeta z) and P' = -alpha t zeta^2/(1 - zeta z)^2,
+    P (1 - r) = -alpha t zeta and S (1 - r)^2 = -zeta^2 (alpha t + (alpha t)^2/2)."""
+
+    def test_pre_schwarzian_limit(self):
+        alpha, t, r = variables(3)
+        p_num = -alpha * t  # P (1 - r) / zeta, and |zeta| = 1
+        assert nonnegative_on_box(-p_num)
+        # (1 - r^2)|P| = (1 + r) (1 - r)|P| = (1 + r) |p_num|
+        limit = (1 + r) * -p_num
+        assert (1 - r ** 2) * -p_num == limit * (1 - r)
+        assert limit == alpha * t * (1 + r)
+        assert limit.subs(2, 1) == 2 * alpha * t
+
+    def test_schwarzian_limit(self):
+        alpha, t, r = variables(3)
+        p_num, dp_num = -alpha * t, -alpha * t  # P (1 - r)/zeta, P' (1 - r)^2/zeta^2
+        s_num = dp_num - Fraction(1, 2) * p_num ** 2  # S (1 - r)^2 / zeta^2
+        assert nonnegative_on_box(-s_num)
+        limit = (1 + r) ** 2 * -s_num
+        assert (1 - r ** 2) ** 2 * -s_num == limit * (1 - r) ** 2
+        assert limit == alpha * t * (1 + Fraction(1, 2) * alpha * t) * (1 + r) ** 2
+        assert limit.subs(2, 1) == 2 * alpha * t * (2 + alpha * t)

@@ -379,6 +379,21 @@ class TestBlockedKernels:
                              else np.abs(ref[name]))
                     assert np.all(np.abs(got[name] - ref[name]) <= 1e-12 * scale), (m, name)
 
+    def test_grid_call_equals_its_halves_bit_for_bit(self):
+        # at m = 28 the default grid's 32,768 points exceed a whole number
+        # of _BLOCK // m = 4,681-point slices by one point
+        rng = np.random.default_rng(64)
+        z = DiskGrid().points().ravel()
+        halves = np.array_split(z, 2)
+        for _ in range(10):
+            f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
+                               measure=random_measure(rng, 28))
+            whole = blocked_kernels(f, z)
+            parts = [blocked_kernels(f, half) for half in halves]
+            for name, values in whole.items():
+                split = np.concatenate([part[name] for part in parts])
+                assert np.array_equal(values, split), name
+
     def test_single_atom_residual_exactly_zero(self):
         f = GAlphaFunction(alpha=0.9, measure=single_atom(2.1))
         assert np.all(f.real_part_bound_residual(DiskGrid().points()) == 0.0)

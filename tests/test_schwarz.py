@@ -2,13 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import (SchwarzReport, _cell_bounds, norms, pre_schwarzian,
-                            schwarzian, schwarzian_bound_witness)
+                            schwarzian)
 
 from test_family import random_measure, random_points
 
@@ -371,43 +369,3 @@ class TestCellBounds:
         assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
         assert calls == []
 
-
-class TestBoundWitness:
-    def test_origin_sample(self):
-        w = schwarzian_bound_witness(1.0, 0.0 + 0.0j, 1.0 + 0.0j)
-        assert w.value == pytest.approx(-9.0)
-
-    def test_origin_value_at_zero(self):
-        w = schwarzian_bound_witness(0.0, 0.0 + 0.0j, 0.3 + 0.4j)
-        assert w.value_at_zero == pytest.approx(-6.0)
-
-    def test_monte_carlo_signs(self):
-        rng = np.random.default_rng(44)
-        n = 10_000
-        z = random_points(rng, n, r_max=1.0 - 1e-9)
-        w = np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
-        alpha = rng.uniform(0, 1, n)
-        out = schwarzian_bound_witness(alpha, z, w)
-        assert np.all(out.value <= 0.0)
-        assert np.all(out.value <= out.value_at_zero)
-        assert np.all(out.value_at_zero <= 0.0)
-        assert np.all(out.monotonicity_factor < 0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(r=st.floats(0.0, 0.999), zt=st.floats(0.0, TWO_PI),
-           s=st.floats(0.0, 1.0), wt=st.floats(0.0, TWO_PI),
-           a1=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0))
-    def test_nonincreasing_in_alpha(self, r, zt, s, wt, a1, a2):
-        lo, hi = min(a1, a2), max(a1, a2)
-        z, w = r * np.exp(1j * zt), s * np.exp(1j * wt)
-        v_lo = schwarzian_bound_witness(lo, z, w).value
-        v_hi = schwarzian_bound_witness(hi, z, w).value
-        assert v_hi <= v_lo + 1e-12
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            schwarzian_bound_witness(1.2, 0.0 + 0.0j, 0.0 + 0.0j)
-        with pytest.raises(ValueError):
-            schwarzian_bound_witness(0.5, 1.0 + 0.0j, 0.0 + 0.0j)
-        with pytest.raises(ValueError):
-            schwarzian_bound_witness(0.5, 0.0 + 0.0j, 1.5 + 0.0j)
