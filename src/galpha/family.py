@@ -44,26 +44,89 @@ def _series(coefficients, z):
     return out[()] if np.ndim(out) == 0 else out
 
 
+def _one_minus(z, atoms, out=None):
+    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), in out if given:
+    each per-point kernel forms it once per slice."""
+    u = np.multiply.outer(z, atoms, out=out)
+    return np.subtract(1.0, u, out=u)
+
+
 def _over_atoms(z, atoms, numerators):
     """numerators_k / (1 - zeta_k z) for 1-d z, shape (z.size, m)."""
-    out = np.multiply.outer(z, atoms)
-    np.subtract(1.0, out, out=out)
-    return np.divide(numerators, out, out=out)
+    u = _one_minus(z, atoms)
+    return np.divide(numerators, u, out=u)
 
 
-def _log_sum(z, atoms, weights):
-    """sum_k t_k Log(1 - zeta_k z) for 1-d z in the disk, from real logs.
+def _log_sum(z, atoms, weights, out=None):
+    """L = sum_k t_k Log u_k, u_k = 1 - zeta_k z, for 1-d z in the disk;
+    returns (L, u), with u formed in out if given.
 
-    Re(1 - zeta_k z) > 0 there, so arctan2 gives the principal argument;
-    this is several times faster than numpy's complex log.
+    Re(u_k) > 0 there, so arctan2 gives the principal argument; this is
+    several times faster than numpy's complex log.  log |u_k|^2 is
+    log1p(|z|^2 - 2 Re(zeta_k z)) where |z| <= 1/2, as the log of a
+    |u_k|^2 near 1 loses the digits of a small L, and log(Re^2 + Im^2)
+    elsewhere, and so near every atom, where the log1p argument cancels.
     """
-    w = np.multiply.outer(z, atoms)
-    np.subtract(1.0, w, out=w)
-    re, im = w.real, w.imag
+    u = _one_minus(z, atoms, out)
+    re, im = u.real, u.imag
     buf = re * re
     buf += im * im
-    log_modulus = 0.5 * (np.log(buf, out=buf) @ weights)
-    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights)
+    np.log(buf, out=buf)
+    small = np.abs(z) <= 0.5
+    zs = z[small]
+    buf[small] = np.log1p((zs.real * zs.real + zs.imag * zs.imag)[:, None]
+                          - 2.0 * np.multiply.outer(zs, atoms).real)
+    log_modulus = 0.5 * (buf @ weights)
+    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights), u
+
+
+def _real_zp(tg):
+    """Re(z h''/(alpha h')) = 1 - Re sum_k tg_k for tg_k = t_k/(1 - zeta_k z)."""
+    return 1.0 - tg.real.sum(axis=1)
+
+
+def _jacobian(log_sum, alpha, modulus):
+    """J = |h'|^2 (1 - |omega|^2) from the log sum L = Log(h')/alpha."""
+    return np.exp(2.0 * alpha * log_sum.real) * (1.0 - modulus * modulus)
+
+
+def _univalence_margin(z, alpha, modulus):
+    """(1 - alpha |z| (1 + |z|)) - |omega(z)|."""
+    r = np.abs(z)
+    return (1.0 - alpha * r * (1.0 + r)) - modulus
+
+
+def _grid_pass(member, z, dilatation=None):
+    """verify's pointwise checks over the points z in one streamed pass.
+
+    Each slice forms u = 1 - zeta_k z once, takes L from it and then
+    tg = t_k/u_k in u's place, and keeps only its reductions.  The record,
+    keyed by check name, equals membership_margin, min
+    real_part_bound_residual, max |subordination_witness| and, given a
+    dilatation, min HarmonicMap.jacobian and univalence_criterion's margin
+    bit for bit: they run the same formulas on the same slices.
+    """
+    alpha, atoms, weights = member.alpha, member.measure.atoms, member.measure.weights
+    m, pair_sum = atoms.size, member._pair_sum()
+    flat, bounds = member._slices(z)
+    # one u for every slice: fresh slice-sized arrays each time let the
+    # allocator hand memory back to the system and fault it in again
+    work = np.empty(max(stop - start for start, stop in bounds) * m, complex)
+    rows = []
+    for start, stop in bounds:
+        zb = flat[start:stop]
+        log_sum, u = _log_sum(zb, atoms, weights, work[:zb.size * m].reshape(zb.size, m))
+        row = [np.abs(np.expm1(log_sum)).max()]
+        if dilatation is not None:
+            modulus = np.abs(dilatation(zb))
+            row += [_jacobian(log_sum, alpha, modulus).min(),
+                    _univalence_margin(zb, alpha, modulus).min()]
+        tg = np.divide(weights, u, out=u)
+        rows.append([0.5 - _real_zp(tg).max(), pair_sum(tg).min()] + row)
+    names = ["membership_margin", "real_part_bound_min_residual", "subordination_max_modulus",
+             "jacobian_min", "univalence_criterion_margin"]
+    return {name: float(np.max(column) if name == "subordination_max_modulus" else np.min(column))
+            for name, column in zip(names, zip(*rows))}
 
 
 @dataclass(frozen=True)
@@ -201,15 +264,14 @@ class GAlphaFunction:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def _blocks(self, z, dtype, kernel):
-        """kernel over the points of z, in the fewest slices of at most
-        _BLOCK // m points, whose sizes differ by at most one.
+    def _slices(self, z):
+        """The points of z, checked and flattened, and the (start, stop)
+        bounds of the fewest slices of at most _BLOCK // m points, whose
+        sizes differ by at most one.
 
         Balanced slices leave no short tail: a one-point slice runs its
         kernel's products down a different numpy path, which rounds
-        differently.  z must lie in the open disk.  kernel maps a 1-d
-        complex array to a 1-d array of dtype; the result has the shape of
-        z, and a 0-d z gives a numpy scalar.
+        differently.  z must lie in the open disk.
         """
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
@@ -218,20 +280,31 @@ class GAlphaFunction:
         flat = z.ravel()
         n = -(-flat.size // max(1, _BLOCK // self.measure.count))
         if n <= 1:
+            return flat, [(0, flat.size)]
+        ends = np.arange(n + 1) * flat.size // n
+        return flat, list(zip(ends[:-1], ends[1:]))
+
+    def _blocks(self, z, dtype, kernel):
+        """kernel over the points of z, slice by slice (see _slices).
+
+        kernel maps a 1-d complex array to a 1-d array of dtype; the result
+        has the shape of z, and a 0-d z gives a numpy scalar.
+        """
+        flat, bounds = self._slices(z)
+        if len(bounds) == 1:
             out = kernel(flat)
         else:
             out = np.empty(flat.size, dtype=dtype)
-            ends = np.arange(n + 1) * flat.size // n
-            for start, stop in zip(ends[:-1], ends[1:]):
+            for start, stop in bounds:
                 out[start:stop] = kernel(flat[start:stop])
-        out = out.reshape(z.shape)
+        out = out.reshape(np.shape(z))
         return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):
-        """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k); h'(0) = 1."""
+        """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
         return self._blocks(z, complex,
-                            lambda zb: np.exp(alpha * _log_sum(zb, atoms, weights)))
+                            lambda zb: np.exp(alpha * _log_sum(zb, atoms, weights)[0]))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
@@ -287,9 +360,32 @@ class GAlphaFunction:
 
     def membership_margin(self, grid: DiskGrid = DiskGrid()) -> float:
         """1/2 - max_grid Re(z h''/(alpha h')); positive on every grid."""
-        z = grid.points()
-        vals = (z * self.hprime_log_derivative(z)).real / self.alpha
+        atoms, weights = self.measure.atoms, self.measure.weights
+        vals = self._blocks(grid.points(), float,
+                            lambda zb: _real_zp(_over_atoms(zb, atoms, weights)))
         return float(0.5 - vals.max())
+
+    def _pair_sum(self):
+        """tg -> real_part_bound_residual per row of tg_k = t_k/(1 - zeta_k z)."""
+        atoms, alpha, m = self.measure.atoms, self.alpha, self.measure.count
+        cross = 1.0 - np.outer(atoms, np.conj(atoms))
+        np.fill_diagonal(cross, 0.0)
+        if m <= _PAIR_LOOP_ATOMS:
+            pairs = list(zip(*np.triu_indices(m, 1)))
+
+            def pair_sum(tg):
+                # the (j, k) and (k, j) terms are complex conjugates
+                out = np.zeros(tg.shape[0])
+                for j, k in pairs:
+                    out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
+                return alpha * out
+        else:
+            def pair_sum(tg):
+                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
+                # over the interleaved real views of the two rows
+                q = tg @ cross
+                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
+        return pair_sum
 
     def real_part_bound_residual(self, z):
         """Slack in the sharp pointwise bound on Re(z h''/h').
@@ -309,35 +405,17 @@ class GAlphaFunction:
         form |sum tg|^2 - |sum zeta tg|^2 is not used: it cancels terms of
         size O(1/(1-|z|)^2) and loses ~1e-8.
         """
-        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        m = self.measure.count
-        cross = 1.0 - np.outer(atoms, np.conj(atoms))
-        np.fill_diagonal(cross, 0.0)
-        if m <= _PAIR_LOOP_ATOMS:
-            pairs = list(zip(*np.triu_indices(m, 1)))
-
-            def kernel(zb):
-                # the (j, k) and (k, j) terms are complex conjugates
-                tg = _over_atoms(zb, atoms, weights)
-                out = np.zeros(zb.size)
-                for j, k in pairs:
-                    out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
-                return alpha * out
-        else:
-            def kernel(zb):
-                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
-                # over the interleaved real views of the two rows
-                tg = _over_atoms(zb, atoms, weights)
-                q = tg @ cross
-                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
-        return self._blocks(z, float, kernel)
+        atoms, weights = self.measure.atoms, self.measure.weights
+        pair_sum = self._pair_sum()
+        return self._blocks(z, float, lambda zb: pair_sum(_over_atoms(zb, atoms, weights)))
 
     def subordination_witness(self, z):
         """The self-map omega with h' = (1 - omega)^alpha, omega(0) = 0.
 
-        omega(z) = 1 - exp(sum_k t_k Log(1 - zeta_k z)); the weighted log
-        sum stays within |Im| < pi/2, so it agrees with Log(h')/alpha.
+        omega(z) = 1 - exp(L) = -expm1(L) for the log sum
+        L = sum_k t_k Log(1 - zeta_k z), which stays within |Im| < pi/2, so it
+        agrees with Log(h')/alpha; expm1 keeps omega's relative accuracy
+        near the origin, where 1 - exp(L) cancels.
         """
         atoms, weights = self.measure.atoms, self.measure.weights
-        return self._blocks(z, complex,
-                            lambda zb: 1.0 - np.exp(_log_sum(zb, atoms, weights)))
+        return self._blocks(z, complex, lambda zb: -np.expm1(_log_sum(zb, atoms, weights)[0]))

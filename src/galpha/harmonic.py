@@ -17,7 +17,8 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .complexfn import TWO_PI, DiskGrid, _require_finite
-from .family import _SERIES_TERMS, GAlphaFunction, _series
+from .family import (_SERIES_TERMS, GAlphaFunction, _jacobian, _log_sum, _series,
+                     _univalence_margin)
 
 _SENSE_MARGIN = 1e-9
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -143,11 +144,11 @@ class HarmonicMap:
         return self.analytic_part.h(z) + np.conj(self.g(z))
 
     def jacobian(self, z):
-        """J(z) = |h'|^2 - |g'|^2 with g' = omega h'; equals |h'|^2 (1 - |omega|^2)."""
-        hp = self.analytic_part.hprime(z)
-        gp = self.dilatation(z) * hp
-        out = np.abs(hp) ** 2 - np.abs(gp) ** 2
-        return out[()] if np.ndim(out) == 0 else out
+        """J(z) = |h'|^2 - |g'|^2 with g' = omega h', as |h'|^2 (1 - |omega|^2)."""
+        f = self.analytic_part
+        atoms, weights = f.measure.atoms, f.measure.weights
+        return f._blocks(z, float, lambda zb: _jacobian(
+            _log_sum(zb, atoms, weights)[0], f.alpha, np.abs(self.dilatation(zb))))
 
 
 def univalence_criterion(map_: HarmonicMap,
@@ -158,10 +159,9 @@ def univalence_criterion(map_: HarmonicMap,
     (1 - alpha |z| (1 + |z|)) - |omega(z)|; the criterion guarantees
     univalence of the shear when alpha < 1/2.
     """
-    z = grid.points()
-    r = np.abs(z)
-    alpha = map_.analytic_part.alpha
-    margin = (1.0 - alpha * r * (1.0 + r)) - np.abs(map_.dilatation(z))
+    f, dilatation = map_.analytic_part, map_.dilatation
+    margin = f._blocks(grid.points(), float, lambda zb: _univalence_margin(
+        zb, f.alpha, np.abs(dilatation(zb))))
     worst = float(margin.min())
     return worst >= 0.0, worst
 

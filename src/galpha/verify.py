@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .complexfn import TWO_PI, DiskGrid
-from .family import induced_self_map, measure_from_blaschke
-from .harmonic import HarmonicMap, univalence_criterion, winding_injectivity_probe
+from .family import _grid_pass, induced_self_map, measure_from_blaschke
+from .harmonic import HarmonicMap, winding_injectivity_probe
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
 
@@ -122,20 +122,20 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
                      grid: DiskGrid = DiskGrid()) -> VerifyReport:
     tol = tol if tol is not None else Tolerances()
     member = spec.resolve_member()
-    z = grid.points()
     n = np.arange(2, _N_COEFFICIENTS + 1)
     a = member.coefficients(_N_COEFFICIENTS)[1:]
     sch = norms(member, grid)
+    grid_values = _grid_pass(member, grid.points(), spec.dilatation)
 
     checks = [
-        Check("membership_margin", member.membership_margin(grid), ">", 0.0),
+        Check("membership_margin", grid_values["membership_margin"], ">", 0.0),
         Check("coefficient_max_ratio",
               float(np.max(np.abs(a) * n * (n - 1) / member.alpha)),
               "<=", 1.0 + tol.pointwise),
         Check("real_part_bound_min_residual",
-              float(np.min(member.real_part_bound_residual(z))), ">=", -tol.pointwise),
+              grid_values["real_part_bound_min_residual"], ">=", -tol.pointwise),
         Check("subordination_max_modulus",
-              float(np.max(np.abs(member.subordination_witness(z)))), "<", 1.0),
+              grid_values["subordination_max_modulus"], "<", 1.0),
         Check("subordination_origin_modulus",
               float(abs(member.subordination_witness(0j))), "<=", tol.pointwise),
         *norm_checks(sch, tol),
@@ -152,13 +152,13 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
     if spec.dilatation is not None:
         hmap = HarmonicMap(analytic_part=member, dilatation=spec.dilatation)
         checks += [
-            Check("jacobian_min", float(np.min(hmap.jacobian(z))), ">", 0.0),
+            Check("jacobian_min", grid_values["jacobian_min"], ">", 0.0),
             Check("winding_probe", all(winding_injectivity_probe(hmap, r, targets=20)
                                        for r in (0.5, 0.9)), "==", True),
         ]
         # the criterion implies univalence only under alpha < 1/2
         if member.alpha < 0.5:
             checks.append(Check("univalence_criterion_margin",
-                                univalence_criterion(hmap, grid)[1], ">=", 0.0))
+                                grid_values["univalence_criterion_margin"], ">=", 0.0))
 
     return VerifyReport(checks=checks, schwarz=sch, recovered_atoms=recovered)

@@ -9,7 +9,10 @@ from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke, measure_from_roots,
                            roots_of_unity_measure, single_atom)
-from galpha.schwarz import schwarzian
+from galpha.harmonic import DilatationSpec, HarmonicMap, univalence_criterion
+from galpha.schwarz import norms, schwarzian
+from galpha.specfile import FunctionSpec
+from galpha.verify import run_verification
 
 from test_blaschke import random_product
 
@@ -209,6 +212,17 @@ class TestMembershipAndResidual:
         assert (0.0 * f.hprime_log_derivative(0.0 + 0.0j)).real == pytest.approx(0.0)
         assert f.membership_margin() <= 0.5
 
+    def test_margin_matches_direct_formula(self):
+        # membership_margin takes Re(z P)/alpha as 1 - Re sum_k t_k/(1 - zeta_k z);
+        # oracle: z P/alpha from hprime_log_derivative, within a few ulp of 1/2
+        rng = np.random.default_rng(66)
+        for m in (1, 3, 12):
+            f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, m))
+            grid = DiskGrid(16, 64, 0.999)
+            z = grid.points()
+            direct = 0.5 - np.max((z * f.hprime_log_derivative(z)).real / f.alpha)
+            assert abs(f.membership_margin(grid) - direct) <= 4e-16
+
     def test_random_member_margin_positive(self):
         rng = np.random.default_rng(26)
         f = GAlphaFunction(alpha=0.7, measure=random_measure(rng, 5))
@@ -271,6 +285,25 @@ class TestSubordinationWitness:
         f = GAlphaFunction(alpha=0.85, measure=random_measure(rng, 5))
         w = f.subordination_witness(DiskGrid().points())
         assert np.max(np.abs(w)) < 1.0
+
+    def test_relative_accuracy_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        f = GAlphaFunction(alpha=0.5, measure=random_measure(np.random.default_rng(1), 5))
+        atoms = f.measure.atoms
+        # 1 - exp(L) erred by 3.7e-10 relative at |z| = 1e-6, where omega is
+        # about 1e-6 and the log of |1 - zeta z|^2 near 1 loses its digits;
+        # by |1 - zeta_0 z| ~ 1e-6 the rounding of the input rules, 4.6e-12
+        cases = [(1e-6 * np.exp(1j * TWO_PI * np.arange(16) / 16), 1e-15),
+                 (np.conj(atoms[0]) * (1.0 - 1e-6 * np.exp(1j * np.linspace(-1.4, 1.4, 16))),
+                  1e-11)]
+        with mpmath.workdps(40):
+            for z, bound in cases:
+                for zf, value in zip(z, f.subordination_witness(z)):
+                    w = mpmath.mpc(zf.real, zf.imag)
+                    ref = 1 - mpmath.exp(mpmath.fsum(
+                        mpmath.mpf(t) * mpmath.log(1 - mpmath.mpc(a.real, a.imag) * w)
+                        for t, a in zip(f.measure.weights, atoms)))
+                    assert abs(value - complex(ref)) <= bound * abs(complex(ref))
 
 
 class TestInducedSelfMap:
@@ -424,11 +457,67 @@ class TestBlockedKernels:
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
         z = DiskGrid().points()
-        for kernel in (f.real_part_bound_residual, f.subordination_witness):
+        dilatation = DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3, -0.5j]))
+        kernels = {"real_part_bound_residual": f.real_part_bound_residual,
+                   "subordination_witness": f.subordination_witness,
+                   "_grid_pass": lambda z: family._grid_pass(f, z, dilatation)}
+        for name, kernel in kernels.items():
             tracemalloc.start()
             try:
                 kernel(z)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 16 * 2 ** 20, kernel.__name__
+            assert peak <= 16 * 2 ** 20, name
+
+
+DILATATIONS = [None, DilatationSpec.constant(0.3 + 0.2j), DilatationSpec.monomial(0.4j, 3),
+               DilatationSpec.polynomial([0.1, 0.2j, -0.1, 0.05]),
+               DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3 + 0.4j, -0.5j]))]
+
+
+class TestGridPass:
+    def test_record_equals_the_methods_bit_for_bit(self):
+        # the default grid's 32,768 points make 2 slices at m = 5, 3 unequal
+        # ones (10,922 and 10,923 points) at m = 10 and 8 at m = 28
+        rng = np.random.default_rng(65)
+        for grid in (DiskGrid(), DiskGrid(11, 100, 0.99)):
+            z = grid.points()
+            for m in (1, 2, 4, 5, 10, 28, 64):
+                f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
+                                   measure=random_measure(rng, m))
+                expected = {
+                    "membership_margin": f.membership_margin(grid),
+                    "real_part_bound_min_residual": float(np.min(f.real_part_bound_residual(z))),
+                    "subordination_max_modulus": float(np.max(np.abs(f.subordination_witness(z)))),
+                }
+                for dilatation in DILATATIONS:
+                    want = dict(expected)
+                    if dilatation is not None:
+                        hmap = HarmonicMap(analytic_part=f, dilatation=dilatation)
+                        want.update(jacobian_min=float(np.min(hmap.jacobian(z))),
+                                    univalence_criterion_margin=univalence_criterion(
+                                        hmap, grid)[1])
+                    assert family._grid_pass(f, z, dilatation) == want, (grid, m)
+
+    def test_verify_forms_each_slice_once(self, monkeypatch):
+        # a work guard that counts rather than times: outside the norms,
+        # verify forms u = 1 - zeta z once per grid slice, plus once at the
+        # origin for subordination_origin_modulus and once for the
+        # HarmonicMap's J(0) check; separate checks formed it four times
+        member = GAlphaFunction(alpha=0.3, measure=roots_of_unity_measure(28))
+        spec = FunctionSpec(alpha=0.3, measure=member.measure,
+                            dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
+        grid = DiskGrid()
+        report = norms(member, grid)
+        monkeypatch.setattr("galpha.verify.norms", lambda f, g: report)
+        sizes, one_minus = [], family._one_minus
+
+        def counted(z, atoms, out=None):
+            sizes.append(z.size)
+            return one_minus(z, atoms, out)
+
+        monkeypatch.setattr(family, "_one_minus", counted)
+        assert run_verification(spec, grid=grid).passed
+        # 32,768 points in slices of at most _BLOCK // 28 = 4,681
+        assert sorted(sizes) == [1, 1] + [4096] * 8
