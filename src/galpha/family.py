@@ -51,9 +51,9 @@ def _one_minus(z, atoms, out=None):
     return np.subtract(1.0, u, out=u)
 
 
-def _over_atoms(z, atoms, numerators):
-    """numerators_k / (1 - zeta_k z) for 1-d z, shape (z.size, m)."""
-    u = _one_minus(z, atoms)
+def _over_atoms(z, atoms, numerators, out=None):
+    """numerators_k / (1 - zeta_k z) for 1-d z, shape (z.size, m), in out if given."""
+    u = _one_minus(z, atoms, out)
     return np.divide(numerators, u, out=u)
 
 
@@ -80,53 +80,38 @@ def _log_sum(z, atoms, weights, out=None):
     return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights), u
 
 
-def _real_zp(tg):
-    """Re(z h''/(alpha h')) = 1 - Re sum_k tg_k for tg_k = t_k/(1 - zeta_k z)."""
-    return 1.0 - tg.real.sum(axis=1)
-
-
 def _jacobian(log_sum, alpha, modulus):
     """J = |h'|^2 (1 - |omega|^2) from the log sum L = Log(h')/alpha."""
     return np.exp(2.0 * alpha * log_sum.real) * (1.0 - modulus * modulus)
 
 
-def _univalence_margin(z, alpha, modulus):
-    """(1 - alpha |z| (1 + |z|)) - |omega(z)|."""
-    r = np.abs(z)
-    return (1.0 - alpha * r * (1.0 + r)) - modulus
-
-
 def _grid_pass(member, z, dilatation=None):
-    """verify's pointwise checks over the points z in one streamed pass.
+    """verify's pointwise checks over the points z, keyed by check name.
 
-    Each slice forms u = 1 - zeta_k z once, takes L from it and then
-    tg = t_k/u_k in u's place, and keeps only its reductions.  The record,
-    keyed by check name, equals membership_margin, min
-    real_part_bound_residual, max |subordination_witness| and, given a
-    dilatation, min HarmonicMap.jacobian and univalence_criterion's margin
-    bit for bit: they run the same formulas on the same slices.
+    One _blocks kernel takes L from u = 1 - zeta_k z, then tg = t_k/u_k in
+    u's place, and stacks the per-point values: 1/2 - Re(z h''/(alpha h'))
+    = 1/2 - (1 - Re sum_k tg_k), real_part_bound_residual, |omega| and,
+    given a dilatation, HarmonicMap.jacobian and the univalence margin
+    (1 - alpha |z| (1 + |z|)) - |omega_dil(z)|.  Each row is reduced by its
+    min, |omega| by its max.
     """
     alpha, atoms, weights = member.alpha, member.measure.atoms, member.measure.weights
-    m, pair_sum = atoms.size, member._pair_sum()
-    flat, bounds = member._slices(z)
-    # one u for every slice: fresh slice-sized arrays each time let the
-    # allocator hand memory back to the system and fault it in again
-    work = np.empty(max(stop - start for start, stop in bounds) * m, complex)
-    rows = []
-    for start, stop in bounds:
-        zb = flat[start:stop]
-        log_sum, u = _log_sum(zb, atoms, weights, work[:zb.size * m].reshape(zb.size, m))
-        row = [np.abs(np.expm1(log_sum)).max()]
+    pair_sum = member._pair_sum()
+
+    def kernel(zb, u):
+        log_sum, u = _log_sum(zb, atoms, weights, u)
+        rows = [np.abs(np.expm1(log_sum))]
         if dilatation is not None:
-            modulus = np.abs(dilatation(zb))
-            row += [_jacobian(log_sum, alpha, modulus).min(),
-                    _univalence_margin(zb, alpha, modulus).min()]
+            modulus, r = np.abs(dilatation(zb)), np.abs(zb)
+            rows += [_jacobian(log_sum, alpha, modulus),
+                     (1.0 - alpha * r * (1.0 + r)) - modulus]
         tg = np.divide(weights, u, out=u)
-        rows.append([0.5 - _real_zp(tg).max(), pair_sum(tg).min()] + row)
+        return np.stack([0.5 - (1.0 - tg.real.sum(axis=1)), pair_sum(tg), *rows])
+
     names = ["membership_margin", "real_part_bound_min_residual", "subordination_max_modulus",
              "jacobian_min", "univalence_criterion_margin"]
-    return {name: float(np.max(column) if name == "subordination_max_modulus" else np.min(column))
-            for name, column in zip(names, zip(*rows))}
+    return {name: float(row.max() if name == "subordination_max_modulus" else row.min())
+            for name, row in zip(names, member._blocks(z, kernel))}
 
 
 @dataclass(frozen=True)
@@ -264,11 +249,17 @@ class GAlphaFunction:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def _slices(self, z):
-        """The points of z, checked and flattened, and the (start, stop)
-        bounds of the fewest slices of at most _BLOCK // m points, whose
-        sizes differ by at most one.
+    def _blocks(self, z, kernel):
+        """kernel over the points of z, on the fewest slices of at most
+        _BLOCK // m points, whose sizes differ by at most one.
 
+        kernel(zb, u) gets a 1-d slice zb and u, a (zb.size, m) complex view
+        of one buffer shared by every slice, to form 1 - zeta_k z in: fresh
+        slice-sized arrays let the allocator hand memory back to the system
+        and fault it in again.  It returns an array whose last axis runs
+        over zb; the result takes that array's dtype and leading axes,
+        followed by the shape of z, and a 0-d z with no leading axes gives
+        a numpy scalar.
         Balanced slices leave no short tail: a one-point slice runs its
         kernel's products down a different numpy path, which rounds
         differently.  z must lie in the open disk.
@@ -277,40 +268,27 @@ class GAlphaFunction:
         _require_finite("z", z)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation requires |z| < 1")
-        flat = z.ravel()
-        n = -(-flat.size // max(1, _BLOCK // self.measure.count))
-        if n <= 1:
-            return flat, [(0, flat.size)]
-        ends = np.arange(n + 1) * flat.size // n
-        return flat, list(zip(ends[:-1], ends[1:]))
-
-    def _blocks(self, z, dtype, kernel):
-        """kernel over the points of z, slice by slice (see _slices).
-
-        kernel maps a 1-d complex array to a 1-d array of dtype; the result
-        has the shape of z, and a 0-d z gives a numpy scalar.
-        """
-        flat, bounds = self._slices(z)
-        if len(bounds) == 1:
-            out = kernel(flat)
+        flat, m = z.ravel(), self.measure.count
+        n = max(1, -(-flat.size // max(1, _BLOCK // m)))
+        work = np.empty((-(-flat.size // n), m), dtype=complex)
+        if n == 1:
+            out = kernel(flat, work)
         else:
-            out = np.empty(flat.size, dtype=dtype)
-            for start, stop in bounds:
-                out[start:stop] = kernel(flat[start:stop])
-        out = out.reshape(np.shape(z))
+            ends = [i * flat.size // n for i in range(n + 1)]
+            out = np.concatenate([kernel(flat[start:stop], work[:stop - start])
+                                  for start, stop in zip(ends, ends[1:])], axis=-1)
+        out = out.reshape(out.shape[:-1] + np.shape(z))
         return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(z, complex,
-                            lambda zb: np.exp(alpha * _log_sum(zb, atoms, weights)[0]))
+        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(zb, atoms, weights, u)[0]))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(
-            z, complex, lambda zb: -alpha * (_over_atoms(zb, atoms, atoms) @ weights))
+        return self._blocks(z, lambda zb, u: -alpha * (_over_atoms(zb, atoms, atoms, u) @ weights))
 
     def hprime_coefficients(self, n_max: int) -> np.ndarray:
         """Maclaurin coefficients c_0..c_n_max of h', from h'' = P h'.
@@ -360,10 +338,7 @@ class GAlphaFunction:
 
     def membership_margin(self, grid: DiskGrid = DiskGrid()) -> float:
         """1/2 - max_grid Re(z h''/(alpha h')); positive on every grid."""
-        atoms, weights = self.measure.atoms, self.measure.weights
-        vals = self._blocks(grid.points(), float,
-                            lambda zb: _real_zp(_over_atoms(zb, atoms, weights)))
-        return float(0.5 - vals.max())
+        return _grid_pass(self, grid.points())["membership_margin"]
 
     def _pair_sum(self):
         """tg -> real_part_bound_residual per row of tg_k = t_k/(1 - zeta_k z)."""
@@ -407,7 +382,7 @@ class GAlphaFunction:
         """
         atoms, weights = self.measure.atoms, self.measure.weights
         pair_sum = self._pair_sum()
-        return self._blocks(z, float, lambda zb: pair_sum(_over_atoms(zb, atoms, weights)))
+        return self._blocks(z, lambda zb, u: pair_sum(_over_atoms(zb, atoms, weights, u)))
 
     def subordination_witness(self, z):
         """The self-map omega with h' = (1 - omega)^alpha, omega(0) = 0.
@@ -418,4 +393,4 @@ class GAlphaFunction:
         near the origin, where 1 - exp(L) cancels.
         """
         atoms, weights = self.measure.atoms, self.measure.weights
-        return self._blocks(z, complex, lambda zb: -np.expm1(_log_sum(zb, atoms, weights)[0]))
+        return self._blocks(z, lambda zb, u: -np.expm1(_log_sum(zb, atoms, weights, u)[0]))

@@ -17,8 +17,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .complexfn import TWO_PI, DiskGrid, _require_finite
-from .family import (_SERIES_TERMS, GAlphaFunction, _jacobian, _log_sum, _series,
-                     _univalence_margin)
+from .family import _SERIES_TERMS, GAlphaFunction, _grid_pass, _jacobian, _log_sum, _series
 
 _SENSE_MARGIN = 1e-9
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -147,8 +146,8 @@ class HarmonicMap:
         """J(z) = |h'|^2 - |g'|^2 with g' = omega h', as |h'|^2 (1 - |omega|^2)."""
         f = self.analytic_part
         atoms, weights = f.measure.atoms, f.measure.weights
-        return f._blocks(z, float, lambda zb: _jacobian(
-            _log_sum(zb, atoms, weights)[0], f.alpha, np.abs(self.dilatation(zb))))
+        return f._blocks(z, lambda zb, u: _jacobian(
+            _log_sum(zb, atoms, weights, u)[0], f.alpha, np.abs(self.dilatation(zb))))
 
 
 def univalence_criterion(map_: HarmonicMap,
@@ -159,10 +158,8 @@ def univalence_criterion(map_: HarmonicMap,
     (1 - alpha |z| (1 + |z|)) - |omega(z)|; the criterion guarantees
     univalence of the shear when alpha < 1/2.
     """
-    f, dilatation = map_.analytic_part, map_.dilatation
-    margin = f._blocks(grid.points(), float, lambda zb: _univalence_margin(
-        zb, f.alpha, np.abs(dilatation(zb))))
-    worst = float(margin.min())
+    worst = _grid_pass(map_.analytic_part, grid.points(),
+                       map_.dilatation)["univalence_criterion_margin"]
     return worst >= 0.0, worst
 
 

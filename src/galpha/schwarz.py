@@ -36,12 +36,12 @@ def schwarzian(f: GAlphaFunction, z):
     """
     atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
 
-    def kernel(zb):
-        g = _over_atoms(zb, atoms, atoms)
+    def kernel(zb, u):
+        g = _over_atoms(zb, atoms, atoms, u)
         p = -alpha * (g @ weights)
         return -alpha * (np.multiply(g, g, out=g) @ weights) - 0.5 * p ** 2
 
-    return f._blocks(z, complex, kernel)
+    return f._blocks(z, kernel)
 
 
 @dataclass(frozen=True)

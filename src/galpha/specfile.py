@@ -28,6 +28,10 @@ from .blaschke import BlaschkeProduct
 from .family import AtomicMeasure, GAlphaFunction, measure_from_blaschke
 from .harmonic import DilatationSpec
 
+# A polynomial dilatation is sampled at 8 points per coefficient, quadratic
+# work, so monomial degrees and coefficient lists are bounded.
+_MAX_DEGREE = 4096
+
 
 class SpecFileError(ValueError):
     """A spec file is malformed or violates a constructor invariant."""
@@ -140,11 +144,10 @@ def _dilatation_from(raw) -> DilatationSpec:
     if kind == "constant":
         values = [_complex_from(params.get("value"), "dilatation value")]
     elif kind == "monomial":
-        # the degree sizes a dense coefficient list, so it is bounded
         degree = params.get("degree", 1)
         if not (isinstance(degree, (int, float)) and float(degree).is_integer()
-                and 1 <= degree <= 4096):
-            raise SpecFileError(f"monomial degree must be an integer in 1..4096, "
+                and 1 <= degree <= _MAX_DEGREE):
+            raise SpecFileError(f"monomial degree must be an integer in 1..{_MAX_DEGREE}, "
                                 f"got {degree!r}")
         scale = _complex_from(params.get("scale"), "dilatation scale")
         values = [0j] * int(degree) + [scale]
@@ -152,6 +155,9 @@ def _dilatation_from(raw) -> DilatationSpec:
         coeffs = params.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise SpecFileError("polynomial dilatation needs a coefficients list")
+        if len(coeffs) > _MAX_DEGREE + 1:
+            raise SpecFileError(f"polynomial dilatation takes at most {_MAX_DEGREE + 1} "
+                                f"coefficients, got {len(coeffs)}")
         values = [_complex_from(c, "dilatation coefficient") for c in coeffs]
     else:
         raise SpecFileError(f"unknown dilatation kind {kind!r}")

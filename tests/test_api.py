@@ -35,3 +35,30 @@ def test_no_unused_imports():
              for path in sorted(Path(galpha.__file__).parent.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Private module-level functions and constants, and private methods."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ClassDef):
+            names |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_no_unread_private_names():
+    # a name counts as read where it is loaded or taken as an attribute;
+    # definitions, assignments and imports do not read it
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(galpha.__file__).parent.glob("*.py"))]
+    defined = set().union(*map(private_definitions, trees))
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name)
+                                                 and isinstance(n.ctx, ast.Load))}
+    assert sorted(defined - read) == []

@@ -123,6 +123,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "weights must sum to 1" in capsys.readouterr().err
 
+    def test_polynomial_dilatation_length_bounded(self, tmp_path, capsys):
+        # as long as a degree-4096 monomial's list, and no longer
+        data = dict(EXTREMAL, alpha=0.3, dilatation={
+            "kind": "polynomial",
+            "params": {"coefficients": [{"re": 0.0, "im": 0.0}] * 4098}})
+        path = write_spec(tmp_path, data)
+        assert main(["verify", str(path)]) == 2
+        assert "at most 4097 coefficients, got 4098" in capsys.readouterr().err
+        data["dilatation"]["params"]["coefficients"].pop()
+        spec = load_function_spec(write_spec(tmp_path, data))
+        assert spec.dilatation.coefficients.size == 4097
+
     def test_blaschke_source_reports_recovered_atoms(self, tmp_path, capsys):
         path = write_spec(tmp_path, HALF_ZERO)
         code = main(["verify", str(path), "--out", str(tmp_path / "r.json")])

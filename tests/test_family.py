@@ -9,7 +9,7 @@ from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke, measure_from_roots,
                            roots_of_unity_measure, single_atom)
-from galpha.harmonic import DilatationSpec, HarmonicMap, univalence_criterion
+from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms, schwarzian
 from galpha.specfile import FunctionSpec
 from galpha.verify import run_verification
@@ -400,7 +400,7 @@ class TestBlockedKernels:
             step = family._BLOCK // m
             inputs = [DiskGrid().points(),
                       random_points(rng, 2 * step + 123, r_max=0.999),
-                      np.asarray(0.3 - 0.6j), 0.95j]
+                      np.asarray(0.3 - 0.6j), 0.95j, np.empty((0, 3), complex)]
             for z in inputs:
                 got, ref = blocked_kernels(f, z), whole_array_kernels(f, z)
                 # the residual's rounding scale is the size of its pair terms
@@ -408,6 +408,7 @@ class TestBlockedKernels:
                 pair_scale = 0.5 * f.alpha * np.abs(tg).sum(axis=-1) ** 2
                 for name in ref:
                     assert np.shape(got[name]) == np.shape(z), name
+                    assert np.result_type(got[name]) == np.result_type(ref[name]), name
                     scale = (pair_scale if name == "real_part_bound_residual"
                              else np.abs(ref[name]))
                     assert np.all(np.abs(got[name] - ref[name]) <= 1e-12 * scale), (m, name)
@@ -426,6 +427,30 @@ class TestBlockedKernels:
             for name, values in whole.items():
                 split = np.concatenate([part[name] for part in parts])
                 assert np.array_equal(values, split), name
+
+    def test_slices_share_one_buffer(self, monkeypatch):
+        # the default grid makes 8 slices at m = 28; each forms 1 - zeta z in
+        # a view of one buffer, not in a fresh slice-sized array
+        rng = np.random.default_rng(67)
+        f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 28))
+        hmap = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.3j))
+        kernels = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
+                   "real_part_bound_residual": f.real_part_bound_residual,
+                   "subordination_witness": f.subordination_witness,
+                   "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian}
+        outs, one_minus = [], family._one_minus
+
+        def recorded(z, atoms, out=None):
+            outs.append(out)
+            return one_minus(z, atoms, out)
+
+        monkeypatch.setattr(family, "_one_minus", recorded)
+        for name, kernel in kernels.items():
+            outs.clear()
+            kernel(DiskGrid().points())
+            assert len(outs) == 8, name
+            assert all(out is not None and np.shares_memory(out, outs[0])
+                       for out in outs), name
 
     def test_single_atom_residual_exactly_zero(self):
         f = GAlphaFunction(alpha=0.9, measure=single_atom(2.1))
@@ -460,6 +485,8 @@ class TestBlockedKernels:
         dilatation = DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3, -0.5j]))
         kernels = {"real_part_bound_residual": f.real_part_bound_residual,
                    "subordination_witness": f.subordination_witness,
+                   "schwarzian": lambda z: schwarzian(f, z),
+                   "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian,
                    "_grid_pass": lambda z: family._grid_pass(f, z, dilatation)}
         for name, kernel in kernels.items():
             tracemalloc.start()
@@ -479,7 +506,10 @@ DILATATIONS = [None, DilatationSpec.constant(0.3 + 0.2j), DilatationSpec.monomia
 class TestGridPass:
     def test_record_equals_the_methods_bit_for_bit(self):
         # the default grid's 32,768 points make 2 slices at m = 5, 3 unequal
-        # ones (10,922 and 10,923 points) at m = 10 and 8 at m = 28
+        # ones (10,922 and 10,923 points) at m = 10 and 8 at m = 28;
+        # membership_margin and univalence_criterion read the record, so the
+        # margin is checked by test_margin_matches_direct_formula and the
+        # univalence margin against its whole-array formula here
         rng = np.random.default_rng(65)
         for grid in (DiskGrid(), DiskGrid(11, 100, 0.99)):
             z = grid.points()
@@ -487,7 +517,6 @@ class TestGridPass:
                 f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
                                    measure=random_measure(rng, m))
                 expected = {
-                    "membership_margin": f.membership_margin(grid),
                     "real_part_bound_min_residual": float(np.min(f.real_part_bound_residual(z))),
                     "subordination_max_modulus": float(np.max(np.abs(f.subordination_witness(z)))),
                 }
@@ -495,10 +524,14 @@ class TestGridPass:
                     want = dict(expected)
                     if dilatation is not None:
                         hmap = HarmonicMap(analytic_part=f, dilatation=dilatation)
+                        r = np.abs(z)
                         want.update(jacobian_min=float(np.min(hmap.jacobian(z))),
-                                    univalence_criterion_margin=univalence_criterion(
-                                        hmap, grid)[1])
-                    assert family._grid_pass(f, z, dilatation) == want, (grid, m)
+                                    univalence_criterion_margin=float(np.min(
+                                        (1.0 - f.alpha * r * (1.0 + r))
+                                        - np.abs(dilatation(z)))))
+                    record = family._grid_pass(f, z, dilatation)
+                    del record["membership_margin"]
+                    assert record == want, (grid, m)
 
     def test_verify_forms_each_slice_once(self, monkeypatch):
         # a work guard that counts rather than times: outside the norms,
