@@ -19,8 +19,8 @@ from .harmonic import HarmonicMap
 from .schwarz import norms
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
                        load_function_spec, save_function_spec)
-from .verify import (Tolerances, blaschke_roundtrip_error, norm_checks,
-                     run_verification)
+from .verify import (Tolerances, VerifyReport, blaschke_roundtrip_error,
+                     norm_checks, run_verification)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -92,17 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(report: VerifyReport, out: str | Path | None) -> int:
+    """Print the report, write its JSON to `out` if given, return the exit code."""
+    print(report.render_text())
+    if out:
+        Path(out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     tol = Tolerances(roundtrip=args.tol_roundtrip, norm=args.tol_norm,
                      pointwise=args.tol_pointwise)
     grid = DiskGrid(args.grid_radii, args.grid_angles, args.rmax)
-    report = run_verification(spec, tol=tol, grid=grid)
-    print(report.render_text())
-    out = (Path(args.out) if args.out
-           else Path(args.spec).with_name(Path(args.spec).stem + ".report.json"))
-    out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+    out = args.out or Path(args.spec).with_name(Path(args.spec).stem + ".report.json")
+    return _emit(run_verification(spec, tol=tol, grid=grid), out)
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -188,28 +192,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_norms(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
-    member = spec.resolve_member()
-    report = norms(member, grid=DiskGrid(args.grid_radii, args.grid_angles, args.rmax))
-    lines = [
-        f"alpha                : {report.alpha!r}",
-        f"pre-Schwarzian norm  : {report.pre_schwarzian_norm.value:.9f}"
-        f"  (bound {report.pre_schwarzian_bound:.9f},"
-        f" argmax {report.pre_schwarzian_norm.argmax:.6f})",
-        f"Schwarzian norm      : {report.schwarzian_norm.value:.9f}"
-        f"  (bound {report.schwarzian_bound:.9f},"
-        f" argmax {report.schwarzian_norm.argmax:.6f})",
-    ]
-    if report.qc_constant is not None:
-        lines.append(f"qc extension constant: {report.qc_constant!r}")
-    checks = norm_checks(report, Tolerances())
-    lines += [c.render() for c in checks]
-    print("\n".join(lines))
-    passed = all(c.passed for c in checks)
-    if args.out:
-        data = dict(report.to_dict(), checks=[c.to_dict() for c in checks],
-                    passed=passed)
-        Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    sch = norms(spec.resolve_member(),
+                grid=DiskGrid(args.grid_radii, args.grid_angles, args.rmax))
+    return _emit(VerifyReport(checks=norm_checks(sch, Tolerances()), schwarz=sch,
+                              recovered_atoms=None), args.out)
 
 
 _COMMANDS = {

@@ -44,9 +44,14 @@ def schwarzian(f: GAlphaFunction, z):
     return f._blocks(z, kernel)
 
 
+def _radial_limits(alpha, t):
+    """Both objectives' radial limits toward an atom of weight t (at t = 1, the bounds)."""
+    return 2.0 * alpha * t, 2.0 * alpha * t * (2.0 + alpha * t)
+
+
 @dataclass(frozen=True)
 class SchwarzReport:
-    """Norm estimates next to the family's sharp bounds.
+    """Norm estimates next to the family's sharp bounds, which follow from alpha.
 
     qc_constant is present exactly when alpha < 1/2, where the member has a
     quasiconformal extension with that constant.
@@ -55,16 +60,21 @@ class SchwarzReport:
     pre_schwarzian_norm: NormEstimate
     schwarzian_norm: NormEstimate
     alpha: float
-    pre_schwarzian_bound: float
-    schwarzian_bound: float
-    qc_constant: float | None
 
-    def __post_init__(self) -> None:
-        if (self.qc_constant is not None) != (self.alpha < 0.5):
-            raise ValueError("qc_constant is present exactly when alpha < 1/2")
+    @property
+    def pre_schwarzian_bound(self) -> float:
+        return _radial_limits(self.alpha, 1.0)[0]
+
+    @property
+    def schwarzian_bound(self) -> float:
+        return _radial_limits(self.alpha, 1.0)[1]
+
+    @property
+    def qc_constant(self) -> float | None:
+        return (1.0 + 2.0 * self.alpha) / (1.0 - 2.0 * self.alpha) if self.alpha < 0.5 else None
 
     def to_dict(self) -> dict:
-        """The JSON report block shared by `galpha norms` and `galpha verify`."""
+        """The report's JSON `schwarz` block."""
         pre, sch = self.pre_schwarzian_norm.argmax, self.schwarzian_norm.argmax
         return {
             "alpha": self.alpha,
@@ -134,10 +144,9 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
 
     A lone atom's cell bounds are at most alpha t (1 + r_max) < 2 alpha t.
     """
-    alpha, k = f.alpha, int(np.argmax(f.measure.weights))
-    t, at = float(f.measure.weights[k]), complex(np.conj(f.measure.atoms[k]))
-    limits = (NormEstimate(2.0 * alpha * t, at),
-              NormEstimate(2.0 * alpha * t * (2.0 + alpha * t), at))
+    k = int(np.argmax(f.measure.weights))
+    at = complex(np.conj(f.measure.atoms[k]))
+    limits = [NormEstimate(v, at) for v in _radial_limits(f.alpha, float(f.measure.weights[k]))]
 
     def objective(z):
         # the kernels run before 1 - |z|^2 is formed, to keep the peak memory low
@@ -147,10 +156,4 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
 
     pre, sch = sup_norm_estimate(objective, grid, limit=limits,
                                  cell_bounds=_cell_bounds(f, *grid.cells()))
-    return SchwarzReport(
-        pre_schwarzian_norm=pre, schwarzian_norm=sch, alpha=alpha,
-        pre_schwarzian_bound=2.0 * alpha,
-        schwarzian_bound=2.0 * alpha * (2.0 + alpha),
-        qc_constant=(1.0 + 2.0 * alpha) / (1.0 - 2.0 * alpha) if alpha < 0.5 else None,
-    )
-
+    return SchwarzReport(pre_schwarzian_norm=pre, schwarzian_norm=sch, alpha=f.alpha)

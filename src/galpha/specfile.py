@@ -18,6 +18,7 @@ an identity on the in-memory values.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,9 +58,17 @@ class FunctionSpec:
         return GAlphaFunction(alpha=self.alpha, measure=measure)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float; else SpecFileError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            return float(value)
+    raise SpecFileError(f"{what} must be a number, got {value!r}")
+
+
 def _complex_from(obj, where: str) -> complex:
     try:
-        return complex(float(obj["re"]), float(obj["im"]))
+        return complex(_number(obj["re"], "re"), _number(obj["im"], "im"))
     except (TypeError, KeyError, ValueError):
         raise SpecFileError(f"{where} must be an object with re/im numbers") from None
 
@@ -74,10 +83,7 @@ def spec_from_dict(data: dict) -> FunctionSpec:
         raise SpecFileError("spec must be a JSON object")
     if "alpha" not in data:
         raise SpecFileError("spec must provide alpha")
-    try:
-        alpha = float(data["alpha"])
-    except (TypeError, ValueError):
-        raise SpecFileError("alpha must be a number") from None
+    alpha = _number(data["alpha"], "alpha")
     if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise SpecFileError("alpha must lie in (0, 1]")
 
@@ -88,8 +94,8 @@ def spec_from_dict(data: dict) -> FunctionSpec:
         if not isinstance(atoms, list) or not atoms:
             raise SpecFileError("atoms must be a nonempty list")
         try:
-            angles = [float(a["theta"]) for a in atoms]
-            weights = [float(a["weight"]) for a in atoms]
+            angles = [_number(a["theta"], "theta") for a in atoms]
+            weights = [_number(a["weight"], "weight") for a in atoms]
         except (TypeError, KeyError, ValueError):
             raise SpecFileError("every atom needs numeric theta and weight") from None
         measure = _wrap(lambda: AtomicMeasure(angles=angles, weights=weights))
@@ -108,10 +114,8 @@ def _blaschke_from(raw, where: str) -> BlaschkeProduct:
     if not isinstance(raw, dict) or not isinstance(raw.get("zeros"), list):
         raise SpecFileError(f"{where} must be an object with a zeros list")
     zeros = [_complex_from(b, f"{where} zero") for b in raw["zeros"]]
-    try:
-        prefactor = np.exp(1j * float(raw.get("prefactor_angle", 0.0)))
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{where} prefactor_angle must be a number") from None
+    prefactor = np.exp(1j * _number(raw.get("prefactor_angle", 0.0),
+                                    f"{where} prefactor_angle"))
     return _wrap(lambda: BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex),
                                          prefactor=prefactor))
 
@@ -144,9 +148,8 @@ def _dilatation_from(raw) -> DilatationSpec:
     if kind == "constant":
         values = [_complex_from(params.get("value"), "dilatation value")]
     elif kind == "monomial":
-        degree = params.get("degree", 1)
-        if not (isinstance(degree, (int, float)) and float(degree).is_integer()
-                and 1 <= degree <= _MAX_DEGREE):
+        degree = _number(params.get("degree", 1), "monomial degree")
+        if not (degree.is_integer() and 1 <= degree <= _MAX_DEGREE):
             raise SpecFileError(f"monomial degree must be an integer in 1..{_MAX_DEGREE}, "
                                 f"got {degree!r}")
         scale = _complex_from(params.get("scale"), "dilatation scale")

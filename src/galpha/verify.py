@@ -5,6 +5,7 @@ records (value, comparison, threshold) covers membership, the coefficient
 bound, the sharp real-part bound, the subordination witness, both norms,
 the Blaschke round trip (for product specs) and the harmonic-shear checks
 (for specs with a dilatation).  Its verdict, text and JSON all read that list.
+`galpha norms` emits the same report with only the two norm checks.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ class VerifyReport:
     def render_text(self) -> str:
         lines = ["verification report"]
         lines += [c.render() for c in self.checks]
-        if self.schwarz.qc_constant is not None:
-            lines.append(f"  {'quasiconformal constant':<29}: "
-                         f"{self.schwarz.qc_constant:.9f}")
+        sch = self.schwarz
+        for name, est in (("pre_schwarzian_argmax", sch.pre_schwarzian_norm),
+                          ("schwarzian_argmax", sch.schwarzian_norm)):
+            lines.append(f"  {name:<29}: {est.argmax:.6f}")
+        if sch.qc_constant is not None:
+            lines.append(f"  {'quasiconformal constant':<29}: {sch.qc_constant:.9f}")
         if self.recovered_atoms is not None:
             lines.append("  recovered atoms (theta, weight):")
             for theta, weight in self.recovered_atoms:

@@ -8,7 +8,7 @@ from galpha.complexfn import DiskGrid
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
-from galpha.verify import Tolerances, run_verification
+from galpha.verify import Tolerances, VerifyReport, norm_checks, run_verification
 
 
 def write_spec(tmp_path, data, name="fn.json"):
@@ -59,7 +59,7 @@ class TestSpecFile:
                                   first.dilatation.taylor_coefficients(8))
 
     def test_monomial_degree_bounded(self, tmp_path):
-        for degree in (2.5, 5000, 0, "2"):
+        for degree in (2.5, 5000, 0, "2", True):
             data = dict(EXTREMAL, alpha=0.3, dilatation={
                 "kind": "monomial",
                 "params": {"scale": {"re": 0.2, "im": 0.0}, "degree": degree}})
@@ -96,6 +96,23 @@ class TestSpecFile:
                                        {"theta": 1.0, "weight": 0.4}]}
         with pytest.raises(SpecFileError, match="weights must sum to 1"):
             load_function_spec(write_spec(tmp_path, bad))
+
+    @pytest.mark.parametrize("data, message", [
+        ({"alpha": True, "atoms": [{"theta": 0.5, "weight": 1.0}]}, "alpha must be"),
+        ({"alpha": "0.5", "atoms": [{"theta": 0.5, "weight": 1.0}]}, "alpha must be"),
+        ({"alpha": 10 ** 400, "atoms": [{"theta": 0.5, "weight": 1.0}]}, "alpha must be"),
+        ({"alpha": 1.0, "atoms": [{"theta": "0.5", "weight": 1.0}]}, "numeric theta"),
+        ({"alpha": 1.0, "atoms": [{"theta": 0.5, "weight": True}]}, "numeric theta"),
+        ({"alpha": 0.5, "blaschke": {"zeros": [{"re": False, "im": 0.5}]}}, "re/im"),
+        (dict(EXTREMAL, alpha=0.3, dilatation={"kind": "monomial", "params": {
+            "degree": 2, "scale": {"re": 0.0, "im": "0.1"}}}), "re/im"),
+    ])
+    def test_non_numbers_exit_two(self, tmp_path, capsys, data, message):
+        # JSON booleans and numeric strings are not numbers
+        with pytest.raises(SpecFileError, match=message):
+            spec_from_dict(data)
+        assert main(["verify", str(write_spec(tmp_path, data))]) == 2
+        assert message in capsys.readouterr().err
 
     def test_alpha_validated(self, tmp_path):
         with pytest.raises(SpecFileError, match="alpha"):
@@ -247,12 +264,13 @@ class TestRoundtripCommand:
         assert main(["roundtrip", str(write_spec(tmp_path, EXTREMAL))]) == 2
 
     def test_non_numeric_prefactor_angle_exit_two(self, tmp_path, capsys):
-        data = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0}],
-                                           "prefactor_angle": None}}
-        path = write_spec(tmp_path, data)
-        for command in ("roundtrip", "verify"):
-            assert main([command, str(path)]) == 2
-            assert "prefactor_angle must be a number" in capsys.readouterr().err
+        for angle in (None, "0.5", False):
+            data = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0}],
+                                               "prefactor_angle": angle}}
+            path = write_spec(tmp_path, data)
+            for command in ("roundtrip", "verify"):
+                assert main([command, str(path)]) == 2
+                assert "prefactor_angle must be a number" in capsys.readouterr().err
 
 
 class TestRenderCommand:
@@ -351,7 +369,7 @@ class TestNormsCommand:
         out = tmp_path / "norms.json"
         code = main(["norms", str(path), "--out", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text())["schwarz"]
         assert payload["pre_schwarzian_norm"] == pytest.approx(0.5, abs=1e-3)
         assert payload["schwarzian_norm"] == pytest.approx(1.125, abs=1e-3)
         assert payload["qc_constant"] == 3.0
@@ -368,12 +386,13 @@ class TestNormsCommand:
               "--out", str(path)])
         main([command, str(path), "--out", str(out)])
         spec = load_function_spec(path)
-        library = (run_verification(spec) if command == "verify"
-                   else norms(spec.resolve_member()))
-        payload = json.loads(out.read_text())
-        if command == "norms":  # norms adds its checks to the shared block
-            payload = {k: v for k, v in payload.items() if k not in ("checks", "passed")}
-        assert payload == json.loads(json.dumps(library.to_dict()))
+        if command == "verify":
+            library = run_verification(spec)
+        else:
+            sch = norms(spec.resolve_member())
+            library = VerifyReport(checks=norm_checks(sch, Tolerances()), schwarz=sch,
+                                   recovered_atoms=None)
+        assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
 
     @pytest.mark.parametrize("rmax, code", [("0.9999", 0), ("0.999999999999", 1)])
     def test_norms_json_records_argmax_checks_and_verdict(self, tmp_path, capsys,
@@ -390,8 +409,36 @@ class TestNormsCommand:
         assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
             ("pre_schwarzian_norm", True), ("schwarzian_norm", code == 0)]
         for which in ("pre_schwarzian", "schwarzian"):
-            radius = abs(complex(*payload[f"{which}_argmax"]))
+            radius = abs(complex(*payload["schwarz"][f"{which}_argmax"]))
             assert (radius == pytest.approx(1.0, abs=1e-15)) is (code == 0)
+
+    def test_norms_writes_and_prints_the_verify_report(self, tmp_path, capsys):
+        # one report: norms --out has verify's keys, its schwarz block and its
+        # two norm checks, and every line norms prints, each argmax and the
+        # quasiconformal constant included, is a line of verify's text
+        path = tmp_path / "gen.json"
+        main(["gen", "--seed", "4", "--atoms", "3", "--alpha", "0.3",
+              "--out", str(path)])
+        capsys.readouterr()
+        grid = ["--grid-radii", "24", "--grid-angles", "128"]
+        reports, texts = {}, {}
+        for command in ("verify", "norms"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(path), "--out", str(out), *grid]) == 0
+            reports[command] = json.loads(out.read_text())
+            texts[command] = capsys.readouterr().out.splitlines()
+        verify, norms_ = reports["verify"], reports["norms"]
+        assert norms_.keys() == verify.keys()
+        assert norms_["schwarz"] == verify["schwarz"]
+        assert norms_["checks"] == [c for c in verify["checks"]
+                                    if c["name"].endswith("schwarzian_norm")]
+        assert norms_["roundtrip_error"] is norms_["recovered_atoms"] is None
+        assert set(texts["norms"]) <= set(texts["verify"])
+        for which in ("pre_schwarzian", "schwarzian"):
+            argmax = complex(*verify["schwarz"][f"{which}_argmax"])
+            assert f"  {which + '_argmax':<29}: {argmax:.6f}" in texts["norms"]
+        assert any(line.startswith("  quasiconformal constant")
+                   for line in texts["norms"])
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_norm_above_its_bound_is_a_failed_check(self, tmp_path, capsys, command):

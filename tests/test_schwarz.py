@@ -5,8 +5,7 @@ import pytest
 
 from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
-from galpha.schwarz import (SchwarzReport, _cell_bounds, norms, pre_schwarzian,
-                            schwarzian)
+from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
 
 from test_family import random_measure, random_points
 
@@ -150,17 +149,6 @@ class TestNorms:
             assert 2 * alpha * t.max() <= pre <= 2 * alpha + 1e-6
             assert (np.max(2 * alpha * t * (2 + alpha * t)) <= sch
                     <= 2 * alpha * (2 + alpha) + 1e-6)
-
-    def test_report_invariant_enforced(self):
-        f = GAlphaFunction(alpha=0.75, measure=single_atom(0.0))
-        rep = norms(f)
-        with pytest.raises(ValueError):
-            SchwarzReport(pre_schwarzian_norm=rep.pre_schwarzian_norm,
-                          schwarzian_norm=rep.schwarzian_norm,
-                          alpha=0.75,
-                          pre_schwarzian_bound=rep.pre_schwarzian_bound,
-                          schwarzian_bound=rep.schwarzian_bound,
-                          qc_constant=3.0)  # alpha >= 1/2 must omit it
 
 
 def norm_objectives(f):
