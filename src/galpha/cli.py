@@ -7,6 +7,7 @@ flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax) it rejects.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,7 @@ def _add_tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
                        help=f"{_TOLERANCE_HELP[name]} (default %(default)s)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galpha",

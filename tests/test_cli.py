@@ -241,6 +241,25 @@ class TestVerifyCommand:
         args = build_parser().parse_args(["roundtrip", "x.json"])
         assert args.tol_roundtrip == Tolerances().roundtrip
 
+    def test_parser_built_once_per_process(self, tmp_path, capsys):
+        # one shared parser gives each command the result a fresh parser gives
+        half_zero = write_spec(tmp_path, HALF_ZERO, "half_zero.json")
+        extremal = write_spec(tmp_path, EXTREMAL)
+        commands = [["roundtrip", str(half_zero)], ["norms", str(extremal)],
+                    ["roundtrip", str(extremal)], ["norms", str(extremal), "--rmax", "2"]]
+
+        def run(argv):
+            return main(argv), capsys.readouterr()
+
+        fresh = []
+        for argv in commands:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        build_parser.cache_clear()
+        assert [run(argv) for argv in commands] == fresh
+        assert [code for code, _ in fresh] == [0, 0, 2, 2]
+        assert build_parser.cache_info().misses == 1
+
 
 class TestRoundtripCommand:
     @pytest.mark.parametrize("zeros", [

@@ -359,6 +359,117 @@ class TestRoundTrips:
         assert f.membership_margin() > 0.0
 
 
+def expanded_numerator_zeros(measure):
+    """np.roots of N(z) = sum_k t_k prod_{i != k} (z - p_i) expanded in the
+    monomial basis, one np.poly per atom."""
+    poles = np.conj(measure.atoms)
+    n_poly = sum(t * np.poly(np.delete(poles, k)) for k, t in enumerate(measure.weights))
+    return np.roots(n_poly)
+
+
+def expansion_rebuild_error(measure, z):
+    """max |B - phi| on z for B rebuilt from expanded_numerator_zeros with
+    the library's guard and prefactor normalization; inf where they reject it."""
+    zeros = expanded_numerator_zeros(measure)
+    if np.max(np.abs(zeros)) >= 1.0 - 1e-12:
+        return np.inf
+    candidate = BlaschkeProduct(zeros=zeros)
+    probe = next((w for w in (0.0, 0.37 + 0.29j, -0.21 + 0.43j) if abs(candidate(w)) > 1e-8),
+                 None)
+    if probe is None:
+        return np.inf
+    prefactor = induced_self_map(measure, probe) / candidate(probe)
+    if abs(abs(prefactor) - 1.0) > 1e-6:
+        return np.inf
+    rebuilt = BlaschkeProduct(zeros=zeros, prefactor=prefactor / abs(prefactor))
+    return np.max(np.abs(rebuilt(z) - induced_self_map(measure, z)))
+
+
+def rebuild_error(measure, z):
+    """max |B - phi| on z for B = blaschke_from_measure; inf where it raises."""
+    try:
+        rebuilt = blaschke_from_measure(measure)
+    except family.ConvergenceError:
+        return np.inf
+    return np.max(np.abs(rebuilt(z) - induced_self_map(measure, z)))
+
+
+def near_circle_products(rng, degrees):
+    """Products drawn as in the benchmark's roundtrip panel: zeros uniform in
+    |b| <= 0.9, then max(1, degree // 16) of them moved to 0.99 <= |b| <= 0.999,
+    the first to 0.999, and a random prefactor."""
+    for degree in degrees:
+        zeros = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, degree)) * np.exp(
+            1j * rng.uniform(0.0, TWO_PI, degree))
+        near = max(1, degree // 16)
+        moduli = 1.0 - 10.0 ** -rng.uniform(2.0, 3.0, near)
+        moduli[0] = 0.999
+        zeros[:near] = moduli * np.exp(1j * rng.uniform(0.0, TWO_PI, near))
+        yield BlaschkeProduct(zeros=zeros, prefactor=np.exp(1j * rng.uniform(0.0, TWO_PI)))
+
+
+def unconverged_eigvals(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# the seed of the benchmark's roundtrip panel, whose d48 product the
+# monomial expansion rebuilt only to 5.4e-6
+ROUNDTRIP_PANEL_SEED = 240714922 + 2
+
+
+class TestInverse:
+    def test_one_and_two_atom_closed_forms(self):
+        # one atom: no zeros and phi = zeta; two: the one zero t_1 p_2 + t_2 p_1
+        phi = blaschke_from_measure(single_atom(1.3))
+        assert phi.zeros.size == 0
+        assert abs(phi(0.4) - np.exp(1.3j)) < 1e-15
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            measure = random_measure(rng, 2)
+            (t1, t2), (p1, p2) = measure.weights, np.conj(measure.atoms)
+            zeros = blaschke_from_measure(measure).zeros
+            assert zeros.shape == (1,)
+            assert abs(zeros[0] - (t1 * p2 + t2 * p1)) <= 1e-15
+
+    def test_low_degree_zeros_match_expanded_polynomial(self):
+        rng = np.random.default_rng(41)
+        for count in range(2, 9):
+            for _ in range(5):
+                measure = random_measure(rng, count)
+                zeros = blaschke_from_measure(measure).zeros
+                expected = expanded_numerator_zeros(measure)
+                assert zeros.size == expected.size == count - 1
+                # match each expected zero to its nearest computed one
+                gaps = np.abs(expected[:, None] - zeros[None, :])
+                assert sorted(np.argmin(gaps, axis=1)) == list(range(count - 1))
+                assert np.max(np.min(gaps, axis=1)) < 1e-12
+
+    def test_high_degree_near_circle_products_rebuild(self):
+        z = random_points(np.random.default_rng(42), 400)
+        products = list(near_circle_products(np.random.default_rng(ROUNDTRIP_PANEL_SEED),
+                                             (8, 12, 16, 24, 32, 48)))
+        for phi in products[2], products[4], products[5]:
+            assert rebuild_error(measure_from_blaschke(phi), z) < 1e-8
+        assert expansion_rebuild_error(measure_from_blaschke(products[5]), z) > 1e-8
+
+    def test_rebuilds_every_product_the_expansion_rebuilds(self):
+        rng = np.random.default_rng(43)
+        z = random_points(rng, 200)
+        degrees = np.repeat((4, 8, 12, 16, 24, 32, 48), 16)
+        for phi in near_circle_products(rng, degrees):
+            measure = measure_from_blaschke(phi)
+            if expansion_rebuild_error(measure, z) < 1e-8:
+                assert rebuild_error(measure, z) < 1e-8, phi.degree
+
+    @pytest.mark.parametrize("eigvals", [
+        unconverged_eigvals, lambda a: np.full(len(a), np.nan, dtype=complex)],
+        ids=["raises", "nan"])
+    def test_eigensolve_failure_is_convergence_error(self, monkeypatch, eigvals):
+        monkeypatch.setattr(family.np.linalg, "eigvals", eigvals)
+        with pytest.raises(family.ConvergenceError, match="eigensolve"):
+            blaschke_from_measure(random_measure(np.random.default_rng(44), 5))
+
+
 # Whole-array forms of the per-point kernels, as written before blocking:
 # one (points x m) temporary per step, complex logs and a three-operand einsum.
 def whole_array_log_sum(f, z):
