@@ -17,17 +17,18 @@ member = GAlphaFunction(alpha=0.25, measure=single_atom(0.0))
 shear = HarmonicMap(analytic_part=member, dilatation=DilatationSpec.constant(0.5))
 holds, margin = univalence_criterion(shear)
 print("alpha = 0.25, omega = 0.5 (= 1 - 2 alpha):")
-print(f"  univalence criterion holds: {holds} (worst margin {margin:.2e})")
+print(f"  univalence criterion holds: {holds} (margin {margin:.2e})")
 print(f"  J(0) = {shear.jacobian(0.0 + 0.0j):.6f}")
 print(f"  winding probe at r = 0.9: {winding_injectivity_probe(shear, 0.9)}")
 
 # push the dilatation past the criterion: it fails near the boundary, as the
-# bound 1 - alpha |z|(1+|z|) sinks to 1 - 2 alpha = 0.2 there
+# bound 1 - alpha |z|(1+|z|) sinks to 1 - 2 alpha = 0.2 there, so the exact
+# margin is 0.2 - 0.5
 big = HarmonicMap(analytic_part=GAlphaFunction(alpha=0.4, measure=single_atom(0.0)),
                   dilatation=DilatationSpec.constant(0.5))
 holds, margin = univalence_criterion(big)
 print(f"\nalpha = 0.40, omega = 0.5: criterion holds: {holds}"
-      f" (worst margin {margin:.3f})")
+      f" (margin {margin:.3f})")
 
 # a varying dilatation: omega(z) = 0.5 z^2 vanishes at 0 and peaks on the rim
 spin = HarmonicMap(analytic_part=member, dilatation=DilatationSpec.monomial(0.5, 2))

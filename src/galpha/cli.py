@@ -29,6 +29,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The DiskGrid of the two norm searches; no other check reads it."""
     grid = DiskGrid()
     p.add_argument("--grid-radii", type=int, default=grid.n_radii, metavar="N",
                    help="number of grid radii (default %(default)s)")

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
-from .complexfn import (TWO_PI, ConvergenceError, DiskGrid, DomainError,
-                        _require_finite)
+from .complexfn import TWO_PI, ConvergenceError, DomainError, _require_finite
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -78,40 +77,6 @@ def _log_sum(z, atoms, weights, out=None):
                           - 2.0 * np.multiply.outer(zs, atoms).real)
     log_modulus = 0.5 * (buf @ weights)
     return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights), u
-
-
-def _jacobian(log_sum, alpha, modulus):
-    """J = |h'|^2 (1 - |omega|^2) from the log sum L = Log(h')/alpha."""
-    return np.exp(2.0 * alpha * log_sum.real) * (1.0 - modulus * modulus)
-
-
-def _grid_pass(member, z, dilatation=None):
-    """verify's pointwise checks over the points z, keyed by check name.
-
-    One _blocks kernel takes L from u = 1 - zeta_k z, then tg = t_k/u_k in
-    u's place, and stacks the per-point values: 1/2 - Re(z h''/(alpha h'))
-    = 1/2 - (1 - Re sum_k tg_k), real_part_bound_residual, |omega| and,
-    given a dilatation, HarmonicMap.jacobian and the univalence margin
-    (1 - alpha |z| (1 + |z|)) - |omega_dil(z)|.  Each row is reduced by its
-    min, |omega| by its max.
-    """
-    alpha, atoms, weights = member.alpha, member.measure.atoms, member.measure.weights
-    pair_sum = member._pair_sum()
-
-    def kernel(zb, u):
-        log_sum, u = _log_sum(zb, atoms, weights, u)
-        rows = [np.abs(np.expm1(log_sum))]
-        if dilatation is not None:
-            modulus, r = np.abs(dilatation(zb)), np.abs(zb)
-            rows += [_jacobian(log_sum, alpha, modulus),
-                     (1.0 - alpha * r * (1.0 + r)) - modulus]
-        tg = np.divide(weights, u, out=u)
-        return np.stack([0.5 - (1.0 - tg.real.sum(axis=1)), pair_sum(tg), *rows])
-
-    names = ["membership_margin", "real_part_bound_min_residual", "subordination_max_modulus",
-             "jacobian_min", "univalence_criterion_margin"]
-    return {name: float(row.max() if name == "subordination_max_modulus" else row.min())
-            for name, row in zip(names, member._blocks(z, kernel))}
 
 
 @dataclass(frozen=True)
@@ -350,10 +315,6 @@ class GAlphaFunction:
         """
         full = np.concatenate([[0.0], self.coefficients(_SERIES_TERMS)])  # h(0) = 0
         return _series(full, z)
-
-    def membership_margin(self, grid: DiskGrid = DiskGrid()) -> float:
-        """1/2 - max_grid Re(z h''/(alpha h')); positive on every grid."""
-        return _grid_pass(self, grid.points())["membership_margin"]
 
     def _pair_sum(self):
         """tg -> real_part_bound_residual per row of tg_k = t_k/(1 - zeta_k z)."""

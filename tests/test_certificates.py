@@ -1,15 +1,21 @@
-"""Exact proofs of the closed forms the norm search and its bounds rest on.
+"""Exact proofs of the closed forms the norm search, its bounds and
+verify's exact checks rest on.
 
 Each proof expands polynomials with exact integer and Fraction arithmetic
 and shows a sign on a box [0,1]^n from its Bernstein coefficients: if every
 coefficient of p in the tensor Bernstein basis is >= 0, then p >= 0 on the
 box, because each basis polynomial is (Farouki, The Bernstein polynomial
-basis: a centennial retrospective, CAGD 29, 2012).  Standard library only.
+basis: a centennial retrospective, CAGD 29, 2012).  A complex number is a
+pair of real polynomials.  Standard library only, apart from one 40-digit
+mpmath check.
 """
 
+import random
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, prod
+from math import comb, pi, prod
+
+import pytest
 
 
 class Poly(dict):
@@ -78,6 +84,19 @@ class Poly(dict):
 
 def variables(n):
     return tuple(Poly(n, [(tuple(int(i == j) for j in range(n)), 1)]) for i in range(n))
+
+
+def cmul(a, b):
+    """The product of two complex numbers given as (re, im) pairs."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def csub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def abs2(a):
+    return a[0] ** 2 + a[1] ** 2
 
 
 def bernstein_coefficients(p, degrees=None):
@@ -244,3 +263,82 @@ class TestRadialLimits:
         assert (1 - r ** 2) ** 2 * -s_num == limit * (1 - r) ** 2
         assert limit == alpha * t * (1 + Fraction(1, 2) * alpha * t) * (1 + r) ** 2
         assert limit.subs(2, 1) == 2 * alpha * t * (2 + alpha * t)
+
+
+class TestGenericCertificates:
+    """verify's three exact checks.  With w_k = zeta_k z, |w_k|^2 = s = |z|^2
+    < 1 and g_k = 1/(1 - w_k), G = sum_k t_k g_k and z h''/(alpha h') =
+    -sum_k t_k w_k g_k.  Each g_k lies on the Apollonius circle
+    |g - 1|^2 = s |g|^2, so G lies in the disk q(G) = |G - 1|^2 - s |G|^2 <= 0,
+    and the membership margin and the real-part residual follow."""
+
+    def test_atom_term_is_one_less_than_its_kernel(self):
+        # g (1 - w) = 1 makes w g = g - 1, so z h''/(alpha h') = -(G - 1)
+        gx, gy, x, y = variables(4)
+        g, w = (gx, gy), (x, y)
+        defect = csub(cmul(g, (1 - x, -y)), (1, 0))  # g (1 - w) - 1
+        assert csub(cmul(w, g), csub(g, (1, 0))) == (-defect[0], -defect[1])
+
+    def test_kernel_real_part_margin(self):
+        # Re(1/(1 - w)) - 1/2 = (1 - |w|^2)/(2 |1 - w|^2), times 2 |1 - w|^2,
+        # with Re(1/(1 - w)) = (1 - x)/|1 - w|^2: so Re G - 1/2 =
+        # sum_k t_k (1 - s)/(2 |1 - w_k|^2) > 0, the membership margin
+        x, y = variables(2)
+        d = (1 - x) ** 2 + y ** 2
+        assert 2 * (1 - x) - d == 1 - x ** 2 - y ** 2
+
+    def test_kernels_lie_on_the_apollonius_circle(self):
+        # |g - 1|^2 = |w g|^2 = |w|^2 |g|^2 = s |g|^2
+        gx, gy, x, y = variables(4)
+        g, w = (gx, gy), (x, y)
+        assert abs2(cmul(w, g)) == abs2(w) * abs2(g)
+
+    def test_apollonius_disk_is_convex(self):
+        # q(t a + (1 - t) b) = t q(a) + (1 - t) q(b) - t (1 - t)(1 - s)|a - b|^2,
+        # so q <= 0 at each g_k keeps q(G) <= 0 for every convex combination
+        t, s, ax, ay, bx, by = variables(6)
+
+        def q(w):
+            return abs2(csub(w, (1, 0))) - s * abs2(w)
+
+        a, b = (ax, ay), (bx, by)
+        mix = (t * ax + (1 - t) * bx, t * ay + (1 - t) * by)
+        assert q(mix) == t * q(a) + (1 - t) * q(b) - t * (1 - t) * (1 - s) * abs2(csub(a, b))
+        assert nonnegative_on_box(t * (1 - t) * (1 - s))
+
+    def test_membership_margin_from_the_disk(self):
+        # |G|^2 - |G - 1|^2 = 2 Re G - 1, and q(G) <= 0 gives
+        # |G - 1|^2 <= s |G|^2 < |G|^2 (G = 0 has q = 1): Re G > 1/2
+        gx, gy = variables(2)
+        assert abs2((gx, gy)) - abs2((gx - 1, gy)) == 2 * gx - 1
+
+    def test_real_part_residual_identity(self):
+        # R = alpha/2 - (1 - s)|P|^2/(2 alpha) - Re(zP), with s |P|^2 = |zP|^2
+        # and zP = -alpha (G - 1), has 2 alpha s R = alpha^2 (s |G|^2 - |G - 1|^2):
+        # R = (alpha/2)(|G|^2 - |G - 1|^2/s), which q(G) <= 0 makes >= 0
+        a, s, gx, gy = variables(4)
+        g = (gx, gy)
+        zp = (-a * (gx - 1), -a * gy)
+        residual_2as = a ** 2 * s - (1 - s) * abs2(zp) - 2 * a * s * zp[0]
+        assert residual_2as == a ** 2 * (s * abs2(g) - abs2(csub(g, (1, 0))))
+
+    def test_subordination_witness_is_a_schwarz_map_in_40_digits(self):
+        # omega = 1 - prod_k (1 - zeta_k z)^(t_k) maps the disk into itself
+        # with omega(0) = 0, so |omega(z)| <= |z|, with equality for one atom
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(72)
+        with mpmath.workdps(40):
+            for m in (1, 1, 2, 3, 5, 8, 13, 21):
+                angles = [rng.uniform(0.0, 2 * pi) for _ in range(m)]
+                raw = [rng.random() + 0.01 for _ in range(m)]
+                weights = [mpmath.mpf(r) / mpmath.fsum(raw) for r in raw]
+                atoms = [mpmath.expj(theta) for theta in angles]
+                worst = mpmath.mpf(0)
+                for _ in range(40):
+                    radius = 1 - mpmath.mpf(10) ** -rng.uniform(0.0, 6.0)
+                    z = radius * mpmath.expj(rng.uniform(0.0, 2 * pi))
+                    log_sum = mpmath.fsum(t * mpmath.log(1 - a * z)
+                                          for t, a in zip(weights, atoms))
+                    omega = -mpmath.expm1(log_sum)
+                    worst = max(worst, abs(omega) / abs(z))
+                assert worst <= 1 + mpmath.mpf(10) ** -35, (m, worst)

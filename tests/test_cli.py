@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,9 +170,42 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "fn.report.json").read_text())
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["univalence_criterion_margin"]["passed"] is True
-        assert checks["jacobian_min"]["value"] > 0.0
+        # alpha = 1/4 and omega = 1/2 sit exactly on the criterion
+        assert checks["univalence_criterion_margin"] == {
+            "name": "univalence_criterion_margin", "value": 0.0, "comparison": ">=",
+            "threshold": 0.0, "evidence": "bound", "passed": True}
+        assert checks["dilatation_sup"] == {
+            "name": "dilatation_sup", "value": 0.5, "comparison": "<", "threshold": 1.0,
+            "evidence": "bound", "passed": True}
         assert checks["winding_probe"]["value"] is True
+        for name in ("membership_margin", "real_part_bound_min_residual",
+                     "subordination_max_modulus"):
+            assert checks[name]["value"] is True and checks[name]["threshold"] is True
+            assert checks[name]["evidence"].startswith("exact: ")
+        assert "[exact: |omega(z)| <= |z| (Schwarz lemma)]  ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [0.20005, 0.2001])
+    def test_constant_just_past_the_criterion_fails(self, tmp_path, capsys, value):
+        # the exact margin 0.2 - value is negative, though a grid with
+        # r_max < 1 reads it positive
+        data = dict(CONSTANT_SHEAR, alpha=0.4, dilatation={
+            "kind": "constant", "params": {"value": {"re": value, "im": 0.0}}})
+        out = tmp_path / "r.json"
+        assert main(["verify", str(write_spec(tmp_path, data)), "--out", str(out)]) == 1
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["univalence_criterion_margin"]
+        assert failed[0]["value"] == pytest.approx(0.2 - value, abs=1e-15)
+
+    def test_dilatation_peaking_between_samples_exit_two(self, tmp_path, capsys):
+        # sup |omega| = 1.004 on the circle, though 8 samples per degree read
+        # at most 0.998: not sense-preserving, so malformed input
+        theta0 = np.pi / 8008
+        coeffs = 1.004 / 1001 * np.exp(-1j * theta0 * np.arange(1001))
+        data = dict(EXTREMAL, alpha=0.6, dilatation={
+            "kind": "polynomial",
+            "params": {"coefficients": [{"re": c.real, "im": c.imag} for c in coeffs]}})
+        assert main(["verify", str(write_spec(tmp_path, data))]) == 2
+        assert "sense-preserving" in capsys.readouterr().err
 
     def test_failing_check_is_named(self, tmp_path, capsys):
         # |omega| = 1/2 exceeds 1 - 0.4 |z| (1 + |z|) near the circle
@@ -199,7 +233,7 @@ class TestVerifyCommand:
         out = tmp_path / "r.json"
         assert main(["verify", str(write_spec(tmp_path, data)), "--out", str(out)]) == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-        assert "jacobian_min" in names
+        assert "dilatation_sup" in names
         assert "univalence_criterion_margin" not in names
         text = capsys.readouterr().out
         assert "univalence" not in text
@@ -482,3 +516,23 @@ class TestNormsCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()
+
+
+class TestReadme:
+    def test_check_table_lists_the_emitted_checks(self):
+        # README's verify-report table names exactly the checks that
+        # run_verification emits, in its order and with its evidence class,
+        # for atom, Blaschke and dilatation specs at alpha < 1/2 and >= 1/2
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = text[text.index("| name | passes when |"):]
+        rows = [row.split("|")[1:-1] for row in table[:table.index("\n\n")].splitlines()[2:]]
+        listed = {cells[0].strip().strip("`"): cells[2].split()[0] for cells in rows}
+        emitted = []
+        for data in (EXTREMAL, HALF_ZERO, CONSTANT_SHEAR, dict(CONSTANT_SHEAR, alpha=0.8)):
+            checks = run_verification(spec_from_dict(data), grid=DiskGrid(8, 64)).checks
+            names = [c.name for c in checks]
+            assert names == [name for name in listed if name in names]
+            for check in checks:
+                assert check.evidence.split(":")[0] == listed[check.name], check.name
+            emitted += names
+        assert set(emitted) == set(listed)

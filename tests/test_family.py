@@ -199,34 +199,42 @@ class TestCoefficients:
             assert np.all(np.abs(a[1:]) <= alpha / (n * (n - 1)) + 1e-9)
 
 
+def grid_margin(f, grid=DiskGrid()):
+    """1/2 - max Re(z h''/(alpha h')) over the grid's points."""
+    z = grid.points()
+    return 0.5 - float(np.max((z * f.hprime_log_derivative(z)).real)) / f.alpha
+
+
 class TestMembershipAndResidual:
     def test_extremal_margin_positive(self):
         for alpha in (0.25, 1.0):
             f = GAlphaFunction(alpha=alpha, measure=single_atom(0.0))
-            assert f.membership_margin() > 0.0
+            assert grid_margin(f) > 0.0
 
     def test_origin_contribution(self):
         rng = np.random.default_rng(25)
         f = GAlphaFunction(alpha=0.5, measure=random_measure(rng, 3))
         # at z = 0 the membership expression has real part 0, margin 1/2
         assert (0.0 * f.hprime_log_derivative(0.0 + 0.0j)).real == pytest.approx(0.0)
-        assert f.membership_margin() <= 0.5
+        assert grid_margin(f) <= 0.5
 
     def test_margin_matches_direct_formula(self):
-        # membership_margin takes Re(z P)/alpha as 1 - Re sum_k t_k/(1 - zeta_k z);
-        # oracle: z P/alpha from hprime_log_derivative, within a few ulp of 1/2
+        # verify's exact membership check rests on 1/2 - Re(z h''/(alpha h'))
+        # = Re G - 1/2 with G = sum_k t_k/(1 - zeta_k z); the grid minimum of
+        # the right side, written as 1/2 - (1 - Re G), is within a few ulp of
+        # the left side's from hprime_log_derivative
         rng = np.random.default_rng(66)
         for m in (1, 3, 12):
             f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, m))
             grid = DiskGrid(16, 64, 0.999)
             z = grid.points()
-            direct = 0.5 - np.max((z * f.hprime_log_derivative(z)).real / f.alpha)
-            assert abs(f.membership_margin(grid) - direct) <= 4e-16
+            g = (f.measure.weights / (1.0 - z[..., None] * f.measure.atoms)).sum(axis=-1)
+            assert abs(np.min(0.5 - (1.0 - g.real)) - grid_margin(f, grid)) <= 4e-16
 
     def test_random_member_margin_positive(self):
         rng = np.random.default_rng(26)
         f = GAlphaFunction(alpha=0.7, measure=random_measure(rng, 5))
-        assert f.membership_margin() > 0.0
+        assert grid_margin(f) > 0.0
 
     def test_extremal_residual_vanishes(self):
         # the single-atom member attains equality at every z in the disk
@@ -356,7 +364,7 @@ class TestRoundTrips:
         phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
         f = GAlphaFunction(alpha=0.5, measure=measure_from_blaschke(phi))
         assert np.allclose(np.sort(f.measure.weights), [0.25, 0.75], atol=1e-10)
-        assert f.membership_margin() > 0.0
+        assert grid_margin(f) > 0.0
 
 
 def expanded_numerator_zeros(measure):
@@ -597,8 +605,7 @@ class TestBlockedKernels:
         kernels = {"real_part_bound_residual": f.real_part_bound_residual,
                    "subordination_witness": f.subordination_witness,
                    "schwarzian": lambda z: schwarzian(f, z),
-                   "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian,
-                   "_grid_pass": lambda z: family._grid_pass(f, z, dilatation)}
+                   "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian}
         for name, kernel in kernels.items():
             tracemalloc.start()
             try:
@@ -609,52 +616,21 @@ class TestBlockedKernels:
             assert peak <= 16 * 2 ** 20, name
 
 
-DILATATIONS = [None, DilatationSpec.constant(0.3 + 0.2j), DilatationSpec.monomial(0.4j, 3),
-               DilatationSpec.polynomial([0.1, 0.2j, -0.1, 0.05]),
-               DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3 + 0.4j, -0.5j]))]
-
-
-class TestGridPass:
-    def test_record_equals_the_methods_bit_for_bit(self):
-        # the default grid's 32,768 points make 2 slices at m = 5, 3 unequal
-        # ones (10,922 and 10,923 points) at m = 10 and 8 at m = 28;
-        # membership_margin and univalence_criterion read the record, so the
-        # margin is checked by test_margin_matches_direct_formula and the
-        # univalence margin against its whole-array formula here
-        rng = np.random.default_rng(65)
-        for grid in (DiskGrid(), DiskGrid(11, 100, 0.99)):
-            z = grid.points()
-            for m in (1, 2, 4, 5, 10, 28, 64):
-                f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
-                                   measure=random_measure(rng, m))
-                expected = {
-                    "real_part_bound_min_residual": float(np.min(f.real_part_bound_residual(z))),
-                    "subordination_max_modulus": float(np.max(np.abs(f.subordination_witness(z)))),
-                }
-                for dilatation in DILATATIONS:
-                    want = dict(expected)
-                    if dilatation is not None:
-                        hmap = HarmonicMap(analytic_part=f, dilatation=dilatation)
-                        r = np.abs(z)
-                        want.update(jacobian_min=float(np.min(hmap.jacobian(z))),
-                                    univalence_criterion_margin=float(np.min(
-                                        (1.0 - f.alpha * r * (1.0 + r))
-                                        - np.abs(dilatation(z)))))
-                    record = family._grid_pass(f, z, dilatation)
-                    del record["membership_margin"]
-                    assert record == want, (grid, m)
-
-    def test_verify_forms_each_slice_once(self, monkeypatch):
+class TestVerifyWork:
+    def test_verify_forms_one_minus_only_at_the_origin(self, monkeypatch):
         # a work guard that counts rather than times: outside the norms,
-        # verify forms u = 1 - zeta z once per grid slice, plus once at the
-        # origin for subordination_origin_modulus and once for the
-        # HarmonicMap's J(0) check; separate checks formed it four times
+        # verify forms u = 1 - zeta z only at the origin, once for
+        # subordination_origin_modulus and once for the HarmonicMap's J(0)
+        # check, and never sums the residual's atom pairs; its pointwise
+        # checks once formed u on every slice of the grid
         member = GAlphaFunction(alpha=0.3, measure=roots_of_unity_measure(28))
         spec = FunctionSpec(alpha=0.3, measure=member.measure,
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
         grid = DiskGrid()
         report = norms(member, grid)
         monkeypatch.setattr("galpha.verify.norms", lambda f, g: report)
+        monkeypatch.setattr(GAlphaFunction, "_pair_sum",
+                            lambda self: pytest.fail("verify summed atom pairs"))
         sizes, one_minus = [], family._one_minus
 
         def counted(z, atoms, out=None):
@@ -663,5 +639,4 @@ class TestGridPass:
 
         monkeypatch.setattr(family, "_one_minus", counted)
         assert run_verification(spec, grid=grid).passed
-        # 32,768 points in slices of at most _BLOCK // 28 = 4,681
-        assert sorted(sizes) == [1, 1] + [4096] * 8
+        assert sorted(sizes) == [1, 1]

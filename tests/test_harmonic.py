@@ -5,14 +5,22 @@ from galpha.blaschke import BlaschkeProduct
 from galpha.complexfn import TWO_PI, DiskGrid
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
-                             univalence_criterion, winding_injectivity_probe,
-                             winding_number)
+                             _sup_on_circle, univalence_criterion,
+                             winding_injectivity_probe, winding_number)
 
 from test_family import random_measure, random_points
 
 
 def extremal(alpha=1.0, theta=0.0):
     return GAlphaFunction(alpha=alpha, measure=single_atom(theta))
+
+
+def dirichlet_kernel(n, a):
+    """Coefficients of (a/(n+1)) sum_k (e^(-i theta0) z)^k, k = 0..n, whose sup
+    on the disk is a, at z = e^(i theta0); theta0 lies midway between two of
+    max(1024, 8(n+1)) equispaced points, where a sampled max reads below a."""
+    theta0 = np.pi / max(1024, 8 * (n + 1))
+    return a / (n + 1) * np.exp(-1j * theta0 * np.arange(n + 1))
 
 
 class TestDilatationSpec:
@@ -50,6 +58,16 @@ class TestDilatationSpec:
             DilatationSpec.blaschke_scaled(1.0 - 1e-10, phi)
         DilatationSpec.blaschke_scaled(1.0 - 2e-9, phi)
 
+    @pytest.mark.parametrize("n,a", [(100, 1.002), (1000, 1.004), (4095, 1.004)])
+    def test_sense_preservation_certified_between_samples(self, n, a):
+        # an equispaced sample reads at most 0.996 a here, below 1 - 1e-9
+        samples = max(1024, 8 * (n + 1))
+        theta = TWO_PI * np.arange(samples) / samples
+        assert np.max(np.abs(np.polynomial.polynomial.polyval(
+            np.exp(1j * theta), dirichlet_kernel(n, a)))) < 1.0 - 1e-9
+        with pytest.raises(ValueError, match="sense-preserving"):
+            DilatationSpec.polynomial(dirichlet_kernel(n, a))
+
     def test_one_representation(self):
         phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
         with pytest.raises(ValueError, match="exactly one"):
@@ -69,6 +87,36 @@ class TestDilatationSpec:
         om2 = DilatationSpec.blaschke_scaled(0.9, phi)
         assert np.allclose(om2.taylor_coefficients(4),
                            0.9 * phi.taylor_coefficients(4))
+
+
+class TestSupOnCircle:
+    def test_exact_for_blaschke_and_single_coefficients(self):
+        phi = BlaschkeProduct(zeros=[0.5 + 0.0j, -0.2j])
+        assert _sup_on_circle(DilatationSpec.blaschke_scaled(0.3 - 0.4j, phi)) == 0.5
+        assert _sup_on_circle(DilatationSpec.constant(0.5)) == 0.5
+        assert _sup_on_circle(DilatationSpec.monomial(0.6j, 4096)) == 0.6
+        assert _sup_on_circle(DilatationSpec.polynomial([0.0] * 4097)) == 0.0
+
+    def test_bound_is_above_the_sup_and_within_its_allowance(self):
+        # the Dirichlet kernel's sup a is its value at the peak; a random
+        # polynomial's sup is read at 2^20 points, within 1e-7 relative
+        for n in (1, 7, 100, 1000):
+            bound = _sup_on_circle(DilatationSpec.polynomial(dirichlet_kernel(n, 0.9)))
+            assert 0.9 <= bound <= 0.9 * (1.0 + 1.3e-3), n
+        rng = np.random.default_rng(71)
+        theta = TWO_PI * np.arange(1 << 20) / (1 << 20)
+        for n in (2, 5, 30):
+            coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            coeffs *= 0.5 / np.abs(coeffs).sum()
+            values = np.abs(np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs))
+            sup = float(np.max(values))
+            bound = _sup_on_circle(DilatationSpec.polynomial(coeffs))
+            assert sup <= bound <= sup * (1.0 + 1.3e-3), n
+
+    def test_leading_and_trailing_zeros_do_not_widen_the_span(self):
+        # |z^3 (c0 + c1 z)| = |c0 + c1 z| on the circle
+        inner = _sup_on_circle(DilatationSpec.polynomial([0.2, 0.3j]))
+        assert _sup_on_circle(DilatationSpec.polynomial([0, 0, 0, 0.2, 0.3j, 0])) == inner
 
 
 class TestGCoefficients:
@@ -144,12 +192,12 @@ class TestJacobian:
 
 class TestUnivalenceCriterion:
     def test_boundary_case_holds(self):
-        # alpha = 1/4, |omega| = 1/2 = 1 - 2 alpha: margin tends to 0 as r -> 1
+        # alpha = 1/4, |omega| = 1/2 = 1 - 2 alpha: the margin is exactly 0
         m = HarmonicMap(analytic_part=extremal(alpha=0.25),
                         dilatation=DilatationSpec.constant(0.5))
         holds, margin = univalence_criterion(m)
         assert holds
-        assert 0.0 <= margin < 1e-3
+        assert margin == 0.0
 
     def test_small_dilatation_holds(self):
         m = HarmonicMap(analytic_part=extremal(alpha=0.4),
@@ -162,8 +210,24 @@ class TestUnivalenceCriterion:
                         dilatation=DilatationSpec.constant(0.5))
         holds, margin = univalence_criterion(m)
         assert not holds
-        # at the outermost radius the margin is (1 - 0.8) - 0.5 = -0.3
-        assert margin == pytest.approx(-0.3, abs=1e-3)
+        # the margin is its value on the circle, (1 - 0.8) - 0.5 = -0.3
+        assert margin == pytest.approx(-0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("value", [0.20005, 0.2001])
+    def test_constant_just_past_the_criterion_fails(self, value):
+        # 1 - alpha |z| (1 + |z|) sinks to 0.2 only at the circle, so a grid
+        # with r_max < 1 reads a positive margin for these
+        m = HarmonicMap(analytic_part=extremal(alpha=0.4),
+                        dilatation=DilatationSpec.constant(value))
+        holds, margin = univalence_criterion(m)
+        assert not holds
+        assert margin == pytest.approx(0.2 - value, abs=1e-15)
+
+    def test_varying_dilatation_margin_reads_the_circle(self):
+        # |0.5 z^2| peaks at 0.5 on the circle: the margin is 1 - 0.5 - 0.5
+        m = HarmonicMap(analytic_part=extremal(alpha=0.25),
+                        dilatation=DilatationSpec.monomial(0.5, 2))
+        assert univalence_criterion(m) == (True, 0.0)
 
 
 class TestWindingProbe:
