@@ -38,6 +38,8 @@ class BlaschkeProduct:
 
     def __post_init__(self) -> None:
         zeros = np.atleast_1d(np.asarray(self.zeros, dtype=complex))
+        if zeros.ndim != 1:
+            raise ValueError("zeros must be a 1-d array")
         _require_finite("zeros", zeros)
         if zeros.size and np.max(np.abs(zeros)) >= 1.0 - _BOUNDARY_MARGIN:
             raise ValueError("every zero must satisfy |b| < 1 - 1e-12")

@@ -1,7 +1,8 @@
 """Command-line surface: verify, roundtrip, render, gen, norms.
 
 Exit codes: 0 = pass, 1 = a check failed, 2 = malformed input, such as grid
-flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax) it rejects.
+flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax) it rejects
+or a size (--atoms, --samples, a grid flag) too large to allocate.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # SpecFileError is a ValueError
-    except (ValueError, ConvergenceError, OSError) as exc:
+    except (ValueError, ConvergenceError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -43,22 +43,14 @@ def _series(coefficients, z):
     return out[()] if np.ndim(out) == 0 else out
 
 
-def _one_minus(z, atoms, out=None):
-    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), in out if given:
-    each per-point kernel forms it once per slice."""
+def _one_minus(z, atoms, out):
+    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out."""
     u = np.multiply.outer(z, atoms, out=out)
     return np.subtract(1.0, u, out=u)
 
 
-def _over_atoms(z, atoms, numerators, out=None):
-    """numerators_k / (1 - zeta_k z) for 1-d z, shape (z.size, m), in out if given."""
-    u = _one_minus(z, atoms, out)
-    return np.divide(numerators, u, out=u)
-
-
-def _log_sum(z, atoms, weights, out=None):
-    """L = sum_k t_k Log u_k, u_k = 1 - zeta_k z, for 1-d z in the disk;
-    returns (L, u), with u formed in out if given.
+def _log_sum(z, u, atoms, weights):
+    """L = sum_k t_k Log u_k for 1-d z in the disk and its u_k = 1 - zeta_k z.
 
     Re(u_k) > 0 there, so arctan2 gives the principal argument; this is
     several times faster than numpy's complex log.  log |u_k|^2 is
@@ -66,7 +58,6 @@ def _log_sum(z, atoms, weights, out=None):
     |u_k|^2 near 1 loses the digits of a small L, and log(Re^2 + Im^2)
     elsewhere, and so near every atom, where the log1p argument cancels.
     """
-    u = _one_minus(z, atoms, out)
     re, im = u.real, u.imag
     buf = re * re
     buf += im * im
@@ -76,7 +67,7 @@ def _log_sum(z, atoms, weights, out=None):
     buf[small] = np.log1p((zs.real * zs.real + zs.imag * zs.imag)[:, None]
                           - 2.0 * np.multiply.outer(zs, atoms).real)
     log_modulus = 0.5 * (buf @ weights)
-    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights), u
+    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights)
 
 
 @dataclass(frozen=True)
@@ -85,11 +76,13 @@ class AtomicMeasure:
 
     Angles are canonicalized to [0, 2 pi) and sorted ascending; weights are
     renormalized when their sum deviates from 1 by at most 1e-12 and
-    rejected otherwise.
+    rejected otherwise.  atoms holds the unimodular atom positions
+    zeta_k = e^(i angle_k), formed once for every per-point kernel.
     """
 
     angles: np.ndarray
     weights: np.ndarray
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
@@ -112,11 +105,7 @@ class AtomicMeasure:
                                  "(separation > 1e-9)")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "weights", weights / weights.sum())
-
-    @property
-    def atoms(self) -> np.ndarray:
-        """The unimodular atom positions zeta_k = e^(i angle_k)."""
-        return np.exp(1j * self.angles)
+        object.__setattr__(self, "atoms", np.exp(1j * angles))
 
     @property
     def count(self) -> int:
@@ -233,13 +222,13 @@ class GAlphaFunction:
         """kernel over the points of z, on the fewest slices of at most
         _BLOCK // m points, whose sizes differ by at most one.
 
-        kernel(zb, u) gets a 1-d slice zb and u, a (zb.size, m) complex view
-        of one buffer shared by every slice, to form 1 - zeta_k z in: fresh
-        slice-sized arrays let the allocator hand memory back to the system
-        and fault it in again.  It returns an array whose last axis runs
-        over zb; the result takes that array's dtype and leading axes,
-        followed by the shape of z, and a 0-d z with no leading axes gives
-        a numpy scalar.
+        kernel(zb, u) gets a 1-d slice zb and its u_k = 1 - zeta_k z, formed
+        here in a (zb.size, m) complex view of one buffer shared by every
+        slice, which the kernel may overwrite: fresh slice-sized arrays let
+        the allocator hand memory back to the system and fault it in again.
+        It returns an array whose last axis runs over zb; the result takes
+        that array's dtype and leading axes, followed by the shape of z, and
+        a 0-d z with no leading axes gives a numpy scalar.
         Balanced slices leave no short tail: a one-point slice runs its
         kernel's products down a different numpy path, which rounds
         differently.  z must lie in the open disk.
@@ -248,27 +237,27 @@ class GAlphaFunction:
         _require_finite("z", z)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation requires |z| < 1")
-        flat, m = z.ravel(), self.measure.count
-        n = max(1, -(-flat.size // max(1, _BLOCK // m)))
-        work = np.empty((-(-flat.size // n), m), dtype=complex)
+        flat, atoms = z.ravel(), self.measure.atoms
+        n = max(1, -(-flat.size // max(1, _BLOCK // atoms.size)))
+        work = np.empty((-(-flat.size // n), atoms.size), dtype=complex)
         if n == 1:
-            out = kernel(flat, work)
+            out = kernel(flat, _one_minus(flat, atoms, work))
         else:
             ends = [i * flat.size // n for i in range(n + 1)]
-            out = np.concatenate([kernel(flat[start:stop], work[:stop - start])
-                                  for start, stop in zip(ends, ends[1:])], axis=-1)
+            out = np.concatenate([kernel(flat[a:b], _one_minus(flat[a:b], atoms, work[:b - a]))
+                                  for a, b in zip(ends, ends[1:])], axis=-1)
         out = out.reshape(out.shape[:-1] + np.shape(z))
         return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(zb, atoms, weights, u)[0]))
+        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(zb, u, atoms, weights)))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, u: -alpha * (_over_atoms(zb, atoms, atoms, u) @ weights))
+        return self._blocks(z, lambda zb, u: -alpha * (np.divide(atoms, u, out=u) @ weights))
 
     def hprime_coefficients(self, n_max: int) -> np.ndarray:
         """Maclaurin coefficients c_0..c_n_max of h', from h'' = P h'.
@@ -316,28 +305,6 @@ class GAlphaFunction:
         full = np.concatenate([[0.0], self.coefficients(_SERIES_TERMS)])  # h(0) = 0
         return _series(full, z)
 
-    def _pair_sum(self):
-        """tg -> real_part_bound_residual per row of tg_k = t_k/(1 - zeta_k z)."""
-        atoms, alpha, m = self.measure.atoms, self.alpha, self.measure.count
-        cross = 1.0 - np.outer(atoms, np.conj(atoms))
-        np.fill_diagonal(cross, 0.0)
-        if m <= _PAIR_LOOP_ATOMS:
-            pairs = list(zip(*np.triu_indices(m, 1)))
-
-            def pair_sum(tg):
-                # the (j, k) and (k, j) terms are complex conjugates
-                out = np.zeros(tg.shape[0])
-                for j, k in pairs:
-                    out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
-                return alpha * out
-        else:
-            def pair_sum(tg):
-                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
-                # over the interleaved real views of the two rows
-                q = tg @ cross
-                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
-        return pair_sum
-
     def real_part_bound_residual(self, z):
         """Slack in the sharp pointwise bound on Re(z h''/h').
 
@@ -356,9 +323,24 @@ class GAlphaFunction:
         form |sum tg|^2 - |sum zeta tg|^2 is not used: it cancels terms of
         size O(1/(1-|z|)^2) and loses ~1e-8.
         """
-        atoms, weights = self.measure.atoms, self.measure.weights
-        pair_sum = self._pair_sum()
-        return self._blocks(z, lambda zb, u: pair_sum(_over_atoms(zb, atoms, weights, u)))
+        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
+        cross = 1.0 - np.outer(atoms, np.conj(atoms))
+        np.fill_diagonal(cross, 0.0)
+
+        def kernel(zb, u):
+            tg = np.divide(weights, u, out=u)
+            if atoms.size > _PAIR_LOOP_ATOMS:
+                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
+                # over the interleaved real views of the two rows
+                q = tg @ cross
+                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
+            # the (j, k) and (k, j) terms are complex conjugates
+            out = np.zeros(zb.size)
+            for j, k in zip(*np.triu_indices(atoms.size, 1)):
+                out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
+            return alpha * out
+
+        return self._blocks(z, kernel)
 
     def subordination_witness(self, z):
         """The self-map omega with h' = (1 - omega)^alpha, omega(0) = 0.
@@ -369,4 +351,4 @@ class GAlphaFunction:
         near the origin, where 1 - exp(L) cancels.
         """
         atoms, weights = self.measure.atoms, self.measure.weights
-        return self._blocks(z, lambda zb, u: -np.expm1(_log_sum(zb, atoms, weights, u)[0]))
+        return self._blocks(z, lambda zb, u: -np.expm1(_log_sum(zb, u, atoms, weights)))

@@ -7,7 +7,8 @@ implemented here is |omega(z)| <= 1 - alpha |z| (1 + |z|), which for
 alpha < 1/2 guarantees the shear is injective, and holds iff
 max_circle |omega| <= 1 - 2 alpha, by the maximum principle for the
 subharmonic |omega| + alpha |z| + alpha |z|^2 (Ransford, Potential Theory
-in the Complex Plane, CUP 1995).
+in the Complex Plane, CUP 1995).  Both conditions read one certified upper
+bound on max_circle |omega|, computed once when the DilatationSpec is built.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ class DilatationSpec:
     """An analytic dilatation with sup |omega| <= 1 - 1e-9 (sense-preserving).
 
     Either a polynomial sum_j c_j z^j or scale * phi for a finite Blaschke
-    product phi; construct through the classmethods.  The guard reads the
-    certified upper bound of _sup_on_circle.
+    product phi; construct through the classmethods.  sup_bound holds the
+    certified upper bound of _sup_on_circle, computed once for the guard.
     """
 
     coefficients: np.ndarray | None = None
     scale: complex = 1.0 + 0.0j
     blaschke: BlaschkeProduct | None = None
+    sup_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.coefficients is None) == (self.blaschke is None):
@@ -53,9 +55,12 @@ class DilatationSpec:
             if self.scale != 1.0:
                 raise ValueError("scale applies to Blaschke dilatations only")
             coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+            if coeffs.ndim != 1 or coeffs.size == 0:
+                raise ValueError("coefficients must be a nonempty 1-d array")
             _require_finite("coefficients", coeffs)
             object.__setattr__(self, "coefficients", coeffs)
-        if _sup_on_circle(self) > 1.0 - _SENSE_MARGIN:
+        object.__setattr__(self, "sup_bound", _sup_on_circle(self))
+        if self.sup_bound > 1.0 - _SENSE_MARGIN:
             raise ValueError("dilatation must satisfy sup |omega| <= 1 - 1e-9 "
                              "(sense-preserving)")
 
@@ -112,11 +117,6 @@ class HarmonicMap:
     dilatation: DilatationSpec
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # J(0) = 1 - |omega(0)|^2; the dilatation invariant keeps it positive
-        if self.jacobian(0.0 + 0.0j) <= 0.0:
-            raise ValueError("Jacobian must be positive at the origin")
-
     def g_coefficients(self) -> np.ndarray:
         """Coefficients g_0..g_256 of g: Cauchy product of omega and h'
         coefficients, antidifferentiated (g_0 = 0)."""
@@ -145,7 +145,7 @@ class HarmonicMap:
         f = self.analytic_part
         atoms, weights = f.measure.atoms, f.measure.weights
         return f._blocks(z, lambda zb, u: (
-            np.exp(2.0 * f.alpha * _log_sum(zb, atoms, weights, u)[0].real)
+            np.exp(2.0 * f.alpha * _log_sum(zb, u, atoms, weights).real)
             * (1.0 - np.abs(self.dilatation(zb)) ** 2)))
 
 
@@ -180,11 +180,11 @@ def _sup_on_circle(dilatation: DilatationSpec) -> float:
 def univalence_criterion(map_: HarmonicMap) -> tuple[bool, float]:
     """Check |omega(z)| <= 1 - alpha |z| (1 + |z|) on the disk.
 
-    Returns (holds, margin) with margin = 1 - 2 alpha - _sup_on_circle(omega),
+    Returns (holds, margin) with margin = 1 - 2 alpha - omega.sup_bound,
     a lower bound on inf (1 - alpha |z| (1 + |z|)) - |omega(z)| that is exact
     when the sup is; the criterion guarantees univalence when alpha < 1/2.
     """
-    margin = (1.0 - 2.0 * map_.analytic_part.alpha) - _sup_on_circle(map_.dilatation)
+    margin = (1.0 - 2.0 * map_.analytic_part.alpha) - map_.dilatation.sup_bound
     return margin >= 0.0, margin
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
-from .family import GAlphaFunction, _over_atoms
+from .family import GAlphaFunction
 
 
 def pre_schwarzian(f: GAlphaFunction, z):
@@ -31,13 +31,13 @@ def pre_schwarzian(f: GAlphaFunction, z):
 def schwarzian(f: GAlphaFunction, z):
     """S(z) = P'(z) - P(z)^2/2, both terms in closed form.
 
-    With g_k = zeta_k/(1 - zeta_k z), formed once per block,
+    With g_k = zeta_k/(1 - zeta_k z), formed once per slice,
     P = -alpha sum_k t_k g_k and P' = -alpha sum_k t_k g_k^2.
     """
     atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
 
     def kernel(zb, u):
-        g = _over_atoms(zb, atoms, atoms, u)
+        g = np.divide(atoms, u, out=u)
         p = -alpha * (g @ weights)
         return -alpha * (np.multiply(g, g, out=g) @ weights) - 0.5 * p ** 2
 

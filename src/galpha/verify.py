@@ -22,8 +22,7 @@ import numpy as np
 
 from .complexfn import TWO_PI, DiskGrid
 from .family import induced_self_map, measure_from_blaschke
-from .harmonic import (HarmonicMap, _sup_on_circle, univalence_criterion,
-                       winding_injectivity_probe)
+from .harmonic import HarmonicMap, univalence_criterion, winding_injectivity_probe
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
 
@@ -165,7 +164,7 @@ def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
         hmap = HarmonicMap(analytic_part=member, dilatation=spec.dilatation)
         checks += [
             # J = |h'|^2 (1 - |omega|^2) > 0 on the disk, as h' != 0 there
-            Check("dilatation_sup", _sup_on_circle(spec.dilatation), "<", 1.0, "bound"),
+            Check("dilatation_sup", spec.dilatation.sup_bound, "<", 1.0, "bound"),
             Check("winding_probe", all(winding_injectivity_probe(hmap, r, targets=20)
                                        for r in (0.5, 0.9)), "==", True, "sampled"),
         ]

@@ -45,6 +45,10 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             BlaschkeProduct(zeros=[(1.0 - 1e-13) + 0.0j])
 
+    def test_rejects_zeros_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            BlaschkeProduct(zeros=[[0.1, 0.2]])
+
     def test_rejects_non_unimodular_prefactor(self):
         with pytest.raises(ValueError):
             BlaschkeProduct(zeros=[0.1 + 0.0j], prefactor=0.5)

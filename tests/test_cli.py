@@ -385,6 +385,22 @@ class TestRenderCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+class TestUnallocatableSizes:
+    # numpy refuses 10^13 elements (~73 TiB) at once, allocating nothing
+    @pytest.mark.parametrize("command", [
+        ["gen", "--seed", "1", "--atoms", "10000000000000", "--alpha", "0.5"],
+        ["render", "SPEC", "--samples", "10000000000000"],
+        ["norms", "SPEC", "--grid-radii", "10000000000000"],
+    ], ids=["gen", "render", "norms"])
+    def test_exit_two(self, tmp_path, capsys, command):
+        path = write_spec(tmp_path, EXTREMAL)
+        argv = [str(path) if arg == "SPEC" else arg for arg in command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
+
 class TestGenCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

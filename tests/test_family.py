@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from galpha import family
+from galpha import family, harmonic, verify
 from galpha.blaschke import BlaschkeProduct, boundary_roots
 from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
@@ -34,6 +34,10 @@ class TestAtomicMeasure:
         m = AtomicMeasure(angles=[5.0, -1.0], weights=[0.5, 0.5])
         assert np.all(np.diff(m.angles) > 0)
         assert np.all((0.0 <= m.angles) & (m.angles < TWO_PI))
+        # the atoms follow the canonical order and stay out of repr and ==
+        assert np.array_equal(m.atoms, np.exp(1j * m.angles))
+        assert "atoms" not in repr(m)
+        assert single_atom(5.0) == AtomicMeasure(angles=[5.0], weights=[1.0])
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):
@@ -620,23 +624,41 @@ class TestVerifyWork:
     def test_verify_forms_one_minus_only_at_the_origin(self, monkeypatch):
         # a work guard that counts rather than times: outside the norms,
         # verify forms u = 1 - zeta z only at the origin, once for
-        # subordination_origin_modulus and once for the HarmonicMap's J(0)
-        # check, and never sums the residual's atom pairs; its pointwise
-        # checks once formed u on every slice of the grid
+        # subordination_origin_modulus, and never evaluates the residual;
+        # its pointwise checks once formed u on every slice of the grid
         member = GAlphaFunction(alpha=0.3, measure=roots_of_unity_measure(28))
         spec = FunctionSpec(alpha=0.3, measure=member.measure,
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
         grid = DiskGrid()
         report = norms(member, grid)
         monkeypatch.setattr("galpha.verify.norms", lambda f, g: report)
-        monkeypatch.setattr(GAlphaFunction, "_pair_sum",
-                            lambda self: pytest.fail("verify summed atom pairs"))
+        monkeypatch.setattr(GAlphaFunction, "real_part_bound_residual",
+                            lambda self, z: pytest.fail("verify evaluated the residual"))
         sizes, one_minus = [], family._one_minus
 
-        def counted(z, atoms, out=None):
+        def counted(z, atoms, out):
             sizes.append(z.size)
             return one_minus(z, atoms, out)
 
         monkeypatch.setattr(family, "_one_minus", counted)
         assert run_verification(spec, grid=grid).passed
-        assert sorted(sizes) == [1, 1]
+        assert sizes == [1]
+
+    def test_verify_bounds_a_polynomial_dilatation_once(self, monkeypatch):
+        # the spec's guard computes the bound; dilatation_sup and the
+        # univalence margin (alpha < 1/2) read it from the spec
+        calls, sup_on_circle = [], harmonic._sup_on_circle
+
+        def counted(dilatation):
+            calls.append(dilatation)
+            return sup_on_circle(dilatation)
+
+        monkeypatch.setattr(harmonic, "_sup_on_circle", counted)
+        measure = roots_of_unity_measure(3)
+        spec = FunctionSpec(alpha=0.3, measure=measure,
+                            dilatation=DilatationSpec.polynomial([0.1, 0.2j, -0.05]))
+        report = run_verification(spec)
+        assert report.passed
+        assert "univalence_criterion_margin" in [c.name for c in report.checks]
+        assert len(calls) == 1
+        assert not hasattr(verify, "_sup_on_circle")

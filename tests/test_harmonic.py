@@ -80,6 +80,21 @@ class TestDilatationSpec:
             DilatationSpec.monomial(0.5, 0)
         assert np.array_equal(DilatationSpec.monomial(0.5, 2).coefficients, [0, 0, 0.5])
 
+    def test_malformed_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            DilatationSpec.polynomial([[0.3, 0.2], [0.1, 0.0]])
+        with pytest.raises(ValueError, match="nonempty"):
+            DilatationSpec.polynomial([])
+
+    def test_sup_bound_is_kept_but_neither_compared_nor_shown(self):
+        om = DilatationSpec.constant(0.3j)
+        assert om.sup_bound == _sup_on_circle(om) == pytest.approx(0.3)
+        assert om == DilatationSpec.constant(0.3j)
+        assert om != DilatationSpec.constant(0.2j)
+        assert "sup_bound" not in repr(om)
+        with pytest.raises(TypeError):
+            DilatationSpec(coefficients=[0.3j], sup_bound=0.0)
+
     def test_taylor_coefficients(self):
         om = DilatationSpec.monomial(0.5, 3)
         assert np.allclose(om.taylor_coefficients(5), [0, 0, 0, 0.5, 0, 0])
