@@ -1,15 +1,14 @@
-"""Build sheared harmonic mappings f = h + conj(g) and probe their injectivity.
+"""Build sheared harmonic mappings f = h + conj(g) and check their univalence.
 
 The dilatation omega = g'/h' controls local behavior: J = |h'|^2 (1-|omega|^2)
 stays positive for sense-preserving maps, and |omega(z)| <= 1 - alpha|z|(1+|z|)
-guarantees global univalence when alpha < 1/2.  The winding probe checks the
-image circle winds exactly once around interior image points.
+guarantees global univalence when alpha < 1/2.
 """
 
 import numpy as np
 
 from galpha import (DilatationSpec, GAlphaFunction, HarmonicMap, single_atom,
-                    univalence_criterion, winding_injectivity_probe)
+                    univalence_criterion)
 
 member = GAlphaFunction(alpha=0.25, measure=single_atom(0.0))
 
@@ -19,7 +18,6 @@ holds, margin = univalence_criterion(shear)
 print("alpha = 0.25, omega = 0.5 (= 1 - 2 alpha):")
 print(f"  univalence criterion holds: {holds} (margin {margin:.2e})")
 print(f"  J(0) = {shear.jacobian(0.0 + 0.0j):.6f}")
-print(f"  winding probe at r = 0.9: {winding_injectivity_probe(shear, 0.9)}")
 
 # push the dilatation past the criterion: it fails near the boundary, as the
 # bound 1 - alpha |z|(1+|z|) sinks to 1 - 2 alpha = 0.2 there, so the exact
@@ -37,7 +35,3 @@ j_ring = spin.jacobian(0.9 * np.exp(1j * theta))
 print(f"\nomega = 0.5 z^2: Jacobian on |z| = 0.9 within"
       f" [{j_ring.min():.4f}, {j_ring.max():.4f}]")
 print(f"  g coefficients through z^5: {np.round(spin.g_coefficients()[:6], 6)}")
-
-# the winding probe rejects a non-injective control
-print(f"\nwinding probe on z -> z^2 (not injective):"
-      f" {winding_injectivity_probe(lambda z: z ** 2, 0.9)}")

@@ -12,9 +12,7 @@ from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                      induced_self_map, measure_from_blaschke, measure_from_roots,
                      roots_of_unity_measure, single_atom)
-from .harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
-                       univalence_criterion, winding_injectivity_probe,
-                       winding_number)
+from .harmonic import DilatationSpec, HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, norms, pre_schwarzian, schwarzian
 from .specfile import (FunctionSpec, SpecFileError, load_function_spec,
                        save_function_spec)
@@ -35,7 +33,6 @@ __all__ = [
     "FunctionSpec",
     "GAlphaFunction",
     "HarmonicMap",
-    "InconclusiveProbeError",
     "NormEstimate",
     "SchwarzReport",
     "SpecFileError",
@@ -57,6 +54,4 @@ __all__ = [
     "single_atom",
     "sup_norm_estimate",
     "univalence_criterion",
-    "winding_injectivity_probe",
-    "winding_number",
 ]

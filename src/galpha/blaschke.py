@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI, ConvergenceError, DomainError, _require_finite
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
+                        _require_finite)
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
@@ -30,14 +31,14 @@ class BlaschkeProduct:
     The prefactor must be unimodular (within 1e-12; it is renormalized to
     exact unit modulus).  Zeros within 1e-12 of the circle are rejected:
     the roots of z*phi(z) = 1 collide with poles in that limit and the
-    residues degenerate.
+    residues degenerate.  The stored zeros are a read-only copy.
     """
 
     zeros: np.ndarray
     prefactor: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        zeros = np.atleast_1d(np.asarray(self.zeros, dtype=complex))
+        zeros = np.array(self.zeros, dtype=complex, ndmin=1)
         if zeros.ndim != 1:
             raise ValueError("zeros must be a 1-d array")
         _require_finite("zeros", zeros)
@@ -47,8 +48,11 @@ class BlaschkeProduct:
         _require_finite("prefactor", pre)
         if abs(abs(pre) - 1.0) > 1e-12:
             raise ValueError("prefactor must be unimodular within 1e-12")
+        zeros.flags.writeable = False
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "prefactor", pre / abs(pre))
+
+    __eq__ = _fields_equal
 
     @property
     def degree(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,15 @@ def worker_count() -> int:
 def _require_finite(name: str, value) -> None:
     if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
+
+
+def _fields_equal(a, b):
+    """== for a frozen dataclass holding arrays: each compared field equal
+    by value, where the generated == takes the truth value of an array."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)

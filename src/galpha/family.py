@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
-from .complexfn import TWO_PI, ConvergenceError, DomainError, _require_finite
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
+                        _require_finite)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -76,8 +77,8 @@ class AtomicMeasure:
 
     Angles are canonicalized to [0, 2 pi) and sorted ascending; weights are
     renormalized when their sum deviates from 1 by at most 1e-12 and
-    rejected otherwise.  atoms holds the unimodular atom positions
-    zeta_k = e^(i angle_k), formed once for every per-point kernel.
+    rejected otherwise.  The three arrays are read-only; atoms holds the
+    atom positions zeta_k = e^(i angle_k), formed once for every kernel.
     """
 
     angles: np.ndarray
@@ -103,9 +104,13 @@ class AtomicMeasure:
             if np.min(gaps) <= _MIN_SEPARATION:
                 raise ValueError("atom angles must be pairwise distinct "
                                  "(separation > 1e-9)")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "weights", weights / weights.sum())
-        object.__setattr__(self, "atoms", np.exp(1j * angles))
+        # angles[order] and the arrays formed from it are the measure's own
+        for name, array in (("angles", angles), ("weights", weights / weights.sum()),
+                            ("atoms", np.exp(1j * angles))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    __eq__ = _fields_equal
 
     @property
     def count(self) -> int:
@@ -211,7 +216,6 @@ class GAlphaFunction:
 
     alpha: float
     measure: AtomicMeasure
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite("alpha", self.alpha)
@@ -272,16 +276,13 @@ class GAlphaFunction:
         """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        key = ("hp", n_max)
-        if key not in self._cache:
-            atoms = self.measure.atoms
-            powers = np.cumprod(np.broadcast_to(atoms, (n_max, atoms.size)), axis=0)
-            p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
-            c = np.ones(n_max + 1, dtype=complex)
-            for n in range(n_max):
-                c[n + 1] = np.dot(p[n::-1], c[: n + 1]) / (n + 1)
-            self._cache[key] = c
-        return self._cache[key]
+        atoms = self.measure.atoms
+        powers = np.cumprod(np.broadcast_to(atoms, (n_max, atoms.size)), axis=0)
+        p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
+        c = np.ones(n_max + 1, dtype=complex)
+        for n in range(n_max):
+            c[n + 1] = np.dot(p[n::-1], c[: n + 1]) / (n + 1)
+        return c
 
     def coefficients(self, n_max: int) -> np.ndarray:
         """Taylor coefficients a_1..a_n_max of h (a_1 = 1, a_n = c_(n-1)/n).

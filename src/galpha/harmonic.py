@@ -9,6 +9,7 @@ max_circle |omega| <= 1 - 2 alpha, by the maximum principle for the
 subharmonic |omega| + alpha |z| + alpha |z|^2 (Ransford, Potential Theory
 in the Complex Plane, CUP 1995).  Both conditions read one certified upper
 bound on max_circle |omega|, computed once when the DilatationSpec is built.
+Injectivity is checked only through the criterion, so only for alpha < 1/2.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import TWO_PI, _require_finite
+from .complexfn import _fields_equal, _require_finite
 from .family import _SERIES_TERMS, GAlphaFunction, _log_sum, _series
 
 _SENSE_MARGIN = 1e-9
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# samples of the image circle in the winding probe
-_CURVE_SAMPLES = 4096
-
-
-class InconclusiveProbeError(RuntimeError):
-    """A winding target fell too close to the sampled image curve."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,8 @@ class DilatationSpec:
 
     Either a polynomial sum_j c_j z^j or scale * phi for a finite Blaschke
     product phi; construct through the classmethods.  sup_bound holds the
-    certified upper bound of _sup_on_circle, computed once for the guard.
+    certified upper bound of _sup_on_circle, computed once for the guard
+    from the read-only copy of the coefficients that the spec stores.
     """
 
     coefficients: np.ndarray | None = None
@@ -54,15 +49,18 @@ class DilatationSpec:
         if self.blaschke is None:
             if self.scale != 1.0:
                 raise ValueError("scale applies to Blaschke dilatations only")
-            coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+            coeffs = np.array(self.coefficients, dtype=complex, ndmin=1)
             if coeffs.ndim != 1 or coeffs.size == 0:
                 raise ValueError("coefficients must be a nonempty 1-d array")
             _require_finite("coefficients", coeffs)
+            coeffs.flags.writeable = False
             object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "sup_bound", _sup_on_circle(self))
         if self.sup_bound > 1.0 - _SENSE_MARGIN:
             raise ValueError("dilatation must satisfy sup |omega| <= 1 - 1e-9 "
                              "(sense-preserving)")
+
+    __eq__ = _fields_equal
 
     @classmethod
     def constant(cls, value: complex) -> "DilatationSpec":
@@ -115,21 +113,16 @@ class HarmonicMap:
 
     analytic_part: GAlphaFunction
     dilatation: DilatationSpec
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def g_coefficients(self) -> np.ndarray:
         """Coefficients g_0..g_256 of g: Cauchy product of omega and h'
         coefficients, antidifferentiated (g_0 = 0)."""
-        key = "g"
-        if key not in self._cache:
-            n = _SERIES_TERMS
-            hp = self.analytic_part.hprime_coefficients(n - 1)
-            om = self.dilatation.taylor_coefficients(n - 1)
-            gp = np.convolve(om, hp)[:n]
-            g = np.zeros(n + 1, dtype=complex)
-            g[1:] = gp / np.arange(1, n + 1)
-            self._cache[key] = g
-        return self._cache[key]
+        n = _SERIES_TERMS
+        hp = self.analytic_part.hprime_coefficients(n - 1)
+        om = self.dilatation.taylor_coefficients(n - 1)
+        g = np.zeros(n + 1, dtype=complex)
+        g[1:] = np.convolve(om, hp)[:n] / np.arange(1, n + 1)
+        return g
 
     def g(self, z):
         """g(z) from its truncated series."""
@@ -187,44 +180,3 @@ def univalence_criterion(map_: HarmonicMap) -> tuple[bool, float]:
     margin = (1.0 - 2.0 * map_.analytic_part.alpha) - map_.dilatation.sup_bound
     return margin >= 0.0, margin
 
-
-def winding_number(curve: np.ndarray, target: complex) -> float:
-    """Winding of a sampled closed curve about target, in full turns.
-
-    Sums principal-branch argument increments; accurate when consecutive
-    samples subtend less than pi about the target.
-    """
-    rel = curve - target
-    closed = np.concatenate([rel, rel[:1]])
-    return float(np.sum(np.angle(closed[1:] / closed[:-1])) / TWO_PI)
-
-
-def winding_injectivity_probe(map_, radius: float, targets: int = 20) -> bool:
-    """Heuristic injectivity check via winding numbers of an image circle.
-
-    Samples w = f(rho e^(i phi)) at deterministic interior points with
-    rho < 0.8 * radius and verifies the image of |z| = radius winds exactly
-    once about each.  map_ may be a HarmonicMap or any callable on complex
-    arrays.  Raises InconclusiveProbeError when a target comes within 1e-6
-    of the sampled curve.
-    """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    if targets < 1:
-        raise ValueError("targets must be positive")
-    evaluate = map_.evaluate if isinstance(map_, HarmonicMap) else map_
-    theta = TWO_PI * np.arange(_CURVE_SAMPLES) / _CURVE_SAMPLES
-    curve = np.asarray(evaluate(radius * np.exp(1j * theta)))
-
-    idx = np.arange(targets)
-    rho = 0.8 * radius * (idx + 1.0) / (targets + 1.0)
-    phi = np.mod(_GOLDEN_ANGLE * idx, TWO_PI)
-    points = np.asarray(evaluate(rho * np.exp(1j * phi)))
-
-    for w in np.atleast_1d(points):
-        if np.min(np.abs(curve - w)) < 1e-6:
-            raise InconclusiveProbeError("target within 1e-6 of the image curve")
-        turns = winding_number(curve, complex(w))
-        if abs(turns - round(turns)) > 0.1 or round(turns) != 1:
-            return False
-    return True

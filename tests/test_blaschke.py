@@ -49,6 +49,22 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="1-d"):
             BlaschkeProduct(zeros=[[0.1, 0.2]])
 
+    def test_zeros_are_a_read_only_copy(self):
+        zeros = np.array([0.1, 0.2j])
+        phi = BlaschkeProduct(zeros=zeros)
+        with pytest.raises(ValueError, match="read-only"):
+            phi.zeros[0] = 0.5
+        assert zeros.flags.writeable
+        zeros[0] = 0.5
+        assert np.array_equal(phi.zeros, [0.1, 0.2j])
+
+    def test_equality_by_value(self):
+        phi = BlaschkeProduct(zeros=[0.1, 0.2j])
+        assert (phi == BlaschkeProduct(zeros=np.array([0.1, 0.2j]))) is True
+        assert (phi == BlaschkeProduct(zeros=[0.1, 0.3j])) is False
+        assert phi != BlaschkeProduct(zeros=[0.1, 0.2j], prefactor=-1.0)
+        assert phi != BlaschkeProduct(zeros=[0.1]) and phi != 0.1
+
     def test_rejects_non_unimodular_prefactor(self):
         with pytest.raises(ValueError):
             BlaschkeProduct(zeros=[0.1 + 0.0j], prefactor=0.5)

@@ -6,6 +6,8 @@ import pytest
 
 from galpha.cli import build_parser, main
 from galpha.complexfn import DiskGrid
+from galpha.family import single_atom
+from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
@@ -177,7 +179,8 @@ class TestVerifyCommand:
         assert checks["dilatation_sup"] == {
             "name": "dilatation_sup", "value": 0.5, "comparison": "<", "threshold": 1.0,
             "evidence": "bound", "passed": True}
-        assert checks["winding_probe"]["value"] is True
+        # the criterion is the one injectivity check; no sampled probe runs
+        assert list(checks)[-2:] == ["dilatation_sup", "univalence_criterion_margin"]
         for name in ("membership_margin", "real_part_bound_min_residual",
                      "subordination_max_modulus"):
             assert checks[name]["value"] is True and checks[name]["threshold"] is True
@@ -238,6 +241,23 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "univalence" not in text
         assert "fails" not in text
+
+    def test_no_injectivity_claim_for_a_folded_shear(self):
+        # alpha = 1, omega = 0.98 z^2: f is sense-preserving but folds on
+        # |z| <= 0.9, so the report must hold no injectivity check at all
+        spec = FunctionSpec(alpha=1.0, measure=single_atom(0.0),
+                            dilatation=DilatationSpec.monomial(0.98, 2))
+        hmap = HarmonicMap(analytic_part=spec.resolve_member(), dilatation=spec.dilatation)
+        f = lambda t: hmap.evaluate(0.9 * np.exp(1j * t))
+        t = np.array([0.517, 5.766])
+        for _ in range(3):  # Newton on f(0.9 e^(i t0)) = f(0.9 e^(i t1)), forward differences
+            d0, d1 = (f(t[0] + 1e-7) - f(t[0])) / 1e-7, (f(t[1] + 1e-7) - f(t[1])) / 1e-7
+            gap = f(t[0]) - f(t[1])
+            t -= np.linalg.solve([[d0.real, -d1.real], [d0.imag, -d1.imag]], [gap.real, gap.imag])
+        assert abs(f(t[0]) - f(t[1])) < 1e-12 and t[1] - t[0] > 5.0
+        assert np.all(hmap.jacobian(0.9 * np.exp(1j * t)) > 0.09)
+        names = [c.name for c in run_verification(spec, grid=DiskGrid(8, 64)).checks]
+        assert names[names.index("schwarzian_norm") + 1:] == ["dilatation_sup"]
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol-norm", "nan"), ("--tol-norm", "-1"), ("--tol-norm", "inf"),

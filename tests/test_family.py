@@ -39,6 +39,27 @@ class TestAtomicMeasure:
         assert "atoms" not in repr(m)
         assert single_atom(5.0) == AtomicMeasure(angles=[5.0], weights=[1.0])
 
+    def test_arrays_are_read_only_copies(self):
+        angles, weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+        m = AtomicMeasure(angles=angles, weights=weights)
+        for name in ("angles", "weights", "atoms"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, name)[0] = 5.0
+        assert angles.flags.writeable and weights.flags.writeable
+        angles[0], weights[0] = 0.5, 0.5
+        assert np.array_equal(m.angles, [0.0, 1.0]) and np.array_equal(m.weights, [0.25, 0.75])
+
+    def test_equality_by_value(self):
+        m = AtomicMeasure(angles=[0.0, 1.0], weights=[0.5, 0.5])
+        assert (m == AtomicMeasure(angles=[1.0, 0.0], weights=[0.5, 0.5])) is True
+        assert (m == AtomicMeasure(angles=[0.0, 1.5], weights=[0.5, 0.5])) is False
+        assert (m != AtomicMeasure(angles=[0.0, 1.0], weights=[0.25, 0.75])) is True
+        assert m != single_atom(0.0) and m != "a measure"
+        member = GAlphaFunction(alpha=0.5, measure=m)
+        assert member == GAlphaFunction(alpha=0.5, measure=AtomicMeasure(
+            angles=[0.0, 1.0], weights=[0.5, 0.5]))
+        assert member != GAlphaFunction(alpha=0.5, measure=roots_of_unity_measure(2))
+
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="weights must sum to 1"):
             AtomicMeasure(angles=[0.0, 1.0], weights=[0.5, 0.4])
@@ -621,6 +642,20 @@ class TestBlockedKernels:
 
 
 class TestVerifyWork:
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_verify_evaluates_no_series(self, monkeypatch, alpha):
+        # injectivity rests on the exact criterion alone, so verify never
+        # sums the 256-term series of h or g, whichever side of 1/2 alpha is
+        monkeypatch.setattr(GAlphaFunction, "h",
+                            lambda self, z: pytest.fail("verify evaluated h"))
+        monkeypatch.setattr(HarmonicMap, "g",
+                            lambda self, z: pytest.fail("verify evaluated g"))
+        spec = FunctionSpec(alpha=alpha, measure=roots_of_unity_measure(3),
+                            dilatation=DilatationSpec.polynomial([0.1, 0.05j]))
+        report = run_verification(spec, grid=DiskGrid(8, 64))
+        assert report.passed and report.checks[-1].name == (
+            "univalence_criterion_margin" if alpha < 0.5 else "dilatation_sup")
+
     def test_verify_forms_one_minus_only_at_the_origin(self, monkeypatch):
         # a work guard that counts rather than times: outside the norms,
         # verify forms u = 1 - zeta z only at the origin, once for

@@ -4,9 +4,8 @@ import pytest
 from galpha.blaschke import BlaschkeProduct
 from galpha.complexfn import TWO_PI, DiskGrid
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
-from galpha.harmonic import (DilatationSpec, HarmonicMap, InconclusiveProbeError,
-                             _sup_on_circle, univalence_criterion,
-                             winding_injectivity_probe, winding_number)
+from galpha.harmonic import (DilatationSpec, HarmonicMap, _sup_on_circle,
+                             univalence_criterion)
 
 from test_family import random_measure, random_points
 
@@ -94,6 +93,28 @@ class TestDilatationSpec:
         assert "sup_bound" not in repr(om)
         with pytest.raises(TypeError):
             DilatationSpec(coefficients=[0.3j], sup_bound=0.0)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        # a write would move |omega| past the bound the guard certified
+        coefficients = np.array([0.1, 0.2j])
+        om = DilatationSpec.polynomial(coefficients)
+        with pytest.raises(ValueError, match="read-only"):
+            om.coefficients[1] = 5.0
+        assert coefficients.flags.writeable
+        coefficients[1] = 5.0
+        assert abs(om(0.9)) < 0.3 <= om.sup_bound <= 0.301
+
+    def test_equality_by_value(self):
+        om = DilatationSpec.polynomial([0.1, 0.2j])
+        assert (om == DilatationSpec.polynomial(np.array([0.1, 0.2j]))) is True
+        assert (om == DilatationSpec.polynomial([0.1, 0.3j])) is False
+        assert om != DilatationSpec.monomial(0.2j, 1)
+        phi = BlaschkeProduct(zeros=[0.5, -0.2j])
+        scaled = DilatationSpec.blaschke_scaled(0.5, phi)
+        assert scaled == DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.5, -0.2j]))
+        assert scaled != DilatationSpec.blaschke_scaled(0.4, phi)
+        assert scaled != DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.5]))
+        assert scaled != om
 
     def test_taylor_coefficients(self):
         om = DilatationSpec.monomial(0.5, 3)
@@ -244,35 +265,3 @@ class TestUnivalenceCriterion:
                         dilatation=DilatationSpec.monomial(0.5, 2))
         assert univalence_criterion(m) == (True, 0.0)
 
-
-class TestWindingProbe:
-    def test_conformal_extremal_map(self):
-        m = HarmonicMap(analytic_part=extremal(),
-                        dilatation=DilatationSpec.constant(0.0))
-        assert winding_injectivity_probe(m, 0.9, targets=20)
-
-    def test_guaranteed_univalent_shear(self):
-        m = HarmonicMap(analytic_part=extremal(alpha=0.25),
-                        dilatation=DilatationSpec.constant(0.5))
-        assert winding_injectivity_probe(m, 0.9, targets=20)
-
-    def test_non_injective_control(self):
-        assert not winding_injectivity_probe(lambda z: z ** 2, 0.9, targets=12)
-
-    def test_winding_number_of_circle(self):
-        theta = TWO_PI * np.arange(256) / 256
-        circle = np.exp(1j * theta)
-        assert winding_number(circle, 0.0 + 0.0j) == pytest.approx(1.0)
-        assert winding_number(circle, 3.0 + 0.0j) == pytest.approx(0.0)
-
-    def test_inconclusive_when_target_touches_curve(self):
-        # maps every point to the unit circle, so targets land on the curve
-        collapse = lambda z: np.exp(1j * np.angle(z))
-        with pytest.raises(InconclusiveProbeError):
-            winding_injectivity_probe(collapse, 0.9, targets=4)
-
-    def test_radius_validation(self):
-        m = HarmonicMap(analytic_part=extremal(),
-                        dilatation=DilatationSpec.constant(0.0))
-        with pytest.raises(ValueError):
-            winding_injectivity_probe(m, 1.2)
