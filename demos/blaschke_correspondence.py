@@ -9,19 +9,19 @@ atoms are recovered from the boundary roots of z*phi(z) = 1.
 import numpy as np
 
 from galpha import (BlaschkeProduct, boundary_roots, induced_self_map,
-                    measure_from_roots, blaschke_from_measure)
+                    measure_from_blaschke, blaschke_from_measure)
 
 rng = np.random.default_rng(2024)
 
 # the worked example: one zero at 1/2
 phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
-roots = boundary_roots(phi)
+roots, residues = boundary_roots(phi)
 print("zeros = [0.5]")
-print("  boundary roots of z*phi(z) = 1:", np.round(roots.roots, 12))
-print("  residues t_k:", np.round(roots.residues, 12), "(sum", roots.residues.sum(), ")")
+print("  boundary roots of z*phi(z) = 1:", np.round(roots, 12))
+print("  residues t_k:", np.round(residues, 12), "(sum", residues.sum(), ")")
 
 # residues become the atom weights; atoms sit at the conjugate roots
-measure = measure_from_roots(roots)
+measure = measure_from_blaschke(phi)
 print("  recovered atoms (angle, weight):")
 for angle, weight in zip(measure.angles, measure.weights):
     print(f"    ({angle:.6f}, {weight:.6f})")
@@ -35,7 +35,7 @@ print("  max |phi - induced map| at 5 points:",
 degree = 5
 zeros = 0.9 * np.sqrt(rng.uniform(0, 1, degree)) * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
 phi = BlaschkeProduct(zeros=zeros, prefactor=np.exp(1j * rng.uniform(0, 2 * np.pi)))
-measure = measure_from_roots(boundary_roots(phi))
+measure = measure_from_blaschke(phi)
 print(f"\ndegree {degree} product: {measure.count} atoms recovered")
 
 recovered = blaschke_from_measure(measure)

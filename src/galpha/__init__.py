@@ -6,11 +6,11 @@ z*phi(z) = 1, satisfy sharp pre-Schwarzian/Schwarzian norm bounds, and serve
 as analytic parts of sheared univalent harmonic mappings.
 """
 
-from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
+from .blaschke import BlaschkeProduct, boundary_roots
 from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
                         sup_norm_estimate)
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
-                     induced_self_map, measure_from_blaschke, measure_from_roots,
+                     induced_self_map, measure_from_blaschke,
                      roots_of_unity_measure, single_atom)
 from .harmonic import DilatationSpec, HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, norms, pre_schwarzian, schwarzian
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure",
     "BlaschkeProduct",
-    "BoundaryRootSet",
     "Check",
     "ConvergenceError",
     "DilatationSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "induced_self_map",
     "load_function_spec",
     "measure_from_blaschke",
-    "measure_from_roots",
     "norms",
     "pre_schwarzian",
     "roots_of_unity_measure",

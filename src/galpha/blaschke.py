@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
-                        _require_finite)
+                        _fields_hash, _require_finite)
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
@@ -53,6 +53,7 @@ class BlaschkeProduct:
         object.__setattr__(self, "prefactor", pre / abs(pre))
 
     __eq__ = _fields_equal
+    __hash__ = _fields_hash
 
     @property
     def degree(self) -> int:
@@ -104,39 +105,6 @@ class BlaschkeProduct:
         return coeffs
 
 
-@dataclass(frozen=True)
-class BoundaryRootSet:
-    """The m+1 roots of z*phi(z) = 1 on the circle with their residues.
-
-    Residues t_k = 1/(1 + z_k phi'(z_k)/phi(z_k)) are the partial-fraction
-    weights of phi/(z phi - 1); each lies in (0, 1) and they sum to 1.
-    """
-
-    roots: np.ndarray
-    residues: np.ndarray
-
-    def __post_init__(self) -> None:
-        roots = np.asarray(self.roots, dtype=complex)
-        residues = np.asarray(self.residues, dtype=float)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "residues", residues)
-        if roots.shape != residues.shape or roots.ndim != 1 or roots.size == 0:
-            raise ValueError("roots and residues must be matching 1-d arrays")
-        _require_finite("roots", roots)
-        _require_finite("residues", residues)
-        if np.any(np.abs(np.abs(roots) - 1.0) > 1e-9):
-            raise ValueError("roots must be unimodular")
-        ang = np.sort(np.angle(roots) % TWO_PI)
-        gaps = np.diff(np.concatenate([ang, [ang[0] + TWO_PI]]))
-        if roots.size > 1 and np.min(gaps) <= 1e-9:
-            raise ValueError("roots must be pairwise distinct (separation > 1e-9)")
-        # degree-0 products have the single residue exactly 1
-        if np.any(residues <= 0.0) or np.any(residues > 1.0):
-            raise ValueError("residues must lie in (0, 1]")
-        if abs(residues.sum() - 1.0) > 1e-10:
-            raise ValueError("residues must sum to 1 within 1e-10")
-
-
 def _phase_offset(phi: BlaschkeProduct, t):
     """Theta(t) - (m+1) t, where Theta lifts arg(e^(i t) phi(e^(i t))).
 
@@ -147,8 +115,10 @@ def _phase_offset(phi: BlaschkeProduct, t):
     return 2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor)
 
 
-def boundary_roots(phi: BlaschkeProduct) -> BoundaryRootSet:
-    """Solve z*phi(z) = 1 on the circle and extract residues.
+def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
+    """The m+1 roots z_k of z*phi(z) = 1 on the circle and their residues
+    t_k = 1/(1 + z_k phi'(z_k)/phi(z_k)) in phi/(z phi - 1), which lie in
+    (0, 1] and sum to 1 within 1e-10 (ConvergenceError otherwise).
 
     The closed-form lift Theta(t) of arg(z*phi(z)), z = e^(i t), increases
     strictly by 2 pi (m+1) over a full turn with Theta' = 1 + boundary_speed,
@@ -185,6 +155,7 @@ def boundary_roots(phi: BlaschkeProduct) -> BoundaryRootSet:
         z = np.exp(1j * t)
         t = t - np.angle(z * phi(z)) / (1.0 + phi.boundary_speed(t))
 
-    roots = np.exp(1j * t)
     residues = 1.0 / (1.0 + phi.boundary_speed(t))
-    return BoundaryRootSet(roots=roots, residues=residues)
+    if abs(residues.sum() - 1.0) > 1e-10:
+        raise ConvergenceError("boundary residues do not sum to 1 within 1e-10")
+    return np.exp(1j * t), residues

@@ -56,6 +56,13 @@ def _fields_equal(a, b):
                for f in fields(a) if f.compare)
 
 
+def _fields_hash(a):
+    """hash() to match _fields_equal: each compared field hashed by value,
+    where the generated hash hashes the array; -0.0 and 0.0 hash alike."""
+    return hash(tuple(tuple(np.ravel(getattr(a, f.name)).tolist())
+                      for f in fields(a) if f.compare))
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Polar grid whose radii accumulate toward r_max, where this family's

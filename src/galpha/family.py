@@ -7,8 +7,8 @@ atoms zeta_k with weights t_k summing to 1:
 
 Every such h satisfies Re(z h''(z) / (alpha h'(z))) < 1/2 on the disk.
 The module also carries both directions of the correspondence with finite
-Blaschke products: boundary root sets map to measures, and a measure
-induces the disk self-map phi with z h''/h' = alpha * z phi/(z phi - 1).
+Blaschke products: the boundary roots of z*phi(z) = 1 give a measure, and a
+measure induces the disk self-map phi with z h''/h' = alpha * z phi/(z phi - 1).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, BoundaryRootSet, boundary_roots
+from .blaschke import BlaschkeProduct, boundary_roots
 from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
-                        _require_finite)
+                        _fields_hash, _require_finite)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -111,6 +111,7 @@ class AtomicMeasure:
             object.__setattr__(self, name, array)
 
     __eq__ = _fields_equal
+    __hash__ = _fields_hash
 
     @property
     def count(self) -> int:
@@ -134,20 +135,16 @@ def roots_of_unity_measure(count: int) -> AtomicMeasure:
                          weights=np.full(count, 1.0 / count))
 
 
-def measure_from_roots(rootset: BoundaryRootSet) -> AtomicMeasure:
-    """Atoms zeta_k = conj(z_k) with the residues as weights.
-
-    Residues carry the root solver's 1e-10 sum tolerance, so they are
-    renormalized here before the measure's stricter invariant applies.
-    """
-    residues = rootset.residues / rootset.residues.sum()
-    return AtomicMeasure(angles=np.mod(-np.angle(rootset.roots), TWO_PI),
-                         weights=residues)
-
-
 def measure_from_blaschke(phi: BlaschkeProduct) -> AtomicMeasure:
-    """Forward correspondence: solve z*phi(z) = 1 and convert to a measure."""
-    return measure_from_roots(boundary_roots(phi))
+    """Forward correspondence: the atoms are zeta_k = conj(z_k) for the roots
+    z_k of z*phi(z) = 1 on the circle, weighted by their residues.
+
+    The residues sum to 1 only within the root solver's 1e-10, so they are
+    renormalized here before the measure's stricter 1e-12 applies.
+    """
+    roots, residues = boundary_roots(phi)
+    return AtomicMeasure(angles=np.mod(-np.angle(roots), TWO_PI),
+                         weights=residues / residues.sum())
 
 
 def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:
@@ -230,9 +227,8 @@ class GAlphaFunction:
         here in a (zb.size, m) complex view of one buffer shared by every
         slice, which the kernel may overwrite: fresh slice-sized arrays let
         the allocator hand memory back to the system and fault it in again.
-        It returns an array whose last axis runs over zb; the result takes
-        that array's dtype and leading axes, followed by the shape of z, and
-        a 0-d z with no leading axes gives a numpy scalar.
+        It returns one value per point of zb; the result has the shape of z,
+        and a 0-d z gives a numpy scalar.
         Balanced slices leave no short tail: a one-point slice runs its
         kernel's products down a different numpy path, which rounds
         differently.  z must lie in the open disk.
@@ -249,8 +245,8 @@ class GAlphaFunction:
         else:
             ends = [i * flat.size // n for i in range(n + 1)]
             out = np.concatenate([kernel(flat[a:b], _one_minus(flat[a:b], atoms, work[:b - a]))
-                                  for a, b in zip(ends, ends[1:])], axis=-1)
-        out = out.reshape(out.shape[:-1] + np.shape(z))
+                                  for a, b in zip(ends, ends[1:])])
+        out = out.reshape(np.shape(z))
         return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import _fields_equal, _require_finite
+from .complexfn import _fields_equal, _fields_hash, _require_finite
 from .family import _SERIES_TERMS, GAlphaFunction, _log_sum, _series
 
 _SENSE_MARGIN = 1e-9
@@ -61,6 +61,7 @@ class DilatationSpec:
                              "(sense-preserving)")
 
     __eq__ = _fields_equal
+    __hash__ = _fields_hash
 
     @classmethod
     def constant(cls, value: complex) -> "DilatationSpec":

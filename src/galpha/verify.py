@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .complexfn import TWO_PI, DiskGrid
-from .family import induced_self_map, measure_from_blaschke
+from .family import induced_self_map
 from .harmonic import HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, norms
 from .specfile import FunctionSpec
@@ -123,17 +123,15 @@ def norm_checks(sch: SchwarzReport, tol: Tolerances) -> list[Check]:
                   "<=", sch.schwarzian_bound + tol.norm, "estimate")]
 
 
-def blaschke_roundtrip_error(phi, measure=None) -> float:
+def blaschke_roundtrip_error(phi, measure) -> float:
     """Max pointwise |phi - phi_hat| on |z| <= 0.9 through the measure."""
-    measure = measure if measure is not None else measure_from_blaschke(phi)
     z = _ROUNDTRIP_POINTS
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
-def run_verification(spec: FunctionSpec, tol: Tolerances | None = None,
+def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances(),
                      grid: DiskGrid = DiskGrid()) -> VerifyReport:
     """The battery on spec's member; grid serves the two norm searches only."""
-    tol = tol if tol is not None else Tolerances()
     member = spec.resolve_member()
     n = np.arange(2, _N_COEFFICIENTS + 1)
     a = member.coefficients(_N_COEFFICIENTS)[1:]

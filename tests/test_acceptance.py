@@ -11,7 +11,7 @@ import pytest
 
 from galpha.blaschke import BlaschkeProduct, boundary_roots
 from galpha.complexfn import TWO_PI, DiskGrid
-from galpha.family import (AtomicMeasure, GAlphaFunction, measure_from_roots,
+from galpha.family import (AtomicMeasure, GAlphaFunction, measure_from_blaschke,
                            roots_of_unity_measure, single_atom)
 from galpha.harmonic import DilatationSpec, HarmonicMap, univalence_criterion
 from galpha.family import induced_self_map
@@ -105,10 +105,10 @@ class TestCriterion03BlaschkeRoundTrip:
             phi = BlaschkeProduct(
                 zeros=radii * np.exp(1j * rng.uniform(0.0, TWO_PI, degree)),
                 prefactor=np.exp(1j * rng.uniform(0.0, TWO_PI)))
-            roots = boundary_roots(phi)
-            ok &= abs(roots.residues.sum() - 1.0) < 1e-10
-            ok &= bool(np.all((roots.residues > 0.0) & (roots.residues < 1.0)))
-            measure = measure_from_roots(roots)
+            _, residues = boundary_roots(phi)
+            ok &= abs(residues.sum() - 1.0) < 1e-10
+            ok &= bool(np.all((residues > 0.0) & (residues < 1.0)))
+            measure = measure_from_blaschke(phi)
             err = float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
             ok &= err < 1e-8
         elapsed = time.perf_counter() - start
@@ -120,10 +120,10 @@ class TestCriterion04WorkedResidueExample:
     def test_half_zero(self):
         # z(z - 1/2)/(1 - z/2) = 1 reduces to z^2 = 1, and the residue limit
         # gives t(1) = 1/4, t(-1) = 3/4
-        rs = boundary_roots(BlaschkeProduct(zeros=[0.5 + 0.0j]))
-        order = np.argsort(np.angle(rs.roots) % TWO_PI)
-        ok = np.max(np.abs(rs.roots[order] - np.array([1.0, -1.0]))) < 1e-10
-        ok &= np.max(np.abs(rs.residues[order] - np.array([0.25, 0.75]))) < 1e-10
+        roots, residues = boundary_roots(BlaschkeProduct(zeros=[0.5 + 0.0j]))
+        order = np.argsort(np.angle(roots) % TWO_PI)
+        ok = np.max(np.abs(roots[order] - np.array([1.0, -1.0]))) < 1e-10
+        ok &= np.max(np.abs(residues[order] - np.array([0.25, 0.75]))) < 1e-10
         report("04 zeros=[0.5] gives roots {1,-1}, residues {1/4,3/4}", bool(ok))
 
 

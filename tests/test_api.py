@@ -1,7 +1,14 @@
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import galpha
+from galpha import (AtomicMeasure, BlaschkeProduct, DilatationSpec, FunctionSpec,
+                    GAlphaFunction, HarmonicMap)
+from galpha.complexfn import _fields_equal, _fields_hash
 
 
 def test_every_exported_name_resolves():
@@ -62,3 +69,36 @@ def test_no_unread_private_names():
             if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name)
                                                  and isinstance(n.ctx, ast.Load))}
     assert sorted(defined - read) == []
+
+
+def test_array_records_compare_and_hash_by_value():
+    # the generated == and hash of a dataclass would act on the array itself
+    for info in pkgutil.iter_modules(galpha.__path__):
+        module = importlib.import_module(f"galpha.{info.name}")
+        for name, cls in inspect.getmembers(module, dataclasses.is_dataclass):
+            if cls.__module__ != module.__name__ or not any(
+                    "np.ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+                continue
+            assert cls.__eq__ is _fields_equal, name
+            assert cls.__hash__ is _fields_hash, name
+
+
+def equal_record_pairs():
+    """Pairs of equal records of every hashable value class, built apart."""
+    def build(zero):
+        phi = BlaschkeProduct(zeros=[zero, 0.5])
+        measure = AtomicMeasure(angles=[0.0, 1.0], weights=[0.5, 0.5])
+        member = GAlphaFunction(alpha=0.3, measure=measure)
+        dilatation = DilatationSpec.blaschke_scaled(0.5, phi)
+        return [phi, measure, member, dilatation,
+                DilatationSpec.polynomial([zero, 0.2j]),
+                HarmonicMap(analytic_part=member, dilatation=dilatation),
+                FunctionSpec(alpha=0.3, blaschke=phi, dilatation=dilatation)]
+    return zip(build(0.0), build(-0.0))
+
+
+def test_equal_records_hash_equal():
+    for a, b in equal_record_pairs():
+        assert a == b and hash(a) == hash(b), type(a).__name__
+        assert {a} == {b} and len({a, b}) == 1
+        assert {a: type(a).__name__}[b] == type(a).__name__

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from galpha import family, harmonic, verify
-from galpha.blaschke import BlaschkeProduct, boundary_roots
+from galpha.blaschke import BlaschkeProduct
 from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
-                           induced_self_map, measure_from_blaschke, measure_from_roots,
+                           induced_self_map, measure_from_blaschke,
                            roots_of_unity_measure, single_atom)
 from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms, schwarzian
@@ -75,6 +75,8 @@ class TestAtomicMeasure:
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError):
             AtomicMeasure(angles=[0.0, 1.0], weights=[1.2, -0.2])
+        with pytest.raises(ValueError, match="weights must lie"):
+            AtomicMeasure(angles=[0.0, 1.0], weights=[0.0, 1.0])
 
     def test_roots_of_unity_measure(self):
         m = roots_of_unity_measure(4)
@@ -381,7 +383,7 @@ class TestRoundTrips:
             measure = random_measure(rng, count)
             phi = blaschke_from_measure(measure)
             assert phi.degree == count - 1
-            back = measure_from_roots(boundary_roots(phi))
+            back = measure_from_blaschke(phi)
             assert np.max(np.abs(back.angles - measure.angles)) < 1e-8
             assert np.max(np.abs(back.weights - measure.weights)) < 1e-8
 
