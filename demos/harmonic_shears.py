@@ -34,4 +34,4 @@ theta = np.linspace(0.0, 2 * np.pi, 9)[:-1]
 j_ring = spin.jacobian(0.9 * np.exp(1j * theta))
 print(f"\nomega = 0.5 z^2: Jacobian on |z| = 0.9 within"
       f" [{j_ring.min():.4f}, {j_ring.max():.4f}]")
-print(f"  g coefficients through z^5: {np.round(spin.g_coefficients()[:6], 6)}")
+print(f"  g(0.9i) = {spin.g(0.9j):.6f}")

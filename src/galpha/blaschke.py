@@ -85,25 +85,6 @@ class BlaschkeProduct:
                / np.abs(z[..., None] - b) ** 2).sum(axis=-1)
         return out[()] if out.ndim == 0 else out
 
-    def taylor_coefficients(self, n_max: int) -> np.ndarray:
-        """c_0..c_n_max of the Maclaurin series, by exact factor convolution.
-
-        Each factor expands as -b + (1-|b|^2) sum_{k>=1} conj(b)^(k-1) z^k;
-        convolving the truncated factor series is exact to roundoff, unlike
-        circle quadrature which would need a radius near 1 for high orders.
-        """
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        coeffs[0] = self.prefactor
-        for b in self.zeros:
-            factor = np.zeros(n_max + 1, dtype=complex)
-            factor[0] = -b
-            if n_max >= 1:
-                factor[1:] = (1.0 - abs(b) ** 2) * np.conj(b) ** np.arange(n_max)
-            coeffs = np.convolve(coeffs, factor)[: n_max + 1]
-        return coeffs
-
 
 def _phase_offset(phi: BlaschkeProduct, t):
     """Theta(t) - (m+1) t, where Theta lifts arg(e^(i t) phi(e^(i t))).

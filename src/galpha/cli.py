@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexfn import ConvergenceError, DiskGrid
-from .family import _SERIES_LIMIT, AtomicMeasure, measure_from_blaschke
+from .family import _PATH_LIMIT, AtomicMeasure, measure_from_blaschke
 from .harmonic import HarmonicMap
 from .schwarz import norms
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
@@ -125,24 +125,16 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return EXIT_PASS if error < tol.roundtrip else EXIT_CHECK_FAILED
 
 
-def _render_curve(spec: FunctionSpec, radius: float, samples: int) -> np.ndarray:
-    member = spec.resolve_member()
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    z = radius * np.exp(1j * theta)
-    if spec.dilatation is not None:
-        return HarmonicMap(analytic_part=member,
-                           dilatation=spec.dilatation).evaluate(z)
-    return member.h(z)
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
-    if not 0.0 < args.radius <= _SERIES_LIMIT:
+    if not 0.0 < args.radius <= _PATH_LIMIT:
         raise SpecFileError("radius must lie in (0, 1 - 1e-6]")
     if args.samples < 4:
         raise SpecFileError("samples must be at least 4")
-    curve = _render_curve(spec, args.radius, args.samples)
     theta = 2.0 * np.pi * np.arange(args.samples) / args.samples
+    z, member = args.radius * np.exp(1j * theta), spec.resolve_member()
+    curve = (member.h(z) if spec.dilatation is None else
+             HarmonicMap(analytic_part=member, dilatation=spec.dilatation).evaluate(z))
     if args.format == "csv":
         lines = ["theta,re,im"]
         lines += [f"{float(t)!r},{float(w.real)!r},{float(w.imag)!r}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .complexfn import _fields_equal, _fields_hash, _require_finite
-from .family import _SERIES_TERMS, GAlphaFunction, _log_sum, _series
+from .family import GAlphaFunction, _log_sum, _path_integral
 
 _SENSE_MARGIN = 1e-9
 
@@ -95,43 +95,28 @@ class DilatationSpec:
         out = np.asarray(out, dtype=complex)
         return out[()] if out.ndim == 0 else out
 
-    def taylor_coefficients(self, n_max: int) -> np.ndarray:
-        """Maclaurin coefficients c_0..c_n_max of the dilatation."""
-        if self.blaschke is not None:
-            return self.scale * self.blaschke.taylor_coefficients(n_max)
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        upto = min(n_max + 1, self.coefficients.size)
-        coeffs[:upto] = self.coefficients[:upto]
-        return coeffs
-
 
 @dataclass(frozen=True)
 class HarmonicMap:
-    """f = h + conj(g), g' = omega * h', g(0) = 0.
-
-    h and g are evaluated as their degree-256 Taylor partial sums.
-    """
+    """f = h + conj(g), g' = omega * h', g(0) = 0; g integrates omega h'
+    along [0, z] by the rule h uses, for |z| <= 1 - 1e-6."""
 
     analytic_part: GAlphaFunction
     dilatation: DilatationSpec
 
-    def g_coefficients(self) -> np.ndarray:
-        """Coefficients g_0..g_256 of g: Cauchy product of omega and h'
-        coefficients, antidifferentiated (g_0 = 0)."""
-        n = _SERIES_TERMS
-        hp = self.analytic_part.hprime_coefficients(n - 1)
-        om = self.dilatation.taylor_coefficients(n - 1)
-        g = np.zeros(n + 1, dtype=complex)
-        g[1:] = np.convolve(om, hp)[:n] / np.arange(1, n + 1)
-        return g
-
     def g(self, z):
-        """g(z) from its truncated series."""
-        return _series(self.g_coefficients(), z)
+        """g(z) = z * integral_0^1 omega(t z) h'(t z) dt."""
+        hprime = self.analytic_part.hprime
+        return _path_integral(z, lambda tz: self.dilatation(tz) * hprime(tz))
 
     def evaluate(self, z):
-        """f(z) = h(z) + conj(g(z))."""
-        return self.analytic_part.h(z) + np.conj(self.g(z))
+        """f(z) = h(z) + conj(g(z)), from one evaluation of h' on the rule's points."""
+        def integrand(tz):
+            hp = self.analytic_part.hprime(tz)
+            return np.stack([hp, self.dilatation(tz) * hp], axis=1)
+
+        h, g = _path_integral(z, integrand)
+        return h + np.conj(g)
 
     def jacobian(self, z):
         """J(z) = |h'|^2 - |g'|^2 with g' = omega h', as |h'|^2 (1 - |omega|^2),

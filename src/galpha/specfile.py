@@ -11,7 +11,9 @@ Blaschke product -- and optionally a dilatation for harmonic shears:
                                 "prefactor_angle": 0.0}}
 
 Angles are radians.  Constant and monomial dilatations load as polynomials
-and are saved as such.  All module invariants are enforced on load; floats are
+and are saved as such.  A key an object does not define, at any level, is
+rejected rather than ignored, so a misspelled key cannot fall back to its
+default.  All module invariants are enforced on load; floats are
 written with Python's shortest round-trip repr, so load -> save -> load is
 an identity on the in-memory values.
 """
@@ -33,6 +35,10 @@ from .harmonic import DilatationSpec
 # degree n; this bound keeps N <= 2^18 (~11 ms), for monomial degrees and
 # coefficient lists alike.
 _MAX_DEGREE = 4096
+# the params each dilatation kind reads
+_PARAMS = {"constant": ("value",), "monomial": ("scale", "degree"),
+           "polynomial": ("coefficients",),
+           "blaschke_scaled": ("scale", "zeros", "prefactor_angle")}
 
 
 class SpecFileError(ValueError):
@@ -67,7 +73,16 @@ def _number(value, what: str) -> float:
     raise SpecFileError(f"{what} must be a number, got {value!r}")
 
 
+def _known_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    """Reject a key of the object obj outside keys; a non-object is the caller's to check."""
+    unknown = sorted(set(obj) - set(keys)) if isinstance(obj, dict) else []
+    if unknown:
+        raise SpecFileError(f"{where} has unknown key {unknown[0]!r} "
+                            f"(expected {', '.join(keys)})")
+
+
 def _complex_from(obj, where: str) -> complex:
+    _known_keys(obj, ("re", "im"), where)
     try:
         return complex(_number(obj["re"], "re"), _number(obj["im"], "im"))
     except (TypeError, KeyError, ValueError):
@@ -82,6 +97,7 @@ def spec_from_dict(data: dict) -> FunctionSpec:
     """Build a FunctionSpec from parsed JSON, enforcing every invariant."""
     if not isinstance(data, dict):
         raise SpecFileError("spec must be a JSON object")
+    _known_keys(data, ("alpha", "atoms", "blaschke", "dilatation"), "spec")
     if "alpha" not in data:
         raise SpecFileError("spec must provide alpha")
     alpha = _number(data["alpha"], "alpha")
@@ -94,6 +110,8 @@ def spec_from_dict(data: dict) -> FunctionSpec:
         atoms = data["atoms"]
         if not isinstance(atoms, list) or not atoms:
             raise SpecFileError("atoms must be a nonempty list")
+        for atom in atoms:
+            _known_keys(atom, ("theta", "weight"), "atom")
         try:
             angles = [_number(a["theta"], "theta") for a in atoms]
             weights = [_number(a["weight"], "weight") for a in atoms]
@@ -101,6 +119,7 @@ def spec_from_dict(data: dict) -> FunctionSpec:
             raise SpecFileError("every atom needs numeric theta and weight") from None
         measure = _wrap(lambda: AtomicMeasure(angles=angles, weights=weights))
     if "blaschke" in data:
+        _known_keys(data["blaschke"], ("zeros", "prefactor_angle"), "blaschke")
         phi = _blaschke_from(data["blaschke"], "blaschke")
 
     dilatation = None
@@ -138,10 +157,14 @@ def _wrap(build):
 def _dilatation_from(raw) -> DilatationSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise SpecFileError("dilatation must be an object with a kind")
+    _known_keys(raw, ("kind", "params"), "dilatation")
     kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise SpecFileError(f"unknown dilatation kind {kind!r}")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise SpecFileError("dilatation params must be an object")
+    _known_keys(params, _PARAMS[kind], f"{kind} dilatation params")
     if kind == "blaschke_scaled":
         scale = _complex_from(params.get("scale"), "dilatation scale")
         phi = _blaschke_from(params, "blaschke_scaled dilatation")
@@ -155,7 +178,7 @@ def _dilatation_from(raw) -> DilatationSpec:
                                 f"got {degree!r}")
         scale = _complex_from(params.get("scale"), "dilatation scale")
         values = [0j] * int(degree) + [scale]
-    elif kind == "polynomial":
+    else:
         coeffs = params.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise SpecFileError("polynomial dilatation needs a coefficients list")
@@ -163,8 +186,6 @@ def _dilatation_from(raw) -> DilatationSpec:
             raise SpecFileError(f"polynomial dilatation takes at most {_MAX_DEGREE + 1} "
                                 f"coefficients, got {len(coeffs)}")
         values = [_complex_from(c, "dilatation coefficient") for c in coeffs]
-    else:
-        raise SpecFileError(f"unknown dilatation kind {kind!r}")
     return _wrap(lambda: DilatationSpec.polynomial(values))
 
 

@@ -201,22 +201,3 @@ class TestBoundaryRoots:
                             lambda self, theta: 2.0 * speed(self, theta))
         with pytest.raises(ConvergenceError, match="sum to 1"):
             boundary_roots(BlaschkeProduct(zeros=[0.5 + 0.0j]))
-
-
-class TestStructure:
-    def test_taylor_coefficients_against_quadrature(self):
-        rng = np.random.default_rng(14)
-        phi = random_product(rng, 3)
-        direct = phi.taylor_coefficients(12)
-        # trapezoid rule on |z| = 0.8 with 512 samples, summed by one FFT
-        z = 0.8 * np.exp(1j * TWO_PI * np.arange(512) / 512)
-        quad = np.fft.fft(phi(z))[:13] / 512 / 0.8 ** np.arange(13)
-        assert np.max(np.abs(direct - quad)) < 1e-12
-
-    def test_taylor_series_evaluates_product(self):
-        rng = np.random.default_rng(15)
-        phi = random_product(rng, 2, r_cap=0.6)
-        c = phi.taylor_coefficients(64)
-        z = 0.4 * np.exp(1j * rng.uniform(0, TWO_PI, 10))
-        series = np.polynomial.polynomial.polyval(z, c)
-        assert np.max(np.abs(series - phi(z))) < 1e-12

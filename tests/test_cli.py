@@ -58,8 +58,7 @@ class TestSpecFile:
             assert np.array_equal(second.measure.angles, first.measure.angles)
             assert np.array_equal(second.measure.weights, first.measure.weights)
             assert np.array_equal(second.dilatation(z), first.dilatation(z))
-            assert np.array_equal(second.dilatation.taylor_coefficients(8),
-                                  first.dilatation.taylor_coefficients(8))
+            assert second.dilatation == first.dilatation
 
     def test_monomial_degree_bounded(self, tmp_path):
         for degree in (2.5, 5000, 0, "2", True):
@@ -70,7 +69,7 @@ class TestSpecFile:
                 load_function_spec(write_spec(tmp_path, data))
         data["dilatation"]["params"]["degree"] = 4096.0
         spec = load_function_spec(write_spec(tmp_path, data))
-        assert spec.dilatation.taylor_coefficients(4096)[-1] == 0.2
+        assert np.array_equal(spec.dilatation.coefficients, [0.0] * 4096 + [0.2])
 
     def test_blaschke_zeros_must_be_a_list(self, tmp_path):
         source = {"alpha": 0.5, "blaschke": {"zeros": 5}}
@@ -116,6 +115,33 @@ class TestSpecFile:
             spec_from_dict(data)
         assert main(["verify", str(write_spec(tmp_path, data))]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, key", [
+        # misspelled, the dilatation was dropped and verify passed the
+        # analytic part alone, though |omega| = 0.9 > 1 - 2 alpha
+        (dict(EXTREMAL, alpha=0.3, dilation={
+            "kind": "constant", "params": {"value": {"re": 0.9, "im": 0.0}}}), "dilation"),
+        # misspelled, the degree fell back to 1
+        (dict(EXTREMAL, alpha=0.3, dilatation={"kind": "monomial", "params": {
+            "scale": {"re": 0.2, "im": 0.0}, "degre": 7}}), "degre"),
+        ({"alpha": 0.5, "atoms": [{"theta": 0.0, "weight": 1.0, "wieght": 0.5}]}, "wieght"),
+        ({"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0.0, "i": 0.1}]}}, "i"),
+        ({"alpha": 0.5, "blaschke": {"zeros": [], "prefactor": 1.0}}, "prefactor"),
+        (dict(EXTREMAL, alpha=0.3, dilatation={
+            "kind": "constant", "param": {"value": {"re": 0.1, "im": 0.0}}}), "param"),
+        (dict(EXTREMAL, alpha=0.3, dilatation={"kind": "constant", "params": {
+            "value": {"re": 0.1, "im": 0.0}, "scale": {"re": 0.1, "im": 0.0}}}), "scale"),
+        (dict(EXTREMAL, alpha=0.3, dilatation={"kind": "polynomial", "params": {
+            "coefficients": [{"re": 0.1, "im": 0.0}], "degree": 3}}), "degree"),
+        (dict(EXTREMAL, alpha=0.3, dilatation={"kind": "blaschke_scaled", "params": {
+            "scale": {"re": 0.1, "im": 0.0}, "zeros": [], "prefactor_angel": 1.0}}),
+         "prefactor_angel"),
+    ])
+    def test_unknown_keys_exit_two(self, tmp_path, capsys, data, key):
+        with pytest.raises(SpecFileError, match=f"unknown key '{key}'"):
+            spec_from_dict(data)
+        assert main(["verify", str(write_spec(tmp_path, data))]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_alpha_validated(self, tmp_path):
         with pytest.raises(SpecFileError, match="alpha"):
@@ -401,6 +427,9 @@ class TestRenderCommand:
         path = write_spec(tmp_path, EXTREMAL)
         assert main(["render", str(path), "--radius", "0.9999999",
                      "--out", str(tmp_path / "x.csv")]) == 2
+        # the limit itself renders, though |r e^(i theta)| rounds above r
+        assert main(["render", str(path), "--radius", "0.999999",
+                     "--out", str(tmp_path / "x.csv")]) == 0
         assert main(["render", str(path), "--samples", "3",
                      "--out", str(tmp_path / "x.csv")]) == 2
 

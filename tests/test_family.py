@@ -154,7 +154,7 @@ class TestHEval:
         t = 0.5 * (nodes + 1.0)
         oracle = 0.5 * np.sum(wts * z * f.hprime(t * z))
         assert oracle == pytest.approx(0.31894284005590651349, abs=1e-12)  # mpmath
-        assert f.h(z) == pytest.approx(oracle, abs=1e-9)
+        assert f.h(z) == pytest.approx(oracle, abs=1e-13)
 
     def test_domain_cutoff(self):
         f = GAlphaFunction(alpha=1.0, measure=single_atom(0.0))

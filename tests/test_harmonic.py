@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,14 +118,6 @@ class TestDilatationSpec:
         assert scaled != DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.5]))
         assert scaled != om
 
-    def test_taylor_coefficients(self):
-        om = DilatationSpec.monomial(0.5, 3)
-        assert np.allclose(om.taylor_coefficients(5), [0, 0, 0, 0.5, 0, 0])
-        phi = BlaschkeProduct(zeros=[0.3 + 0.0j])
-        om2 = DilatationSpec.blaschke_scaled(0.9, phi)
-        assert np.allclose(om2.taylor_coefficients(4),
-                           0.9 * phi.taylor_coefficients(4))
-
 
 class TestSupOnCircle:
     def test_exact_for_blaschke_and_single_coefficients(self):
@@ -157,43 +151,101 @@ class TestSupOnCircle:
 
 class TestGCoefficients:
     def test_linear_hprime_monomial_dilatation(self):
-        # h' = 1 - z, omega = z: g' = z - z^2, g = z^2/2 - z^3/3
-        m = HarmonicMap(analytic_part=extremal(),
-                        dilatation=DilatationSpec.monomial(1.0 - 1e-8, 1))
-        g = m.g_coefficients()
+        # h' = 1 - z, omega = s z: g' = s (z - z^2), g = s (z^2/2 - z^3/3)
         scale = 1.0 - 1e-8
-        assert abs(g[0]) < 1e-15 and abs(g[1]) < 1e-12
-        assert g[2] == pytest.approx(scale * 0.5, abs=1e-12)
-        assert g[3] == pytest.approx(scale * (-1.0 / 3.0), abs=1e-12)
+        m = HarmonicMap(analytic_part=extremal(),
+                        dilatation=DilatationSpec.monomial(scale, 1))
+        z = np.exp(1j * np.linspace(0.0, TWO_PI, 7)) * np.linspace(0.1, 1.0 - 1e-6, 7)
+        assert np.max(np.abs(m.g(z) - scale * (z ** 2 / 2 - z ** 3 / 3))) < 1e-15
 
     def test_zero_dilatation_gives_analytic_map(self):
         m = HarmonicMap(analytic_part=extremal(),
                         dilatation=DilatationSpec.constant(0.0))
-        assert np.max(np.abs(m.g_coefficients())) < 1e-15
-        z = 0.3 + 0.2j
-        assert m.evaluate(z) == pytest.approx(m.analytic_part.h(z))
+        z = np.array([0.3 + 0.2j, -0.7j, 0.999])
+        assert np.array_equal(m.g(z), np.zeros(3))
+        assert np.max(np.abs(m.evaluate(z) - m.analytic_part.h(z))) < 1e-15
 
     def test_constant_dilatation_scales_h_coefficients(self):
-        # c = 0.5 multiplies exactly in binary floating point
+        # c = 0.5 multiplies exactly in binary floating point, so g = 0.5 h
+        # bit for bit
         f = extremal(alpha=0.75)
         m = HarmonicMap(analytic_part=f,
                         dilatation=DilatationSpec.constant(0.5))
-        g = m.g_coefficients()
-        a = f.coefficients(256)
-        assert np.array_equal(g[1:], 0.5 * a)
+        z = random_points(np.random.default_rng(50), 100, r_max=1.0 - 1e-6)
+        assert np.array_equal(m.g(z), 0.5 * f.h(z))
 
     def test_series_reproduces_dilatation(self):
-        # g'/h' must reproduce omega on |z| <= 0.85
+        # g' = omega h' on |z| = 0.85, g' by a central difference of step
+        # 1e-5, whose truncation error is ~2e-11 |g'''|
         rng = np.random.default_rng(51)
         f = GAlphaFunction(alpha=0.3, measure=random_measure(rng, 3))
         phi = BlaschkeProduct(zeros=[0.4 - 0.2j, -0.1 + 0.5j])
         m = HarmonicMap(analytic_part=f,
                         dilatation=DilatationSpec.blaschke_scaled(0.35, phi))
-        g = m.g_coefficients()
-        gp_coeffs = g[1:] * np.arange(1, g.size)
-        z = random_points(rng, 1000, r_max=0.85)
-        gp = np.polynomial.polynomial.polyval(z, gp_coeffs)
-        assert np.max(np.abs(gp / f.hprime(z) - m.dilatation(z))) < 1e-9
+        z = 0.85 * np.exp(1j * rng.uniform(0.0, TWO_PI, 200))
+        gp = (m.g(z + 1e-5) - m.g(z - 1e-5)) / 2e-5
+        assert np.max(np.abs(gp - m.dilatation(z) * f.hprime(z))) < 1e-9
+
+
+def mp_path_values(f, dilatations, z, dps=50):
+    """h(z), then g(z) for each dilatation, as z * integral_0^1 (1 or
+    omega(t z)) h'(t z) dt in dps-digit arithmetic, from the exact atom
+    angles: 24-node Gauss-Legendre panels [1 - 2^-j, 1 - 2^-(j+1)] and a
+    last panel ending at 1 no longer than (1 - |z|)/2, so every panel's
+    nearest singularity is at least a panel length away and the rule's
+    error is below ~4^-48."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        nodes, weights = mpmath.gauss_quadrature(24, "legendre")
+        atoms = [mpmath.expj(theta) for theta in f.measure.angles]
+        powers = [mpmath.mpf(f.alpha) * t for t in f.measure.weights]
+        zz = mpmath.mpc(z)
+        panels = math.ceil(-math.log2(1.0 - abs(z))) + 1
+        ends = [1 - mpmath.mpf(2) ** -j for j in range(panels + 1)] + [mpmath.mpf(1)]
+        sums = [mpmath.mpc(0)] * (1 + len(dilatations))
+        for a, b in zip(ends, ends[1:]):
+            for x, w in zip(nodes, weights):
+                s = zz * (a + b + (b - a) * x) / 2
+                hp = mpmath.fprod((1 - c * s) ** p for c, p in zip(atoms, powers))
+                values = [hp] + [omega(s) * hp for omega in dilatations]
+                sums = [acc + w * (b - a) / 2 * v for acc, v in zip(sums, values)]
+        return [complex(zz * acc) for acc in sums]
+
+
+class TestPathIntegral:
+    def test_against_50_digit_mpmath(self):
+        # on each atom's ray, zeta_k z = r, h' is nearest its branch point
+        mpmath = pytest.importorskip("mpmath")
+        f = GAlphaFunction(alpha=0.6, measure=AtomicMeasure(
+            angles=[0.4, 2.1, 4.4], weights=[0.25, 0.45, 0.3]))
+        polynomial = DilatationSpec.polynomial([0.1, 0.2j, -0.15])
+        scaled = DilatationSpec.blaschke_scaled(
+            0.4, BlaschkeProduct(zeros=[0.5 - 0.3j, -0.2 + 0.6j], prefactor=np.exp(0.7j)))
+        maps = [HarmonicMap(analytic_part=f, dilatation=om) for om in (polynomial, scaled)]
+        with mpmath.workdps(50):
+            coefficients = [mpmath.mpc(c) for c in polynomial.coefficients[::-1]]
+            zeros = [mpmath.mpc(b) for b in scaled.blaschke.zeros]
+            factor = mpmath.mpc(scaled.scale * scaled.blaschke.prefactor)
+        omegas = [lambda s: mpmath.polyval(coefficients, s),
+                  lambda s: factor * mpmath.fprod((s - b) / (1 - mpmath.conj(b) * s)
+                                                  for b in zeros)]
+        for r in (0.99, 0.999, 1.0 - 1e-6):
+            z = r * np.append(np.conj(f.measure.atoms), np.exp(1j))
+            h, *g = zip(*(mp_path_values(f, omegas, zk) for zk in z))
+            assert np.max(np.abs(f.h(z) - h)) <= 1e-13, r
+            for m, gm in zip(maps, g):
+                assert np.max(np.abs(m.g(z) - gm)) <= 1e-13, r
+                assert np.max(np.abs(m.evaluate(z) - (np.array(h) + np.conj(gm)))) <= 1e-13, r
+
+    def test_shape_contract(self):
+        f = extremal(alpha=0.5)
+        m = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.monomial(0.5, 2))
+        for evaluate in (f.h, m.g, m.evaluate):
+            assert isinstance(evaluate(0.5j), np.complex128)
+            assert isinstance(evaluate(np.array(0.5)), np.complex128)
+            assert evaluate(np.full((2, 3, 4), 0.3)).shape == (2, 3, 4)
+            assert evaluate(np.array([], dtype=complex)).shape == (0,)
+            assert evaluate(np.zeros((0, 5))).shape == (0, 5)
 
 
 class TestJacobian:
