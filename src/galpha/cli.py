@@ -40,17 +40,6 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="outermost grid radius (default %(default)s)")
 
 
-_TOLERANCE_HELP = {"roundtrip": "round-trip tolerance",
-                   "norm": "norm-vs-sharp-value tolerance",
-                   "pointwise": "pointwise inequality slack"}
-
-
-def _add_tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--tol-{name}", type=float, default=getattr(Tolerances(), name),
-                       help=f"{_TOLERANCE_HELP[name]} (default %(default)s)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("spec", help="path to a function spec file")
-    _add_tolerance_flags(p_verify, "roundtrip", "norm", "pointwise")
     _add_grid_flags(p_verify)
     p_verify.add_argument("--out", default=None,
                           help="machine-readable report path "
@@ -70,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("roundtrip",
                              help="Blaschke product -> atoms -> product round trip")
     p_round.add_argument("spec", help="spec file with a blaschke source")
-    _add_tolerance_flags(p_round, "roundtrip")
+    for p in (p_verify, p_round):
+        p.add_argument("--tol-roundtrip", type=float, default=Tolerances().roundtrip,
+                       help="round-trip tolerance (default %(default)s)")
 
     p_render = sub.add_parser("render", help="export an image-circle curve")
     p_render.add_argument("spec", help="path to a function spec file")
@@ -106,8 +96,7 @@ def _emit(report: VerifyReport, out: str | Path | None) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
-    tol = Tolerances(roundtrip=args.tol_roundtrip, norm=args.tol_norm,
-                     pointwise=args.tol_pointwise)
+    tol = Tolerances(roundtrip=args.tol_roundtrip)
     grid = DiskGrid(args.grid_radii, args.grid_angles, args.rmax)
     out = args.out or Path(args.spec).with_name(Path(args.spec).stem + ".report.json")
     return _emit(run_verification(spec, tol=tol, grid=grid), out)
@@ -190,8 +179,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     sch = norms(spec.resolve_member(),
                 grid=DiskGrid(args.grid_radii, args.grid_angles, args.rmax))
-    return _emit(VerifyReport(checks=norm_checks(sch, Tolerances()), schwarz=sch,
-                              recovered_atoms=None), args.out)
+    return _emit(VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None),
+                 args.out)
 
 
 _COMMANDS = {

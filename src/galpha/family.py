@@ -36,6 +36,11 @@ _PAIR_LOOP_ATOMS = 4
 _PATH_LIMIT = 1.0 - 1e-6
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u/(1 - k u) for the unit roundoff u = 2^-53."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
 @functools.cache
 def _gauss_legendre():
     """The rule, formed on first use, as importing numpy.polynomial costs ~1 MB."""
@@ -294,6 +299,10 @@ class GAlphaFunction:
         here.  p_j is summed over atoms elementwise, as a threaded complex
         BLAS product of this skinny shape can stall for milliseconds.
         """
+        return self._hprime_series(n_max)[1]
+
+    def _hprime_series(self, n_max):
+        """p_0..p_(n_max-1) and c_0..c_n_max of hprime_coefficients."""
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         atoms = self.measure.atoms
@@ -302,19 +311,39 @@ class GAlphaFunction:
         c = np.ones(n_max + 1, dtype=complex)
         for n in range(n_max):
             c[n + 1] = np.dot(p[n::-1], c[: n + 1]) / (n + 1)
-        return c
+        return p, c
 
-    def coefficients(self, n_max: int) -> np.ndarray:
+    def coefficients(self, n_max: int, error_bound: bool = False):
         """Taylor coefficients a_1..a_n_max of h (a_1 = 1, a_n = c_(n-1)/n).
 
         Every member satisfies |a_n| <= alpha/(n (n-1)) for n >= 2, with
         equality at index n for the equal-weight measure on the (n-1)-th
-        roots of unity.
+        roots of unity.  With error_bound it returns (a, E), E_n >= |a_n - a*_n|
+        for the exact a*_n, if sin and cos err by at most an ulp.  In Higham's
+        gamma_k (Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+        2002, ch. 3), p_j errs by at most q_j = alpha gamma_(5j+3m+6) for m
+        atoms, and c_n by e_n: e_0 = 0 and (n+1) e_(n+1) = (n+1) gamma_3 |c_(n+1)|
+        + sum_(j<=n) ((q_(n-j) + sqrt(2) gamma_(2n+2) |p_(n-j)|) |c_j| + alpha e_j).
+        So E_n = e_(n-1)/n + gamma_3 |a_n|, raised by a relative
+        gamma_(16 n_max + 64) for its own rounding (terms derived in
+        tests/test_family.py).
         """
         if n_max < 2:
             raise ValueError("n_max must be at least 2")
-        c = self.hprime_coefficients(n_max - 1)
-        return c / np.arange(1, n_max + 1)
+        p, c = self._hprime_series(n_max - 1)
+        n = np.arange(1, n_max + 1)
+        a = c / n
+        if not error_bound:
+            return a
+        size, j, alpha = np.abs(c), np.arange(n_max - 1), self.alpha
+        q = alpha * _gamma(5 * j + 3 * self.measure.count + 6)
+        own = (np.convolve(q, size)[: j.size] + np.sqrt(2.0) * _gamma(2 * j + 2)
+               * np.convolve(np.abs(p), size)[: j.size]) / (j + 1) + _gamma(3) * size[1:]
+        e, total = [0.0], 0.0
+        for k, term in enumerate(own.tolist()):
+            e.append(term + alpha * total / (k + 1))
+            total += e[-1]
+        return a, (np.array(e) / n + _gamma(3) * np.abs(a)) * (1.0 + _gamma(16 * n_max + 64))
 
     def h(self, z):
         """h(z) = z * integral_0^1 h'(t z) dt for |z| <= 1 - 1e-6, within

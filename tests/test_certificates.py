@@ -239,6 +239,51 @@ class TestCapBound:
         assert 1 - u * (2 - u) == (1 - u) ** 2
 
 
+class TestNormCertificate:
+    """verify's two exact norm checks.  With c_k = (1 - |z|^2)/|1 - zeta_k z|,
+    |P| <= alpha sum_k t_k/|1 - zeta_k z| and |P'| <= alpha sum_k t_k/|1 - zeta_k z|^2,
+    so (1 - |z|^2)|P| <= alpha sum_k t_k c_k and, as |S| <= |P'| + |P|^2/2,
+    (1 - |z|^2)^2 |S| <= alpha sum_k t_k c_k^2 + (alpha sum_k t_k c_k)^2/2.
+    Each c_k <= 1 + |z| < 2, so summing with sum_k t_k = 1 keeps both below
+    the sharp bounds.  The summing step is shown for three atoms, c_k = 2 x_k
+    with x_k in [0, 1], and the weights' sum T = t_1 + t_2 + t_3 multiplying
+    each bound to the weights' degree of the sum it meets, so T = 1 gives the
+    slack; the same identities hold term by term for any number of atoms."""
+
+    @staticmethod
+    def summing_step():
+        a, *rest = variables(7)
+        t, x = rest[:3], rest[3:]
+        total = sum(t, Poly(7))
+        s1 = sum((tk * 2 * xk for tk, xk in zip(t, x)), Poly(7))  # sum t_k c_k
+        s2 = sum((tk * (2 * xk) ** 2 for tk, xk in zip(t, x)), Poly(7))  # sum t_k c_k^2
+        return a, t, x, total, s1, s2
+
+    def test_each_term_is_below_two(self):
+        # |1 - zeta z| >= 1 - |z| (TestCapBound), so c_k <= (1 - r^2)/(1 - r) = 1 + r
+        (r,) = variables(1)
+        assert 1 - r ** 2 == (1 - r) * (1 + r)
+        assert 2 - (1 + r) == 1 - r  # > 0 for r < 1
+
+    def test_pre_schwarzian_sum_is_below_two_alpha(self):
+        a, t, x, total, s1, _ = self.summing_step()
+        slack = 2 * a * total - a * s1
+        # 2 alpha sum_k t_k (1 - x_k) > 0 for |z| < 1, where every x_k < 1
+        assert slack == 2 * a * sum((tk * (1 - xk) for tk, xk in zip(t, x)), Poly(7))
+        assert nonnegative_on_box(slack)
+
+    def test_schwarzian_sum_is_below_its_bound(self):
+        a, t, x, total, s1, s2 = self.summing_step()
+        slack = 2 * a * (2 + a) * total ** 2 - (a * total * s2 + Fraction(1, 2) * (a * s1) ** 2)
+        # 4 alpha T sum_k t_k (1 - x_k^2) + 2 alpha^2 (T - sum t x)(T + sum t x),
+        # both > 0 for |z| < 1
+        tx = sum((tk * xk for tk, xk in zip(t, x)), Poly(7))
+        assert slack == (4 * a * total * sum((tk * (1 - xk ** 2) for tk, xk in zip(t, x)),
+                                             Poly(7))
+                         + 2 * a ** 2 * (total - tx) * (total + tx))
+        assert nonnegative_on_box(slack)
+
+
 class TestRadialLimits:
     """On z = r conj(zeta) for one atom of weight t, zeta z = r, so with
     P = -alpha t zeta/(1 - zeta z) and P' = -alpha t zeta^2/(1 - zeta z)^2,

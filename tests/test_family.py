@@ -232,6 +232,89 @@ def grid_margin(f, grid=DiskGrid()):
     return 0.5 - float(np.max((z * f.hprime_log_derivative(z)).real)) / f.alpha
 
 
+class TestCoefficientErrorBound:
+    """E_n of GAlphaFunction.coefficients(n, error_bound=True) bounds
+    |fl(a_n) - a_n| for the member's exact coefficients a_n.
+
+    In the unit roundoff u = 2^-53 and gamma_k = k u/(1 - k u), with
+    (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b) and
+    1/(1 - gamma_k) <= 1 + gamma_(2k) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3):
+    - zeta_k = fl(e^(i theta_k)) errs by at most 2u <= gamma_2 if sin and cos
+      err by at most an ulp, and each complex product of the cumulative
+      product by a relative sqrt(2) gamma_2 <= gamma_3, so the power
+      zeta_k^(j+1) errs by a relative gamma_(5j+5);
+    - the weight and alpha products each err by a relative u, and the m-term
+      sum by gamma_(m-1) sum |terms| in any order, so p_j errs from
+      -alpha sum_k t_k zeta_k^(j+1) by alpha mu gamma_(5j+m+6), mu = sum_k t_k;
+    - AtomicMeasure stores t_k = fl(w_k/fl(sum w)), so |mu - 1| <= gamma_(2m),
+      and p_j errs from p*_j of the weights t_k/mu, which sum to 1, by
+      alpha ((1 + gamma_(2m)) gamma_(5j+m+6) + gamma_(2m)) <= alpha gamma_(5j+3m+6);
+    - the complex dot of n + 1 terms has real and imaginary parts that are
+      real dots of 2n + 2 terms, so it errs by sqrt(2) gamma_(2n+2) sum |p||c|
+      with any order and any fused multiply-adds;
+    - dividing by n + 1 (Smith's complex division by n + 1 + 0i) errs by a
+      relative gamma_2, and gamma_2/(1 - gamma_2) <= gamma_3 turns that into
+      gamma_3 |fl(c_(n+1))|;
+    - |p*_j| <= alpha, so the errors carried in c_j add at most alpha sum_j e_j.
+    Summing these gives the recurrence for e_(n+1) in coefficients' docstring,
+    and a_n = c_(n-1)/n adds gamma_3 |fl(a_n)| the same way.
+    """
+
+    @staticmethod
+    def exact_coefficients(f, n_max):
+        """a_1..a_n_max in 50 digits from the same float angles and weights."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            atoms = [mpmath.expj(mpmath.mpf(theta)) for theta in f.measure.angles]
+            weights = [mpmath.mpf(t) for t in f.measure.weights]
+            weights = [t / mpmath.fsum(weights) for t in weights]
+            p = [-mpmath.mpf(f.alpha) * mpmath.fsum(t * a ** (j + 1)
+                                                    for t, a in zip(weights, atoms))
+                 for j in range(n_max)]
+            c = [mpmath.mpc(1)]
+            for n in range(n_max - 1):
+                c.append(mpmath.fsum(p[n - j] * c[j] for j in range(n + 1)) / (n + 1))
+            return [c[k] / (k + 1) for k in range(n_max)]
+
+    def test_bound_covers_the_error_against_50_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(26)
+        n = np.arange(2, 51)
+        for count in (1, 2, 5, 16, 64):
+            for alpha in (0.1, float(rng.uniform(0.2, 0.9)), 1.0):
+                f = GAlphaFunction(alpha=alpha, measure=random_measure(rng, count))
+                a, bound = f.coefficients(50, error_bound=True)
+                assert np.array_equal(a, f.coefficients(50))
+                error = np.array([float(abs(mpmath.mpc(x.real, x.imag) - y))
+                                  for x, y in zip(a, self.exact_coefficients(f, 50))])
+                assert np.all(error <= bound), (count, alpha)
+                # the slack is far below the 1e-9 the ratio was once allowed
+                assert np.max(bound[1:] * n * (n - 1) / alpha) < 1e-11, (count, alpha)
+
+    def test_bound_at_the_smallest_order(self):
+        # a_2 = -(alpha/2) sum_k t_k zeta_k is exactly 0 on the roots of
+        # unity, so the float a_2 is all rounding, and E_2 must cover it
+        f = GAlphaFunction(alpha=0.5, measure=roots_of_unity_measure(3))
+        a, bound = f.coefficients(2, error_bound=True)
+        assert np.array_equal(a, f.coefficients(2)) and a[0] == 1.0
+        assert np.all(bound > 0.0) and np.all(bound < 1e-15)
+        assert abs(a[1]) <= bound[1]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_equality_members_pass_at_threshold_one(self, alpha):
+        # one atom has ratio exactly 1 at n = 2, and equal weights on the
+        # m-th roots of unity at n = m + 1; the float ratio can read
+        # 1.0000000000000002 (m = 7, alpha = 0.5), so only E_n passes them
+        for m in range(1, 8):
+            for measure in (single_atom(0.3 * m), roots_of_unity_measure(m)):
+                spec = FunctionSpec(alpha=alpha, measure=measure)
+                report = run_verification(spec, grid=DiskGrid(8, 64))
+                check = next(c for c in report.checks if c.name == "coefficient_max_ratio")
+                assert (check.threshold, check.evidence) == (1.0, "bound")
+                assert check.passed and check.value > 1.0 - 1e-12, (alpha, m, check.value)
+
+
 class TestMembershipAndResidual:
     def test_extremal_margin_positive(self):
         for alpha in (0.25, 1.0):
@@ -658,11 +741,11 @@ class TestVerifyWork:
         assert report.passed and report.checks[-1].name == (
             "univalence_criterion_margin" if alpha < 0.5 else "dilatation_sup")
 
-    def test_verify_forms_one_minus_only_at_the_origin(self, monkeypatch):
+    def test_verify_forms_one_minus_only_in_the_norms(self, monkeypatch):
         # a work guard that counts rather than times: outside the norms,
-        # verify forms u = 1 - zeta z only at the origin, once for
-        # subordination_origin_modulus, and never evaluates the residual;
-        # its pointwise checks once formed u on every slice of the grid
+        # verify forms u = 1 - zeta z nowhere and never evaluates the
+        # residual; its pointwise checks once formed u on every slice of the
+        # grid, and its origin check at z = 0
         member = GAlphaFunction(alpha=0.3, measure=roots_of_unity_measure(28))
         spec = FunctionSpec(alpha=0.3, measure=member.measure,
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
@@ -679,7 +762,7 @@ class TestVerifyWork:
 
         monkeypatch.setattr(family, "_one_minus", counted)
         assert run_verification(spec, grid=grid).passed
-        assert sizes == [1]
+        assert sizes == []
 
     def test_verify_bounds_a_polynomial_dilatation_once(self, monkeypatch):
         # the spec's guard computes the bound; dilatation_sup and the
