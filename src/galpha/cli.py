@@ -1,8 +1,9 @@
 """Command-line surface: verify, roundtrip, render, gen, norms.
 
 Exit codes: 0 = pass, 1 = a check failed, 2 = malformed input, such as grid
-flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax) it rejects
-or a size (--atoms, --samples, a grid flag) too large to allocate.
+flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax, taken by
+`norms` alone, the one command that searches) it rejects or a size
+(--atoms, --samples, a grid flag) too large to allocate.
 """
 
 from __future__ import annotations
@@ -16,28 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .complexfn import ConvergenceError, DiskGrid
-from .family import _PATH_LIMIT, AtomicMeasure, measure_from_blaschke
+from .family import _PATH_LIMIT, AtomicMeasure
 from .harmonic import HarmonicMap
-from .schwarz import norms
+from .schwarz import norms, radial_limit_report
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
                        load_function_spec, save_function_spec)
-from .verify import (Tolerances, VerifyReport, blaschke_roundtrip_error,
-                     norm_checks, run_verification)
+from .verify import (Tolerances, VerifyReport, norm_checks, roundtrip_check,
+                     run_verification)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    """The DiskGrid of the two norm searches; no other check reads it."""
-    grid = DiskGrid()
-    p.add_argument("--grid-radii", type=int, default=grid.n_radii, metavar="N",
-                   help="number of grid radii (default %(default)s)")
-    p.add_argument("--grid-angles", type=int, default=grid.angles_per_circle,
-                   metavar="N", help="angles per circle (default %(default)s)")
-    p.add_argument("--rmax", type=float, default=grid.r_max, metavar="X",
-                   help="outermost grid radius (default %(default)s)")
 
 
 @functools.cache
@@ -50,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
     p_verify.add_argument("spec", help="path to a function spec file")
-    _add_grid_flags(p_verify)
     p_verify.add_argument("--out", default=None,
                           help="machine-readable report path "
                                "(default: <spec>.report.json beside the spec)")
@@ -58,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("roundtrip",
                              help="Blaschke product -> atoms -> product round trip")
     p_round.add_argument("spec", help="spec file with a blaschke source")
+    p_round.add_argument("--out", default=None, help="optional JSON report path")
     for p in (p_verify, p_round):
         p.add_argument("--tol-roundtrip", type=float, default=Tolerances().roundtrip,
                        help="round-trip tolerance (default %(default)s)")
@@ -80,7 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norms = sub.add_parser("norms", help="pre-Schwarzian/Schwarzian norm report")
     p_norms.add_argument("spec", help="path to a function spec file")
-    _add_grid_flags(p_norms)
+    # the DiskGrid of the norm search; no check reads it
+    grid = DiskGrid()
+    p_norms.add_argument("--grid-radii", type=int, default=grid.n_radii, metavar="N",
+                         help="number of grid radii (default %(default)s)")
+    p_norms.add_argument("--grid-angles", type=int, default=grid.angles_per_circle,
+                         metavar="N", help="angles per circle (default %(default)s)")
+    p_norms.add_argument("--rmax", type=float, default=grid.r_max, metavar="X",
+                         help="outermost grid radius (default %(default)s)")
     p_norms.add_argument("--out", default=None, help="optional JSON report path")
 
     return parser
@@ -97,9 +94,8 @@ def _emit(report: VerifyReport, out: str | Path | None) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     tol = Tolerances(roundtrip=args.tol_roundtrip)
-    grid = DiskGrid(args.grid_radii, args.grid_angles, args.rmax)
     out = args.out or Path(args.spec).with_name(Path(args.spec).stem + ".report.json")
-    return _emit(run_verification(spec, tol=tol, grid=grid), out)
+    return _emit(run_verification(spec, tol=tol), out)
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -107,11 +103,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     if spec.blaschke is None:
         raise SpecFileError("roundtrip requires a spec with a blaschke source")
     tol = Tolerances(roundtrip=args.tol_roundtrip)
-    measure = measure_from_blaschke(spec.blaschke)
-    error = blaschke_roundtrip_error(spec.blaschke, measure)
-    print(f"roundtrip max pointwise error on |z| <= 0.9: {error:.3e}")
-    print(f"recovered atoms: {measure.count}")
-    return EXIT_PASS if error < tol.roundtrip else EXIT_CHECK_FAILED
+    member = spec.resolve_member()
+    check, recovered = roundtrip_check(spec.blaschke, member.measure, tol)
+    return _emit(VerifyReport(checks=[check], schwarz=radial_limit_report(member),
+                              recovered_atoms=recovered), args.out)
 
 
 def cmd_render(args: argparse.Namespace) -> int:

@@ -10,7 +10,8 @@ bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
 with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` bounds both objectives
 on the cells() of a DiskGrid in closed form, by a cap per atom, and
-searches both in one sweep and one ascent.
+searches both in one sweep and one ascent; `radial_limit_report` gives
+each norm's closed-form enclosure with no search.
 """
 
 from __future__ import annotations
@@ -53,13 +54,16 @@ def _radial_limits(alpha, t):
 class SchwarzReport:
     """Norm estimates next to the family's sharp bounds, which follow from alpha.
 
-    qc_constant is present exactly when alpha < 1/2, where the member has a
-    quasiconformal extension with that constant.
+    source says where the estimates came from: "search" (`norms`) or
+    "radial_limit" (`radial_limit_report`).  qc_constant is present exactly
+    when alpha < 1/2, where the member has a quasiconformal extension with
+    that constant.
     """
 
     pre_schwarzian_norm: NormEstimate
     schwarzian_norm: NormEstimate
     alpha: float
+    source: str
 
     @property
     def pre_schwarzian_bound(self) -> float:
@@ -85,7 +89,18 @@ class SchwarzReport:
             "qc_constant": self.qc_constant,
             "pre_schwarzian_argmax": [pre.real, pre.imag],
             "schwarzian_argmax": [sch.real, sch.imag],
+            "norm_source": self.source,
         }
+
+
+def radial_limit_report(f: GAlphaFunction) -> SchwarzReport:
+    """Both norms' closed-form enclosure [limit, bound], with no search: the
+    heaviest atom's radial limits, approached as z -> conj(zeta_k) (the
+    argmax, on the circle), so lower bounds on the suprema."""
+    k = int(np.argmax(f.measure.weights))
+    at = complex(np.conj(f.measure.atoms[k]))
+    pre, sch = (NormEstimate(v, at) for v in _radial_limits(f.alpha, float(f.measure.weights[k])))
+    return SchwarzReport(pre, sch, f.alpha, "radial_limit")
 
 
 def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
@@ -128,25 +143,22 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
 def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
-    As z -> conj(zeta_k) radially, (1-|z|^2)|P| -> 2 alpha t_k and
-    (1-|z|^2)^2 |S| -> 2 alpha t_k (2 + alpha t_k); off the atoms both tend
-    to 0 at the circle.  So the search reports the heaviest atom's limits
-    (argmax conj(zeta_k), on the circle) unless a point it evaluates beats
-    them.  One sup_norm_estimate call searches both objectives and skips
-    each on the grid.cells() whose bound lies below its limit.  With d_k
-    the distance from conj(zeta_k) to the cell r0 <= |z| <= r1,
-    th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so
-    (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k = (1 - rho^2)/max(d_k,
-    1 - rho) at rho = clip(1 - d_k, r0, r1), where it peaks over the cell:
+    Off the atoms both objectives tend to 0 at the circle, so the search
+    reports the heaviest atom's radial limits (`radial_limit_report`)
+    unless a point it evaluates beats them.  One sup_norm_estimate call
+    searches both objectives and skips each on the grid.cells() whose bound
+    lies below its limit.  With d_k the distance from conj(zeta_k) to the
+    cell r0 <= |z| <= r1, th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k,
+    1 - |z|) on it, so (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k =
+    (1 - rho^2)/max(d_k, 1 - rho) at rho = clip(1 - d_k, r0, r1), where it
+    peaks over the cell:
 
         (1-|z|^2) |P|    <= alpha sum_k t_k c_k
         (1-|z|^2)^2 |S|  <= alpha sum_k t_k c_k^2 + (alpha sum_k t_k c_k)^2 / 2
 
     A lone atom's cell bounds are at most alpha t (1 + r_max) < 2 alpha t.
     """
-    k = int(np.argmax(f.measure.weights))
-    at = complex(np.conj(f.measure.atoms[k]))
-    limits = [NormEstimate(v, at) for v in _radial_limits(f.alpha, float(f.measure.weights[k]))]
+    floor = radial_limit_report(f)
 
     def objective(z):
         # the kernels run before 1 - |z|^2 is formed, to keep the peak memory low
@@ -154,6 +166,7 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
         w = 1.0 - np.abs(z) ** 2
         return np.stack([w * pre, w ** 2 * sch])
 
-    pre, sch = sup_norm_estimate(objective, grid, limit=limits,
+    pre, sch = sup_norm_estimate(objective, grid,
+                                 limit=[floor.pre_schwarzian_norm, floor.schwarzian_norm],
                                  cell_bounds=_cell_bounds(f, *grid.cells()))
-    return SchwarzReport(pre_schwarzian_norm=pre, schwarzian_norm=sch, alpha=f.alpha)
+    return SchwarzReport(pre, sch, f.alpha, "search")

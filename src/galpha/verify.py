@@ -6,13 +6,16 @@ coefficient bound, the sharp real-part bound, the subordination witness,
 both norms, the Blaschke round trip (for product specs) and the
 harmonic-shear checks (for specs with a dilatation).  Its verdict, text and
 JSON all read that list; a shear's injectivity is checked only through the
-univalence criterion, so only for alpha < 1/2.  `galpha norms` emits the
-same report with only the two norm checks.  Membership, the real-part
-bound, |omega| < 1 and both norms hold for every member, so they are exact
-checks naming their certificate, in G(z) = sum_k t_k/(1 - zeta_k z), which
-lies in the disk |G - 1| <= |z||G| (Ahlfors, Complex Analysis, 1979), or in
-(1 - |z|^2)/|1 - zeta_k z| < 2 (proofs in tests/test_certificates.py).  The
-coefficient ratio is a bound: it first takes a forward-error bound off |a_n|.
+univalence criterion, so only for alpha < 1/2.  Its norm block is the
+closed-form enclosure of `radial_limit_report`, with no search.  `galpha
+norms` emits the same report with only the two norm checks and the searched
+norms, and `galpha roundtrip` with only the round trip.  Membership, the
+real-part bound, |omega| < 1 and both norms hold for every member, so they
+are exact checks naming their certificate, in G(z) = sum_k t_k/(1 - zeta_k
+z), which lies in the disk |G - 1| <= |z||G| (Ahlfors, Complex Analysis,
+1979), or in (1 - |z|^2)/|1 - zeta_k z| < 2 (proofs in
+tests/test_certificates.py).  The coefficient ratio is a bound: it first
+takes a forward-error bound off |a_n|.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI, DiskGrid
-from .family import induced_self_map
+from .complexfn import TWO_PI
+from .family import AtomicMeasure, induced_self_map
 from .harmonic import HarmonicMap, univalence_criterion
-from .schwarz import SchwarzReport, norms
+from .schwarz import SchwarzReport, radial_limit_report
 from .specfile import FunctionSpec
 
 # the round trip is compared on these points filling |z| <= 0.9
@@ -102,7 +105,8 @@ class VerifyReport:
         sch = self.schwarz
         for name in ("pre_schwarzian", "schwarzian"):
             est, bound = getattr(sch, f"{name}_norm"), getattr(sch, f"{name}_bound")
-            lines.append(f"  {name + '_estimate':<29}: {est.value:.12g}  (bound {bound:.12g})")
+            lines.append(f"  {name + '_estimate':<29}: {est.value:.12g}  (bound {bound:.12g})"
+                         f"  [{sch.source}]")
             lines.append(f"  {name + '_argmax':<29}: {est.argmax:.6f}")
         if sch.qc_constant is not None:
             lines.append(f"  {'quasiconformal constant':<29}: {sch.qc_constant:.9f}")
@@ -116,7 +120,7 @@ class VerifyReport:
 
 def norm_checks() -> list[Check]:
     """Both sharp norm bounds, from (1 - |z|^2)/|1 - zeta_k z| <= 1 + |z| < 2
-    summed with sum_k t_k = 1; the search's estimates decide nothing."""
+    summed with sum_k t_k = 1; the printed norm values decide nothing."""
     return [Check("pre_schwarzian_norm", True, "==", True,
                   "exact: (1-|z|^2)|P| <= alpha sum_k t_k (1-|z|^2)/|1 - zeta_k z| < 2 alpha"),
             Check("schwarzian_norm", True, "==", True,
@@ -129,13 +133,18 @@ def blaschke_roundtrip_error(phi, measure) -> float:
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
-def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances(),
-                     grid: DiskGrid = DiskGrid()) -> VerifyReport:
-    """The battery on spec's member; grid serves the two norm searches only."""
+def roundtrip_check(phi, measure: AtomicMeasure, tol: Tolerances) -> tuple[Check, list]:
+    """The round-trip check of phi through its measure, and the measure's atoms."""
+    return (Check("roundtrip_error", blaschke_roundtrip_error(phi, measure),
+                  "<", tol.roundtrip, "sampled"),
+            [(float(t), float(w)) for t, w in zip(measure.angles, measure.weights)])
+
+
+def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances()) -> VerifyReport:
+    """The battery on spec's member; its norms are the closed-form enclosure."""
     member = spec.resolve_member()
     n = np.arange(2, _N_COEFFICIENTS + 1)
     a, error = member.coefficients(_N_COEFFICIENTS, error_bound=True)
-    sch = norms(member, grid)
 
     checks = [
         Check("membership_margin", True, "==", True,
@@ -152,11 +161,8 @@ def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances(),
 
     recovered = None
     if spec.blaschke is not None:
-        checks.append(Check("roundtrip_error",
-                            blaschke_roundtrip_error(spec.blaschke, member.measure),
-                            "<", tol.roundtrip, "sampled"))
-        recovered = [(float(t), float(w)) for t, w in
-                     zip(member.measure.angles, member.measure.weights)]
+        check, recovered = roundtrip_check(spec.blaschke, member.measure, tol)
+        checks.append(check)
 
     if spec.dilatation is not None:
         # J = |h'|^2 (1 - |omega|^2) > 0 on the disk, as h' != 0 there
@@ -168,4 +174,5 @@ def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances(),
             checks.append(Check("univalence_criterion_margin",
                                 univalence_criterion(hmap)[1], ">=", 0.0, "bound"))
 
-    return VerifyReport(checks=checks, schwarz=sch, recovered_atoms=recovered)
+    return VerifyReport(checks=checks, schwarz=radial_limit_report(member),
+                        recovered_atoms=recovered)

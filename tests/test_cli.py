@@ -7,7 +7,7 @@ import pytest
 
 from galpha.cli import build_parser, main
 from galpha.complexfn import DiskGrid
-from galpha.family import single_atom
+from galpha.family import AtomicMeasure, single_atom
 from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
@@ -282,7 +282,7 @@ class TestVerifyCommand:
             t -= np.linalg.solve([[d0.real, -d1.real], [d0.imag, -d1.imag]], [gap.real, gap.imag])
         assert abs(f(t[0]) - f(t[1])) < 1e-12 and t[1] - t[0] > 5.0
         assert np.all(hmap.jacobian(0.9 * np.exp(1j * t)) > 0.09)
-        names = [c.name for c in run_verification(spec, grid=DiskGrid(8, 64)).checks]
+        names = [c.name for c in run_verification(spec).checks]
         assert names[names.index("schwarzian_norm") + 1:] == ["dilatation_sup"]
 
     @pytest.mark.parametrize("flag,value", [("--tol-roundtrip", "-1e-8")])
@@ -299,19 +299,31 @@ class TestVerifyCommand:
         ("--rmax", "1", {"r_max": 1.0}),
     ])
     def test_malformed_grid_exit_two(self, tmp_path, capsys, flag, value, field):
-        # the flags are DiskGrid's fields, so its message is the error
+        # the flags are DiskGrid's fields, so its message is the error; only
+        # norms searches, so only norms takes them
         with pytest.raises(ValueError) as rejected:
             DiskGrid(**field)
         path = write_spec(tmp_path, EXTREMAL)
-        for command in ("verify", "norms"):
-            out = tmp_path / f"{command}.json"
-            assert main([command, str(path), flag, value, "--out", str(out)]) == 2
-            assert capsys.readouterr().err.startswith(f"error: {rejected.value}")
-            assert not out.exists()
+        out = tmp_path / "norms.json"
+        assert main(["norms", str(path), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {rejected.value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--grid-radii", "8"), ("--rmax", "0.9"),
+                                             ("--grid-angles", "64")])
+    def test_verify_rejects_grid_flags(self, tmp_path, capsys, flag, value):
+        # verify runs no search, so a grid flag would change nothing
+        path = write_spec(tmp_path, EXTREMAL)
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", str(path), flag, value])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "fn.report.json").exists()
 
     def test_flag_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["verify", "x.json"])
         assert Tolerances(roundtrip=args.tol_roundtrip) == Tolerances()
+        args = build_parser().parse_args(["norms", "x.json"])
         assert DiskGrid(args.grid_radii, args.grid_angles, args.rmax) == DiskGrid()
         args = build_parser().parse_args(["roundtrip", "x.json"])
         assert args.tol_roundtrip == Tolerances().roundtrip
@@ -348,6 +360,30 @@ class TestRoundtripCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert float(out.split(":")[1].split()[0]) < 1e-8
+
+    def test_emits_the_verify_report(self, tmp_path, capsys):
+        # roundtrip --out writes verify's keys, its roundtrip_error record,
+        # its recovered atoms and its closed-form schwarz block
+        path = write_spec(tmp_path, HALF_ZERO)
+        reports, texts = {}, {}
+        for command in ("verify", "roundtrip"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(path), "--out", str(out)]) == 0
+            reports[command] = json.loads(out.read_text())
+            texts[command] = capsys.readouterr().out.splitlines()
+        verify, roundtrip = reports["verify"], reports["roundtrip"]
+        assert roundtrip.keys() == verify.keys()
+        assert roundtrip["checks"] == [c for c in verify["checks"]
+                                       if c["name"] == "roundtrip_error"]
+        for key in ("schwarz", "roundtrip_error", "recovered_atoms", "passed"):
+            assert roundtrip[key] == verify[key], key
+        assert set(texts["roundtrip"]) <= set(texts["verify"])
+        assert texts["roundtrip"][-1].endswith("PASS")
+
+    def test_failed_round_trip_exits_one(self, tmp_path, capsys):
+        path = write_spec(tmp_path, HALF_ZERO)
+        assert main(["roundtrip", str(path), "--tol-roundtrip", "0"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
 
     def test_zero_near_circle_rejected(self, tmp_path, capsys):
         data = {"alpha": 0.5,
@@ -526,59 +562,113 @@ class TestNormsCommand:
             assert (radius == pytest.approx(1.0, abs=1e-15)) is (rmax == "0.9999")
 
     def test_norms_writes_and_prints_the_verify_report(self, tmp_path, capsys):
-        # one report: norms --out has verify's keys, its schwarz block and its
-        # two norm checks, and every line norms prints, each argmax and the
-        # quasiconformal constant included, is a line of verify's text
+        # one report: norms --out has verify's keys, its schwarz block up to
+        # the norm values, argmaxes and source, and its two norm checks;
+        # every other line norms prints, the quasiconformal constant
+        # included, is a line of verify's text; verify's closed-form values
+        # lie at or below the searched ones
         path = tmp_path / "gen.json"
         main(["gen", "--seed", "4", "--atoms", "3", "--alpha", "0.3",
               "--out", str(path)])
         capsys.readouterr()
-        grid = ["--grid-radii", "24", "--grid-angles", "128"]
+        grid = {"verify": [], "norms": ["--grid-radii", "24", "--grid-angles", "128"]}
         reports, texts = {}, {}
         for command in ("verify", "norms"):
             out = tmp_path / f"{command}.json"
-            assert main([command, str(path), "--out", str(out), *grid]) == 0
+            assert main([command, str(path), "--out", str(out), *grid[command]]) == 0
             reports[command] = json.loads(out.read_text())
             texts[command] = capsys.readouterr().out.splitlines()
         verify, norms_ = reports["verify"], reports["norms"]
         assert norms_.keys() == verify.keys()
-        assert norms_["schwarz"] == verify["schwarz"]
+        assert norms_["schwarz"].keys() == verify["schwarz"].keys()
+        assert (verify["schwarz"]["norm_source"], norms_["schwarz"]["norm_source"]) == (
+            "radial_limit", "search")
+        differ = {f"{which}_{key}" for which in ("pre_schwarzian", "schwarzian")
+                  for key in ("norm", "argmax")} | {"norm_source"}
+        for key, value in norms_["schwarz"].items():
+            assert key in differ or value == verify["schwarz"][key], key
         assert norms_["checks"] == [c for c in verify["checks"]
                                     if c["name"].endswith("schwarzian_norm")]
         assert norms_["roundtrip_error"] is norms_["recovered_atoms"] is None
-        assert set(texts["norms"]) <= set(texts["verify"])
-        for which in ("pre_schwarzian", "schwarzian"):
-            argmax = complex(*verify["schwarz"][f"{which}_argmax"])
-            assert f"  {which + '_argmax':<29}: {argmax:.6f}" in texts["norms"]
+        names = tuple(f"  {which}_{kind}" for which in ("pre_schwarzian", "schwarzian")
+                      for kind in ("estimate", "argmax"))
+        assert {line for line in texts["norms"] if not line.startswith(names)} <= set(
+            texts["verify"])
+        for command in ("verify", "norms"):
+            sch = reports[command]["schwarz"]
+            for which in ("pre_schwarzian", "schwarzian"):
+                argmax = complex(*sch[f"{which}_argmax"])
+                assert f"  {which + '_argmax':<29}: {argmax:.6f}" in texts[command]
+                assert sch[f"{which}_norm"] <= norms_["schwarz"][f"{which}_norm"]
         assert any(line.startswith("  quasiconformal constant")
                    for line in texts["norms"])
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_norm_estimates_decide_no_verdict(self, tmp_path, capsys, command):
         # near the circle the float objectives can read above the sharp
-        # values; the estimates are printed with their bounds, and the
-        # certificates, not the estimates, pass both norm checks
+        # values; the estimates are printed with their bounds and source, and
+        # the certificates, not the estimates, pass both norm checks
         path = write_spec(tmp_path, {"alpha": 1.0, "atoms": [
             {"theta": 0.03681553890925539, "weight": 1.0}]})
         out = tmp_path / "r.json"
-        assert main([command, str(path), "--rmax", "0.999999999999",
-                     "--out", str(out)]) == 0
+        grid = ["--rmax", "0.999999999999"] if command == "norms" else []
+        assert main([command, str(path), *grid, "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "FAIL" not in text
         sch = json.loads(out.read_text())["schwarz"]
         for which in ("pre_schwarzian", "schwarzian"):
             assert (f"  {which + '_estimate':<29}: {sch[which + '_norm']:.12g}  "
-                    f"(bound {sch[which + '_bound']:.12g})") in text.splitlines()
+                    f"(bound {sch[which + '_bound']:.12g})  [{sch['norm_source']}]"
+                    ) in text.splitlines()
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_out_in_missing_directory_exit_two(self, tmp_path, capsys, command):
         path = write_spec(tmp_path, EXTREMAL)
         out = tmp_path / "absent" / "report.json"
-        code = main([command, str(path), "--out", str(out),
-                     "--grid-radii", "8", "--grid-angles", "64"])
+        grid = ["--grid-radii", "8", "--grid-angles", "64"] if command == "norms" else []
+        code = main([command, str(path), "--out", str(out), *grid])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()
+
+
+class TestNormEnclosure:
+    @pytest.mark.parametrize("data", [EXTREMAL, CONSTANT_SHEAR, HALF_ZERO],
+                             ids=["atoms", "harmonic", "blaschke"])
+    def test_verify_runs_no_search(self, tmp_path, capsys, monkeypatch, data):
+        def searched(*args, **kwargs):
+            raise AssertionError("verify ran the norm search")
+
+        monkeypatch.setattr("galpha.schwarz.sup_norm_estimate", searched)
+        path = write_spec(tmp_path, data)
+        assert main(["verify", str(path)]) == 0
+        if "blaschke" in data:
+            assert main(["roundtrip", str(path)]) == 0
+
+    def test_verify_norms_enclose_the_searched_norms(self):
+        # verify reports the heaviest atom's radial limits, bit for bit, at
+        # conj(zeta) of that atom; the search's attained values lie between
+        # them and the sharp bounds
+        rng = np.random.default_rng(27)
+        for m in (1, 2, 3, 5, 8, 13, 21, 32, 64):
+            alpha = float(1.0 - rng.uniform())
+            measure = AtomicMeasure(angles=np.sort(rng.uniform(0.0, 2.0 * np.pi, m)),
+                                    weights=rng.dirichlet(np.ones(m)))
+            spec = FunctionSpec(alpha=alpha, measure=measure)
+            enclosure = run_verification(spec).schwarz
+            searched = norms(spec.resolve_member())
+            k = int(np.argmax(measure.weights))
+            t = float(measure.weights[k])
+            limits = {"pre_schwarzian": 2.0 * alpha * t,
+                      "schwarzian": 2.0 * alpha * t * (2.0 + alpha * t)}
+            assert (enclosure.source, searched.source) == ("radial_limit", "search")
+            for which, limit in limits.items():
+                lo = getattr(enclosure, f"{which}_norm")
+                assert lo.value == limit, (m, which)
+                assert lo.argmax == np.conj(measure.atoms[k])
+                assert lo.value <= getattr(searched, f"{which}_norm").value
+                assert getattr(searched, f"{which}_norm").value <= getattr(
+                    enclosure, f"{which}_bound"), (m, which)
 
 
 class TestReadme:
@@ -592,7 +682,7 @@ class TestReadme:
         listed = {cells[0].strip().strip("`"): cells[2].split()[0] for cells in rows}
         emitted = []
         for data in (EXTREMAL, HALF_ZERO, CONSTANT_SHEAR, dict(CONSTANT_SHEAR, alpha=0.8)):
-            checks = run_verification(spec_from_dict(data), grid=DiskGrid(8, 64)).checks
+            checks = run_verification(spec_from_dict(data)).checks
             names = [c.name for c in checks]
             assert names == [name for name in listed if name in names]
             for check in checks:
@@ -608,7 +698,7 @@ class TestEvidence:
         # a check gated on a tolerance, or read off an estimate or a sample,
         # fails here unless it is the round trip
         path = write_spec(tmp_path, data)
-        checks = run_verification(spec_from_dict(data), grid=DiskGrid(8, 64)).checks
+        checks = run_verification(spec_from_dict(data)).checks
         out = tmp_path / "norms.json"
         assert main(["norms", str(path), "--grid-radii", "8", "--grid-angles", "64",
                      "--out", str(out)]) == 0

@@ -10,7 +10,7 @@ from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke,
                            roots_of_unity_measure, single_atom)
 from galpha.harmonic import DilatationSpec, HarmonicMap
-from galpha.schwarz import norms, schwarzian
+from galpha.schwarz import schwarzian
 from galpha.specfile import FunctionSpec
 from galpha.verify import run_verification
 
@@ -309,7 +309,7 @@ class TestCoefficientErrorBound:
         for m in range(1, 8):
             for measure in (single_atom(0.3 * m), roots_of_unity_measure(m)):
                 spec = FunctionSpec(alpha=alpha, measure=measure)
-                report = run_verification(spec, grid=DiskGrid(8, 64))
+                report = run_verification(spec)
                 check = next(c for c in report.checks if c.name == "coefficient_max_ratio")
                 assert (check.threshold, check.evidence) == (1.0, "bound")
                 assert check.passed and check.value > 1.0 - 1e-12, (alpha, m, check.value)
@@ -737,21 +737,18 @@ class TestVerifyWork:
                             lambda self, z: pytest.fail("verify evaluated g"))
         spec = FunctionSpec(alpha=alpha, measure=roots_of_unity_measure(3),
                             dilatation=DilatationSpec.polynomial([0.1, 0.05j]))
-        report = run_verification(spec, grid=DiskGrid(8, 64))
+        report = run_verification(spec)
         assert report.passed and report.checks[-1].name == (
             "univalence_criterion_margin" if alpha < 0.5 else "dilatation_sup")
 
     def test_verify_forms_one_minus_only_in_the_norms(self, monkeypatch):
-        # a work guard that counts rather than times: outside the norms,
-        # verify forms u = 1 - zeta z nowhere and never evaluates the
-        # residual; its pointwise checks once formed u on every slice of the
-        # grid, and its origin check at z = 0
-        member = GAlphaFunction(alpha=0.3, measure=roots_of_unity_measure(28))
-        spec = FunctionSpec(alpha=0.3, measure=member.measure,
+        # a work guard that counts rather than times: verify forms u = 1 -
+        # zeta z nowhere and never evaluates the residual; its pointwise
+        # checks once formed u on every slice of the grid, its origin check
+        # at z = 0, and its norm search on the grid; its norms are the
+        # closed-form radial limits
+        spec = FunctionSpec(alpha=0.3, measure=roots_of_unity_measure(28),
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
-        grid = DiskGrid()
-        report = norms(member, grid)
-        monkeypatch.setattr("galpha.verify.norms", lambda f, g: report)
         monkeypatch.setattr(GAlphaFunction, "real_part_bound_residual",
                             lambda self, z: pytest.fail("verify evaluated the residual"))
         sizes, one_minus = [], family._one_minus
@@ -761,7 +758,7 @@ class TestVerifyWork:
             return one_minus(z, atoms, out)
 
         monkeypatch.setattr(family, "_one_minus", counted)
-        assert run_verification(spec, grid=grid).passed
+        assert run_verification(spec).passed
         assert sizes == []
 
     def test_verify_bounds_a_polynomial_dilatation_once(self, monkeypatch):
