@@ -8,6 +8,7 @@ here is pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -63,6 +64,23 @@ def _fields_hash(a):
                       for f in fields(a) if f.compare))
 
 
+def _built_once(method):
+    """A DiskGrid method whose arrays are built on its first call, made
+    read-only and kept in the instance, so every call returns the same ones.
+    Threads that build at once all get the first one kept (setdefault)."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def kept(self):
+        if key not in self.__dict__:
+            arrays = method(self)
+            for a in arrays if isinstance(arrays, tuple) else (arrays,):
+                a.flags.writeable = False
+            self.__dict__.setdefault(key, arrays)
+        return self.__dict__[key]
+    return kept
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Polar grid whose radii accumulate toward r_max, where this family's
@@ -70,6 +88,9 @@ class DiskGrid:
     read-only array from radii[0] = 0 to radii[-1] = r_max exactly; each
     circle carries angles_per_circle equally spaced angles from 0.  Both
     counts are integers, n_radii >= 2, angles_per_circle >= 8; 0 < r_max < 1.
+    angles(), points() and cells() are built on first call and kept: each
+    call returns the same read-only arrays.  Equality and hashing use only
+    the three fields.
     """
 
     n_radii: int = 64
@@ -93,10 +114,12 @@ class DiskGrid:
         radii.flags.writeable = False
         object.__setattr__(self, "radii", radii)
 
+    @_built_once
     def angles(self) -> np.ndarray:
         k = self.angles_per_circle
         return TWO_PI * np.arange(k) / k
 
+    @_built_once
     def points(self) -> np.ndarray:
         """Complex sample points, shape (angles_per_circle, n_radii).
 
@@ -108,6 +131,7 @@ class DiskGrid:
         pts[:, -1] = _clip(pts[:, -1], self.r_max)
         return pts
 
+    @_built_once
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The sweep's cells (r0, r1, th0, th1): the closed polar sectors of 8
         angles by 2 radii of points() in row-major order, edge cells partial."""
@@ -145,14 +169,18 @@ def _clip(z, r_max):
     return z * np.minimum(1.0, r_max * (1.0 - 2.0 ** -50) / (np.abs(z) + 1e-300))
 
 
+@functools.cache
 def _stencil():
     """The refinement's 3x3 stencil s, in units of its spacing, and the
     central-difference weights that take values f on it to f @ weights =
-    (f_x + i f_y, q = (f_xx - f_yy)/2 + i f_xy, (f_xx + f_yy)/2)."""
+    (f_x + i f_y, q = (f_xx - f_yy)/2 + i f_xy, (f_xx + f_yy)/2); both
+    read-only, as they are built once."""
     s = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
     edge = np.abs(s) == 1.0
-    return s, np.stack([edge * s / 2.0, s * s / np.where(edge, 2.0, 8.0),
+    weights = np.stack([edge * s / 2.0, s * s / np.where(edge, 2.0, 8.0),
                         edge / 2.0 - 2.0 * (s == 0)], axis=1)
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
 
 
 def _model_step(m):
@@ -261,21 +289,22 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
         at = np.flatnonzero(live)
         if not at.size:
             break
-        c, p, v = center[at], point[at], value[at]
-        step = h[at] * np.exp(1j * np.angle(c))
+        c, p, v, ha, each = center[at], point[at], value[at], h[at], np.arange(at.size)
+        step = ha * np.exp(1j * np.angle(c))
         w = _clip(c[:, None] + step[:, None] * stencil, grid.r_max)
         f = np.asarray(objective(w), dtype=float).reshape((n_obj,) + w.shape)
-        f = f[owner[at], np.arange(at.size)]
+        f = f[owner[at], each]
         _require_finite("objective during refinement", f)
         # the centre is a trial point unless it is the candidate's best point
         ok = (c == p) | (f[:, 0] >= v)
-        best = np.arange(at.size), f.argmax(axis=1)
-        point[at] = p = np.where(f[best] > v, w[best], p)
-        value[at] = np.maximum(f[best], v)
+        best = each, f.argmax(axis=1)
+        fb = f[best]
+        point[at] = p = np.where(fb > v, w[best], p)
+        value[at] = np.maximum(fb, v)
         trial = _clip(c + step * _model_step(f @ weights), grid.r_max)
-        center[at] = np.where(ok, trial, p)
-        room[at] = r = 1.0 - np.abs(center[at])
-        h[at] = np.minimum(np.where(ok, np.abs(trial - c), h[at] / 8.0), r / 2.0)
+        center[at] = c_new = np.where(ok, trial, p)
+        room[at] = r = 1.0 - np.abs(c_new)
+        h[at] = np.minimum(np.where(ok, np.abs(trial - c), ha / 8.0), r / 2.0)
     # Batch and single-point evaluations can round differently (numpy squares
     # arrays and scalars differently), and the maximum over many stencil
     # points selects that dust, so each winner is evaluated once more on its

@@ -161,10 +161,15 @@ def norms(f: GAlphaFunction, grid: DiskGrid = DiskGrid()) -> SchwarzReport:
     floor = radial_limit_report(f)
 
     def objective(z):
-        # the kernels run before 1 - |z|^2 is formed, to keep the peak memory low
-        sch, pre = np.abs(schwarzian(f, z)), np.abs(pre_schwarzian(f, z))
+        # the kernels write into the result before 1 - |z|^2 is formed, to
+        # keep the peak memory low
+        out = np.empty((2,) + np.shape(z))
+        np.abs(schwarzian(f, z), out=out[1, ...])
+        np.abs(pre_schwarzian(f, z), out=out[0, ...])
         w = 1.0 - np.abs(z) ** 2
-        return np.stack([w * pre, w ** 2 * sch])
+        out[0] *= w
+        out[1] *= w ** 2
+        return out
 
     pre, sch = sup_norm_estimate(objective, grid,
                                  limit=[floor.pre_schwarzian_norm, floor.schwarzian_norm],

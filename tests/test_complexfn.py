@@ -1,10 +1,11 @@
 import inspect
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, _stencil, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction
 from galpha.schwarz import norms, pre_schwarzian, schwarzian
 
@@ -81,6 +82,51 @@ class TestDiskGrid:
         assert DiskGrid() == DiskGrid(64, 512, 1 - 1e-4)
         assert hash(DiskGrid()) == hash(DiskGrid(64, 512, 1 - 1e-4))
         assert DiskGrid() != DiskGrid(64, 512, 1 - 1e-5)
+
+    def test_arrays_are_built_once_and_read_only(self):
+        # the sweep reads them on every norms call
+        grid = DiskGrid(11, 100)
+        for method in (grid.angles, grid.points, grid.cells):
+            first = method()
+            assert method() is first
+            for a in first if isinstance(first, tuple) else (first,):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[1]
+        for a in _stencil():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        assert _stencil() is _stencil()
+
+    def test_threads_building_at_once_share_one_array(self):
+        # norms' default grid is shared by every thread of the process
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                grid, got = DiskGrid(8, 64), []
+                threads = [threading.Thread(target=lambda: got.append(grid.points()))
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 4 and all(a is grid.points() for a in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_built_arrays_leave_equality_and_hash_alone(self):
+        built = DiskGrid()
+        built.points(), built.cells()
+        assert built == DiskGrid() and hash(built) == hash(DiskGrid())
+        assert built != DiskGrid(64, 512, 1 - 1e-5)
+
+    def test_norms_repeat_exactly_on_a_kept_and_a_fresh_grid(self):
+        for i in range(8):
+            f = panel_member(i)
+            first = norms(f)
+            for again in (norms(f), norms(f, DiskGrid())):
+                assert again == first  # each norm's value and argmax, exactly
 
     def test_radii_law_unchanged_on_the_panel_grids(self):
         for grid in PANEL_GRIDS:

@@ -1,3 +1,4 @@
+import collections
 from unittest import mock
 
 import numpy as np
@@ -178,8 +179,8 @@ def recording(objective):
     return recorded
 
 
-def count_norm_calls(f, grid):
-    """The objective calls that norms(f, grid) makes."""
+def norm_call_sizes(f, grid):
+    """The point count of each objective call that norms(f, grid) makes."""
     calls = []
 
     def counted(objective, grid, **kwargs):
@@ -190,7 +191,7 @@ def count_norm_calls(f, grid):
 
     with mock.patch("galpha.schwarz.sup_norm_estimate", counted):
         norms(f, grid)
-    return len(calls)
+    return calls
 
 
 def sweep_blocks(grid, vals):
@@ -303,7 +304,7 @@ class TestCellBounds:
                 bounds = _cell_bounds(f, *grid.cells())
                 assert bounds[0].max() < 2.0 * alpha
                 assert bounds[1].max() < 2.0 * alpha * (2.0 + alpha)
-                assert count_norm_calls(f, grid) == 0
+                assert norm_call_sizes(f, grid) == []
 
     def test_joint_search_equals_lone_searches(self):
         # norms' one search of both objectives gives, bit for bit, the value
@@ -336,8 +337,35 @@ class TestCellBounds:
         # on the default grid took 847 objective calls in two searches per
         # member, and 324 in one joint search with the cap bounds, where 9
         # members make no call; the budget leaves 5% for platform rounding
-        calls = [count_norm_calls(f, DiskGrid()) for f in panel_members()]
+        calls = [len(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
         assert sum(calls) <= 340
+
+    def test_norms_point_budget(self):
+        # the same guard on the points those calls evaluate: 71,515 on the
+        # panel, so a rewrite of the ascent step cannot add evaluations
+        # within the call budget; again with 5% for platform rounding
+        points = [sum(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
+        assert sum(points) <= 75_000
+
+    def test_norms_calls_the_kernels_by_their_names(self, monkeypatch):
+        # the benchmark's tracer counts norms' work under these three names
+        # (schwarz.schwarzian, schwarz.pre_schwarzian and the member's
+        # hprime_log_derivative), so each objective call must reach each
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr("galpha.schwarz.schwarzian", counted("S", schwarzian))
+        monkeypatch.setattr("galpha.schwarz.pre_schwarzian", counted("P", pre_schwarzian))
+        monkeypatch.setattr(GAlphaFunction, "hprime_log_derivative",
+                            counted("h", GAlphaFunction.hprime_log_derivative))
+        f = panel_members()[2]
+        calls = len(norm_call_sizes(f, DiskGrid()))
+        assert calls > 0 and counts == {"S": calls, "P": calls, "h": calls}
 
     def test_no_block_reaching_the_limit_skips_the_search(self, monkeypatch):
         # one atom at alpha = 1/2 on a grid out to r = 1/2: every cell bound
