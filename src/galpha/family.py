@@ -28,9 +28,6 @@ _WEIGHT_SUM_TOL = 1e-12
 # Per-point kernels run on slices of about this many (point, atom) pairs, so
 # their temporaries stay near 4 MB whatever the input size and atom count.
 _BLOCK = 1 << 17
-# Up to this many atoms the residual sums atom pairs one by one: a threaded
-# BLAS product of an (N x 2) by a (2 x 2) matrix can stall for 10-20 ms.
-_PAIR_LOOP_ATOMS = 4
 # h and g integrate h' on |z| <= _PATH_LIMIT, checked with an ulp to spare
 # for |r e^(i theta)| rounding above r, on panels of 10 Gauss-Legendre nodes
 _PATH_LIMIT = 1.0 - 1e-6
@@ -79,23 +76,19 @@ def _one_minus(z, atoms, out):
     return np.subtract(1.0, u, out=u)
 
 
-def _log_sum(z, u, atoms, weights):
-    """L = sum_k t_k Log u_k for 1-d z in the disk and its u_k = 1 - zeta_k z.
+def _log_sum(u, weights):
+    """L = sum_k t_k Log u_k for the u_k = 1 - zeta_k z of points in the disk.
 
     Re(u_k) > 0 there, so arctan2 gives the principal argument; this is
-    several times faster than numpy's complex log.  log |u_k|^2 is
-    log1p(|z|^2 - 2 Re(zeta_k z)) where |z| <= 1/2, as the log of a
-    |u_k|^2 near 1 loses the digits of a small L, and log(Re^2 + Im^2)
-    elsewhere, and so near every atom, where the log1p argument cancels.
+    several times faster than numpy's complex log.  The log-modulus is one
+    1/2 log(Re^2 + Im^2) everywhere: it errs by a few ulps absolutely, and
+    so loses the relative digits of a small L near z = 0, but h' = exp(alpha
+    L) turns an absolute error in L into the same relative error in h'.
     """
     re, im = u.real, u.imag
     buf = re * re
     buf += im * im
     np.log(buf, out=buf)
-    small = np.abs(z) <= 0.5
-    zs = z[small]
-    buf[small] = np.log1p((zs.real * zs.real + zs.imag * zs.imag)[:, None]
-                          - 2.0 * np.multiply.outer(zs, atoms).real)
     log_modulus = 0.5 * (buf @ weights)
     return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights)
 
@@ -280,41 +273,25 @@ class GAlphaFunction:
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
-        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(zb, u, atoms, weights)))
+        weights, alpha = self.measure.weights, self.alpha
+        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(u, weights)))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
         return self._blocks(z, lambda zb, u: -alpha * (np.divide(atoms, u, out=u) @ weights))
 
-    def hprime_coefficients(self, n_max: int) -> np.ndarray:
-        """Maclaurin coefficients c_0..c_n_max of h', from h'' = P h'.
-
-        P = h''/h' = sum_j p_j z^j with p_j = -alpha sum_k t_k zeta_k^(j+1),
-        so c_0 = 1 and c_(n+1) = (1/(n+1)) sum_(j<=n) p_(n-j) c_j (Knuth,
-        TAOCP vol. 2, 4.7).  The powers zeta_k^j come from a cumulative
-        product: cos/sin of j theta_k would inherit the rounding of
-        j theta_k, ~1.5e-13 alpha/n at n = 255 against <= 1e-14 alpha/n
-        here.  p_j is summed over atoms elementwise, as a threaded complex
-        BLAS product of this skinny shape can stall for milliseconds.
-        """
-        return self._hprime_series(n_max)[1]
-
-    def _hprime_series(self, n_max):
-        """p_0..p_(n_max-1) and c_0..c_n_max of hprime_coefficients."""
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        atoms = self.measure.atoms
-        powers = np.cumprod(np.broadcast_to(atoms, (n_max, atoms.size)), axis=0)
-        p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
-        c = np.ones(n_max + 1, dtype=complex)
-        for n in range(n_max):
-            c[n + 1] = np.dot(p[n::-1], c[: n + 1]) / (n + 1)
-        return p, c
-
     def coefficients(self, n_max: int, error_bound: bool = False):
         """Taylor coefficients a_1..a_n_max of h (a_1 = 1, a_n = c_(n-1)/n).
+
+        The Maclaurin coefficients c_j of h' come from h'' = P h': P = h''/h'
+        = sum_j p_j z^j with p_j = -alpha sum_k t_k zeta_k^(j+1), so c_0 = 1
+        and c_(n+1) = (1/(n+1)) sum_(j<=n) p_(n-j) c_j (Knuth, TAOCP vol. 2,
+        4.7).  The powers zeta_k^j come from a cumulative product: cos/sin of
+        j theta_k would inherit the rounding of j theta_k, ~1.5e-13 alpha/n at
+        n = 255 against <= 1e-14 alpha/n here.  p_j is summed over atoms
+        elementwise, as a threaded complex BLAS product of this skinny shape
+        can stall for milliseconds.
 
         Every member satisfies |a_n| <= alpha/(n (n-1)) for n >= 2, with
         equality at index n for the equal-weight measure on the (n-1)-th
@@ -330,7 +307,12 @@ class GAlphaFunction:
         """
         if n_max < 2:
             raise ValueError("n_max must be at least 2")
-        p, c = self._hprime_series(n_max - 1)
+        atoms = self.measure.atoms
+        powers = np.cumprod(np.broadcast_to(atoms, (n_max - 1, atoms.size)), axis=0)
+        p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
+        c = np.ones(n_max, dtype=complex)
+        for k in range(n_max - 1):
+            c[k + 1] = np.dot(p[k::-1], c[: k + 1]) / (k + 1)
         n = np.arange(1, n_max + 1)
         a = c / n
         if not error_bound:
@@ -349,51 +331,3 @@ class GAlphaFunction:
         """h(z) = z * integral_0^1 h'(t z) dt for |z| <= 1 - 1e-6, within
         ~1e-15 of 50-digit arithmetic up to that radius (_path_integral)."""
         return _path_integral(z, self.hprime)
-
-    def real_part_bound_residual(self, z):
-        """Slack in the sharp pointwise bound on Re(z h''/h').
-
-        Returns alpha/2 - (1 - |z|^2) |h''/h'|^2 / (2 alpha) - Re(z h''/h'),
-        which is nonnegative on the disk and vanishes identically exactly
-        for the single-atom (extremal) members.
-
-        Evaluated through the algebraically identical pair expansion
-        (alpha/2) Re sum_{j != k} t_j t_k g_j conj(g_k) (1 - zeta_j conj(zeta_k))
-        with g_k = 1/(1 - zeta_k z): the direct formula cancels two terms of
-        size O(1/(1-|z|)) and loses ~1e-9 near the boundary, while here the
-        identically-zero diagonal is dropped exactly.  Each block contracts
-        tg_k = t_k g_k with the zero-diagonal matrix in one BLAS product,
-        q = tg @ cross, and sums Re(q_k conj(tg_k)); up to _PAIR_LOOP_ATOMS
-        atoms the pairs j < k are summed one by one instead.  The rank-two
-        form |sum tg|^2 - |sum zeta tg|^2 is not used: it cancels terms of
-        size O(1/(1-|z|)^2) and loses ~1e-8.
-        """
-        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        cross = 1.0 - np.outer(atoms, np.conj(atoms))
-        np.fill_diagonal(cross, 0.0)
-
-        def kernel(zb, u):
-            tg = np.divide(weights, u, out=u)
-            if atoms.size > _PAIR_LOOP_ATOMS:
-                # Re(q_k conj(tg_k)) = Re q_k Re tg_k + Im q_k Im tg_k, summed
-                # over the interleaved real views of the two rows
-                q = tg @ cross
-                return 0.5 * alpha * np.einsum("ij,ij->i", q.view(float), tg.view(float))
-            # the (j, k) and (k, j) terms are complex conjugates
-            out = np.zeros(zb.size)
-            for j, k in zip(*np.triu_indices(atoms.size, 1)):
-                out += (tg[:, j] * np.conj(tg[:, k]) * cross[j, k]).real
-            return alpha * out
-
-        return self._blocks(z, kernel)
-
-    def subordination_witness(self, z):
-        """The self-map omega with h' = (1 - omega)^alpha, omega(0) = 0.
-
-        omega(z) = 1 - exp(L) = -expm1(L) for the log sum
-        L = sum_k t_k Log(1 - zeta_k z), which stays within |Im| < pi/2, so it
-        agrees with Log(h')/alpha; expm1 keeps omega's relative accuracy
-        near the origin, where 1 - exp(L) cancels.
-        """
-        atoms, weights = self.measure.atoms, self.measure.weights
-        return self._blocks(z, lambda zb, u: -np.expm1(_log_sum(zb, u, atoms, weights)))

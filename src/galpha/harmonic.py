@@ -21,7 +21,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .complexfn import _fields_equal, _fields_hash, _require_finite
-from .family import GAlphaFunction, _log_sum, _path_integral
+from .family import GAlphaFunction, _path_integral
 
 _SENSE_MARGIN = 1e-9
 
@@ -119,13 +119,9 @@ class HarmonicMap:
         return h + np.conj(g)
 
     def jacobian(self, z):
-        """J(z) = |h'|^2 - |g'|^2 with g' = omega h', as |h'|^2 (1 - |omega|^2),
-        |h'|^2 = exp(2 alpha Re L) from the log sum L = Log(h')/alpha."""
-        f = self.analytic_part
-        atoms, weights = f.measure.atoms, f.measure.weights
-        return f._blocks(z, lambda zb, u: (
-            np.exp(2.0 * f.alpha * _log_sum(zb, u, atoms, weights).real)
-            * (1.0 - np.abs(self.dilatation(zb)) ** 2)))
+        """J(z) = |h'(z)|^2 - |g'(z)|^2 = |h'(z)|^2 (1 - |omega(z)|^2), as g' = omega h'."""
+        hprime = self.analytic_part.hprime(z)
+        return np.abs(hprime) ** 2 * (1.0 - np.abs(self.dilatation(z)) ** 2)
 
 
 def _sup_on_circle(dilatation: DilatationSpec) -> float:

@@ -2,14 +2,15 @@
 
 `run_verification` returns a VerifyReport whose one list of named Check
 records (value, comparison, threshold, evidence) covers membership, the
-coefficient bound, the sharp real-part bound, the subordination witness,
-both norms, the Blaschke round trip (for product specs) and the
-harmonic-shear checks (for specs with a dilatation).  Its verdict, text and
-JSON all read that list; a shear's injectivity is checked only through the
-univalence criterion, so only for alpha < 1/2.  Its norm block is the
-closed-form enclosure of `radial_limit_report`, with no search.  `galpha
-norms` emits the same report with only the two norm checks and the searched
-norms, and `galpha roundtrip` with only the round trip.  Membership, the
+coefficient bound, the sharp real-part bound, the subordination
+h' = (1 - omega)^alpha with |omega(z)| <= |z|, both norms, the Blaschke
+round trip (for product specs) and the harmonic-shear checks (for specs
+with a dilatation).  Its verdict, text and JSON all read that list; a
+shear's injectivity is checked only through the univalence criterion, so
+only for alpha < 1/2.  Its norm block is the closed-form enclosure of
+`radial_limit_report`, with no search.  `galpha norms` emits the same
+report with only the two norm checks and the searched norms, and `galpha
+roundtrip` with only the round trip.  Membership, the
 real-part bound, |omega| < 1 and both norms hold for every member, so they
 are exact checks naming their certificate, in G(z) = sum_k t_k/(1 - zeta_k
 z), which lies in the disk |G - 1| <= |z||G| (Ahlfors, Complex Analysis,

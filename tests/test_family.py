@@ -99,6 +99,25 @@ class TestHPrime:
             angles=[0.0, np.pi], weights=[0.25, 0.75]))
         assert f.hprime(0.2 + 0.0j) == pytest.approx(1.0843224043318137984, abs=1e-15)
 
+    def test_relative_accuracy_near_origin_against_mpmath(self):
+        # h' = exp(alpha L) needs L only to an absolute error, so the one
+        # 1/2 log(Re^2 + Im^2) of an |1 - zeta_k z|^2 near 1 keeps h' to an ulp
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(68)
+        with mpmath.workdps(40):
+            for m in (1, 5, 19):
+                f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
+                                   measure=random_measure(rng, m))
+                atoms = [mpmath.mpc(a.real, a.imag) for a in f.measure.atoms]
+                for radius in (1e-8, 1e-6, 1e-3, 0.1, 0.5):
+                    z = radius * np.exp(1j * rng.uniform(0.0, TWO_PI, 8))
+                    for zf, value in zip(z, f.hprime(z)):
+                        w = mpmath.mpc(zf.real, zf.imag)
+                        ref = complex(mpmath.exp(mpmath.mpf(f.alpha) * mpmath.fsum(
+                            mpmath.mpf(t) * mpmath.log(1 - a * w)
+                            for t, a in zip(f.measure.weights, atoms))))
+                        assert abs(value - ref) <= 1e-15 * abs(ref), (m, radius)
+
     def test_domain_error_outside_disk(self):
         f = GAlphaFunction(alpha=1.0, measure=single_atom(0.0))
         with pytest.raises(DomainError):
@@ -168,9 +187,9 @@ class TestCoefficients:
         a = f.coefficients(5)
         assert a[0] == pytest.approx(1.0, abs=1e-12)
         assert a[1] == pytest.approx(-0.5, abs=1e-12)
-        assert np.array_equal(f.hprime_coefficients(0), [1.0])
+        assert f.coefficients(2)[0] == 1.0
         with pytest.raises(ValueError):
-            f.hprime_coefficients(-1)
+            f.coefficients(1)
 
     def test_equality_generator_third_coefficient(self):
         # h' = (1-z^2)^(1/2): binomial gives a_3 = -1/6
@@ -181,7 +200,8 @@ class TestCoefficients:
 
     def test_against_series_recurrence_oracle(self):
         # c_(n+1) = (1/(n+1)) sum_(j<=n) p_(n-j) c_j with
-        # p_j = -alpha sum_k t_k zeta_k^(j+1), run in 40 digits on the same atoms
+        # p_j = -alpha sum_k t_k zeta_k^(j+1), run in 40 digits on the same
+        # atoms; h' has the coefficients c_n = (n+1) a_(n+1)
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(23)
         n_max = 255
@@ -203,7 +223,7 @@ class TestCoefficients:
                     for k in range(n_max):
                         c.append(mpmath.fsum(p[k - j] * c[j] for j in range(k + 1)) / (k + 1))
                     oracle = np.array([complex(x) for x in c])
-                hp = f.hprime_coefficients(n_max)
+                hp = f.coefficients(n_max + 1) * np.arange(1, n_max + 2)
                 assert hp[0] == 1.0
                 err = np.abs(hp[1:] - oracle[1:]) * n / alpha
                 assert np.max(err) <= 1e-13, (count, alpha)
@@ -230,6 +250,21 @@ def grid_margin(f, grid=DiskGrid()):
     """1/2 - max Re(z h''/(alpha h')) over the grid's points."""
     z = grid.points()
     return 0.5 - float(np.max((z * f.hprime_log_derivative(z)).real)) / f.alpha
+
+
+def pair_residual(f, z):
+    """alpha/2 - (1 - |z|^2) |h''/h'|^2 / (2 alpha) - Re(z h''/h'), the slack
+    in the sharp real-part bound, as its pair expansion (alpha/2) Re
+    sum_(j != k) t_j t_k g_j conj(g_k) (1 - zeta_j conj(zeta_k)), g_k =
+    1/(1 - zeta_k z): its identically zero diagonal is dropped exactly,
+    where the direct formula cancels terms of size O(1/(1 - |z|)) and loses
+    ~1e-9 near the boundary."""
+    z = np.asarray(z, dtype=complex)
+    atoms = f.measure.atoms
+    tg = f.measure.weights / (1.0 - z[..., None] * atoms)
+    cross = 1.0 - atoms[:, None] * np.conj(atoms[None, :])
+    np.fill_diagonal(cross, 0.0)
+    return 0.5 * f.alpha * np.einsum("...j,...k,jk->...", tg, np.conj(tg), cross).real
 
 
 class TestCoefficientErrorBound:
@@ -350,30 +385,25 @@ class TestMembershipAndResidual:
         # the single-atom member attains equality at every z in the disk
         f = GAlphaFunction(alpha=0.6, measure=single_atom(0.0))
         r = np.linspace(0.0, 0.999, 200)
-        assert np.max(np.abs(f.real_part_bound_residual(r.astype(complex)))) < 1e-11
+        assert np.max(np.abs(pair_residual(f, r.astype(complex)))) < 1e-11
 
     def test_symmetric_two_atom_origin_value(self):
         f = GAlphaFunction(alpha=0.8, measure=AtomicMeasure(
             angles=[0.0, np.pi], weights=[0.5, 0.5]))
         # h''(0) = 0 there, so the residual at 0 is alpha/2
-        assert f.real_part_bound_residual(0.0 + 0.0j) == pytest.approx(0.4)
+        assert pair_residual(f, 0.0 + 0.0j) == pytest.approx(0.4)
 
     def test_random_member_residual_nonnegative(self):
         rng = np.random.default_rng(27)
         f = GAlphaFunction(alpha=0.9, measure=random_measure(rng, 4))
         z = random_points(rng, 1000, r_max=0.99)
-        assert np.min(f.real_part_bound_residual(z)) >= -1e-12
+        assert np.min(pair_residual(f, z)) >= -1e-12
 
-    def test_residual_matches_direct_formula(self):
-        # oracle: the textbook expression, accurate away from the boundary
-        rng = np.random.default_rng(61)
-        f = GAlphaFunction(alpha=0.7, measure=random_measure(rng, 5))
-        z = random_points(rng, 500)
-        p = f.hprime_log_derivative(z)
-        direct = (f.alpha / 2.0
-                  - (1.0 - np.abs(z) ** 2) * np.abs(p) ** 2 / (2.0 * f.alpha)
-                  - (z * p).real)
-        assert np.max(np.abs(direct - f.real_part_bound_residual(z))) < 1e-12
+
+def omega(f, z):
+    """The self-map omega with h' = (1 - omega)^alpha, from hprime: h' =
+    exp(alpha L) with |Im alpha L| < pi/2, so Log h' = alpha L."""
+    return -np.expm1(np.log(f.hprime(z)) / f.alpha)
 
 
 class TestSubordinationWitness:
@@ -382,12 +412,12 @@ class TestSubordinationWitness:
         theta = 1.3
         f = GAlphaFunction(alpha=0.4, measure=single_atom(theta))
         z = random_points(rng, 100)
-        assert np.max(np.abs(f.subordination_witness(z) - np.exp(1j * theta) * z)) < 1e-10
+        assert np.max(np.abs(omega(f, z) - np.exp(1j * theta) * z)) < 1e-10
 
     def test_vanishes_at_origin(self):
         rng = np.random.default_rng(29)
         f = GAlphaFunction(alpha=0.7, measure=random_measure(rng, 6))
-        assert abs(f.subordination_witness(0.0 + 0.0j)) < 1e-12
+        assert abs(omega(f, 0.0 + 0.0j)) < 1e-12
 
     def test_symmetric_two_atom_closed_form(self):
         # h' = (1-z^2)^(alpha/2), so omega = 1 - (h')^(1/alpha) = 1 - sqrt(1-z^2)
@@ -396,32 +426,13 @@ class TestSubordinationWitness:
             angles=[0.0, np.pi], weights=[0.5, 0.5]))
         z = random_points(rng, 100)
         oracle = 1.0 - np.sqrt(1.0 - z * z)
-        assert np.max(np.abs(f.subordination_witness(z) - oracle)) < 1e-12
+        assert np.max(np.abs(omega(f, z) - oracle)) < 1e-12
 
     def test_stays_in_disk_on_grid(self):
         rng = np.random.default_rng(31)
         f = GAlphaFunction(alpha=0.85, measure=random_measure(rng, 5))
-        w = f.subordination_witness(DiskGrid().points())
+        w = omega(f, DiskGrid().points())
         assert np.max(np.abs(w)) < 1.0
-
-    def test_relative_accuracy_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        f = GAlphaFunction(alpha=0.5, measure=random_measure(np.random.default_rng(1), 5))
-        atoms = f.measure.atoms
-        # 1 - exp(L) erred by 3.7e-10 relative at |z| = 1e-6, where omega is
-        # about 1e-6 and the log of |1 - zeta z|^2 near 1 loses its digits;
-        # by |1 - zeta_0 z| ~ 1e-6 the rounding of the input rules, 4.6e-12
-        cases = [(1e-6 * np.exp(1j * TWO_PI * np.arange(16) / 16), 1e-15),
-                 (np.conj(atoms[0]) * (1.0 - 1e-6 * np.exp(1j * np.linspace(-1.4, 1.4, 16))),
-                  1e-11)]
-        with mpmath.workdps(40):
-            for z, bound in cases:
-                for zf, value in zip(z, f.subordination_witness(z)):
-                    w = mpmath.mpc(zf.real, zf.imag)
-                    ref = 1 - mpmath.exp(mpmath.fsum(
-                        mpmath.mpf(t) * mpmath.log(1 - mpmath.mpc(a.real, a.imag) * w)
-                        for t, a in zip(f.measure.weights, atoms)))
-                    assert abs(value - complex(ref)) <= bound * abs(complex(ref))
 
 
 class TestInducedSelfMap:
@@ -589,7 +600,7 @@ class TestInverse:
 
 
 # Whole-array forms of the per-point kernels, as written before blocking:
-# one (points x m) temporary per step, complex logs and a three-operand einsum.
+# one (points x m) temporary per step and complex logs.
 def whole_array_log_sum(f, z):
     return np.log(1.0 - z[..., None] * f.measure.atoms) @ f.measure.weights
 
@@ -597,17 +608,11 @@ def whole_array_log_sum(f, z):
 def whole_array_kernels(f, z):
     z = np.asarray(z, dtype=complex)
     atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
-    tg = weights / (1.0 - z[..., None] * atoms)
-    cross = 1.0 - atoms[:, None] * np.conj(atoms[None, :])
-    np.fill_diagonal(cross, 0.0)
     p = -alpha * ((atoms / (1.0 - z[..., None] * atoms)) @ weights)
     p_deriv = -alpha * ((atoms ** 2 / (1.0 - z[..., None] * atoms) ** 2) @ weights)
     return {
         "hprime": np.exp(alpha * whole_array_log_sum(f, z)),
         "hprime_log_derivative": p,
-        "real_part_bound_residual": 0.5 * alpha * np.einsum(
-            "...j,...k,jk->...", tg, np.conj(tg), cross).real,
-        "subordination_witness": 1.0 - np.exp(whole_array_log_sum(f, z)),
         "schwarzian": p_deriv - 0.5 * p ** 2,
     }
 
@@ -615,14 +620,11 @@ def whole_array_kernels(f, z):
 def blocked_kernels(f, z):
     return {"hprime": f.hprime(z),
             "hprime_log_derivative": f.hprime_log_derivative(z),
-            "real_part_bound_residual": f.real_part_bound_residual(z),
-            "subordination_witness": f.subordination_witness(z),
             "schwarzian": schwarzian(f, z)}
 
 
 class TestBlockedKernels:
     def test_match_whole_array_formulas(self):
-        # m = 3 sums the residual's atom pairs one by one, m = 64 through BLAS
         rng = np.random.default_rng(62)
         for m in (3, 64):
             f = GAlphaFunction(alpha=0.75, measure=random_measure(rng, m))
@@ -632,15 +634,11 @@ class TestBlockedKernels:
                       np.asarray(0.3 - 0.6j), 0.95j, np.empty((0, 3), complex)]
             for z in inputs:
                 got, ref = blocked_kernels(f, z), whole_array_kernels(f, z)
-                # the residual's rounding scale is the size of its pair terms
-                tg = f.measure.weights / (1.0 - np.asarray(z)[..., None] * f.measure.atoms)
-                pair_scale = 0.5 * f.alpha * np.abs(tg).sum(axis=-1) ** 2
                 for name in ref:
                     assert np.shape(got[name]) == np.shape(z), name
                     assert np.result_type(got[name]) == np.result_type(ref[name]), name
-                    scale = (pair_scale if name == "real_part_bound_residual"
-                             else np.abs(ref[name]))
-                    assert np.all(np.abs(got[name] - ref[name]) <= 1e-12 * scale), (m, name)
+                    assert np.all(np.abs(got[name] - ref[name])
+                                  <= 1e-12 * np.abs(ref[name])), (m, name)
 
     def test_grid_call_equals_its_halves_bit_for_bit(self):
         # at m = 28 the default grid's 32,768 points exceed a whole number
@@ -664,8 +662,6 @@ class TestBlockedKernels:
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 28))
         hmap = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.3j))
         kernels = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
-                   "real_part_bound_residual": f.real_part_bound_residual,
-                   "subordination_witness": f.subordination_witness,
                    "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian}
         outs, one_minus = [], family._one_minus
 
@@ -681,40 +677,12 @@ class TestBlockedKernels:
             assert all(out is not None and np.shares_memory(out, outs[0])
                        for out in outs), name
 
-    def test_single_atom_residual_exactly_zero(self):
-        f = GAlphaFunction(alpha=0.9, measure=single_atom(2.1))
-        assert np.all(f.real_part_bound_residual(DiskGrid().points()) == 0.0)
-
-    def test_residual_near_clustered_atoms_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        # two atoms 1e-3 apart, alone and with four light atoms elsewhere
-        measures = [AtomicMeasure(angles=[1.0, 1.001], weights=[0.6, 0.4]),
-                    AtomicMeasure(angles=[1.0, 1.001, 2.5, 3.7, 4.9, 5.8],
-                                  weights=[0.5, 0.4, 0.04, 0.03, 0.02, 0.01])]
-        z = (1.0 - 1e-4) * np.exp(-1j * np.linspace(0.995, 1.006, 23))
-        with mpmath.workdps(50):
-            for measure in measures:
-                f = GAlphaFunction(alpha=0.8, measure=measure)
-                got = f.real_part_bound_residual(z)
-                alpha = mpmath.mpf(f.alpha)
-                atoms = [mpmath.mpc(a.real, a.imag) for a in measure.atoms]
-                for zf, value in zip(z, got):
-                    w = mpmath.mpc(zf.real, zf.imag)
-                    p = -alpha * mpmath.fsum(mpmath.mpf(t) * a / (1 - a * w)
-                                             for t, a in zip(measure.weights, atoms))
-                    ref = (alpha / 2 - (1 - abs(w) ** 2) * abs(p) ** 2 / (2 * alpha)
-                           - mpmath.re(w * p))
-                    # the direct formula in floats is off by up to 1.5e-10 here
-                    assert abs(value - float(ref)) <= 1e-11 * abs(float(ref))
-
     def test_temporaries_bounded(self):
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
         z = DiskGrid().points()
         dilatation = DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3, -0.5j]))
-        kernels = {"real_part_bound_residual": f.real_part_bound_residual,
-                   "subordination_witness": f.subordination_witness,
-                   "schwarzian": lambda z: schwarzian(f, z),
+        kernels = {"hprime": f.hprime, "schwarzian": lambda z: schwarzian(f, z),
                    "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian}
         for name, kernel in kernels.items():
             tracemalloc.start()
@@ -743,14 +711,12 @@ class TestVerifyWork:
 
     def test_verify_forms_one_minus_only_in_the_norms(self, monkeypatch):
         # a work guard that counts rather than times: verify forms u = 1 -
-        # zeta z nowhere and never evaluates the residual; its pointwise
+        # zeta z nowhere, so it evaluates no per-point kernel; its pointwise
         # checks once formed u on every slice of the grid, its origin check
         # at z = 0, and its norm search on the grid; its norms are the
         # closed-form radial limits
         spec = FunctionSpec(alpha=0.3, measure=roots_of_unity_measure(28),
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
-        monkeypatch.setattr(GAlphaFunction, "real_part_bound_residual",
-                            lambda self, z: pytest.fail("verify evaluated the residual"))
         sizes, one_minus = [], family._one_minus
 
         def counted(z, atoms, out):
