@@ -71,12 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_norms = sub.add_parser("norms", help="pre-Schwarzian/Schwarzian norm report")
     p_norms.add_argument("spec", help="path to a function spec file")
     # the DiskGrid of the norm search; no check reads it
-    grid = DiskGrid()
-    p_norms.add_argument("--grid-radii", type=int, default=grid.n_radii, metavar="N",
+    p_norms.add_argument("--grid-radii", type=int, default=DiskGrid.n_radii, metavar="N",
                          help="number of grid radii (default %(default)s)")
-    p_norms.add_argument("--grid-angles", type=int, default=grid.angles_per_circle,
+    p_norms.add_argument("--grid-angles", type=int, default=DiskGrid.angles_per_circle,
                          metavar="N", help="angles per circle (default %(default)s)")
-    p_norms.add_argument("--rmax", type=float, default=grid.r_max, metavar="X",
+    p_norms.add_argument("--rmax", type=float, default=DiskGrid.r_max, metavar="X",
                          help="outermost grid radius (default %(default)s)")
     p_norms.add_argument("--out", default=None, help="optional JSON report path")
 

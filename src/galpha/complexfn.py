@@ -8,7 +8,6 @@ here is pure and reentrant.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -64,33 +63,24 @@ def _fields_hash(a):
                       for f in fields(a) if f.compare))
 
 
-def _built_once(method):
-    """A DiskGrid method whose arrays are built on its first call, made
-    read-only and kept in the instance, so every call returns the same ones.
-    Threads that build at once all get the first one kept (setdefault)."""
-    key = "_" + method.__name__
-
-    @functools.wraps(method)
-    def kept(self):
-        if key not in self.__dict__:
-            arrays = method(self)
-            for a in arrays if isinstance(arrays, tuple) else (arrays,):
-                a.flags.writeable = False
-            self.__dict__.setdefault(key, arrays)
-        return self.__dict__[key]
-    return kept
-
-
 @dataclass(frozen=True)
 class DiskGrid:
     """Polar grid whose radii accumulate toward r_max, where this family's
-    norm objectives peak: radii = 1 - geomspace(1, 1 - r_max, n_radii), a
-    read-only array from radii[0] = 0 to radii[-1] = r_max exactly; each
-    circle carries angles_per_circle equally spaced angles from 0.  Both
-    counts are integers, n_radii >= 2, angles_per_circle >= 8; 0 < r_max < 1.
-    angles(), points() and cells() are built on first call and kept: each
-    call returns the same read-only arrays.  Equality and hashing use only
-    the three fields.
+    norm objectives peak.  Both counts are integers, n_radii >= 2,
+    angles_per_circle >= 8; 0 < r_max < 1.  Equality and hashing use only
+    the three fields.  Its arrays are built with it and read-only:
+
+    radii   1 - geomspace(1, 1 - r_max, n_radii), from radii[0] = 0 to
+            radii[-1] = r_max exactly;
+    angles  the angles_per_circle equally spaced angles from 0;
+    points  the complex sample points, shape (angles_per_circle, n_radii).
+            Row-major order puts the smallest angle first, then the smallest
+            radius, which fixes the argmax tie-breaking rule for sweeps.
+            _clip pulls in the outer circle, where e^(i theta) r_max can
+            round out;
+    cells   the sweep's cells (r0, r1, th0, th1): the closed polar sectors
+            of 8 angles by 2 radii of points in row-major order, edge cells
+            partial.
     """
 
     n_radii: int = 64
@@ -109,38 +99,19 @@ class DiskGrid:
         if not isinstance(self.r_max, numbers.Real) or not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must be a real number in (0, 1)")
         object.__setattr__(self, "r_max", float(self.r_max))
-        radii = 1.0 - np.geomspace(1.0, 1.0 - self.r_max, self.n_radii)
-        radii[0], radii[-1] = 0.0, self.r_max
-        radii.flags.writeable = False
-        object.__setattr__(self, "radii", radii)
-
-    @_built_once
-    def angles(self) -> np.ndarray:
-        k = self.angles_per_circle
-        return TWO_PI * np.arange(k) / k
-
-    @_built_once
-    def points(self) -> np.ndarray:
-        """Complex sample points, shape (angles_per_circle, n_radii).
-
-        Row-major order puts the smallest angle first, then the smallest
-        radius, which fixes the argmax tie-breaking rule for sweeps.  _clip
-        pulls in the outer circle, where e^(i theta) r_max can round out.
-        """
-        pts = np.exp(1j * self.angles())[:, None] * self.radii[None, :]
-        pts[:, -1] = _clip(pts[:, -1], self.r_max)
-        return pts
-
-    @_built_once
-    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sweep's cells (r0, r1, th0, th1): the closed polar sectors of 8
-        angles by 2 radii of points() in row-major order, edge cells partial."""
         k, n = self.angles_per_circle, self.n_radii
+        radii = 1.0 - np.geomspace(1.0, 1.0 - self.r_max, n)
+        radii[0], radii[-1] = 0.0, self.r_max
+        angles = TWO_PI * np.arange(k) / k
+        points = np.exp(1j * angles)[:, None] * radii[None, :]
+        points[:, -1] = _clip(points[:, -1], self.r_max)
         a_lo, r_lo = (lo.ravel() for lo in np.mgrid[0:k:_BLOCK_ANGLES, 0:n:_BLOCK_RADII])
         a_hi = np.minimum(a_lo + _BLOCK_ANGLES, k) - 1
         r_hi = np.minimum(r_lo + _BLOCK_RADII, n) - 1
-        angles = self.angles()
-        return self.radii[r_lo], self.radii[r_hi], angles[a_lo], angles[a_hi]
+        cells = radii[r_lo], radii[r_hi], angles[a_lo], angles[a_hi]
+        for a in (radii, angles, points) + cells:
+            a.flags.writeable = False
+        vars(self).update(radii=radii, angles=angles, points=points, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -169,23 +140,19 @@ def _clip(z, r_max):
     return z * np.minimum(1.0, r_max * (1.0 - 2.0 ** -50) / (np.abs(z) + 1e-300))
 
 
-@functools.cache
-def _stencil():
-    """The refinement's 3x3 stencil s, in units of its spacing, and the
-    central-difference weights that take values f on it to f @ weights =
-    (f_x + i f_y, q = (f_xx - f_yy)/2 + i f_xy, (f_xx + f_yy)/2); both
-    read-only, as they are built once."""
-    s = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    edge = np.abs(s) == 1.0
-    weights = np.stack([edge * s / 2.0, s * s / np.where(edge, 2.0, 8.0),
-                        edge / 2.0 - 2.0 * (s == 0)], axis=1)
-    s.flags.writeable = weights.flags.writeable = False
-    return s, weights
+# The refinement's 3x3 stencil s, in units of its spacing, and the
+# central-difference weights that take values f on it to f @ _WEIGHTS =
+# (f_x + i f_y, q = (f_xx - f_yy)/2 + i f_xy, (f_xx + f_yy)/2); both read-only.
+_STENCIL = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+_EDGE = np.abs(_STENCIL) == 1.0
+_WEIGHTS = np.stack([_EDGE * _STENCIL / 2.0, _STENCIL * _STENCIL / np.where(_EDGE, 2.0, 8.0),
+                     _EDGE / 2.0 - 2.0 * (_STENCIL == 0)], axis=1)
+_STENCIL.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
 def _model_step(m):
     """The step, in units of the spacing, that maximizes the quadratic model
-    m = f @ weights (see _stencil) over the box of half-width sqrt(2) in its
+    m = f @ _WEIGHTS (see _STENCIL) over the box of half-width sqrt(2) in its
     Hessian's eigenbasis e, i e, where e = sqrt(q / |q|) and the eigenvalues
     are (f_xx + f_yy)/2 -+ |q|: along each, the Newton step where the
     curvature is negative and the step fits, else the box's edge uphill.
@@ -199,24 +166,20 @@ def _model_step(m):
 
 
 def _sweep(objective, pts, limit, cell_bounds):
-    """The K objectives on the grid's points pts in one call, shape (K,) +
-    pts.shape.  Objective k is -inf in the cells whose bound in row k of
-    cell_bounds, raised by _BOUND_MARGIN, lies below limit[k] (see
+    """The K = len(limit) objectives on the grid's points pts in one call,
+    shape (K,) + pts.shape.  Objective k is -inf in the cells whose bound in
+    row k of cell_bounds, raised by _BOUND_MARGIN, lies below limit[k] (see
     sup_norm_estimate); None if no cell reaches its limit.  When no cell is
     pruned the call takes pts in its own shape, otherwise the points of the
     cells some objective keeps, in row-major order.
     """
     n_angles, n_radii = pts.shape
     shape = (-(-n_angles // _BLOCK_ANGLES), -(-n_radii // _BLOCK_RADII))
-    keep = np.ones((1,) + shape, dtype=bool)
-    if cell_bounds is not None:
-        bound = np.asarray(cell_bounds, dtype=float)
-        rows = len(bound) if limit is None else len(limit)
-        if bound.shape != (rows, keep.size) or np.any(np.isnan(bound)):
-            raise ValueError("cell_bounds must hold one bound per cell for each objective")
-        if limit is not None:
-            floor = np.array([[est.value] for est in limit])
-            keep = (bound + _BOUND_MARGIN * np.abs(bound) >= floor).reshape((-1,) + shape)
+    bound = np.asarray(cell_bounds, dtype=float)
+    if bound.shape != (len(limit), math.prod(shape)) or np.any(np.isnan(bound)):
+        raise ValueError("cell_bounds must hold one bound per cell for each objective")
+    floor = np.array([[est.value] for est in limit])
+    keep = (bound + _BOUND_MARGIN * np.abs(bound) >= floor).reshape((-1,) + shape)
     if not keep.any():
         return None
     inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=1), _BLOCK_RADII,
@@ -224,33 +187,31 @@ def _sweep(objective, pts, limit, cell_bounds):
     union = inside.any(axis=0)
     v = np.asarray(objective(pts if union.all() else pts[union]), dtype=float)
     _require_finite("objective on the grid", v)
-    vals = np.full((v.size // np.count_nonzero(union),) + pts.shape, -np.inf)
+    vals = np.full((len(limit),) + pts.shape, -np.inf)
     vals[:, union] = v.reshape(len(vals), -1)
     np.copyto(vals, -np.inf, where=~inside)
     return vals
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
-                      cell_bounds=None) -> tuple[NormEstimate, ...]:
+def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[NormEstimate, ...]:
     """Sups of K real objectives over the disk by one grid sweep and one
     batched Newton ascent; one NormEstimate per objective.
 
-    objective(z) returns the K objectives stacked, shape (K,) + z.shape
-    (z.shape alone when K = 1).  limit, K known lower bounds of the sups
-    such as closed-form boundary limits, gives limit[k] as estimate k
-    unless a point evaluated beats it.  The sweep takes the objectives on
-    the grid in one call.  Row k of cell_bounds, shape (K, cells), bounds
-    objective k on each of grid.cells(), in their order; the float
-    objective may exceed it by at most 1e-9 relative.  Given both, the call
-    takes the union of the cells whose bound, raised by 1e-9 relative,
-    reaches its limit, each objective is -inf outside its own cells, and
-    the limits are returned without a call if there are none.  So every
-    grid point whose value beats its limit is evaluated; candidates below
-    a limit come only from cells whose bound reaches it.
+    limit holds K known lower bounds of the sups, such as closed-form
+    boundary limits, and gives limit[k] as estimate k unless a point
+    evaluated beats it.  objective(z) returns the K objectives stacked, in
+    the order of shape (K,) + z.shape.  Row k of cell_bounds, shape
+    (K, cells), bounds objective k on each of grid.cells, in their order;
+    the float objective may exceed it by at most 1e-9 relative.  The sweep
+    takes, in one call, the union of the cells whose bound, raised by 1e-9
+    relative, reaches its limit; each objective is -inf outside its own
+    cells, and the limits are returned without a call if there are none.
+    So every grid point whose value beats its limit is evaluated;
+    candidates below a limit come only from cells whose bound reaches it.
     Refinement starts, for each objective, from the best evaluated point of
     each of the (at most) _ROW_STARTS highest angle rows (ties go to the
     smallest angle, then the smallest radius).  Each step evaluates every
-    live candidate's stencil c + h e^(i arg c) s (see _stencil) in one
+    live candidate's stencil c + h e^(i arg c) s (see _STENCIL) in one
     objective call, reads its own objective and proposes the trial step of
     _model_step, pulling points beyond r_max inside.  A candidate moves
     only to a point that beats its value.  If the centre c is no worse
@@ -265,7 +226,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
     objective k evaluated in floats at its argmax, never below its grid
     maximum.
     """
-    pts = grid.points()
+    pts = grid.points
     vals = _sweep(objective, pts, limit, cell_bounds)
     if vals is None:
         return tuple(limit)
@@ -281,7 +242,6 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
     center, room = point.copy(), 1.0 - np.abs(point)
     h = np.minimum(room, TWO_PI / grid.angles_per_circle) / 2.0
     tol = math.sqrt(np.finfo(float).eps)
-    stencil, weights = _stencil()
     live, same = np.ones(point.size, dtype=bool), owner == owner[:, None]
     for _ in range(_MAX_STEPS):
         rival = (np.abs(point - point[:, None]) < h[:, None]) & (value > value[:, None]) & same
@@ -291,7 +251,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
             break
         c, p, v, ha, each = center[at], point[at], value[at], h[at], np.arange(at.size)
         step = ha * np.exp(1j * np.angle(c))
-        w = _clip(c[:, None] + step[:, None] * stencil, grid.r_max)
+        w = _clip(c[:, None] + step[:, None] * _STENCIL, grid.r_max)
         f = np.asarray(objective(w), dtype=float).reshape((n_obj,) + w.shape)
         f = f[owner[at], each]
         _require_finite("objective during refinement", f)
@@ -301,7 +261,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
         fb = f[best]
         point[at] = p = np.where(fb > v, w[best], p)
         value[at] = np.maximum(fb, v)
-        trial = _clip(c + step * _model_step(f @ weights), grid.r_max)
+        trial = _clip(c + step * _model_step(f @ _WEIGHTS), grid.r_max)
         center[at] = c_new = np.where(ok, trial, p)
         room[at] = r = 1.0 - np.abs(c_new)
         h[at] = np.minimum(np.where(ok, np.abs(trial - c), ha / 8.0), r / 2.0)
@@ -319,6 +279,6 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit=None,
         top = int(np.argmax(vals[k]))
         if not final >= vals[k].flat[top]:
             winner, final = pts.flat[top], float(vals[k].flat[top])
-        beaten = limit is None or final > limit[k].value
-        estimates.append(NormEstimate(value=final, argmax=complex(winner)) if beaten else limit[k])
+        estimates.append(NormEstimate(value=final, argmax=complex(winner))
+                         if final > limit[k].value else limit[k])
     return tuple(estimates)

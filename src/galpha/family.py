@@ -71,8 +71,9 @@ def _path_integral(z, integrand):
 
 
 def _one_minus(z, atoms, out):
-    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out."""
-    u = np.multiply.outer(z, atoms, out=out)
+    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out; atoms is
+    broadcast to that shape, as a (1, 1) outer product would round apart."""
+    u = np.multiply(z[:, None], np.broadcast_to(atoms, out.shape), out=out)
     return np.subtract(1.0, u, out=u)
 
 
@@ -84,13 +85,15 @@ def _log_sum(u, weights):
     1/2 log(Re^2 + Im^2) everywhere: it errs by a few ulps absolutely, and
     so loses the relative digits of a small L near z = 0, but h' = exp(alpha
     L) turns an absolute error in L into the same relative error in h'.
+    einsum sums each row alike wherever it lies, where a BLAS product
+    rounds it by its place, so h' at a point is the same in any call.
     """
     re, im = u.real, u.imag
     buf = re * re
     buf += im * im
     np.log(buf, out=buf)
-    log_modulus = 0.5 * (buf @ weights)
-    return log_modulus + 1j * (np.arctan2(im, re, out=buf) @ weights)
+    log_modulus = 0.5 * np.einsum("ij,j->i", buf, weights)
+    return log_modulus + 1j * np.einsum("ij,j->i", np.arctan2(im, re, out=buf), weights)
 
 
 @dataclass(frozen=True)

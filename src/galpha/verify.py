@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Check:
 
     def to_dict(self) -> dict:
         """The JSON record of the check, with its verdict."""
-        return dict(asdict(self), passed=self.passed)
+        return dict(vars(self), passed=self.passed)
 
 
 @dataclass(frozen=True)

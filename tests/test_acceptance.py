@@ -39,7 +39,7 @@ def binomial_coefficients(alpha: float, n_max: int) -> np.ndarray:
 def battery():
     """100 members with m <= 6 atoms and random alpha, plus grid statistics."""
     rng = np.random.default_rng(20240809)
-    z = DiskGrid().points()
+    z = DiskGrid().points
     members, stats = [], []
     for _ in range(100):
         count = int(rng.integers(1, 7))
@@ -195,7 +195,7 @@ class TestCriterion08BoundWitnessSampler:
 class TestCriterion09HarmonicShear:
     def test_twenty_maps_and_control(self):
         rng = np.random.default_rng(9)
-        zg = DiskGrid().points()
+        zg = DiskGrid().points
         ok = True
         for i in range(20):
             alpha = float(rng.uniform(0.05, 0.45))

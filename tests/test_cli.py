@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from galpha import schwarz
 from galpha.cli import build_parser, main
 from galpha.complexfn import DiskGrid
-from galpha.family import AtomicMeasure, single_atom
+from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
@@ -669,6 +673,55 @@ class TestNormEnclosure:
                 assert lo.value <= getattr(searched, f"{which}_norm").value
                 assert getattr(searched, f"{which}_norm").value <= getattr(
                     enclosure, f"{which}_bound"), (m, which)
+
+
+class TestGridConstruction:
+    # a grid is 0.5 MB of points, built with it; only the norm search reads one
+    def test_importing_the_cli_builds_no_grid(self):
+        probe = (
+            "import sys\n"
+            "built = []\n"
+            "def profile(frame, event, arg):\n"
+            "    if (event == 'call' and frame.f_code.co_name == '__post_init__'\n"
+            "            and type(frame.f_locals.get('self')).__name__ == 'DiskGrid'):\n"
+            "        built.append(1)\n"
+            "sys.setprofile(profile)\n"
+            "import galpha.cli\n"
+            "galpha.cli.build_parser()\n"
+            "before = len(built)\n"
+            "galpha.DiskGrid()\n"
+            "sys.setprofile(None)\n"
+            "print(before, len(built))\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                                   else [])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        # none on import or building the parser; the probe sees one built
+        assert done.stdout.split() == ["0", "1"]
+
+    def test_only_the_norm_search_builds_a_grid(self, tmp_path, capsys, monkeypatch):
+        # verify and roundtrip build none; norms without a grid builds the
+        # default one on its first call and keeps it
+        built, post_init = [], DiskGrid.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DiskGrid, "__post_init__", counted)
+        schwarz._default_grid.cache_clear()
+        path = write_spec(tmp_path, HALF_ZERO)
+        assert main(["verify", str(path)]) == 0
+        assert main(["roundtrip", str(path)]) == 0
+        assert built == []
+        f = GAlphaFunction(alpha=0.4, measure=AtomicMeasure(angles=[0.3, 2.0],
+                                                            weights=[0.6, 0.4]))
+        first = norms(f)
+        assert len(built) == 1 and built[0] is schwarz._default_grid()
+        assert norms(f) == first and len(built) == 1
+        assert built[0] == DiskGrid()
 
 
 class TestReadme:

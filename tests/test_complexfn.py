@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 import threading
@@ -5,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, _stencil, sup_norm_estimate
+from galpha.complexfn import (_STENCIL, _WEIGHTS, TWO_PI, DiskGrid, NormEstimate,
+                              sup_norm_estimate)
 from galpha.family import AtomicMeasure, GAlphaFunction
 from galpha.schwarz import norms, pre_schwarzian, schwarzian
 
@@ -27,6 +29,20 @@ def panel_member(i):
     return GAlphaFunction(alpha=alpha, measure=AtomicMeasure(angles=angles, weights=weights))
 
 
+# a limit no objective value lies below: with it and infinite cell bounds
+# sup_norm_estimate neither floors nor prunes
+UNBOUNDED = NormEstimate(value=-np.finfo(float).max, argmax=0j)
+
+
+def search(objective, grid, limit=None, cell_bounds=None):
+    """sup_norm_estimate, with one UNBOUNDED limit where none is given and
+    infinite cell bounds where none are: the unpruned, unfloored search."""
+    limit = [UNBOUNDED] if limit is None else limit
+    if cell_bounds is None:
+        cell_bounds = np.full((len(limit), grid.cells[0].size), np.inf)
+    return sup_norm_estimate(objective, grid, limit, cell_bounds)
+
+
 def norm_objectives(f):
     """The pre-Schwarzian and Schwarzian objectives of schwarz.norms."""
     return ((lambda z: (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))),
@@ -39,7 +55,7 @@ class TestDiskGrid:
         assert grid.radii.size == 64
         assert grid.angles_per_circle == 512
         assert grid.r_max == pytest.approx(1.0 - 1e-4)
-        assert grid.points().shape == (512, 64)
+        assert grid.points.shape == (512, 64)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,7 +86,7 @@ class TestDiskGrid:
                 DiskGrid(3, count)
         grid = DiskGrid(np.int64(3), np.int64(12), 0.9)
         assert type(grid.angles_per_circle) is int and type(grid.n_radii) is int
-        assert np.allclose(np.diff(grid.angles()), TWO_PI / 12)
+        assert np.allclose(np.diff(grid.angles), TWO_PI / 12)
 
     def test_radii_are_read_only(self):
         grid = DiskGrid()
@@ -84,18 +100,20 @@ class TestDiskGrid:
         assert DiskGrid() != DiskGrid(64, 512, 1 - 1e-5)
 
     def test_arrays_are_built_once_and_read_only(self):
-        # the sweep reads them on every norms call
+        # the sweep reads them on every norms call; the grid builds them
+        # with itself, as attributes
         grid = DiskGrid(11, 100)
-        for method in (grid.angles, grid.points, grid.cells):
-            first = method()
-            assert method() is first
-            for a in first if isinstance(first, tuple) else (first,):
+        for name in ("radii", "angles", "points", "cells"):
+            value = getattr(grid, name)
+            assert getattr(grid, name) is value
+            for a in value if isinstance(value, tuple) else (value,):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = a[1]
-        for a in _stencil():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(grid, name, value)
+        for a in (_STENCIL, _WEIGHTS):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[1]
-        assert _stencil() is _stencil()
 
     def test_threads_building_at_once_share_one_array(self):
         # norms' default grid is shared by every thread of the process
@@ -104,20 +122,20 @@ class TestDiskGrid:
         try:
             for _ in range(50):
                 grid, got = DiskGrid(8, 64), []
-                threads = [threading.Thread(target=lambda: got.append(grid.points()))
+                threads = [threading.Thread(target=lambda: got.append(grid.points))
                            for _ in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=10.0)
                 assert not any(t.is_alive() for t in threads)
-                assert len(got) == 4 and all(a is grid.points() for a in got)
+                assert len(got) == 4 and all(a is grid.points for a in got)
         finally:
             sys.setswitchinterval(interval)
 
     def test_built_arrays_leave_equality_and_hash_alone(self):
         built = DiskGrid()
-        built.points(), built.cells()
+        built.points, built.cells
         assert built == DiskGrid() and hash(built) == hash(DiskGrid())
         assert built != DiskGrid(64, 512, 1 - 1e-5)
 
@@ -148,16 +166,16 @@ class TestDiskGrid:
         # e^(i theta) r_max used to round beyond r_max on 98 of the 512
         # outer points of DiskGrid(); the outer circle is pulled inside
         for grid in PANEL_GRIDS:
-            pts = grid.points()
+            pts = grid.points
             assert np.abs(pts).max() <= grid.r_max
             assert np.abs(pts[:, -1]).min() > grid.r_max * (1.0 - 4e-15)
             assert np.allclose(np.angle(pts[:, -1]), np.angle(pts[:, -2]), atol=1e-15)
 
     def test_cells_tile_the_grid_in_row_major_order(self):
         grid = DiskGrid(11, 100)
-        r0, r1, th0, th1 = grid.cells()
+        r0, r1, th0, th1 = grid.cells
         assert r0.shape == (13 * 6,)
-        angles = grid.angles()
+        angles = grid.angles
         assert np.array_equal(th0.reshape(13, 6)[:, 0], angles[::8])
         assert np.array_equal(th1.reshape(13, 6)[:, 0],
                               angles[np.minimum(np.arange(7, 104, 8), 99)])
@@ -177,7 +195,7 @@ class TestDiskGrid:
 
 class TestSupNormEstimate:
     def test_constant_objective(self):
-        (est,) = sup_norm_estimate(lambda z: np.ones(z.shape), DiskGrid())
+        (est,) = search(lambda z: np.ones(z.shape), DiskGrid())
         assert est.value == pytest.approx(1.0)
         assert abs(est.argmax) < 1.0
 
@@ -186,26 +204,26 @@ class TestSupNormEstimate:
         # |z| <= 0.999 is exactly 2 - 1e-3; the slack covers cancellation dust
         grid = DiskGrid(r_max=1 - 1e-3)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        (est,) = sup_norm_estimate(obj, grid)
+        (est,) = search(obj, grid)
         assert est.value == pytest.approx(2.0, abs=1e-3 + 1e-10)
 
     def test_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2)^2 * (3/2)/|1-z|^2 -> sup 6 (the classical sharp value)
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
-        (est,) = sup_norm_estimate(obj, DiskGrid())
+        (est,) = search(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
 
     def test_value_matches_objective_at_argmax(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        (est,) = sup_norm_estimate(obj, DiskGrid())
+        (est,) = search(obj, DiskGrid())
         assert est.value == pytest.approx(float(obj(np.asarray(est.argmax))), abs=1e-12)
 
     def test_monotone_in_grid_density(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - 0.93j * z) ** 2
         # the dense grid holds every point of the sparse one
         sparse, dense = DiskGrid(17, 64), DiskGrid(33, 128)
-        r_sparse = sup_norm_estimate(obj, sparse)[0].value
-        r_dense = sup_norm_estimate(obj, dense)[0].value
+        r_sparse = search(obj, sparse)[0].value
+        r_dense = search(obj, dense)[0].value
         assert r_dense >= r_sparse - 1e-12
 
     def test_refinement_calls_are_batched(self):
@@ -218,7 +236,7 @@ class TestSupNormEstimate:
             calls.append(np.size(z))
             return (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
 
-        (est,) = sup_norm_estimate(obj, DiskGrid())
+        (est,) = search(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
         assert len(calls) <= 400
 
@@ -229,9 +247,8 @@ class TestSupNormEstimate:
         # it the search reports an interior point below 6
         boundary = complex(np.exp(-0.7j))
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z / boundary) ** 2
-        (plain,) = sup_norm_estimate(obj, DiskGrid())
-        (floored,) = sup_norm_estimate(obj, DiskGrid(),
-                                       limit=[NormEstimate(value=6.0, argmax=boundary)])
+        (plain,) = search(obj, DiskGrid())
+        (floored,) = search(obj, DiskGrid(), limit=[NormEstimate(value=6.0, argmax=boundary)])
         assert plain.value < 6.0 and abs(plain.argmax) < 1.0
         assert floored == NormEstimate(value=6.0, argmax=boundary)
 
@@ -270,7 +287,7 @@ class TestSupNormEstimate:
                 calls.append(np.array(z))
                 return obj(z)
 
-            sup_norm_estimate(recorded, grid)
+            search(recorded, grid)
             refined = np.abs(np.concatenate([z.ravel() for z in calls[1:]]))
             assert refined.size and refined.max() <= grid.r_max
             farthest.append(refined.max())
@@ -279,14 +296,16 @@ class TestSupNormEstimate:
     def test_limit_below_the_interior_sup_changes_nothing(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
         grid = DiskGrid()
-        plain = sup_norm_estimate(obj, grid)
-        floored = sup_norm_estimate(obj, grid, limit=[NormEstimate(value=0.5, argmax=1j)])
+        plain = search(obj, grid)
+        floored = search(obj, grid, limit=[NormEstimate(value=0.5, argmax=1j)])
         assert floored == plain
 
     def test_objective_and_grid_lead_the_signature(self):
-        # perfbench/spans.py binds the first two arguments by these names
-        names = list(inspect.signature(sup_norm_estimate).parameters)
-        assert names[:2] == ["objective", "grid"]
+        # perfbench/spans.py binds the first two arguments by these names;
+        # both bounds are required
+        params = inspect.signature(sup_norm_estimate).parameters
+        assert list(params) == ["objective", "grid", "limit", "cell_bounds"]
+        assert all(p.default is p.empty for p in params.values())
 
     def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
         # 1 + cos(arg z) off the origin and 1 at it, bounded by its exact
@@ -295,7 +314,7 @@ class TestSupNormEstimate:
         # raised by 1e-9 relative, reaches the limit, and with them every
         # grid point above the limit; the result is the full sweep's.
         grid = DiskGrid(64, 512, 0.9)
-        r0, r1, th0, th1 = grid.cells()
+        r0, r1, th0, th1 = grid.cells
         bounds = 1.0 + np.maximum(np.maximum(np.cos(th0), np.cos(th1)), 0.0)
         obj = lambda z: 1.0 + z.real / np.maximum(np.abs(z), 0.05)
         limit = NormEstimate(value=1.9, argmax=1.0)
@@ -307,17 +326,17 @@ class TestSupNormEstimate:
                 calls.append(np.array(z))
                 return obj(z)
 
-            runs.append((sup_norm_estimate(recorded, grid, limit=[limit],
-                                           cell_bounds=cell_bounds), calls))
+            runs.append((search(recorded, grid, limit=[limit], cell_bounds=cell_bounds),
+                         calls))
         ((full,), _), ((pruned,), pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
         # the grid points in the closed sectors of the cells that reach it
         reach = bounds + 1e-9 * np.abs(bounds) >= limit.value
-        a, r = grid.angles()[:, None], grid.radii[:, None]
+        a, r = grid.angles[:, None], grid.radii[:, None]
         in_angle = (th0[reach] <= a) & (a <= th1[reach])
         in_radius = (r0[reach] <= r) & (r <= r1[reach])
         inside = in_angle.astype(int) @ in_radius.T.astype(int) > 0
-        pts = grid.points()
+        pts = grid.points
         swept = pruned_calls[0]
         assert np.array_equal(np.sort(swept), np.sort(pts[inside]))
         above = pts[obj(pts) > limit.value]
@@ -325,8 +344,8 @@ class TestSupNormEstimate:
         assert swept.size < pts.size / 4
 
     def test_cell_bound_without_a_limit_prunes_nothing(self):
-        # a bound below the objective everywhere prunes nothing without a
-        # limit: the grid is swept in one call in its own shape
+        # a bound below the objective everywhere prunes nothing against the
+        # UNBOUNDED limit: the grid is swept in one call in its own shape
         grid = DiskGrid(16, 64)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
         calls = []
@@ -335,31 +354,29 @@ class TestSupNormEstimate:
             calls.append(np.shape(z))
             return obj(z)
 
-        low = np.zeros((1,) + grid.cells()[0].shape)
-        assert sup_norm_estimate(recorded, grid, cell_bounds=low) == \
-            sup_norm_estimate(obj, grid)
+        low = np.zeros((1,) + grid.cells[0].shape)
+        assert search(recorded, grid, cell_bounds=low) == search(obj, grid)
         assert calls[0] == (64, 16)
 
     def test_cell_bound_gives_one_bound_per_block(self):
-        # the bound is checked with and without a limit to compare it with:
+        # the bound is checked against the UNBOUNDED limit and a real one:
         # one row of one bound per cell for each objective, and no NaN
         obj = lambda z: np.ones(z.shape)
-        cells = DiskGrid().cells()[0].size
+        cells = DiskGrid().cells[0].size
         for limit in (None, [NormEstimate(value=1.0, argmax=0j)]):
             for cell_bounds in (np.ones(3), np.ones((cells, 1)), np.ones(cells),
                                 np.full((1, cells), np.nan)):
                 with pytest.raises(ValueError, match="cell_bounds"):
-                    sup_norm_estimate(obj, DiskGrid(), limit=limit,
-                                      cell_bounds=cell_bounds)
+                    search(obj, DiskGrid(), limit=limit, cell_bounds=cell_bounds)
         with pytest.raises(ValueError, match="cell_bounds"):
-            sup_norm_estimate(obj, DiskGrid(), limit=[NormEstimate(value=1.0, argmax=0j)],
-                              cell_bounds=np.ones((2, cells)))
+            search(obj, DiskGrid(), limit=[NormEstimate(value=1.0, argmax=0j)],
+                   cell_bounds=np.ones((2, cells)))
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2
         grid = DiskGrid()
-        (est,) = sup_norm_estimate(obj, grid)
-        assert est.value >= np.max(obj(grid.points()))
+        (est,) = search(obj, grid)
+        assert est.value >= np.max(obj(grid.points))
 
     def test_grid_swept_in_one_call_on_the_calling_thread(self, monkeypatch):
         # a thread-count variable left in the environment changes nothing
@@ -370,7 +387,7 @@ class TestSupNormEstimate:
             calls.append((np.shape(z), threading.get_ident()))
             return (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.99 * z))
 
-        sup_norm_estimate(obj, DiskGrid())
+        search(obj, DiskGrid())
         assert calls[0][0] == (512, 64)
         assert {ident for _, ident in calls} == {threading.get_ident()}
 

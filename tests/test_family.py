@@ -248,7 +248,7 @@ class TestCoefficients:
 
 def grid_margin(f, grid=DiskGrid()):
     """1/2 - max Re(z h''/(alpha h')) over the grid's points."""
-    z = grid.points()
+    z = grid.points
     return 0.5 - float(np.max((z * f.hprime_log_derivative(z)).real)) / f.alpha
 
 
@@ -372,7 +372,7 @@ class TestMembershipAndResidual:
         for m in (1, 3, 12):
             f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, m))
             grid = DiskGrid(16, 64, 0.999)
-            z = grid.points()
+            z = grid.points
             g = (f.measure.weights / (1.0 - z[..., None] * f.measure.atoms)).sum(axis=-1)
             assert abs(np.min(0.5 - (1.0 - g.real)) - grid_margin(f, grid)) <= 4e-16
 
@@ -431,7 +431,7 @@ class TestSubordinationWitness:
     def test_stays_in_disk_on_grid(self):
         rng = np.random.default_rng(31)
         f = GAlphaFunction(alpha=0.85, measure=random_measure(rng, 5))
-        w = omega(f, DiskGrid().points())
+        w = omega(f, DiskGrid().points)
         assert np.max(np.abs(w)) < 1.0
 
 
@@ -629,7 +629,7 @@ class TestBlockedKernels:
         for m in (3, 64):
             f = GAlphaFunction(alpha=0.75, measure=random_measure(rng, m))
             step = family._BLOCK // m
-            inputs = [DiskGrid().points(),
+            inputs = [DiskGrid().points,
                       random_points(rng, 2 * step + 123, r_max=0.999),
                       np.asarray(0.3 - 0.6j), 0.95j, np.empty((0, 3), complex)]
             for z in inputs:
@@ -644,7 +644,7 @@ class TestBlockedKernels:
         # at m = 28 the default grid's 32,768 points exceed a whole number
         # of _BLOCK // m = 4,681-point slices by one point
         rng = np.random.default_rng(64)
-        z = DiskGrid().points().ravel()
+        z = DiskGrid().points.ravel()
         halves = np.array_split(z, 2)
         for _ in range(10):
             f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
@@ -654,6 +654,26 @@ class TestBlockedKernels:
             for name, values in whole.items():
                 split = np.concatenate([part[name] for part in parts])
                 assert np.array_equal(values, split), name
+
+    def test_hprime_does_not_depend_on_the_call_size(self):
+        # h' at a point, bit for bit, whether it is evaluated in the whole
+        # default grid, in either half, in a run of rows starting 1, 3, 5 or
+        # 7 rows later, or alone; a BLAS product over the atoms rounded a
+        # row by its place in the slice, and the outer product of one point
+        # and one atom rounded differently from every larger one
+        rng = np.random.default_rng(0)
+        z = DiskGrid().points.ravel()
+        for m in range(1, 65):
+            f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
+                               measure=random_measure(rng, m))
+            whole = f.hprime(z)
+            halves = [f.hprime(half) for half in np.array_split(z, 2)]
+            assert np.array_equal(np.concatenate(halves), whole), m
+            for start in (1, 3, 5, 7):
+                assert np.array_equal(f.hprime(z[start:start + 3000]),
+                                      whole[start:start + 3000]), (m, start)
+            for i in range(0, z.size, 997):
+                assert f.hprime(z[i]) == whole[i], (m, i)
 
     def test_slices_share_one_buffer(self, monkeypatch):
         # the default grid makes 8 slices at m = 28; each forms 1 - zeta z in
@@ -672,7 +692,7 @@ class TestBlockedKernels:
         monkeypatch.setattr(family, "_one_minus", recorded)
         for name, kernel in kernels.items():
             outs.clear()
-            kernel(DiskGrid().points())
+            kernel(DiskGrid().points)
             assert len(outs) == 8, name
             assert all(out is not None and np.shares_memory(out, outs[0])
                        for out in outs), name
@@ -680,7 +700,7 @@ class TestBlockedKernels:
     def test_temporaries_bounded(self):
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
-        z = DiskGrid().points()
+        z = DiskGrid().points
         dilatation = DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3, -0.5j]))
         kernels = {"hprime": f.hprime, "schwarzian": lambda z: schwarzian(f, z),
                    "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian}

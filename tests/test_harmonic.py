@@ -275,7 +275,7 @@ class TestJacobian:
         rng = np.random.default_rng(53)
         f = GAlphaFunction(alpha=0.4, measure=random_measure(rng, 5))
         m = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.7j))
-        assert np.min(m.jacobian(DiskGrid().points())) > 0.0
+        assert np.min(m.jacobian(DiskGrid().points)) > 0.0
 
 
 class TestUnivalenceCriterion:

@@ -8,6 +8,7 @@ from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
 
+from test_complexfn import UNBOUNDED, search
 from test_family import random_measure, random_points
 
 
@@ -81,7 +82,7 @@ class TestNorms:
     def test_pointwise_bounds_on_grid(self):
         rng = np.random.default_rng(43)
         grid = DiskGrid()
-        z = grid.points()
+        z = grid.points
         for _ in range(5):
             alpha = rng.uniform(0.2, 1.0)
             f = GAlphaFunction(alpha=alpha, measure=random_measure(rng, 4))
@@ -168,7 +169,7 @@ def boundary_limit(f, which):
 
 def cell_bounds(f, grid, which):
     """The one row of cell bounds of a lone search of objective `which`."""
-    return _cell_bounds(f, *grid.cells())[which:which + 1]
+    return _cell_bounds(f, *grid.cells)[which:which + 1]
 
 
 def recording(objective):
@@ -200,9 +201,9 @@ def sweep_blocks(grid, vals):
     The cells tile the grid in row-major order, so a cell's points run from
     its (th0, r0) to the next cell's along each axis.
     """
-    sector = grid.cells()
+    sector = grid.cells
     r0, _, th0, _ = sector
-    rows = np.unique(np.searchsorted(grid.angles(), th0))
+    rows = np.unique(np.searchsorted(grid.angles, th0))
     cols = np.unique(np.searchsorted(grid.radii, r0))
     maxima = np.maximum.reduceat(np.maximum.reduceat(vals, rows, axis=0), cols, axis=1)
     assert maxima.size == r0.size
@@ -252,7 +253,7 @@ class TestCellBounds:
                 measure = AtomicMeasure(angles=TWO_PI * steps / grid.angles_per_circle,
                                         weights=measure.weights)
             f = GAlphaFunction(alpha=1.0 - rng.uniform(), measure=measure)
-            pts = grid.points()
+            pts = grid.points
             for which, objective in enumerate(norm_objectives(f)):
                 sector, maxima = sweep_blocks(grid, objective(pts))
                 ratio = maxima / _cell_bounds(f, *sector)[which]
@@ -277,9 +278,9 @@ class TestCellBounds:
                 for which, objective in enumerate(norm_objectives(f)):
                     limit = [boundary_limit(f, which)]
                     full, pruned = recording(objective), recording(objective)
-                    (a,) = sup_norm_estimate(full, grid, limit=limit)
-                    (b,) = sup_norm_estimate(pruned, grid, limit=limit,
-                                             cell_bounds=cell_bounds(f, grid, which))
+                    (a,) = search(full, grid, limit=limit)
+                    (b,) = search(pruned, grid, limit=limit,
+                                  cell_bounds=cell_bounds(f, grid, which))
                     assert (b.value, b.argmax) == (a.value, a.argmax)
                     if not pruned.calls:
                         assert b == limit[0]
@@ -301,7 +302,7 @@ class TestCellBounds:
         for grid in LIMIT_GRIDS:
             for alpha in (0.05, 0.5, 1.0):
                 f = GAlphaFunction(alpha=alpha, measure=single_atom(0.7))
-                bounds = _cell_bounds(f, *grid.cells())
+                bounds = _cell_bounds(f, *grid.cells)
                 assert bounds[0].max() < 2.0 * alpha
                 assert bounds[1].max() < 2.0 * alpha * (2.0 + alpha)
                 assert norm_call_sizes(f, grid) == []
@@ -314,9 +315,8 @@ class TestCellBounds:
             for grid in GRIDS:
                 joint = norms(f, grid)
                 for which, objective in enumerate(norm_objectives(f)):
-                    (lone,) = sup_norm_estimate(objective, grid,
-                                                limit=[boundary_limit(f, which)],
-                                                cell_bounds=cell_bounds(f, grid, which))
+                    (lone,) = search(objective, grid, limit=[boundary_limit(f, which)],
+                                     cell_bounds=cell_bounds(f, grid, which))
                     est = (joint.pre_schwarzian_norm, joint.schwarzian_norm)[which]
                     assert (est.value, est.argmax) == (lone.value, lone.argmax)
 
@@ -327,8 +327,8 @@ class TestCellBounds:
         for f in panel_members()[2:6]:
             objective = norm_objectives(f)[1]
             pair = lambda z: np.stack([objective(z), 0.5 * objective(z)])
-            whole, half = sup_norm_estimate(pair, GRIDS[0])
-            (alone,) = sup_norm_estimate(lambda z: 0.5 * objective(z), GRIDS[0])
+            whole, half = search(pair, GRIDS[0], limit=[UNBOUNDED] * 2)
+            (alone,) = search(lambda z: 0.5 * objective(z), GRIDS[0])
             assert (half.value, half.argmax) == (alone.value, alone.argmax)
             assert half.argmax == whole.argmax
 
