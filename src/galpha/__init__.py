@@ -16,8 +16,7 @@ from .harmonic import DilatationSpec, HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, norms, pre_schwarzian, schwarzian
 from .specfile import (FunctionSpec, SpecFileError, load_function_spec,
                        save_function_spec)
-from .verify import (Check, Tolerances, VerifyReport, blaschke_roundtrip_error,
-                     run_verification)
+from .verify import Check, VerifyReport, blaschke_roundtrip_error, run_verification
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "NormEstimate",
     "SchwarzReport",
     "SpecFileError",
-    "Tolerances",
     "VerifyReport",
     "blaschke_from_measure",
     "blaschke_roundtrip_error",

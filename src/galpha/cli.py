@@ -1,9 +1,8 @@
 """Command-line surface: verify, roundtrip, render, gen, norms.
 
-Exit codes: 0 = pass, 1 = a check failed, 2 = malformed input, such as grid
-flags (the DiskGrid fields --grid-radii, --grid-angles, --rmax, taken by
-`norms` alone, the one command that searches) it rejects or a size
-(--atoms, --samples, a grid flag) too large to allocate.
+verify, roundtrip and norms take only a spec and --out, so each report is a
+function of its spec.  Exit codes: 0 = pass, 1 = a check failed, 2 =
+malformed input, such as a size (--atoms, --samples) too large to allocate.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexfn import ConvergenceError, DiskGrid
+from .complexfn import ConvergenceError
 from .family import _PATH_LIMIT, AtomicMeasure
 from .harmonic import HarmonicMap
 from .schwarz import norms, radial_limit_report
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
                        load_function_spec, save_function_spec)
-from .verify import (Tolerances, VerifyReport, norm_checks, roundtrip_check,
-                     run_verification)
+from .verify import VerifyReport, norm_checks, roundtrip_check, run_verification
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -48,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="Blaschke product -> atoms -> product round trip")
     p_round.add_argument("spec", help="spec file with a blaschke source")
     p_round.add_argument("--out", default=None, help="optional JSON report path")
-    for p in (p_verify, p_round):
-        p.add_argument("--tol-roundtrip", type=float, default=Tolerances().roundtrip,
-                       help="round-trip tolerance (default %(default)s)")
 
     p_render = sub.add_parser("render", help="export an image-circle curve")
     p_render.add_argument("spec", help="path to a function spec file")
@@ -70,13 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norms = sub.add_parser("norms", help="pre-Schwarzian/Schwarzian norm report")
     p_norms.add_argument("spec", help="path to a function spec file")
-    # the DiskGrid of the norm search; no check reads it
-    p_norms.add_argument("--grid-radii", type=int, default=DiskGrid.n_radii, metavar="N",
-                         help="number of grid radii (default %(default)s)")
-    p_norms.add_argument("--grid-angles", type=int, default=DiskGrid.angles_per_circle,
-                         metavar="N", help="angles per circle (default %(default)s)")
-    p_norms.add_argument("--rmax", type=float, default=DiskGrid.r_max, metavar="X",
-                         help="outermost grid radius (default %(default)s)")
     p_norms.add_argument("--out", default=None, help="optional JSON report path")
 
     return parser
@@ -92,18 +80,16 @@ def _emit(report: VerifyReport, out: str | Path | None) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
-    tol = Tolerances(roundtrip=args.tol_roundtrip)
     out = args.out or Path(args.spec).with_name(Path(args.spec).stem + ".report.json")
-    return _emit(run_verification(spec, tol=tol), out)
+    return _emit(run_verification(spec), out)
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     if spec.blaschke is None:
         raise SpecFileError("roundtrip requires a spec with a blaschke source")
-    tol = Tolerances(roundtrip=args.tol_roundtrip)
     member = spec.resolve_member()
-    check, recovered = roundtrip_check(spec.blaschke, member.measure, tol)
+    check, recovered = roundtrip_check(spec.blaschke, member.measure)
     return _emit(VerifyReport(checks=[check], schwarz=radial_limit_report(member),
                               recovered_atoms=recovered), args.out)
 
@@ -170,9 +156,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_norms(args: argparse.Namespace) -> int:
-    spec = load_function_spec(args.spec)
-    sch = norms(spec.resolve_member(),
-                grid=DiskGrid(args.grid_radii, args.grid_angles, args.rmax))
+    sch = norms(load_function_spec(args.spec).resolve_member())
     return _emit(VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None),
                  args.out)
 

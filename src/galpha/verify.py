@@ -9,8 +9,8 @@ with a dilatation).  Its verdict, text and JSON all read that list; a
 shear's injectivity is checked only through the univalence criterion, so
 only for alpha < 1/2.  Its norm block is the closed-form enclosure of
 `radial_limit_report`, with no search.  `galpha norms` emits the same
-report with only the two norm checks and the searched norms, and `galpha
-roundtrip` with only the round trip.  Membership, the
+report with only the two norm checks and the norms searched on
+`DiskGrid()`, and `galpha roundtrip` with only the round trip.  Membership, the
 real-part bound, |omega| < 1 and both norms hold for every member, so they
 are exact checks naming their certificate, in G(z) = sum_k t_k/(1 - zeta_k
 z), which lies in the disk |G - 1| <= |z||G| (Ahlfors, Complex Analysis,
@@ -21,7 +21,6 @@ takes a forward-error bound off |a_n|.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -36,21 +35,12 @@ from .specfile import FunctionSpec
 # the round trip is compared on these points filling |z| <= 0.9
 _ROUNDTRIP_POINTS = (np.exp(1j * (TWO_PI * np.arange(96) / 96))[:, None]
                      * np.linspace(0.9 / 8, 0.9, 8)[None, :])
+# the roundtrip_error check's threshold
+ROUNDTRIP_TOL = 1e-8
 # coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
 _N_COEFFICIENTS = 50
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 ">=": operator.ge, "==": operator.eq}
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The round trip's tolerance, overridable with --tol-roundtrip."""
-
-    roundtrip: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.roundtrip < math.inf:
-            raise ValueError(f"tolerance roundtrip must be finite and >= 0: {self.roundtrip!r}")
 
 
 @dataclass(frozen=True)
@@ -134,14 +124,14 @@ def blaschke_roundtrip_error(phi, measure) -> float:
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
-def roundtrip_check(phi, measure: AtomicMeasure, tol: Tolerances) -> tuple[Check, list]:
+def roundtrip_check(phi, measure: AtomicMeasure) -> tuple[Check, list]:
     """The round-trip check of phi through its measure, and the measure's atoms."""
     return (Check("roundtrip_error", blaschke_roundtrip_error(phi, measure),
-                  "<", tol.roundtrip, "sampled"),
+                  "<", ROUNDTRIP_TOL, "sampled"),
             [(float(t), float(w)) for t, w in zip(measure.angles, measure.weights)])
 
 
-def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances()) -> VerifyReport:
+def run_verification(spec: FunctionSpec) -> VerifyReport:
     """The battery on spec's member; its norms are the closed-form enclosure."""
     member = spec.resolve_member()
     n = np.arange(2, _N_COEFFICIENTS + 1)
@@ -162,7 +152,7 @@ def run_verification(spec: FunctionSpec, tol: Tolerances = Tolerances()) -> Veri
 
     recovered = None
     if spec.blaschke is not None:
-        check, recovered = roundtrip_check(spec.blaschke, member.measure, tol)
+        check, recovered = roundtrip_check(spec.blaschke, member.measure)
         checks.append(check)
 
     if spec.dilatation is not None:

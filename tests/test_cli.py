@@ -1,4 +1,4 @@
-import dataclasses
+import argparse
 import json
 import os
 import subprocess
@@ -16,7 +16,7 @@ from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms
 from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
-from galpha.verify import Tolerances, VerifyReport, norm_checks, run_verification
+from galpha.verify import VerifyReport, norm_checks, run_verification
 
 
 def write_spec(tmp_path, data, name="fn.json"):
@@ -27,9 +27,17 @@ def write_spec(tmp_path, data, name="fn.json"):
 EXTREMAL = {"alpha": 1.0, "atoms": [{"theta": 0.0, "weight": 1.0}]}
 HALF_ZERO = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0.0}],
                                         "prefactor_angle": 0.0}}
+# one atom at alpha = 1; on the default grid its searched norms are its limits
+ONE_ATOM = {"alpha": 1.0, "atoms": [{"theta": 0.03681553890925539, "weight": 1.0}]}
 CONSTANT_SHEAR = {"alpha": 0.25, "atoms": [{"theta": 0.0, "weight": 1.0}],
                   "dilatation": {"kind": "constant",
                                  "params": {"value": {"re": 0.5, "im": 0.0}}}}
+
+
+def near_circle_report():
+    """ONE_ATOM's norm report on a grid reaching 1e-12 from the circle."""
+    sch = norms(spec_from_dict(ONE_ATOM).resolve_member(), DiskGrid(r_max=1 - 1e-12))
+    return VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None)
 
 
 class TestSpecFile:
@@ -289,30 +297,6 @@ class TestVerifyCommand:
         names = [c.name for c in run_verification(spec).checks]
         assert names[names.index("schwarzian_norm") + 1:] == ["dilatation_sup"]
 
-    @pytest.mark.parametrize("flag,value", [("--tol-roundtrip", "-1e-8")])
-    def test_malformed_tolerance_exit_two(self, tmp_path, capsys, flag, value):
-        path = write_spec(tmp_path, HALF_ZERO)
-        for command in ("verify", "roundtrip"):
-            assert main([command, str(path), f"{flag}={value}"]) == 2
-            assert capsys.readouterr().err.startswith("error: tolerance ")
-        assert not (tmp_path / "fn.report.json").exists()
-
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--grid-radii", "1", {"n_radii": 1}),
-        ("--grid-angles", "4", {"angles_per_circle": 4}),
-        ("--rmax", "1", {"r_max": 1.0}),
-    ])
-    def test_malformed_grid_exit_two(self, tmp_path, capsys, flag, value, field):
-        # the flags are DiskGrid's fields, so its message is the error; only
-        # norms searches, so only norms takes them
-        with pytest.raises(ValueError) as rejected:
-            DiskGrid(**field)
-        path = write_spec(tmp_path, EXTREMAL)
-        out = tmp_path / "norms.json"
-        assert main(["norms", str(path), flag, value, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {rejected.value}")
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag, value", [("--grid-radii", "8"), ("--rmax", "0.9"),
                                              ("--grid-angles", "64")])
     def test_verify_rejects_grid_flags(self, tmp_path, capsys, flag, value):
@@ -324,20 +308,12 @@ class TestVerifyCommand:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "fn.report.json").exists()
 
-    def test_flag_defaults_are_the_library_defaults(self):
-        args = build_parser().parse_args(["verify", "x.json"])
-        assert Tolerances(roundtrip=args.tol_roundtrip) == Tolerances()
-        args = build_parser().parse_args(["norms", "x.json"])
-        assert DiskGrid(args.grid_radii, args.grid_angles, args.rmax) == DiskGrid()
-        args = build_parser().parse_args(["roundtrip", "x.json"])
-        assert args.tol_roundtrip == Tolerances().roundtrip
-
     def test_parser_built_once_per_process(self, tmp_path, capsys):
         # one shared parser gives each command the result a fresh parser gives
         half_zero = write_spec(tmp_path, HALF_ZERO, "half_zero.json")
         extremal = write_spec(tmp_path, EXTREMAL)
         commands = [["roundtrip", str(half_zero)], ["norms", str(extremal)],
-                    ["roundtrip", str(extremal)], ["norms", str(extremal), "--rmax", "2"]]
+                    ["roundtrip", str(extremal)], ["norms", str(tmp_path / "absent.json")]]
 
         def run(argv):
             return main(argv), capsys.readouterr()
@@ -384,9 +360,10 @@ class TestRoundtripCommand:
         assert set(texts["roundtrip"]) <= set(texts["verify"])
         assert texts["roundtrip"][-1].endswith("PASS")
 
-    def test_failed_round_trip_exits_one(self, tmp_path, capsys):
+    def test_failed_round_trip_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("galpha.verify.ROUNDTRIP_TOL", 0.0)
         path = write_spec(tmp_path, HALF_ZERO)
-        assert main(["roundtrip", str(path), "--tol-roundtrip", "0"]) == 1
+        assert main(["roundtrip", str(path)]) == 1
         assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
 
     def test_zero_near_circle_rejected(self, tmp_path, capsys):
@@ -474,8 +451,7 @@ class TestUnallocatableSizes:
     @pytest.mark.parametrize("command", [
         ["gen", "--seed", "1", "--atoms", "10000000000000", "--alpha", "0.5"],
         ["render", "SPEC", "--samples", "10000000000000"],
-        ["norms", "SPEC", "--grid-radii", "10000000000000"],
-    ], ids=["gen", "render", "norms"])
+    ], ids=["gen", "render"])
     def test_exit_two(self, tmp_path, capsys, command):
         path = write_spec(tmp_path, EXTREMAL)
         argv = [str(path) if arg == "SPEC" else arg for arg in command]
@@ -546,24 +522,25 @@ class TestNormsCommand:
             library = VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None)
         assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
 
-    @pytest.mark.parametrize("rmax, code", [("0.9999", 0), ("0.999999999999", 0)])
+    @pytest.mark.parametrize("near_circle", [False, True], ids=["default", "near_circle"])
     def test_norms_json_records_argmax_checks_and_verdict(self, tmp_path, capsys,
-                                                          rmax, code):
+                                                          near_circle):
         # a single atom's norms are its closed-form boundary limits, at
         # |argmax| = 1, unless the float objectives read above them near the
-        # circle, as at r_max = 1 - 1e-12; the certificates decide the
-        # checks, so both pass either way
-        path = write_spec(tmp_path, {"alpha": 1.0, "atoms": [
-            {"theta": 0.03681553890925539, "weight": 1.0}]})
+        # circle, as on the library's grid to r_max = 1 - 1e-12; the
+        # certificates decide the checks, so both pass either way
         out = tmp_path / "norms.json"
-        assert main(["norms", str(path), "--rmax", rmax, "--out", str(out)]) == code
-        payload = json.loads(out.read_text())
+        if near_circle:
+            payload = json.loads(json.dumps(near_circle_report().to_dict()))
+        else:
+            assert main(["norms", str(write_spec(tmp_path, ONE_ATOM)), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
             ("pre_schwarzian_norm", True), ("schwarzian_norm", True)]
         for which in ("pre_schwarzian", "schwarzian"):
             radius = abs(complex(*payload["schwarz"][f"{which}_argmax"]))
-            assert (radius == pytest.approx(1.0, abs=1e-15)) is (rmax == "0.9999")
+            assert (radius == pytest.approx(1.0, abs=1e-15)) is not near_circle
 
     def test_norms_writes_and_prints_the_verify_report(self, tmp_path, capsys):
         # one report: norms --out has verify's keys, its schwarz block up to
@@ -575,11 +552,10 @@ class TestNormsCommand:
         main(["gen", "--seed", "4", "--atoms", "3", "--alpha", "0.3",
               "--out", str(path)])
         capsys.readouterr()
-        grid = {"verify": [], "norms": ["--grid-radii", "24", "--grid-angles", "128"]}
         reports, texts = {}, {}
         for command in ("verify", "norms"):
             out = tmp_path / f"{command}.json"
-            assert main([command, str(path), "--out", str(out), *grid[command]]) == 0
+            assert main([command, str(path), "--out", str(out)]) == 0
             reports[command] = json.loads(out.read_text())
             texts[command] = capsys.readouterr().out.splitlines()
         verify, norms_ = reports["verify"], reports["norms"]
@@ -610,16 +586,18 @@ class TestNormsCommand:
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_norm_estimates_decide_no_verdict(self, tmp_path, capsys, command):
         # near the circle the float objectives can read above the sharp
-        # values; the estimates are printed with their bounds and source, and
-        # the certificates, not the estimates, pass both norm checks
-        path = write_spec(tmp_path, {"alpha": 1.0, "atoms": [
-            {"theta": 0.03681553890925539, "weight": 1.0}]})
-        out = tmp_path / "r.json"
-        grid = ["--rmax", "0.999999999999"] if command == "norms" else []
-        assert main([command, str(path), *grid, "--out", str(out)]) == 0
-        text = capsys.readouterr().out
+        # values, as in the library's norms on a grid to r_max = 1 - 1e-12;
+        # the estimates are printed with their bounds and source, and the
+        # certificates, not the estimates, pass both norm checks
+        if command == "norms":
+            report = near_circle_report()
+            assert report.passed
+            text, sch = report.render_text(), report.to_dict()["schwarz"]
+        else:
+            out = tmp_path / "r.json"
+            assert main(["verify", str(write_spec(tmp_path, ONE_ATOM)), "--out", str(out)]) == 0
+            text, sch = capsys.readouterr().out, json.loads(out.read_text())["schwarz"]
         assert "FAIL" not in text
-        sch = json.loads(out.read_text())["schwarz"]
         for which in ("pre_schwarzian", "schwarzian"):
             assert (f"  {which + '_estimate':<29}: {sch[which + '_norm']:.12g}  "
                     f"(bound {sch[which + '_bound']:.12g})  [{sch['norm_source']}]"
@@ -629,8 +607,7 @@ class TestNormsCommand:
     def test_out_in_missing_directory_exit_two(self, tmp_path, capsys, command):
         path = write_spec(tmp_path, EXTREMAL)
         out = tmp_path / "absent" / "report.json"
-        grid = ["--grid-radii", "8", "--grid-angles", "64"] if command == "norms" else []
-        code = main([command, str(path), "--out", str(out), *grid])
+        code = main([command, str(path), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()
@@ -753,8 +730,7 @@ class TestEvidence:
         path = write_spec(tmp_path, data)
         checks = run_verification(spec_from_dict(data)).checks
         out = tmp_path / "norms.json"
-        assert main(["norms", str(path), "--grid-radii", "8", "--grid-angles", "64",
-                     "--out", str(out)]) == 0
+        assert main(["norms", str(path), "--out", str(out)]) == 0
         records = [c.to_dict() for c in checks] + json.loads(out.read_text())["checks"]
         assert len(records) == len(checks) + 2
         for record in records:
@@ -763,11 +739,24 @@ class TestEvidence:
             assert allowed or (record["name"], evidence) == ("roundtrip_error", "sampled"), record
         assert ("roundtrip_error" in [c.name for c in checks]) is ("blaschke" in data)
 
-    @pytest.mark.parametrize("flag", ["--tol-norm", "--tol-pointwise"])
+    @pytest.mark.parametrize("flag", ["--tol-norm", "--tol-pointwise", "--tol-roundtrip",
+                                      "--grid-radii", "--grid-angles", "--rmax"])
     def test_removed_tolerance_flags_are_rejected(self, tmp_path, capsys, flag):
-        path = write_spec(tmp_path, EXTREMAL)
-        with pytest.raises(SystemExit) as exited:
-            main(["verify", str(path), flag, "1e-3"])
-        assert exited.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        assert [f.name for f in dataclasses.fields(Tolerances)] == ["roundtrip"]
+        path = write_spec(tmp_path, HALF_ZERO)
+        for command in ("verify", "roundtrip", "norms"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, str(path), flag, "1e-3"])
+            assert exited.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "fn.report.json").exists()
+
+    def test_checking_commands_take_only_a_spec_and_out(self):
+        # a flag that tuned a search or a threshold would make a report a
+        # function of more than its spec
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for command in ("verify", "roundtrip", "norms"):
+            actions = commands[command]._actions
+            assert [a.dest for a in actions if not a.option_strings] == ["spec"], command
+            assert sorted(flag for a in actions for flag in a.option_strings) == sorted(
+                ["-h", "--help", "--out"]), command

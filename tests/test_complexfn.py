@@ -1,6 +1,5 @@
 import dataclasses
 import inspect
-import sys
 import threading
 
 import numpy as np
@@ -115,24 +114,6 @@ class TestDiskGrid:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[1]
 
-    def test_threads_building_at_once_share_one_array(self):
-        # norms' default grid is shared by every thread of the process
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(50):
-                grid, got = DiskGrid(8, 64), []
-                threads = [threading.Thread(target=lambda: got.append(grid.points))
-                           for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10.0)
-                assert not any(t.is_alive() for t in threads)
-                assert len(got) == 4 and all(a is grid.points for a in got)
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_built_arrays_leave_equality_and_hash_alone(self):
         built = DiskGrid()
         built.points, built.cells
@@ -153,7 +134,7 @@ class TestDiskGrid:
             assert np.array_equal(grid.radii, radii)
 
     def test_r_max_is_kept_exactly(self):
-        # --rmax 0.3 used to sweep out to 1 - (1 - 0.3) = 0.30000000000000004;
+        # r_max = 0.3 used to sweep out to 1 - (1 - 0.3) = 0.30000000000000004;
         # that round trip is exact from 1/2 up (Sterbenz's lemma) but moved
         # 32 of these 99 values, all below 1/2
         values = [float(f"0.{k:02d}") for k in range(1, 100)]
