@@ -77,6 +77,11 @@ def _one_minus(z, atoms, out):
     return np.subtract(1.0, u, out=u)
 
 
+def _pole_terms(z, poles, out):
+    """g_k = 1/(p_k - z) = zeta_k/(1 - zeta_k z), p_k = conj(zeta_k), for 1-d z, in out."""
+    return np.reciprocal(np.subtract(poles, z[:, None], out=out), out=out)
+
+
 def _log_sum(u, weights):
     """L = sum_k t_k Log u_k for the u_k = 1 - zeta_k z of points in the disk.
 
@@ -248,12 +253,12 @@ class GAlphaFunction:
         """kernel over the points of z, on the fewest slices of at most
         _BLOCK // m points, whose sizes differ by at most one.
 
-        kernel(zb, u) gets a 1-d slice zb and its u_k = 1 - zeta_k z, formed
-        here in a (zb.size, m) complex view of one buffer shared by every
-        slice, which the kernel may overwrite: fresh slice-sized arrays let
-        the allocator hand memory back to the system and fault it in again.
-        It returns one value per point of zb; the result has the shape of z,
-        and a 0-d z gives a numpy scalar.
+        kernel(zb, buf) gets a 1-d slice zb and buf, a (zb.size, m) complex
+        view of one buffer shared by every slice, in which it forms its
+        per-(point, atom) terms: fresh slice-sized arrays let the allocator
+        hand memory back to the system and fault it in again.  It returns
+        one value per point of zb; the result has the shape of z, and a 0-d
+        z gives a numpy scalar.
         Balanced slices leave no short tail: a one-point slice runs its
         kernel's products down a different numpy path, which rounds
         differently.  z must lie in the open disk.
@@ -262,27 +267,29 @@ class GAlphaFunction:
         _require_finite("z", z)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("evaluation requires |z| < 1")
-        flat, atoms = z.ravel(), self.measure.atoms
-        n = max(1, -(-flat.size // max(1, _BLOCK // atoms.size)))
-        work = np.empty((-(-flat.size // n), atoms.size), dtype=complex)
+        flat, m = z.ravel(), self.measure.count
+        n = max(1, -(-flat.size // max(1, _BLOCK // m)))
+        work = np.empty((-(-flat.size // n), m), dtype=complex)
         if n == 1:
-            out = kernel(flat, _one_minus(flat, atoms, work))
+            out = kernel(flat, work)
         else:
             ends = [i * flat.size // n for i in range(n + 1)]
-            out = np.concatenate([kernel(flat[a:b], _one_minus(flat[a:b], atoms, work[:b - a]))
+            out = np.concatenate([kernel(flat[a:b], work[:b - a])
                                   for a, b in zip(ends, ends[1:])])
         out = out.reshape(np.shape(z))
         return out[()] if out.ndim == 0 else out
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
-        weights, alpha = self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, u: np.exp(alpha * _log_sum(u, weights)))
+        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
+        return self._blocks(
+            z, lambda zb, buf: np.exp(alpha * _log_sum(_one_minus(zb, atoms, buf), weights)))
 
     def hprime_log_derivative(self, z):
-        """h''(z)/h'(z) = -alpha sum_k t_k zeta_k / (1 - zeta_k z)."""
-        atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, u: -alpha * (np.divide(atoms, u, out=u) @ weights))
+        """h''(z)/h'(z) = -alpha sum_k t_k zeta_k/(1 - zeta_k z) = alpha sum_k t_k/(z - p_k)
+        = alpha T, for `induced_self_map`'s T and its poles p_k = conj(zeta_k)."""
+        poles, weights, alpha = np.conj(self.measure.atoms), self.measure.weights, self.alpha
+        return self._blocks(z, lambda zb, buf: -alpha * (_pole_terms(zb, poles, buf) @ weights))
 
     def coefficients(self, n_max: int, error_bound: bool = False):
         """Taylor coefficients a_1..a_n_max of h (a_1 = 1, a_n = c_(n-1)/n).

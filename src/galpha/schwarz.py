@@ -3,9 +3,12 @@
 For a member with atoms zeta_k, weights t_k:
 
     P(z)  = h''/h'        = -alpha sum_k t_k zeta_k/(1 - zeta_k z)
+                          = alpha sum_k t_k/(z - p_k) = alpha T(z)
     S(z)  = P' - P^2/2    = -alpha sum_k t_k zeta_k^2/(1 - zeta_k z)^2 - P^2/2
 
-with hyperbolic norms sup (1-|z|^2)|P| and sup (1-|z|^2)^2 |S|.  The sharp
+with p_k = conj(zeta_k) and T as in `induced_self_map`, whose terms
+1/(p_k - z) both kernels form, and with hyperbolic norms sup (1-|z|^2)|P|
+and sup (1-|z|^2)^2 |S|.  The sharp
 bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
 with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` bounds both objectives
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
-from .family import GAlphaFunction
+from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
 
@@ -35,13 +38,13 @@ def pre_schwarzian(f: GAlphaFunction, z):
 def schwarzian(f: GAlphaFunction, z):
     """S(z) = P'(z) - P(z)^2/2, both terms in closed form.
 
-    With g_k = zeta_k/(1 - zeta_k z), formed once per slice,
-    P = -alpha sum_k t_k g_k and P' = -alpha sum_k t_k g_k^2.
+    With g_k = zeta_k/(1 - zeta_k z) = 1/(p_k - z), formed once per slice
+    in pole form, P = -alpha sum_k t_k g_k and P' = -alpha sum_k t_k g_k^2.
     """
-    atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
+    poles, weights, alpha = np.conj(f.measure.atoms), f.measure.weights, f.alpha
 
-    def kernel(zb, u):
-        g = np.divide(atoms, u, out=u)
+    def kernel(zb, buf):
+        g = _pole_terms(zb, poles, buf)
         p = -alpha * (g @ weights)
         return -alpha * (np.multiply(g, g, out=g) @ weights) - 0.5 * p ** 2
 

@@ -600,7 +600,11 @@ class TestInverse:
 
 
 # Whole-array forms of the per-point kernels, as written before blocking:
-# one (points x m) temporary per step and complex logs.
+# one (points x m) temporary per step and complex logs.  P and S take the
+# kernels' pole form, g_k = 1/(conj(zeta_k) - z): these forms check the
+# slicing, and S's cancellation points would magnify the rounding of other
+# algebra past 1e-12; test_schwarz.py's TestKernelAccuracy checks both
+# against mpmath.
 def whole_array_log_sum(f, z):
     return np.log(1.0 - z[..., None] * f.measure.atoms) @ f.measure.weights
 
@@ -608,13 +612,28 @@ def whole_array_log_sum(f, z):
 def whole_array_kernels(f, z):
     z = np.asarray(z, dtype=complex)
     atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
-    p = -alpha * ((atoms / (1.0 - z[..., None] * atoms)) @ weights)
-    p_deriv = -alpha * ((atoms ** 2 / (1.0 - z[..., None] * atoms) ** 2) @ weights)
+    g = 1.0 / (np.conj(atoms) - z[..., None])
+    p = -alpha * (g @ weights)
+    p_deriv = -alpha * ((g * g) @ weights)
     return {
         "hprime": np.exp(alpha * whole_array_log_sum(f, z)),
         "hprime_log_derivative": p,
         "schwarzian": p_deriv - 0.5 * p ** 2,
     }
+
+
+def recording_blocks(bufs, blocks=GAlphaFunction._blocks):
+    """_blocks, appending to bufs the buffer view it hands each slice's
+    kernel, filled with NaN, and checking that the kernel wrote all of it."""
+    def recorded(self, z, kernel):
+        def spy(zb, buf):
+            bufs.append(buf)
+            buf.fill(np.nan)
+            out = kernel(zb, buf)
+            assert not np.isnan(buf).any(), "the kernel formed its terms elsewhere"
+            return out
+        return blocks(self, z, spy)
+    return recorded
 
 
 def blocked_kernels(f, z):
@@ -676,20 +695,16 @@ class TestBlockedKernels:
                 assert f.hprime(z[i]) == whole[i], (m, i)
 
     def test_slices_share_one_buffer(self, monkeypatch):
-        # the default grid makes 8 slices at m = 28; each forms 1 - zeta z in
-        # a view of one buffer, not in a fresh slice-sized array
+        # the default grid makes 8 slices at m = 28; each kernel forms its
+        # terms in the view of one buffer that _blocks hands it, not in a
+        # fresh slice-sized array
         rng = np.random.default_rng(67)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 28))
         hmap = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.3j))
         kernels = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
                    "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian}
-        outs, one_minus = [], family._one_minus
-
-        def recorded(z, atoms, out=None):
-            outs.append(out)
-            return one_minus(z, atoms, out)
-
-        monkeypatch.setattr(family, "_one_minus", recorded)
+        outs = []
+        monkeypatch.setattr(GAlphaFunction, "_blocks", recording_blocks(outs))
         for name, kernel in kernels.items():
             outs.clear()
             kernel(DiskGrid().points)
@@ -730,22 +745,17 @@ class TestVerifyWork:
             "univalence_criterion_margin" if alpha < 0.5 else "dilatation_sup")
 
     def test_verify_forms_one_minus_only_in_the_norms(self, monkeypatch):
-        # a work guard that counts rather than times: verify forms u = 1 -
-        # zeta z nowhere, so it evaluates no per-point kernel; its pointwise
-        # checks once formed u on every slice of the grid, its origin check
-        # at z = 0, and its norm search on the grid; its norms are the
+        # a work guard that counts rather than times: _blocks hands verify
+        # no slice, so it evaluates no per-point kernel; its pointwise checks
+        # once formed u = 1 - zeta z on every slice of the grid, its origin
+        # check at z = 0, and its norm search on the grid; its norms are the
         # closed-form radial limits
         spec = FunctionSpec(alpha=0.3, measure=roots_of_unity_measure(28),
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
-        sizes, one_minus = [], family._one_minus
-
-        def counted(z, atoms, out):
-            sizes.append(z.size)
-            return one_minus(z, atoms, out)
-
-        monkeypatch.setattr(family, "_one_minus", counted)
+        slices = []
+        monkeypatch.setattr(GAlphaFunction, "_blocks", recording_blocks(slices))
         assert run_verification(spec).passed
-        assert sizes == []
+        assert slices == []
 
     def test_verify_bounds_a_polynomial_dilatation_once(self, monkeypatch):
         # the spec's guard computes the bound; dilatation_sup and the

@@ -59,6 +59,45 @@ class TestSchwarzian:
         assert schwarzian(f, z) == pytest.approx(expected, abs=1e-14)
 
 
+class TestKernelAccuracy:
+    # atom counts from 1 to 64; every m costs 230 m terms at 40 digits
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64])
+    def test_against_mpmath(self, m):
+        # P and S against 40-digit mpmath at the member's exact atoms
+        # e^(i theta_k), at 200 random points with |z| <= 0.999 and 30
+        # points 1e-8 to 1e-4 from an atom.  With g_k = 1/(conj(zeta_k) - z),
+        # rounding the atoms and z by a few eps moves g_k by a few eps |g_k|^2
+        # and the sums over m atoms add m eps relative to their moduli, so each
+        # kernel X errs by at most 4 eps (m + max_k |g_k|) X_bar, where
+        # P_bar = alpha sum_k t_k |g_k| and S_bar = alpha sum_k t_k |g_k|^2
+        # + P_bar^2/2.  Relative to |X| no bound holds: S cancels to 0.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(71 + m)
+        f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)), measure=random_measure(rng, m))
+        near = np.conj(f.measure.atoms[rng.integers(0, m, 30)]) * (
+            1.0 - 10.0 ** rng.uniform(-8.0, -4.0, 30) * np.exp(1j * rng.uniform(-1.0, 1.0, 30)))
+        z = np.concatenate([random_points(rng, 200, r_max=0.999), near])
+        g = np.abs(1.0 / (np.exp(-1j * f.measure.angles) - z[:, None]))
+        p_bar = f.alpha * (g @ f.measure.weights)
+        scale = 4.0 * np.finfo(float).eps * (m + g.max(axis=1))
+        bounds = {"P": scale * p_bar,
+                  "S": scale * (f.alpha * (g * g @ f.measure.weights) + 0.5 * p_bar ** 2)}
+        values = {"P": pre_schwarzian(f, z), "S": schwarzian(f, z)}
+        with mpmath.workdps(40):
+            poles = [mpmath.expj(-theta) for theta in f.measure.angles]
+            weights = [mpmath.mpf(t) for t in f.measure.weights]
+            alpha = mpmath.mpf(f.alpha)
+            for i, zi in enumerate(z):
+                w = mpmath.mpc(zi.real, zi.imag)
+                terms = [1 / (pole - w) for pole in poles]
+                p = -alpha * mpmath.fdot(weights, terms)
+                exact = {"P": p,
+                         "S": -alpha * mpmath.fdot(weights, [t * t for t in terms]) - p * p / 2}
+                for name, ref in exact.items():
+                    v = values[name][i]
+                    assert abs(mpmath.mpc(v.real, v.imag) - ref) <= bounds[name][i], (name, zi)
+
+
 class TestNorms:
     def test_extremal_alpha_one_sharp_values(self):
         f = GAlphaFunction(alpha=1.0, measure=single_atom(0.0))
