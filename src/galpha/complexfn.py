@@ -150,19 +150,18 @@ _WEIGHTS = np.stack([_EDGE * _STENCIL / 2.0, _STENCIL * _STENCIL / np.where(_EDG
 _STENCIL.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
-def _model_step(m):
+def _model_step(g, q, lam):
     """The step, in units of the spacing, that maximizes the quadratic model
-    m = f @ _WEIGHTS (see _STENCIL) over the box of half-width sqrt(2) in its
-    Hessian's eigenbasis e, i e, where e = sqrt(q / |q|) and the eigenvalues
-    are (f_xx + f_yy)/2 -+ |q|: along each, the Newton step where the
+    (g, q, lam) = f @ _WEIGHTS (see _STENCIL) over the box of half-width
+    sqrt(2) in its Hessian's eigenbasis e, i e, where e = sqrt(q / |q|) and
+    the eigenvalues are lam -+ |q|: along each, the Newton step where the
     curvature is negative and the step fits, else the box's edge uphill.
     """
-    g, q, lam = m.T
-    e = np.exp(0.5j * np.angle(q))
-    u = (e.conj() * g).view(float).reshape(-1, 2)
-    curvature = np.multiply.outer(np.abs(q), np.array([-1.0, 1.0])) - lam.real[:, None]
-    u /= np.maximum(np.maximum(curvature, np.abs(u) / math.sqrt(2.0)), 1e-300)
-    return e * u.view(complex)[:, 0]
+    half = 0.5 * math.atan2(q.imag, q.real)
+    e = complex(math.cos(half), math.sin(half))
+    u, a = e.conjugate() * g, abs(q)
+    return e * complex(u.real / max(-a - lam.real, abs(u.real) / math.sqrt(2.0), 1e-300),
+                       u.imag / max(a - lam.real, abs(u.imag) / math.sqrt(2.0), 1e-300))
 
 
 def _sweep(objective, pts, limit, cell_bounds):
@@ -238,43 +237,50 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     rows = (rows + n_angles * np.arange(n_obj)[:, None]).ravel()
     rows = rows[row_vals[rows] > -np.inf]
     owner, angle = np.divmod(rows, n_angles)
-    point, value = pts[angle, row_best[rows]], row_vals[rows]
-    center, room = point.copy(), 1.0 - np.abs(point)
-    h = np.minimum(room, TWO_PI / grid.angles_per_circle) / 2.0
-    tol = math.sqrt(np.finfo(float).eps)
-    live, same = np.ones(point.size, dtype=bool), owner == owner[:, None]
+    # the candidates' state is Python numbers, as few are live per step
+    owner, point, value = owner.tolist(), pts[angle, row_best[rows]].tolist(), row_vals[rows].tolist()
+    center, room = list(point), [1.0 - abs(p) for p in point]
+    h = [min(r, TWO_PI / grid.angles_per_circle) / 2.0 for r in room]
+    # a candidate's rivals are all candidates of its objective, stopped ones too
+    peers = [[j for j, k in enumerate(owner) if k == o] for o in owner]
+    tol, r_in = math.sqrt(np.finfo(float).eps), grid.r_max * (1.0 - 2.0 ** -50)
+    live = range(len(point))
     for _ in range(_MAX_STEPS):
-        rival = (np.abs(point - point[:, None]) < h[:, None]) & (value > value[:, None]) & same
-        live &= (h >= tol * room) & ~rival.any(axis=1)
-        at = np.flatnonzero(live)
-        if not at.size:
+        live = [i for i in live if h[i] >= tol * room[i] and not [
+            j for j in peers[i] if value[j] > value[i] and abs(point[j] - point[i]) < h[i]]]
+        if not live:
             break
-        c, p, v, ha, each = center[at], point[at], value[at], h[at], np.arange(at.size)
-        step = ha * np.exp(1j * np.angle(c))
+        c = np.array([center[i] for i in live])
+        step = np.array([h[i] for i in live]) * np.exp(1j * np.angle(c))
         w = _clip(c[:, None] + step[:, None] * _STENCIL, grid.r_max)
         f = np.asarray(objective(w), dtype=float).reshape((n_obj,) + w.shape)
-        f = f[owner[at], each]
+        each = np.arange(len(live))
+        f = f[[owner[i] for i in live], each]
         _require_finite("objective during refinement", f)
-        # the centre is a trial point unless it is the candidate's best point
-        ok = (c == p) | (f[:, 0] >= v)
         best = each, f.argmax(axis=1)
-        fb = f[best]
-        point[at] = p = np.where(fb > v, w[best], p)
-        value[at] = np.maximum(fb, v)
-        trial = _clip(c + step * _model_step(f @ _WEIGHTS), grid.r_max)
-        center[at] = c_new = np.where(ok, trial, p)
-        room[at] = r = 1.0 - np.abs(c_new)
-        h[at] = np.minimum(np.where(ok, np.abs(trial - c), ha / 8.0), r / 2.0)
+        for i, ci, si, m, f0, fb, wb in zip(live, c.tolist(), step.tolist(), (f @ _WEIGHTS).tolist(),
+                                            f[:, 0].tolist(), f[best].tolist(), w[best].tolist()):
+            # the trial point, pulled inside as _clip does
+            t = ci + si * _model_step(*m)
+            t *= min(1.0, r_in / (abs(t) + 1e-300))
+            # the centre is a trial point unless it is the candidate's best point
+            ok = ci == point[i] or f0 >= value[i]
+            if fb > value[i]:
+                point[i], value[i] = wb, fb
+            center[i] = t if ok else point[i]
+            room[i] = 1.0 - abs(center[i])
+            h[i] = min(abs(t - ci) if ok else h[i] / 8.0, room[i] / 2.0)
     # Batch and single-point evaluations can round differently (numpy squares
     # arrays and scalars differently), and the maximum over many stencil
     # points selects that dust, so each winner is evaluated once more on its
     # own: the reported value is what objective(argmax) returns.
     estimates = []
-    for k, mine in enumerate(owner == np.arange(n_obj)[:, None]):
-        if not mine.any():  # every cell of objective k was pruned
+    for k in range(n_obj):
+        mine = [i for i, o in enumerate(owner) if o == k]
+        if not mine:  # every cell of objective k was pruned
             estimates.append(limit[k])
             continue
-        winner = point[mine][np.argmax(value[mine])]
+        winner = point[max(mine, key=value.__getitem__)]
         final = float(np.asarray(objective(np.asarray(winner)), dtype=float).reshape(n_obj)[k])
         top = int(np.argmax(vals[k]))
         if not final >= vals[k].flat[top]:

@@ -265,7 +265,7 @@ class GAlphaFunction:
         """
         z = np.asarray(z, dtype=complex)
         _require_finite("z", z)
-        if np.any(np.abs(z) >= 1.0):
+        if (np.abs(z) >= 1.0).any():
             raise DomainError("evaluation requires |z| < 1")
         flat, m = z.ravel(), self.measure.count
         n = max(1, -(-flat.size // max(1, _BLOCK // m)))

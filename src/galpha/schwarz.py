@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+from .complexfn import _BLOCK_RADII, TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
@@ -111,7 +111,10 @@ def radial_limit_report(f: GAlphaFunction) -> SchwarzReport:
 
 def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     """The bounds of `norms` on the sectors r0 <= |z| <= r1, th0 <= arg z <= th1,
-    as an array of two rows, (1-|z|^2)|P| and (1-|z|^2)^2 |S|.
+    as an array of two rows, (1-|z|^2)|P| and (1-|z|^2)^2 |S|, each raveled
+    from the broadcast shape of the four bound arrays: `norms` passes th0
+    and th1 as a column of angle blocks and r0 and r1 as a row of radius
+    blocks, so the angular terms are formed once per (atom, angle block).
 
     With delta the angular gap from arg conj(zeta_k) to the sector (0 in
     it) and r = clip(cos delta, r0, r1), where cos delta is taken as
@@ -125,25 +128,24 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     """
     # gap runs counterclockwise from th0 to arg conj(zeta_k): delta is how
     # far that passes th1, or 2 pi - gap back to th0, whichever is smaller
-    gap = np.mod(-f.measure.angles, TWO_PI)[:, None] - th0
+    gap = np.subtract.outer(np.mod(-f.measure.angles, TWO_PI), th0)
     np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
     work = TWO_PI - gap
     gap -= th1 - th0
     delta = np.maximum(np.minimum(gap, work, out=gap), 0.0, out=gap)
     half_sin2 = np.square(np.sin(np.multiply(delta, 0.5, out=delta), out=delta), out=delta)
-    r = np.subtract(1.0, np.multiply(half_sin2, 2.0, out=work), out=work)
-    r = np.clip(r, r0, r1, out=r)
-    d = np.multiply(np.multiply(half_sin2, 4.0, out=half_sin2), r, out=half_sin2)
+    r = np.clip(np.subtract(1.0, np.multiply(half_sin2, 2.0, out=work), out=work), r0, r1)
+    d = np.multiply(np.multiply(half_sin2, 4.0, out=half_sin2), r)
     d += np.square(np.subtract(1.0, r, out=r), out=r)
     np.sqrt(d, out=d)
-    u = np.clip(d, 1.0 - r1, 1.0 - r0, out=work)
+    u = np.clip(d, 1.0 - r1, 1.0 - r0, out=r)
     c = np.divide(u, np.maximum(d, u, out=d), out=d)
     c *= np.subtract(2.0, u, out=u)
-    t = np.multiply(f.measure.weights[:, None], c, out=work)
+    t = np.multiply(f.measure.weights.reshape((-1,) + (1,) * (c.ndim - 1)), c, out=u)
     s1 = f.alpha * t.sum(axis=0)
     s2 = f.alpha * np.multiply(t, c, out=t).sum(axis=0)
     allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
-    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
+    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)]).reshape(2, -1)
 
 
 def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
@@ -179,7 +181,9 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
         out[1] *= w ** 2
         return out
 
+    # the cells as (angle blocks, radius blocks), row-major as grid.cells
+    r0, r1, th0, th1 = (a.reshape(-1, -(-grid.n_radii // _BLOCK_RADII)) for a in grid.cells)
     pre, sch = sup_norm_estimate(objective, grid,
                                  limit=[floor.pre_schwarzian_norm, floor.schwarzian_norm],
-                                 cell_bounds=_cell_bounds(f, *grid.cells))
+                                 cell_bounds=_cell_bounds(f, r0[:1], r1[:1], th0[:, :1], th1[:, :1]))
     return SchwarzReport(pre, sch, f.alpha, "search")

@@ -372,3 +372,25 @@ class TestSupNormEstimate:
         assert calls[0][0] == (512, 64)
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
+    def test_a_stopped_candidate_still_stops_a_worse_one_near_it(self):
+        # Pruning the first block of 8 angles of DiskGrid(2, 10, 0.7) leaves
+        # two starts, the outer points at 324 and 288 degrees.  The one peak
+        # sits on the first, A, whose symmetric stencil gives a zero model
+        # step, so A stops after one step.  B climbs toward A and after its
+        # second step lies within its spacing of A, which is better and has
+        # stopped: B stops there.  Were only live candidates rivals, B would
+        # climb on to the peak for five more steps.
+        grid = DiskGrid(2, 10, 0.7)
+        peak = grid.points[9, 1]
+        calls = []
+
+        def recorded(z):
+            calls.append(np.array(z))
+            return np.exp(-4.0 * np.abs(z - peak) ** 2)
+
+        (est,) = search(recorded, grid, limit=[NormEstimate(value=-1.0, argmax=0j)],
+                        cell_bounds=[[-2.0, np.inf]])
+        sweep, *steps, final = calls
+        assert sweep.size == 4 and [len(w) for w in steps] == [2, 1]
+        assert steps[0][0, 0] == peak and steps[1][0, 0] != peak
+        assert est == NormEstimate(value=1.0, argmax=complex(peak))

@@ -119,9 +119,14 @@ class TestHPrime:
                         assert abs(value - ref) <= 1e-15 * abs(ref), (m, radius)
 
     def test_domain_error_outside_disk(self):
+        # a 0-d point on the circle, and arrays with one point on it or just
+        # beyond it, through each kernel that checks the domain in _blocks
         f = GAlphaFunction(alpha=1.0, measure=single_atom(0.0))
-        with pytest.raises(DomainError):
-            f.hprime(1.0 + 0.0j)
+        inside = 0.5 * np.exp(1j * np.arange(5))
+        for z in (1.0 + 0.0j, np.append(inside, 1j), np.append(inside, 1.0 + 1e-15)):
+            for kernel in (f.hprime, f.hprime_log_derivative, lambda z: schwarzian(f, z)):
+                with pytest.raises(DomainError):
+                    kernel(z)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

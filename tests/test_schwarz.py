@@ -8,7 +8,7 @@ from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
 
-from test_complexfn import UNBOUNDED, search
+from test_complexfn import PANEL_GRIDS, UNBOUNDED, search
 from test_family import random_measure, random_points
 
 
@@ -249,6 +249,30 @@ def sweep_blocks(grid, vals):
     return sector, maxima.ravel()
 
 
+def per_cell_bounds(f, r0, r1, th0, th1):
+    """The cell bounds formed cell by cell, each angular term once per
+    (atom, cell): the formula `_cell_bounds` factors, kept as its reference."""
+    gap = np.mod(-f.measure.angles, TWO_PI)[:, None] - th0
+    np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
+    work = TWO_PI - gap
+    gap -= th1 - th0
+    delta = np.maximum(np.minimum(gap, work, out=gap), 0.0, out=gap)
+    half_sin2 = np.square(np.sin(np.multiply(delta, 0.5, out=delta), out=delta), out=delta)
+    r = np.subtract(1.0, np.multiply(half_sin2, 2.0, out=work), out=work)
+    r = np.clip(r, r0, r1, out=r)
+    d = np.multiply(np.multiply(half_sin2, 4.0, out=half_sin2), r, out=half_sin2)
+    d += np.square(np.subtract(1.0, r, out=r), out=r)
+    np.sqrt(d, out=d)
+    u = np.clip(d, 1.0 - r1, 1.0 - r0, out=work)
+    c = np.divide(u, np.maximum(d, u, out=d), out=d)
+    c *= np.subtract(2.0, u, out=u)
+    t = np.multiply(f.measure.weights[:, None], c, out=work)
+    s1 = f.alpha * t.sum(axis=0)
+    s2 = f.alpha * np.multiply(t, c, out=t).sum(axis=0)
+    allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
+    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
+
+
 # the default grid and a ragged one, whose edge blocks are partial
 GRIDS = (DiskGrid(), DiskGrid(n_radii=11, angles_per_circle=100))
 # ... and one reaching closer to the circle
@@ -299,6 +323,26 @@ class TestCellBounds:
                 assert ratio.max() <= 1.0
                 worst = max(worst, ratio.max())
         assert worst > 0.9  # the bounds are close where the objectives peak
+
+    def test_factored_bounds_equal_the_per_cell_formula(self):
+        # norms forms the angular terms once per (atom, angle block) and
+        # broadcasts them over the radius blocks; the cells are the full
+        # product of the two, so each bound is the per-cell one bit for bit
+        rng = np.random.default_rng(11)
+        for grid in PANEL_GRIDS:
+            for m in (1, 2, 8, 64):
+                f = GAlphaFunction(alpha=1.0 - rng.uniform(), measure=random_measure(rng, m))
+                passed = []
+
+                def recorded(objective, grid, limit, cell_bounds):
+                    passed.append(cell_bounds)
+                    return limit
+
+                with mock.patch("galpha.schwarz.sup_norm_estimate", recorded):
+                    norms(f, grid)
+                reference = per_cell_bounds(f, *grid.cells)
+                assert np.array_equal(passed[0], reference)
+                assert np.array_equal(_cell_bounds(f, *grid.cells), reference)
 
     def test_pruned_sweep_equals_full_sweep(self):
         # The pruned run reports the full run's value and argmax.  Where no
@@ -374,15 +418,18 @@ class TestCellBounds:
     def test_norms_call_budget(self):
         # a work guard that counts rather than times: the panel's 27 members
         # on the default grid took 847 objective calls in two searches per
-        # member, and 324 in one joint search with the cap bounds, where 9
+        # member, and take 319 in one joint search with the cap bounds (as
+        # before the ascent kept its candidates in Python numbers), where 9
         # members make no call; the budget leaves 5% for platform rounding
         calls = [len(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
         assert sum(calls) <= 340
 
     def test_norms_point_budget(self):
-        # the same guard on the points those calls evaluate: 71,515 on the
-        # panel, so a rewrite of the ascent step cannot add evaluations
-        # within the call budget; again with 5% for platform rounding
+        # the same guard on the points those calls evaluate: 71,479 on the
+        # panel (71,497 before the ascent kept its candidates in Python
+        # numbers, whose abs rounds apart from numpy's), so a rewrite of the
+        # ascent step cannot add evaluations within the call budget; again
+        # with 5% for platform rounding
         points = [sum(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
         assert sum(points) <= 75_000
 
