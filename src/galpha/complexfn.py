@@ -186,8 +186,8 @@ def _sweep(objective, pts, limit, cell_bounds):
     union = inside.any(axis=0)
     v = np.asarray(objective(pts if union.all() else pts[union]), dtype=float)
     _require_finite("objective on the grid", v)
-    vals = np.full((len(limit),) + pts.shape, -np.inf)
-    vals[:, union] = v.reshape(len(vals), -1)
+    vals = np.empty((len(limit),) + pts.shape)
+    vals.reshape(len(limit), -1)[:, np.flatnonzero(union)] = v.reshape(len(limit), -1)
     np.copyto(vals, -np.inf, where=~inside)
     return vals
 
@@ -219,11 +219,15 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     point with h/8.  h starts at min(1 - |c|, 2 pi / angles_per_circle)/2
     and stays <= (1 - |c|)/2.  A candidate stops once it lies within h of
     a better one of its objective or h < sqrt(eps) (1 - |c|), where the
-    differences reach the objective's rounding; all stop after _MAX_STEPS
-    steps.  So each objective's estimate is the one a search of it alone
-    would give.  Unless limit[k] is returned, estimate k's value is
-    objective k evaluated in floats at its argmax, never below its grid
-    maximum.
+    differences reach the objective's rounding, or once its last trial was
+    pulled inside r_max while its value is below its limit: a heuristic,
+    not a certificate, for objectives that tend on the circle to at most
+    their limits, as the norms' do.  All stop after _MAX_STEPS steps.  So
+    each objective's estimate is the one a search of it alone would give.
+    Unless limit[k] is returned, estimate k's value is objective k evaluated
+    in floats at its argmax, never below its grid maximum; the best
+    candidate is not evaluated again where its value, raised by 1e-9
+    relative, is below limit[k], as that maximum is at most its value.
     """
     pts = grid.points
     vals = _sweep(objective, pts, limit, cell_bounds)
@@ -244,10 +248,12 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     # a candidate's rivals are all candidates of its objective, stopped ones too
     peers = [[j for j, k in enumerate(owner) if k == o] for o in owner]
     tol, r_in = math.sqrt(np.finfo(float).eps), grid.r_max * (1.0 - 2.0 ** -50)
+    floor, pulled = [limit[o].value for o in owner], [False] * len(point)
     live = range(len(point))
     for _ in range(_MAX_STEPS):
-        live = [i for i in live if h[i] >= tol * room[i] and not [
-            j for j in peers[i] if value[j] > value[i] and abs(point[j] - point[i]) < h[i]]]
+        # stopped: at the rounding, near a better rival, or pulled in below the limit
+        live = [i for i in live if h[i] >= tol * room[i] and not (pulled[i] and value[i] < floor[i])
+                and not any(value[j] > value[i] and abs(point[j] - point[i]) < h[i] for j in peers[i])]
         if not live:
             break
         c = np.array([center[i] for i in live])
@@ -262,6 +268,7 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
                                             f[:, 0].tolist(), f[best].tolist(), w[best].tolist()):
             # the trial point, pulled inside as _clip does
             t = ci + si * _model_step(*m)
+            pulled[i] = abs(t) > r_in
             t *= min(1.0, r_in / (abs(t) + 1e-300))
             # the centre is a trial point unless it is the candidate's best point
             ok = ci == point[i] or f0 >= value[i]
@@ -277,10 +284,12 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     estimates = []
     for k in range(n_obj):
         mine = [i for i, o in enumerate(owner) if o == k]
-        if not mine:  # every cell of objective k was pruned
+        i = max(mine, key=value.__getitem__, default=None)
+        # every cell of objective k was pruned, or no candidate nears the limit
+        if i is None or value[i] + _BOUND_MARGIN * abs(value[i]) < limit[k].value:
             estimates.append(limit[k])
             continue
-        winner = point[max(mine, key=value.__getitem__)]
+        winner = point[i]
         final = float(np.asarray(objective(np.asarray(winner)), dtype=float).reshape(n_obj)[k])
         top = int(np.argmax(vals[k]))
         if not final >= vals[k].flat[top]:

@@ -394,3 +394,59 @@ class TestSupNormEstimate:
         assert sweep.size == 4 and [len(w) for w in steps] == [2, 1]
         assert steps[0][0, 0] == peak and steps[1][0, 0] != peak
         assert est == NormEstimate(value=1.0, argmax=complex(peak))
+
+    @staticmethod
+    def _toward_edge(limit):
+        """The search of Re(z e^(-5.4i)) on DiskGrid(2, 10, 0.7) with its first
+        block of angles pruned, as above: its sup 0.7 lies on r_max between
+        the two starts, the outer points at 288 and 324 degrees, which read
+        0.65 and 0.68.  Returns the estimate and the ascent's stencil calls."""
+        calls = []
+
+        def recorded(z):
+            calls.append(np.array(z))
+            return (z * np.exp(-5.4j)).real
+
+        (est,) = search(recorded, DiskGrid(2, 10, 0.7), limit=[NormEstimate(value=limit, argmax=1.0)],
+                        cell_bounds=[[-2.0, np.inf]])
+        return est, [w for w in calls[1:] if w.ndim == 2]
+
+    def test_a_candidate_pulled_in_below_its_limit_stops(self):
+        # Both trial steps point past r_max and are pulled in, and neither
+        # candidate reaches the limit 1: both stop after that one step.
+        # Without the stop they refine the angle for five more steps, and
+        # could still reach only 0.7.
+        est, steps = self._toward_edge(1.0)
+        assert [len(w) for w in steps] == [2]
+        assert est == NormEstimate(value=1.0, argmax=1.0)
+
+    def test_a_candidate_above_its_limit_climbs_along_the_edge(self):
+        # The same objective under the limit 0.5, which both starts beat:
+        # their trials are pulled in too, but they climb along r_max to the
+        # sup, past the grid maximum 0.68
+        est, steps = self._toward_edge(0.5)
+        assert len(steps) > 2
+        assert est.value > 0.7 - 1e-12
+        assert est.value == (est.argmax * np.exp(-5.4j)).real > 0.5
+
+    def test_a_winner_below_its_limit_is_not_evaluated_again(self):
+        # 1 - |z - p|^2 peaks at 1 inside the disk.  Under the limit 2 no
+        # re-evaluation could win, so the search ends on its ascent; under
+        # 0.5, and under a limit just 1e-12 above the found peak (within the
+        # 1e-9 allowance for rounding), the winner is evaluated once more.
+        peak = 0.3 + 0.2j
+        obj = lambda z: 1.0 - np.abs(z - peak) ** 2
+        ends = {}
+        for limit in (2.0, 0.5, 1.0 + 1e-12):
+            calls = []
+
+            def recorded(z, calls=calls):
+                calls.append(np.shape(z))
+                return obj(z)
+
+            (est,) = search(recorded, DiskGrid(8, 32), limit=[NormEstimate(value=limit, argmax=1.0)])
+            ends[limit] = calls[-1], est
+        assert ends[2.0] == ((8, 9), NormEstimate(value=2.0, argmax=1.0))
+        shape, est = ends[0.5]
+        assert shape == () and est.value == obj(np.asarray(est.argmax)) == pytest.approx(1.0)
+        assert ends[1.0 + 1e-12] == ((), NormEstimate(value=1.0 + 1e-12, argmax=1.0))
