@@ -79,8 +79,8 @@ class DiskGrid:
             _clip pulls in the outer circle, where e^(i theta) r_max can
             round out;
     cells   the sweep's cells (r0, r1, th0, th1): the closed polar sectors
-            of 8 angles by 2 radii of points in row-major order, edge cells
-            partial.
+            of 8 angles by 2 radii of points, edge cells partial; r0, r1 a
+            row (1, radius blocks), th0, th1 a column (angle blocks, 1).
     """
 
     n_radii: int = 64
@@ -105,10 +105,10 @@ class DiskGrid:
         angles = TWO_PI * np.arange(k) / k
         points = np.exp(1j * angles)[:, None] * radii[None, :]
         points[:, -1] = _clip(points[:, -1], self.r_max)
-        a_lo, r_lo = (lo.ravel() for lo in np.mgrid[0:k:_BLOCK_ANGLES, 0:n:_BLOCK_RADII])
+        a_lo, r_lo = np.arange(0, k, _BLOCK_ANGLES), np.arange(0, n, _BLOCK_RADII)
         a_hi = np.minimum(a_lo + _BLOCK_ANGLES, k) - 1
         r_hi = np.minimum(r_lo + _BLOCK_RADII, n) - 1
-        cells = radii[r_lo], radii[r_hi], angles[a_lo], angles[a_hi]
+        cells = radii[None, r_lo], radii[None, r_hi], angles[a_lo, None], angles[a_hi, None]
         for a in (radii, angles, points) + cells:
             a.flags.writeable = False
         vars(self).update(radii=radii, angles=angles, points=points, cells=cells)
@@ -118,10 +118,11 @@ class DiskGrid:
 class NormEstimate:
     """An estimate of a supremum over the disk.
 
-    value is the objective evaluated in floats at argmax or, where |argmax|
-    = 1 up to rounding, its closed-form limit as z -> argmax radially.  It is
-    an estimate, not a certified bound: near the circle the float objective
-    can read ~1e-11 above its exact value.
+    value is the float objective at argmax as a call of the search returned
+    it or, where |argmax| = 1 up to rounding, its closed-form limit as z ->
+    argmax radially; a one-point call objective(argmax) can differ from it
+    in the last bits.  It is an estimate, not a certified bound: near the
+    circle the float objective can read ~1e-11 above its exact value.
     """
 
     value: float
@@ -164,27 +165,25 @@ def _model_step(g, q, lam):
                        u.imag / max(a - lam.real, abs(u.imag) / math.sqrt(2.0), 1e-300))
 
 
-def _sweep(objective, pts, limit, cell_bounds):
-    """The K = len(limit) objectives on the grid's points pts in one call,
-    shape (K,) + pts.shape.  Objective k is -inf in the cells whose bound in
-    row k of cell_bounds, raised by _BOUND_MARGIN, lies below limit[k] (see
-    sup_norm_estimate); None if no cell reaches its limit.  When no cell is
-    pruned the call takes pts in its own shape, otherwise the points of the
-    cells some objective keeps, in row-major order.
+def _sweep(objective, grid, limit, cell_bounds):
+    """The K = len(limit) objectives on grid.points, shape (K,) +
+    grid.points.shape, from one call on the points of the cells some
+    objective keeps, in row-major order.  Objective k is -inf in the cells
+    whose bound in cell_bounds[k], raised by _BOUND_MARGIN, lies below
+    limit[k] (see sup_norm_estimate); None, with no call, if none reaches it.
     """
-    n_angles, n_radii = pts.shape
-    shape = (-(-n_angles // _BLOCK_ANGLES), -(-n_radii // _BLOCK_RADII))
+    pts, blocks = grid.points, np.broadcast(*grid.cells).shape
     bound = np.asarray(cell_bounds, dtype=float)
-    if bound.shape != (len(limit), math.prod(shape)) or np.any(np.isnan(bound)):
+    if bound.shape != (len(limit),) + blocks or np.any(np.isnan(bound)):
         raise ValueError("cell_bounds must hold one bound per cell for each objective")
-    floor = np.array([[est.value] for est in limit])
-    keep = (bound + _BOUND_MARGIN * np.abs(bound) >= floor).reshape((-1,) + shape)
+    floor = np.array([[[est.value]] for est in limit])
+    keep = bound + _BOUND_MARGIN * np.abs(bound) >= floor
     if not keep.any():
         return None
     inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=1), _BLOCK_RADII,
-                       axis=2)[:, :n_angles, :n_radii]
+                       axis=2)[:, :pts.shape[0], :pts.shape[1]]
     union = inside.any(axis=0)
-    v = np.asarray(objective(pts if union.all() else pts[union]), dtype=float)
+    v = np.asarray(objective(pts[union]), dtype=float)
     _require_finite("objective on the grid", v)
     vals = np.empty((len(limit),) + pts.shape)
     vals.reshape(len(limit), -1)[:, np.flatnonzero(union)] = v.reshape(len(limit), -1)
@@ -199,12 +198,13 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     limit holds K known lower bounds of the sups, such as closed-form
     boundary limits, and gives limit[k] as estimate k unless a point
     evaluated beats it.  objective(z) returns the K objectives stacked, in
-    the order of shape (K,) + z.shape.  Row k of cell_bounds, shape
-    (K, cells), bounds objective k on each of grid.cells, in their order;
-    the float objective may exceed it by at most 1e-9 relative.  The sweep
-    takes, in one call, the union of the cells whose bound, raised by 1e-9
-    relative, reaches its limit; each objective is -inf outside its own
-    cells, and the limits are returned without a call if there are none.
+    the order of shape (K,) + z.shape.  cell_bounds[k], shape (angle
+    blocks, radius blocks) as grid.cells broadcast, bounds objective k on
+    each cell; the float objective may exceed it by at most 1e-9 relative.
+    The sweep takes, in one call, the union of the cells whose bound,
+    raised by 1e-9 relative, reaches its limit; each objective is -inf
+    outside its own cells, and the limits are returned without a call if
+    there are none.
     So every grid point whose value beats its limit is evaluated;
     candidates below a limit come only from cells whose bound reaches it.
     Refinement starts, for each objective, from the best evaluated point of
@@ -224,13 +224,13 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
     not a certificate, for objectives that tend on the circle to at most
     their limits, as the norms' do.  All stop after _MAX_STEPS steps.  So
     each objective's estimate is the one a search of it alone would give.
-    Unless limit[k] is returned, estimate k's value is objective k evaluated
-    in floats at its argmax, never below its grid maximum; the best
-    candidate is not evaluated again where its value, raised by 1e-9
-    relative, is below limit[k], as that maximum is at most its value.
+    Estimate k is the best (point, value) of objective k that a call of the
+    sweep or the ascent returned, or limit[k] unless that value beats it.
+    As the top row's best grid point is a start and candidates only move
+    up, it is never below objective k's grid maximum.
     """
     pts = grid.points
-    vals = _sweep(objective, pts, limit, cell_bounds)
+    vals = _sweep(objective, grid, limit, cell_bounds)
     if vals is None:
         return tuple(limit)
     # the angle rows of all objectives, objective k's from k * n_angles on
@@ -277,23 +277,9 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
             center[i] = t if ok else point[i]
             room[i] = 1.0 - abs(center[i])
             h[i] = min(abs(t - ci) if ok else h[i] / 8.0, room[i] / 2.0)
-    # Batch and single-point evaluations can round differently (numpy squares
-    # arrays and scalars differently), and the maximum over many stencil
-    # points selects that dust, so each winner is evaluated once more on its
-    # own: the reported value is what objective(argmax) returns.
-    estimates = []
-    for k in range(n_obj):
-        mine = [i for i, o in enumerate(owner) if o == k]
-        i = max(mine, key=value.__getitem__, default=None)
-        # every cell of objective k was pruned, or no candidate nears the limit
-        if i is None or value[i] + _BOUND_MARGIN * abs(value[i]) < limit[k].value:
-            estimates.append(limit[k])
-            continue
-        winner = point[i]
-        final = float(np.asarray(objective(np.asarray(winner)), dtype=float).reshape(n_obj)[k])
-        top = int(np.argmax(vals[k]))
-        if not final >= vals[k].flat[top]:
-            winner, final = pts.flat[top], float(vals[k].flat[top])
-        estimates.append(NormEstimate(value=final, argmax=complex(winner))
-                         if final > limit[k].value else limit[k])
+    # each objective's first best candidate, where it beats the limit
+    estimates = list(limit)
+    for i, o in enumerate(owner):
+        if value[i] > estimates[o].value:
+            estimates[o] = NormEstimate(value=value[i], argmax=point[i])
     return tuple(estimates)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import _BLOCK_RADII, TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
@@ -111,10 +111,10 @@ def radial_limit_report(f: GAlphaFunction) -> SchwarzReport:
 
 def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     """The bounds of `norms` on the sectors r0 <= |z| <= r1, th0 <= arg z <= th1,
-    as an array of two rows, (1-|z|^2)|P| and (1-|z|^2)^2 |S|, each raveled
-    from the broadcast shape of the four bound arrays: `norms` passes th0
-    and th1 as a column of angle blocks and r0 and r1 as a row of radius
-    blocks, so the angular terms are formed once per (atom, angle block).
+    (1-|z|^2)|P| and (1-|z|^2)^2 |S| stacked, shape (2,) + the broadcast
+    shape of the four bound arrays.  DiskGrid.cells gives th0 and th1 as a
+    column of angle blocks and r0 and r1 as a row of radius blocks, so the
+    angular terms are formed once per (atom, angle block).
 
     With delta the angular gap from arg conj(zeta_k) to the sector (0 in
     it) and r = clip(cos delta, r0, r1), where cos delta is taken as
@@ -145,7 +145,7 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     s1 = f.alpha * t.sum(axis=0)
     s2 = f.alpha * np.multiply(t, c, out=t).sum(axis=0)
     allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
-    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)]).reshape(2, -1)
+    return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
 
 def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
@@ -153,11 +153,12 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
 
     Off the atoms both objectives tend to 0 at the circle, so the search
     reports the heaviest atom's radial limits (`radial_limit_report`)
-    unless a point it evaluates beats them.  One sup_norm_estimate call
-    searches both objectives and skips each on the grid.cells whose bound
-    lies below its limit.  With d_k the distance from conj(zeta_k) to the
-    cell r0 <= |z| <= r1, th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k,
-    1 - |z|) on it, so (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k =
+    unless a value one of its calls returns beats them.  One
+    sup_norm_estimate call searches both objectives and skips each on the
+    grid.cells, one per (angle block, radius block), whose bound lies below
+    its limit.  With d_k the distance from conj(zeta_k) to the cell
+    r0 <= |z| <= r1, th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|)
+    on it, so (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k =
     (1 - rho^2)/max(d_k, 1 - rho) at rho = clip(1 - d_k, r0, r1), where it
     peaks over the cell:
 
@@ -181,9 +182,7 @@ def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
         out[1] *= w ** 2
         return out
 
-    # the cells as (angle blocks, radius blocks), row-major as grid.cells
-    r0, r1, th0, th1 = (a.reshape(-1, -(-grid.n_radii // _BLOCK_RADII)) for a in grid.cells)
     pre, sch = sup_norm_estimate(objective, grid,
                                  limit=[floor.pre_schwarzian_norm, floor.schwarzian_norm],
-                                 cell_bounds=_cell_bounds(f, r0[:1], r1[:1], th0[:, :1], th1[:, :1]))
+                                 cell_bounds=_cell_bounds(f, *grid.cells))
     return SchwarzReport(pre, sch, f.alpha, "search")

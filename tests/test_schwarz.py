@@ -8,7 +8,7 @@ from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
 
-from test_complexfn import PANEL_GRIDS, UNBOUNDED, search
+from test_complexfn import PANEL_GRIDS, UNBOUNDED, norm_objectives, search
 from test_family import random_measure, random_points
 
 
@@ -192,12 +192,6 @@ class TestNorms:
                     <= 2 * alpha * (2 + alpha) + 1e-6)
 
 
-def norm_objectives(f):
-    """The two objectives `norms` sweeps."""
-    return ((lambda z: (1.0 - np.abs(z) ** 2) * np.abs(pre_schwarzian(f, z))),
-            (lambda z: (1.0 - np.abs(z) ** 2) ** 2 * np.abs(schwarzian(f, z))))
-
-
 def boundary_limit(f, which):
     """The radial limit toward the heaviest atom that `norms` passes on."""
     k = int(np.argmax(f.measure.weights))
@@ -219,39 +213,53 @@ def recording(objective):
     return recorded
 
 
-def norm_call_sizes(f, grid):
-    """The point count of each objective call that norms(f, grid) makes."""
+def norm_calls(f, grid):
+    """norms(f, grid) and the (argument, result) of each objective call it makes."""
     calls = []
 
     def counted(objective, grid, **kwargs):
         def recorded(z):
-            calls.append(np.size(z))
-            return objective(z)
+            out = objective(z)
+            calls.append((np.array(z), np.array(out)))
+            return out
         return sup_norm_estimate(recorded, grid, **kwargs)
 
     with mock.patch("galpha.schwarz.sup_norm_estimate", counted):
-        norms(f, grid)
-    return calls
+        return norms(f, grid), calls
+
+
+def norm_call_sizes(f, grid):
+    """The point count of each objective call that norms(f, grid) makes."""
+    return [z.size for z, _ in norm_calls(f, grid)[1]]
+
+
+def returned(calls, which, est):
+    """Whether one of calls, (argument, result) pairs of a search's objective,
+    returned est.value for objective `which` at est.argmax."""
+    return any(np.any((z.ravel() == est.argmax) & (out.reshape(-1, z.size)[which] == est.value))
+               for z, out in calls)
 
 
 def sweep_blocks(grid, vals):
     """Each sweep cell's sector (r0, r1, th0, th1) and the max of vals on it.
 
-    The cells tile the grid in row-major order, so a cell's points run from
-    its (th0, r0) to the next cell's along each axis.
+    The cells tile the grid, th0 a column of angle blocks and r0 a row of
+    radius blocks, so a cell's points run from its (th0, r0) to the next
+    cell's along each axis.
     """
     sector = grid.cells
     r0, _, th0, _ = sector
-    rows = np.unique(np.searchsorted(grid.angles, th0))
-    cols = np.unique(np.searchsorted(grid.radii, r0))
+    rows = np.searchsorted(grid.angles, th0[:, 0])
+    cols = np.searchsorted(grid.radii, r0[0])
     maxima = np.maximum.reduceat(np.maximum.reduceat(vals, rows, axis=0), cols, axis=1)
-    assert maxima.size == r0.size
-    return sector, maxima.ravel()
+    assert maxima.shape == np.broadcast(*sector).shape
+    return sector, maxima
 
 
 def per_cell_bounds(f, r0, r1, th0, th1):
     """The cell bounds formed cell by cell, each angular term once per
-    (atom, cell): the formula `_cell_bounds` factors, kept as its reference."""
+    (atom, cell): the formula `_cell_bounds` factors, kept as its reference.
+    Takes the cells raveled into one row."""
     gap = np.mod(-f.measure.angles, TWO_PI)[:, None] - th0
     np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
     work = TWO_PI - gap
@@ -373,7 +381,9 @@ class TestCellBounds:
 
                 with mock.patch("galpha.schwarz.sup_norm_estimate", recorded):
                     norms(f, grid)
-                reference = per_cell_bounds(f, *grid.cells)
+                cells = np.broadcast_arrays(*grid.cells)
+                reference = per_cell_bounds(f, *(a.ravel() for a in cells))
+                reference = reference.reshape((2,) + cells[0].shape)
                 assert np.array_equal(passed[0], reference)
                 assert np.array_equal(_cell_bounds(f, *grid.cells), reference)
 
@@ -451,16 +461,16 @@ class TestCellBounds:
     def test_norms_call_budget(self):
         # a work guard that counts rather than times: the panel's 27 members
         # on the default grid took 847 objective calls in two searches per
-        # member, 319 in one joint search with the cap bounds, and take 231
-        # since candidates pulled in at r_max below their limit stop and a
-        # winner below its limit is not evaluated again; 9 members make no
+        # member, 319 in one joint search with the cap bounds, 231 once
+        # candidates pulled in at r_max below their limit stopped, and take
+        # 223 since no winner is evaluated a second time; 9 members make no
         # call; the budget leaves 5% for platform rounding
         calls = [len(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
-        assert sum(calls) <= 242
+        assert sum(calls) <= 234
 
     def test_norms_point_budget(self):
-        # the same guard on the points those calls evaluate: 70,584 on the
-        # panel (71,479 before those two stops), so a rewrite of the ascent
+        # the same guard on the points those calls evaluate: 70,576 on the
+        # panel (71,479 before the stops at r_max), so a rewrite of the ascent
         # step cannot add evaluations within the call budget; again with 5%
         # for platform rounding
         points = [sum(norm_call_sizes(f, DiskGrid())) for f in panel_members()]
@@ -495,21 +505,44 @@ class TestCellBounds:
         calls = len(norm_call_sizes(f, DiskGrid()))
         assert calls > 0 and counts == {"S": calls, "P": calls, "h": calls}
 
-    def test_no_block_reaching_the_limit_skips_the_search(self, monkeypatch):
+    def test_no_block_reaching_the_limit_skips_the_search(self):
         # one atom at alpha = 1/2 on a grid out to r = 1/2: every cell bound
         # lies below the boundary limits 1 and 2.5, so norms reports them
         # without evaluating either objective
-        calls = []
-
-        def counted(objective, grid, **kwargs):
-            def recorded(z):
-                calls.append(np.size(z))
-                return objective(z)
-            return sup_norm_estimate(recorded, grid, **kwargs)
-
-        monkeypatch.setattr("galpha.schwarz.sup_norm_estimate", counted)
         f = GAlphaFunction(alpha=0.5, measure=single_atom(0.3))
-        rep = norms(f, DiskGrid(16, 64, 0.5))
+        rep, calls = norm_calls(f, DiskGrid(16, 64, 0.5))
         assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
         assert calls == []
+
+    def test_each_estimate_is_a_value_some_call_returned(self):
+        # no point is evaluated a second time on its own: each estimate that
+        # is not its limit is the (argmax, value) pair of a call of the
+        # search.  Once on 1 - |z - p|^2, which peaks at 1 inside the disk,
+        # under no limit, limits below and above its peak and one 1e-12
+        # above it, and once on three panel members whose searches beat five
+        # of their six limits
+        peak = 0.3 + 0.2j
+        runs = []
+        for value in (None, 0.5, 1.0 + 1e-12, 2.0):
+            limit = [UNBOUNDED if value is None else NormEstimate(value=value, argmax=1.0)]
+            calls = []
+
+            def recorded(z, calls=calls):
+                out = 1.0 - np.abs(z - peak) ** 2
+                calls.append((np.array(z), np.array(out)))
+                return out
+
+            runs.append((calls, search(recorded, DiskGrid(8, 32), limit=limit), limit))
+        for f in (panel_members()[i] for i in (9, 14, 17)):
+            rep, calls = norm_calls(f, DiskGrid())
+            runs.append((calls, (rep.pre_schwarzian_norm, rep.schwarzian_norm),
+                         [boundary_limit(f, 0), boundary_limit(f, 1)]))
+        searched = 0
+        for calls, estimates, limits in runs:
+            assert calls and all(z.ndim > 0 for z, _ in calls)
+            for which, (est, limit) in enumerate(zip(estimates, limits)):
+                if est != limit:
+                    searched += 1
+                    assert returned(calls, which, est)
+        assert searched == 2 + 5
 
