@@ -7,8 +7,7 @@ as analytic parts of sheared univalent harmonic mappings.
 """
 
 from .blaschke import BlaschkeProduct, boundary_roots
-from .complexfn import (ConvergenceError, DiskGrid, DomainError, NormEstimate,
-                        sup_norm_estimate)
+from .complexfn import ConvergenceError, DomainError, NormEstimate
 from .family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                      induced_self_map, measure_from_blaschke,
                      roots_of_unity_measure, single_atom)
@@ -26,7 +25,6 @@ __all__ = [
     "Check",
     "ConvergenceError",
     "DilatationSpec",
-    "DiskGrid",
     "DomainError",
     "FunctionSpec",
     "GAlphaFunction",
@@ -48,6 +46,5 @@ __all__ = [
     "save_function_spec",
     "schwarzian",
     "single_atom",
-    "sup_norm_estimate",
     "univalence_criterion",
 ]

@@ -1,16 +1,13 @@
 """Numeric kernel for unit-disk computations.
 
-Disk sampling grids, each three numbers that fix its radii and the cells
-its sweep prunes, and sup-norm estimation of several objectives at once by
-one grid sweep and one batched finite-difference Newton ascent.  Everything
-here is pure and reentrant.
+The one disk sampling grid the norm search uses, and sup-norm estimation of
+several objectives at once by one sweep of that grid and one batched
+finite-difference Newton ascent.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -65,10 +62,10 @@ def _fields_hash(a):
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Polar grid whose radii accumulate toward r_max, where this family's
-    norm objectives peak.  Both counts are integers, n_radii >= 2,
-    angles_per_circle >= 8; 0 < r_max < 1.  Equality and hashing use only
-    the three fields.  Its arrays are built with it and read-only:
+    """The norm search's polar grid: n_radii radii accumulating toward r_max,
+    where this family's norm objectives peak, on angles_per_circle rays.
+    It takes no arguments, so every DiskGrid() is equal.  Its arrays are
+    built from those three constants with it, and are read-only:
 
     radii   1 - geomspace(1, 1 - r_max, n_radii), from radii[0] = 0 to
             radii[-1] = r_max exactly;
@@ -83,22 +80,11 @@ class DiskGrid:
             row (1, radius blocks), th0, th1 a column (angle blocks, 1).
     """
 
-    n_radii: int = 64
-    angles_per_circle: int = 512
-    r_max: float = 1.0 - 1e-4
+    n_radii = 64
+    angles_per_circle = 512
+    r_max = 1.0 - 1e-4
 
     def __post_init__(self) -> None:
-        for name, least in (("n_radii", 2), ("angles_per_circle", 8)):
-            try:
-                count = operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-            if count < least:
-                raise ValueError(f"{name} must be at least {least}")
-            object.__setattr__(self, name, count)
-        if not isinstance(self.r_max, numbers.Real) or not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must be a real number in (0, 1)")
-        object.__setattr__(self, "r_max", float(self.r_max))
         k, n = self.angles_per_circle, self.n_radii
         radii = 1.0 - np.geomspace(1.0, 1.0 - self.r_max, n)
         radii[0], radii[-1] = 0.0, self.r_max

@@ -12,7 +12,7 @@ and sup (1-|z|^2)^2 |S|.  The sharp
 bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
 with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` bounds both objectives
-on the cells of a DiskGrid in closed form, by a cap per atom, and
+on the cells of the one DiskGrid in closed form, by a cap per atom, and
 searches both in one sweep and one ascent; `radial_limit_report` gives
 each norm's closed-form enclosure with no search.
 """
@@ -148,27 +148,26 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
 
-def norms(f: GAlphaFunction, grid: DiskGrid | None = None) -> SchwarzReport:
+def norms(f: GAlphaFunction) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
     Off the atoms both objectives tend to 0 at the circle, so the search
     reports the heaviest atom's radial limits (`radial_limit_report`)
     unless a value one of its calls returns beats them.  One
-    sup_norm_estimate call searches both objectives and skips each on the
-    grid.cells, one per (angle block, radius block), whose bound lies below
-    its limit.  With d_k the distance from conj(zeta_k) to the cell
-    r0 <= |z| <= r1, th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|)
-    on it, so (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k =
-    (1 - rho^2)/max(d_k, 1 - rho) at rho = clip(1 - d_k, r0, r1), where it
-    peaks over the cell:
+    sup_norm_estimate call searches both objectives on DiskGrid(), built on
+    the first call and kept, and skips each on the grid.cells, one per
+    (angle block, radius block), whose bound lies below its limit.  With d_k
+    the distance from conj(zeta_k) to the cell r0 <= |z| <= r1,
+    th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so
+    (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k = (1 - rho^2)/max(d_k,
+    1 - rho) at rho = clip(1 - d_k, r0, r1), where it peaks over the cell:
 
         (1-|z|^2) |P|    <= alpha sum_k t_k c_k
         (1-|z|^2)^2 |S|  <= alpha sum_k t_k c_k^2 + (alpha sum_k t_k c_k)^2 / 2
 
     A lone atom's cell bounds are at most alpha t (1 + r_max) < 2 alpha t.
-    grid defaults to DiskGrid(), built on the first such call.
     """
-    grid = _default_grid() if grid is None else grid
+    grid = _default_grid()
     floor = radial_limit_report(f)
 
     def objective(z):

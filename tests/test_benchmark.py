@@ -1,7 +1,8 @@
-"""A smoke run of the benchmark in perfbench/: its environment record and one
-untraced pass of each workload at seed 1.  Every name of galpha that an
-untraced benchmark run reads is read here, so deleting one fails this test
-before it fails every benchmark run.
+"""A smoke run of the benchmark in perfbench/: its environment record, one
+untraced pass of each workload at seed 1 and one traced pass of norms-small.
+Every name of galpha that an untraced benchmark run reads is read here, so
+deleting one fails this test before it fails every benchmark run; the traced
+pass fails where the tracer's hooks no longer reach the norm search.
 """
 
 import importlib
@@ -39,3 +40,21 @@ def test_one_pass_of_each_workload(bench, tmp_path):
         for op in workload.prepare(inputs, directory, galpha):
             record.run(op)
         assert record.latencies and record.unexpected == 0, (name, record.failures)
+
+
+def test_traced_pass_reaches_the_norm_search(bench, tmp_path):
+    # the tracer binds sup_norm_estimate's objective and grid by name and
+    # counts the kernels under their names; it puts every function back
+    run, workloads, galpha = bench
+    norms = galpha.schwarz.norms
+    workload = workloads.WORKLOADS["norms-small"]
+    inputs = workload.generate(1)
+    workload.write(inputs, tmp_path)
+    ops = workload.prepare(inputs, tmp_path, galpha)
+    record, metrics, _ = run.traced(ops, galpha, tmp_path / "spans.json")
+    assert record.unexpected == 0, record.failures
+    for name in ("complexfn.objective.calls", "complexfn.grid_sweep.ops_computed",
+                 "schwarz.schwarzian.calls", "schwarz.pre_schwarzian.calls",
+                 "family.hprime_log_derivative.calls"):
+        assert metrics[name][0] > 0, name
+    assert galpha.schwarz.norms is norms

@@ -18,6 +18,8 @@ from galpha.specfile import (FunctionSpec, SpecFileError, load_function_spec,
                              save_function_spec, spec_from_dict, spec_to_dict)
 from galpha.verify import VerifyReport, norm_checks, run_verification
 
+from test_complexfn import grid_double, norms_on
+
 
 def write_spec(tmp_path, data, name="fn.json"):
     path = tmp_path / name
@@ -36,7 +38,7 @@ CONSTANT_SHEAR = {"alpha": 0.25, "atoms": [{"theta": 0.0, "weight": 1.0}],
 
 def near_circle_report():
     """ONE_ATOM's norm report on a grid reaching 1e-12 from the circle."""
-    sch = norms(spec_from_dict(ONE_ATOM).resolve_member(), DiskGrid(r_max=1 - 1e-12))
+    sch = norms_on(spec_from_dict(ONE_ATOM).resolve_member(), grid_double(r_max=1 - 1e-12))
     return VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None)
 
 
@@ -655,7 +657,7 @@ class TestGridConstruction:
             "import galpha.cli\n"
             "galpha.cli.build_parser()\n"
             "before = len(built)\n"
-            "galpha.DiskGrid()\n"
+            "galpha.complexfn.DiskGrid()\n"
             "sys.setprofile(None)\n"
             "print(before, len(built))\n")
         root = Path(__file__).resolve().parent.parent

@@ -15,6 +15,7 @@ from galpha.specfile import FunctionSpec
 from galpha.verify import run_verification
 
 from test_blaschke import random_product
+from test_complexfn import grid_double
 
 
 def random_measure(rng, count):
@@ -376,7 +377,7 @@ class TestMembershipAndResidual:
         rng = np.random.default_rng(66)
         for m in (1, 3, 12):
             f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, m))
-            grid = DiskGrid(16, 64, 0.999)
+            grid = grid_double(16, 64, 0.999)
             z = grid.points
             g = (f.measure.weights / (1.0 - z[..., None] * f.measure.atoms)).sum(axis=-1)
             assert abs(np.min(0.5 - (1.0 - g.real)) - grid_margin(f, grid)) <= 4e-16
@@ -387,10 +388,17 @@ class TestMembershipAndResidual:
         assert grid_margin(f) > 0.0
 
     def test_extremal_residual_vanishes(self):
-        # the single-atom member attains equality at every z in the disk
+        # the single-atom member attains equality at every z in the disk:
+        # alpha/2 - (1 - |z|^2) |P|^2/(2 alpha) - Re(z P) = 0, here formed
+        # directly from the library's P = h''/h' on two rays out to 0.99
+        # (pair_residual is 0 there by construction)
         f = GAlphaFunction(alpha=0.6, measure=single_atom(0.0))
-        r = np.linspace(0.0, 0.999, 200)
-        assert np.max(np.abs(pair_residual(f, r.astype(complex)))) < 1e-11
+        for theta in (0.0, 1.3):
+            z = np.linspace(0.0, 0.99, 200) * np.exp(1j * theta)
+            p = f.hprime_log_derivative(z)
+            residual = (0.5 * f.alpha - (1.0 - np.abs(z) ** 2) * np.abs(p) ** 2 / (2.0 * f.alpha)
+                        - (z * p).real)
+            assert np.max(np.abs(residual)) < 1e-11
 
     def test_symmetric_two_atom_origin_value(self):
         f = GAlphaFunction(alpha=0.8, measure=AtomicMeasure(

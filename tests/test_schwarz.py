@@ -8,7 +8,8 @@ from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
 
-from test_complexfn import PANEL_GRIDS, UNBOUNDED, norm_objectives, search
+from test_complexfn import (PANEL_GRIDS, UNBOUNDED, grid_double, norm_objectives, norms_on,
+                            search)
 from test_family import random_measure, random_points
 
 
@@ -157,7 +158,7 @@ class TestNorms:
             for alpha in (0.05, 0.5, 1.0):
                 for theta in (0.0, 0.7, TWO_PI * 137 / 512):
                     f = GAlphaFunction(alpha=alpha, measure=single_atom(theta))
-                    rep = norms(f, grid)
+                    rep = norms_on(f, grid)
                     assert rep.pre_schwarzian_norm.value == 2.0 * alpha
                     assert rep.schwarzian_norm.value == 2.0 * alpha * (2.0 + alpha)
                     boundary = complex(np.conj(f.measure.atoms[0]))
@@ -185,7 +186,7 @@ class TestNorms:
             alpha = float(rng.choice([0.05, 0.5, 1.0]))
             f = GAlphaFunction(alpha=alpha, measure=measure)
             t = f.measure.weights
-            rep = norms(f, grid)
+            rep = norms_on(f, grid)
             pre, sch = rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value
             assert 2 * alpha * t.max() <= pre <= 2 * alpha + 1e-6
             assert (np.max(2 * alpha * t * (2 + alpha * t)) <= sch
@@ -214,7 +215,7 @@ def recording(objective):
 
 
 def norm_calls(f, grid):
-    """norms(f, grid) and the (argument, result) of each objective call it makes."""
+    """norms(f) on grid and the (argument, result) of each objective call it makes."""
     calls = []
 
     def counted(objective, grid, **kwargs):
@@ -225,11 +226,11 @@ def norm_calls(f, grid):
         return sup_norm_estimate(recorded, grid, **kwargs)
 
     with mock.patch("galpha.schwarz.sup_norm_estimate", counted):
-        return norms(f, grid), calls
+        return norms_on(f, grid), calls
 
 
 def norm_call_sizes(f, grid):
-    """The point count of each objective call that norms(f, grid) makes."""
+    """The point count of each objective call that norms(f) on grid makes."""
     return [z.size for z, _ in norm_calls(f, grid)[1]]
 
 
@@ -282,9 +283,9 @@ def per_cell_bounds(f, r0, r1, th0, th1):
 
 
 # the default grid and a ragged one, whose edge blocks are partial
-GRIDS = (DiskGrid(), DiskGrid(n_radii=11, angles_per_circle=100))
+GRIDS = (DiskGrid(), grid_double(n_radii=11, angles_per_circle=100))
 # ... and one reaching closer to the circle
-LIMIT_GRIDS = GRIDS + (DiskGrid(r_max=1 - 1e-6),)
+LIMIT_GRIDS = GRIDS + (grid_double(r_max=1 - 1e-6),)
 
 
 def panel_members():
@@ -306,7 +307,7 @@ def panel_members():
             for f in members]
 
 
-# norms(f, DiskGrid()) of each panel_members() member, (pre-Schwarzian,
+# norms(f) of each panel_members() member, (pre-Schwarzian,
 # Schwarzian): the floor of test_no_norm_falls
 PANEL_NORMS = [
     (1.0, 2.5),
@@ -345,7 +346,7 @@ class TestCellBounds:
         # 1 - 1e-9 (where the float objectives on a one-radius edge block
         # read up to 2e-7 above the exact bound), for 1-64 atoms, half of
         # the members with atoms exactly on grid angles
-        grids = GRIDS + (DiskGrid(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
+        grids = GRIDS + (grid_double(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
         rng = np.random.default_rng(97)
         worst = 0.0
         for i in range(48):
@@ -380,7 +381,7 @@ class TestCellBounds:
                     return limit
 
                 with mock.patch("galpha.schwarz.sup_norm_estimate", recorded):
-                    norms(f, grid)
+                    norms_on(f, grid)
                 cells = np.broadcast_arrays(*grid.cells)
                 reference = per_cell_bounds(f, *(a.ravel() for a in cells))
                 reference = reference.reshape((2,) + cells[0].shape)
@@ -439,7 +440,7 @@ class TestCellBounds:
         # cell bounds
         for f in panel_members():
             for grid in GRIDS:
-                joint = norms(f, grid)
+                joint = norms_on(f, grid)
                 for which, objective in enumerate(norm_objectives(f)):
                     (lone,) = search(objective, grid, limit=[boundary_limit(f, which)],
                                      cell_bounds=cell_bounds(f, grid, which))
@@ -481,7 +482,7 @@ class TestCellBounds:
         # it by more than rounding: each estimate on the default grid stays
         # at least its value in PANEL_NORMS less 1e-12 max(1, value)
         for f, stored in zip(panel_members(), PANEL_NORMS, strict=True):
-            rep = norms(f, DiskGrid())
+            rep = norms(f)
             for est, value in zip((rep.pre_schwarzian_norm, rep.schwarzian_norm), stored):
                 assert est.value >= value - 1e-12 * max(1.0, value)
 
@@ -510,7 +511,7 @@ class TestCellBounds:
         # lies below the boundary limits 1 and 2.5, so norms reports them
         # without evaluating either objective
         f = GAlphaFunction(alpha=0.5, measure=single_atom(0.3))
-        rep, calls = norm_calls(f, DiskGrid(16, 64, 0.5))
+        rep, calls = norm_calls(f, grid_double(16, 64, 0.5))
         assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
         assert calls == []
 
@@ -532,7 +533,7 @@ class TestCellBounds:
                 calls.append((np.array(z), np.array(out)))
                 return out
 
-            runs.append((calls, search(recorded, DiskGrid(8, 32), limit=limit), limit))
+            runs.append((calls, search(recorded, grid_double(8, 32), limit=limit), limit))
         for f in (panel_members()[i] for i in (9, 14, 17)):
             rep, calls = norm_calls(f, DiskGrid())
             runs.append((calls, (rep.pre_schwarzian_norm, rep.schwarzian_norm),
