@@ -225,16 +225,13 @@ def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:
 def induced_self_map(measure: AtomicMeasure, z):
     """The disk self-map phi determined by the measure, evaluated pointwise.
 
-    phi = T/(zT - 1) with T(z) = sum_k t_k/(z - conj(zeta_k)); the formula
-    is regular at z = 0 where it returns sum_k t_k zeta_k.
+    phi = T/(zT - 1) with T(z) = sum_k t_k/(z - conj(zeta_k)), which is
+    P = h''/h' of the alpha = 1 member, formed by its _blocks; the formula
+    is regular at z = 0 where it returns sum_k t_k zeta_k.  z must lie in
+    the open disk: |z| >= 1 raises DomainError("evaluation requires |z| < 1").
     """
-    z = np.asarray(z, dtype=complex)
-    _require_finite("z", z)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("induced_self_map requires |z| < 1")
-    t = 1.0 / (z[..., None] - np.conj(measure.atoms)) @ measure.weights
-    out = t / (z * t - 1.0)
-    return out[()] if out.ndim == 0 else out
+    t = GAlphaFunction(alpha=1.0, measure=measure).hprime_log_derivative(z)
+    return t / (z * t - 1.0)
 
 
 @dataclass(frozen=True)

@@ -123,27 +123,21 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     at u = 1 - rho = clip(d_k, 1 - r1, 1 - r0) as u (2 - u)/max(d_k, u), and
     raised by 16 eps/(1 - r1) to cover the rounding here and the
     few-eps absolute errors of the objectives' 1 - |z|^2 and 1 - zeta_k z
-    near the circle.  Two (atoms x sectors) buffers are reused to keep the
-    peak memory low.
+    near the circle.
     """
     # gap runs counterclockwise from th0 to arg conj(zeta_k): delta is how
     # far that passes th1, or 2 pi - gap back to th0, whichever is smaller
     gap = np.subtract.outer(np.mod(-f.measure.angles, TWO_PI), th0)
-    np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
-    work = TWO_PI - gap
-    gap -= th1 - th0
-    delta = np.maximum(np.minimum(gap, work, out=gap), 0.0, out=gap)
-    half_sin2 = np.square(np.sin(np.multiply(delta, 0.5, out=delta), out=delta), out=delta)
-    r = np.clip(np.subtract(1.0, np.multiply(half_sin2, 2.0, out=work), out=work), r0, r1)
-    d = np.multiply(np.multiply(half_sin2, 4.0, out=half_sin2), r)
-    d += np.square(np.subtract(1.0, r, out=r), out=r)
-    np.sqrt(d, out=d)
-    u = np.clip(d, 1.0 - r1, 1.0 - r0, out=r)
-    c = np.divide(u, np.maximum(d, u, out=d), out=d)
-    c *= np.subtract(2.0, u, out=u)
-    t = np.multiply(f.measure.weights.reshape((-1,) + (1,) * (c.ndim - 1)), c, out=u)
+    gap = np.where(gap < 0.0, gap + TWO_PI, gap)
+    delta = np.maximum(np.minimum(gap - (th1 - th0), TWO_PI - gap), 0.0)
+    half_sin2 = np.sin(delta * 0.5) ** 2
+    r = np.clip(1.0 - half_sin2 * 2.0, r0, r1)
+    d = np.sqrt(half_sin2 * 4.0 * r + (1.0 - r) ** 2)
+    u = np.clip(d, 1.0 - r1, 1.0 - r0)
+    c = u / np.maximum(d, u) * (2.0 - u)
+    t = f.measure.weights.reshape((-1,) + (1,) * (c.ndim - 1)) * c
     s1 = f.alpha * t.sum(axis=0)
-    s2 = f.alpha * np.multiply(t, c, out=t).sum(axis=0)
+    s2 = f.alpha * (t * c).sum(axis=0)
     allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
     return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
@@ -171,14 +165,10 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     floor = radial_limit_report(f)
 
     def objective(z):
-        # the kernels write into the result before 1 - |z|^2 is formed, to
-        # keep the peak memory low
-        out = np.empty((2,) + np.shape(z))
-        np.abs(schwarzian(f, z), out=out[1, ...])
-        np.abs(pre_schwarzian(f, z), out=out[0, ...])
         w = 1.0 - np.abs(z) ** 2
-        out[0] *= w
-        out[1] *= w ** 2
+        out = np.empty((2,) + np.shape(z))
+        out[0] = np.abs(pre_schwarzian(f, z)) * w
+        out[1] = np.abs(schwarzian(f, z)) * w ** 2
         return out
 
     pre, sch = sup_norm_estimate(objective, grid,

@@ -472,6 +472,38 @@ class TestInducedSelfMap:
         z = random_points(rng, 400, r_max=0.95)
         assert np.max(np.abs(induced_self_map(m, z))) <= 1.0 + 1e-9
 
+    def test_domain_and_shapes(self):
+        m = random_measure(np.random.default_rng(37), 3)
+        for z in (1.0, 1.5j, [0.2, 1.0]):
+            with pytest.raises(DomainError, match=r"\|z\| < 1"):
+                induced_self_map(m, z)
+        with pytest.raises(ValueError, match="finite"):
+            induced_self_map(m, [0.1, np.nan])
+        assert isinstance(induced_self_map(m, np.asarray(0.3 - 0.2j)), np.complex128)
+        assert isinstance(induced_self_map(m, 0.5), np.complex128)
+        for shape in ((0,), (4,), (2, 3), (0, 3)):
+            assert induced_self_map(m, np.full(shape, 0.4j)).shape == shape
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 64, 128])
+    def test_against_mpmath(self, count):
+        # phi = T/(zT - 1) against 40-digit mpmath at the exact atoms, on 60
+        # random points of |z| <= 0.999, at 0.999 conj(zeta_k) for up to five
+        # atoms, where T is largest, and at z = 0; |phi| <= 1, so the error
+        # is taken absolutely
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(38 + count)
+        m = random_measure(rng, count)
+        near = 0.999 * np.conj(m.atoms[rng.choice(count, min(count, 5), replace=False)])
+        z = np.concatenate([random_points(rng, 60, r_max=0.999), near, [0.0]])
+        values = induced_self_map(m, z)
+        with mpmath.workdps(40):
+            poles = [mpmath.expj(-theta) for theta in m.angles]
+            weights = [mpmath.mpf(t) for t in m.weights]
+            for zi, v in zip(z, values):
+                w = mpmath.mpc(zi.real, zi.imag)
+                t = mpmath.fdot(weights, [1 / (w - pole) for pole in poles])
+                assert abs(mpmath.mpc(v.real, v.imag) - t / (w * t - 1)) <= 1e-13, zi
+
 
 class TestRoundTrips:
     def test_product_to_measure_to_map(self):
@@ -613,11 +645,11 @@ class TestInverse:
 
 
 # Whole-array forms of the per-point kernels, as written before blocking:
-# one (points x m) temporary per step and complex logs.  P and S take the
-# kernels' pole form, g_k = 1/(conj(zeta_k) - z): these forms check the
+# one (points x m) temporary per step and complex logs.  P, S and phi take
+# the kernels' pole form, g_k = 1/(conj(zeta_k) - z): these forms check the
 # slicing, and S's cancellation points would magnify the rounding of other
-# algebra past 1e-12; test_schwarz.py's TestKernelAccuracy checks both
-# against mpmath.
+# algebra past 1e-12; test_schwarz.py's TestKernelAccuracy checks P and S,
+# and TestInducedSelfMap phi, against mpmath.
 def whole_array_log_sum(f, z):
     return np.log(1.0 - z[..., None] * f.measure.atoms) @ f.measure.weights
 
@@ -626,12 +658,14 @@ def whole_array_kernels(f, z):
     z = np.asarray(z, dtype=complex)
     atoms, weights, alpha = f.measure.atoms, f.measure.weights, f.alpha
     g = 1.0 / (np.conj(atoms) - z[..., None])
-    p = -alpha * (g @ weights)
+    t = -(g @ weights)
+    p = alpha * t
     p_deriv = -alpha * ((g * g) @ weights)
     return {
         "hprime": np.exp(alpha * whole_array_log_sum(f, z)),
         "hprime_log_derivative": p,
         "schwarzian": p_deriv - 0.5 * p ** 2,
+        "induced_self_map": t / (z * t - 1.0),
     }
 
 
@@ -652,7 +686,8 @@ def recording_blocks(bufs, blocks=GAlphaFunction._blocks):
 def blocked_kernels(f, z):
     return {"hprime": f.hprime(z),
             "hprime_log_derivative": f.hprime_log_derivative(z),
-            "schwarzian": schwarzian(f, z)}
+            "schwarzian": schwarzian(f, z),
+            "induced_self_map": induced_self_map(f.measure, z)}
 
 
 class TestBlockedKernels:
@@ -715,7 +750,8 @@ class TestBlockedKernels:
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 28))
         hmap = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.3j))
         kernels = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
-                   "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian}
+                   "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian,
+                   "induced_self_map": lambda z: induced_self_map(f.measure, z)}
         outs = []
         monkeypatch.setattr(GAlphaFunction, "_blocks", recording_blocks(outs))
         for name, kernel in kernels.items():
