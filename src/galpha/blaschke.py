@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
-                        _fields_hash, _require_finite)
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _fields_equal,
+                        _fields_hash, _one_minus, _require_finite)
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
 _POLISH_ITERS = 200  # every pass halves a root's bracket or its Newton step
+_REACH = 1.0 + 1e-9  # the product and its boundary speed take |z| < _REACH
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,17 @@ class BlaschkeProduct:
         return int(self.zeros.size)
 
     def __call__(self, z):
-        """Evaluate the product for |z| <= 1 + 1e-9 (poles raise DomainError)."""
-        z = np.asarray(z, dtype=complex)
-        _require_finite("z", z)
-        if np.any(np.abs(z) > 1.0 + 1e-9):
-            raise DomainError("evaluation is restricted to |z| <= 1 + 1e-9")
-        zz = z[..., None]
-        denom = 1.0 - np.conj(self.zeros) * zz
-        if np.any(np.abs(denom) < 1e-12):
-            raise DomainError("z coincides with a pole 1/conj(b)")
-        out = self.prefactor * np.prod((zz - self.zeros) / denom, axis=-1)
-        return out[()] if out.ndim == 0 else out
+        """Evaluate the product for |z| < 1 + 1e-9 (poles raise DomainError)."""
+        def kernel(zb, buf):
+            denom = _one_minus(zb, np.conj(self.zeros), buf)
+            if np.any(np.abs(denom) < 1e-12):
+                raise DomainError("z coincides with a pole 1/conj(b)")
+            # prefactor * (a temporary) would multiply in place, operands
+            # swapped, and round unlike a call of another size
+            return np.multiply(self.prefactor, np.prod(
+                np.divide(zb[:, None] - self.zeros, denom, out=buf), axis=1))
+
+        return _blocks(z, self.degree, kernel, _REACH)
 
     def boundary_speed(self, theta):
         """d/dtheta of arg(phi(e^(i theta))) = sum_k (1-|b_k|^2)/|e^(i theta)-b_k|^2.
@@ -78,12 +79,12 @@ class BlaschkeProduct:
         Real and strictly positive for degree >= 1; this is also
         Re(z phi'(z)/phi(z)) on the circle.
         """
-        z = np.exp(1j * np.asarray(theta, dtype=float))
         b = self.zeros
         # re^2 + im^2 rounds less than abs(b)**2; 1 - |b|^2 magnifies that
-        out = ((1.0 - (b.real ** 2 + b.imag ** 2))
-               / np.abs(z[..., None] - b) ** 2).sum(axis=-1)
-        return out[()] if out.ndim == 0 else out
+        scale = 1.0 - (b.real ** 2 + b.imag ** 2)
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        return _blocks(z, self.degree, lambda zb, buf: (
+            scale / np.abs(np.subtract(zb[:, None], b, out=buf)) ** 2).sum(axis=1), _REACH)
 
 
 def _phase_offset(phi: BlaschkeProduct, t):

@@ -1,8 +1,10 @@
 """Numeric kernel for unit-disk computations.
 
-The one disk sampling grid the norm search uses, and sup-norm estimation of
-several objectives at once by one sweep of that grid and one batched
-finite-difference Newton ascent.  Everything here is pure and reentrant.
+_blocks, the one evaluator of per-point work, which every kernel of a
+member and of a Blaschke product runs through; the one disk sampling grid
+the norm search uses, and sup-norm estimation of several objectives at once
+by one sweep of that grid and one batched finite-difference Newton ascent.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Per-point kernels run on slices of about this many (point, term) pairs, so
+# their temporaries stay near 4 MB whatever the input size and term count.
+_BLOCK = 1 << 17
 # refinement starts from the best point of this many top angle rows
 _ROW_STARTS = 8
 # the sweep's cells of angles x radii
@@ -58,6 +63,39 @@ def _fields_hash(a):
     where the generated hash hashes the array; -0.0 and 0.0 hash alike."""
     return hash(tuple(tuple(np.ravel(getattr(a, f.name)).tolist())
                       for f in fields(a) if f.compare))
+
+
+def _one_minus(z, atoms, out):
+    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out; atoms is
+    broadcast to that shape, as a (1, 1) outer product would round apart."""
+    u = np.multiply(z[:, None], np.broadcast_to(atoms, out.shape), out=out)
+    return np.subtract(1.0, u, out=u)
+
+
+def _blocks(z, width, kernel, bound=1.0):
+    """kernel over the points of z, |z| < bound, on the fewest slices of at
+    most _BLOCK // width points, whose sizes differ by at most one.
+
+    kernel(zb, buf) gets a 1-d slice zb and buf, a (zb.size, width) complex
+    view of one buffer shared by every slice (width may be 0), in which it
+    forms its terms per (point, term): fresh slice-sized arrays let the
+    allocator hand memory back to the system and fault it in again.  It
+    returns one value per point of zb; the result has the shape of z, and a
+    0-d z gives a numpy scalar.  Balanced slices leave no short tail: a
+    one-point slice runs its kernel's products down a different numpy
+    path, which rounds differently.
+    """
+    z = np.asarray(z, dtype=complex)
+    _require_finite("z", z)
+    if (np.abs(z) >= bound).any():
+        raise DomainError(f"evaluation requires |z| < {bound}")
+    flat = z.ravel()
+    n = max(1, -(-flat.size // max(1, _BLOCK // max(1, width))))
+    work = np.empty((-(-flat.size // n), width), dtype=complex)
+    ends = [i * flat.size // n for i in range(n + 1)]
+    parts = [kernel(flat[a:b], work[:b - a]) for a, b in zip(ends, ends[1:])]
+    out = (parts[0] if n == 1 else np.concatenate(parts)).reshape(np.shape(z))
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, boundary_roots
-from .complexfn import (TWO_PI, ConvergenceError, DomainError, _fields_equal,
-                        _fields_hash, _require_finite)
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _fields_equal,
+                        _fields_hash, _one_minus, _require_finite)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
-# Per-point kernels run on slices of about this many (point, atom) pairs, so
-# their temporaries stay near 4 MB whatever the input size and atom count.
-_BLOCK = 1 << 17
 # h and g integrate h' on |z| <= _PATH_LIMIT, checked with an ulp to spare
 # for |r e^(i theta)| rounding above r, on panels of 10 Gauss-Legendre nodes
 _PATH_LIMIT = 1.0 - 1e-6
@@ -68,13 +65,6 @@ def _path_integral(z, integrand):
         t = a + half * (1.0 + nodes)
         out = out + np.tensordot(half * weights, integrand(np.multiply.outer(t, z)), 1)
     return z * out  # a ufunc on 0-d operands returns a numpy scalar
-
-
-def _one_minus(z, atoms, out):
-    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out; atoms is
-    broadcast to that shape, as a (1, 1) outer product would round apart."""
-    u = np.multiply(z[:, None], np.broadcast_to(atoms, out.shape), out=out)
-    return np.subtract(1.0, u, out=u)
 
 
 def _pole_terms(z, poles, out):
@@ -226,9 +216,9 @@ def induced_self_map(measure: AtomicMeasure, z):
     """The disk self-map phi determined by the measure, evaluated pointwise.
 
     phi = T/(zT - 1) with T(z) = sum_k t_k/(z - conj(zeta_k)), which is
-    P = h''/h' of the alpha = 1 member, formed by its _blocks; the formula
-    is regular at z = 0 where it returns sum_k t_k zeta_k.  z must lie in
-    the open disk: |z| >= 1 raises DomainError("evaluation requires |z| < 1").
+    P = h''/h' of the alpha = 1 member, formed by complexfn's _blocks; the
+    formula is regular at z = 0 where it returns sum_k t_k zeta_k.  z must lie
+    in the open disk: |z| >= 1 raises DomainError("evaluation requires |z| < 1.0").
     """
     t = GAlphaFunction(alpha=1.0, measure=measure).hprime_log_derivative(z)
     return t / (z * t - 1.0)
@@ -246,47 +236,18 @@ class GAlphaFunction:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def _blocks(self, z, kernel):
-        """kernel over the points of z, on the fewest slices of at most
-        _BLOCK // m points, whose sizes differ by at most one.
-
-        kernel(zb, buf) gets a 1-d slice zb and buf, a (zb.size, m) complex
-        view of one buffer shared by every slice, in which it forms its
-        per-(point, atom) terms: fresh slice-sized arrays let the allocator
-        hand memory back to the system and fault it in again.  It returns
-        one value per point of zb; the result has the shape of z, and a 0-d
-        z gives a numpy scalar.
-        Balanced slices leave no short tail: a one-point slice runs its
-        kernel's products down a different numpy path, which rounds
-        differently.  z must lie in the open disk.
-        """
-        z = np.asarray(z, dtype=complex)
-        _require_finite("z", z)
-        if (np.abs(z) >= 1.0).any():
-            raise DomainError("evaluation requires |z| < 1")
-        flat, m = z.ravel(), self.measure.count
-        n = max(1, -(-flat.size // max(1, _BLOCK // m)))
-        work = np.empty((-(-flat.size // n), m), dtype=complex)
-        if n == 1:
-            out = kernel(flat, work)
-        else:
-            ends = [i * flat.size // n for i in range(n + 1)]
-            out = np.concatenate([kernel(flat[a:b], work[:b - a])
-                                  for a, b in zip(ends, ends[1:])])
-        out = out.reshape(np.shape(z))
-        return out[()] if out.ndim == 0 else out
-
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""
         atoms, weights, alpha = self.measure.atoms, self.measure.weights, self.alpha
-        return self._blocks(
-            z, lambda zb, buf: np.exp(alpha * _log_sum(_one_minus(zb, atoms, buf), weights)))
+        return _blocks(z, self.measure.count, lambda zb, buf: np.exp(
+            alpha * _log_sum(_one_minus(zb, atoms, buf), weights)))
 
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k/(1 - zeta_k z) = alpha sum_k t_k/(z - p_k)
         = alpha T, for `induced_self_map`'s T and its poles p_k = conj(zeta_k)."""
         poles, weights, alpha = np.conj(self.measure.atoms), self.measure.weights, self.alpha
-        return self._blocks(z, lambda zb, buf: -alpha * (_pole_terms(zb, poles, buf) @ weights))
+        return _blocks(z, self.measure.count,
+                       lambda zb, buf: -alpha * (_pole_terms(zb, poles, buf) @ weights))
 
     def coefficients(self, n_max: int, error_bound: bool = False):
         """Taylor coefficients a_1..a_n_max of h (a_1 = 1, a_n = c_(n-1)/n).

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
+from .complexfn import TWO_PI, DiskGrid, NormEstimate, _blocks, sup_norm_estimate
 from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
@@ -48,7 +48,7 @@ def schwarzian(f: GAlphaFunction, z):
         p = -alpha * (g @ weights)
         return -alpha * (np.multiply(g, g, out=g) @ weights) - 0.5 * p ** 2
 
-    return f._blocks(z, kernel)
+    return _blocks(z, f.measure.count, kernel)
 
 
 def _radial_limits(alpha, t):

@@ -73,6 +73,29 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             phi(1.5 + 0.0j)
 
+    def test_degree_zero_and_domain(self):
+        # the product and its boundary speed take their shape, scalar result
+        # and checks of z from _blocks, also at degree 0 where a slice has
+        # no terms
+        pre = np.exp(0.9j)
+        z = 0.5 * np.exp(1j * np.arange(6.0)).reshape(2, 3)
+        const = BlaschkeProduct(zeros=[], prefactor=pre)
+        assert np.array_equal(const(z), np.full((2, 3), pre))
+        value = const(np.asarray(0.25j))
+        assert isinstance(value, np.complex128) and value == pre
+        theta = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(const.boundary_speed(theta), np.zeros((3, 2)))
+        assert isinstance(const.boundary_speed(0.5), np.float64)
+        for phi in (const, BlaschkeProduct(zeros=[0.1, 0.3j])):
+            with pytest.raises(DomainError):
+                phi(np.array([0.5, 1.5]))
+            for bad in (np.nan, np.array([0.5, np.nan + 0j])):
+                with pytest.raises(ValueError, match="finite") as raised:
+                    phi(bad)
+                assert not isinstance(raised.value, DomainError)
+            with pytest.raises(ValueError, match="finite"):
+                phi.boundary_speed(np.array([0.0, np.nan]))
+
     @settings(max_examples=100, deadline=None)
     @given(r=st.floats(0.0, 0.9), zeta=st.floats(0.0, TWO_PI),
            theta=st.floats(0.0, TWO_PI))

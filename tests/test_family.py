@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from galpha import family, harmonic, verify
+from galpha import complexfn, family, harmonic, verify
 from galpha.blaschke import BlaschkeProduct
 from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
@@ -669,18 +670,26 @@ def whole_array_kernels(f, z):
     }
 
 
-def recording_blocks(bufs, blocks=GAlphaFunction._blocks):
-    """_blocks, appending to bufs the buffer view it hands each slice's
-    kernel, filled with NaN, and checking that the kernel wrote all of it."""
-    def recorded(self, z, kernel):
+def recording_blocks(monkeypatch, bufs):
+    """Patch _blocks in every loaded galpha module whose vars() bind it, so
+    that it appends to bufs the buffer view it hands each slice's kernel,
+    filled with NaN, and checks that the kernel wrote all of it."""
+    blocks = complexfn._blocks
+
+    def recorded(z, width, kernel, bound=1.0):
         def spy(zb, buf):
             bufs.append(buf)
             buf.fill(np.nan)
             out = kernel(zb, buf)
             assert not np.isnan(buf).any(), "the kernel formed its terms elsewhere"
             return out
-        return blocks(self, z, spy)
-    return recorded
+        return blocks(z, width, spy, bound)
+
+    binders = {name for name, module in sys.modules.items()
+               if name.split(".")[0] == "galpha" and vars(module).get("_blocks") is blocks}
+    assert {"galpha.complexfn", "galpha.family", "galpha.schwarz", "galpha.blaschke"} <= binders
+    for name in binders:
+        monkeypatch.setattr(sys.modules[name], "_blocks", recorded)
 
 
 def blocked_kernels(f, z):
@@ -690,12 +699,18 @@ def blocked_kernels(f, z):
             "induced_self_map": induced_self_map(f.measure, z)}
 
 
+def product_kernels(phi, z):
+    """A Blaschke product's two _blocks kernels at z: phi(z), and its
+    boundary speed at the angle of z."""
+    return {"product": phi(z), "boundary_speed": phi.boundary_speed(np.angle(z))}
+
+
 class TestBlockedKernels:
     def test_match_whole_array_formulas(self):
         rng = np.random.default_rng(62)
         for m in (3, 64):
             f = GAlphaFunction(alpha=0.75, measure=random_measure(rng, m))
-            step = family._BLOCK // m
+            step = complexfn._BLOCK // m
             inputs = [DiskGrid().points,
                       random_points(rng, 2 * step + 123, r_max=0.999),
                       np.asarray(0.3 - 0.6j), 0.95j, np.empty((0, 3), complex)]
@@ -709,15 +724,18 @@ class TestBlockedKernels:
 
     def test_grid_call_equals_its_halves_bit_for_bit(self):
         # at m = 28 the default grid's 32,768 points exceed a whole number
-        # of _BLOCK // m = 4,681-point slices by one point
+        # of _BLOCK // m = 4,681-point slices by one point; a product of
+        # degree 28 is sliced alike, and one of degree 1 not at all
         rng = np.random.default_rng(64)
         z = DiskGrid().points.ravel()
         halves = np.array_split(z, 2)
-        for _ in range(10):
-            f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
-                               measure=random_measure(rng, 28))
-            whole = blocked_kernels(f, z)
-            parts = [blocked_kernels(f, half) for half in halves]
+        cases = [(blocked_kernels, GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
+                                                  measure=random_measure(rng, 28)))
+                 for _ in range(10)]
+        cases += [(product_kernels, random_product(rng, degree)) for degree in (1, 28)]
+        for kernels, f in cases:
+            whole = kernels(f, z)
+            parts = [kernels(f, half) for half in halves]
             for name, values in whole.items():
                 split = np.concatenate([part[name] for part in parts])
                 assert np.array_equal(values, split), name
@@ -741,33 +759,51 @@ class TestBlockedKernels:
                                       whole[start:start + 3000]), (m, start)
             for i in range(0, z.size, 997):
                 assert f.hprime(z[i]) == whole[i], (m, i)
+        # and a product's two kernels at a point, alone or in the grid
+        for degree in (1, 28):
+            phi = random_product(rng, degree)
+            whole = product_kernels(phi, z)
+            for i in range(0, z.size, 997):
+                for name, value in product_kernels(phi, z[i]).items():
+                    assert value == whole[name][i], (degree, name, i)
 
     def test_slices_share_one_buffer(self, monkeypatch):
-        # the default grid makes 8 slices at m = 28; each kernel forms its
-        # terms in the view of one buffer that _blocks hands it, not in a
-        # fresh slice-sized array
+        # the default grid makes 8 slices at m = 28 and one at m = 1; each
+        # kernel forms its terms in the view of one buffer that _blocks
+        # hands it, not in a fresh slice-sized array
         rng = np.random.default_rng(67)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 28))
         hmap = HarmonicMap(analytic_part=f, dilatation=DilatationSpec.constant(0.3j))
         kernels = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
                    "schwarzian": lambda z: schwarzian(f, z), "jacobian": hmap.jacobian,
                    "induced_self_map": lambda z: induced_self_map(f.measure, z)}
+        slices = dict.fromkeys(kernels, 8)
+        for degree in (1, 28):
+            phi = random_product(rng, degree)
+            kernels[f"product_{degree}"] = phi
+            kernels[f"boundary_speed_{degree}"] = lambda z, phi=phi: phi.boundary_speed(np.angle(z))
+            slices[f"product_{degree}"] = slices[f"boundary_speed_{degree}"] = 8 if degree > 1 else 1
         outs = []
-        monkeypatch.setattr(GAlphaFunction, "_blocks", recording_blocks(outs))
+        recording_blocks(monkeypatch, outs)
         for name, kernel in kernels.items():
             outs.clear()
             kernel(DiskGrid().points)
-            assert len(outs) == 8, name
+            assert len(outs) == slices[name], name
             assert all(out is not None and np.shares_memory(out, outs[0])
                        for out in outs), name
 
     def test_temporaries_bounded(self):
+        # a degree-32 product on the grid once broadcast 32.5 MB of
+        # (points x zeros) terms, and its boundary speed 24.5 MB
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
         z = DiskGrid().points
-        dilatation = DilatationSpec.blaschke_scaled(0.5, BlaschkeProduct(zeros=[0.3, -0.5j]))
+        theta = np.angle(z)
+        phi = random_product(rng, 32)
+        dilatation = DilatationSpec.blaschke_scaled(0.5, phi)
         kernels = {"hprime": f.hprime, "schwarzian": lambda z: schwarzian(f, z),
-                   "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian}
+                   "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian,
+                   "product": phi, "boundary_speed": lambda z: phi.boundary_speed(theta)}
         for name, kernel in kernels.items():
             tracemalloc.start()
             try:
@@ -802,7 +838,7 @@ class TestVerifyWork:
         spec = FunctionSpec(alpha=0.3, measure=roots_of_unity_measure(28),
                             dilatation=DilatationSpec.polynomial([0.1, 0.2j]))
         slices = []
-        monkeypatch.setattr(GAlphaFunction, "_blocks", recording_blocks(slices))
+        recording_blocks(monkeypatch, slices)
         assert run_verification(spec).passed
         assert slices == []
 
