@@ -22,7 +22,7 @@ from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _fields_
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
 _POLISH_ITERS = 200  # every pass halves a root's bracket or its Newton step
-_REACH = 1.0 + 1e-9  # the product and its boundary speed take |z| < _REACH
+_REACH = 1.0 + 1e-9  # the product takes |z| < _REACH
 
 
 @dataclass(frozen=True)
@@ -73,28 +73,21 @@ class BlaschkeProduct:
 
         return _blocks(z, self.degree, kernel, _REACH)
 
-    def boundary_speed(self, theta):
-        """d/dtheta of arg(phi(e^(i theta))) = sum_k (1-|b_k|^2)/|e^(i theta)-b_k|^2.
 
-        Real and strictly positive for degree >= 1; this is also
-        Re(z phi'(z)/phi(z)) on the circle.
-        """
-        b = self.zeros
-        # re^2 + im^2 rounds less than abs(b)**2; 1 - |b|^2 magnifies that
-        scale = 1.0 - (b.real ** 2 + b.imag ** 2)
-        z = np.exp(1j * np.asarray(theta, dtype=float))
-        return _blocks(z, self.degree, lambda zb, buf: (
-            scale / np.abs(np.subtract(zb[:, None], b, out=buf)) ** 2).sum(axis=1), _REACH)
+def _lift(phi: BlaschkeProduct, t):
+    """The offset Theta(t) - (m+1) t and the slope Theta'(t) - 1, where Theta
+    lifts arg(e^(i t) phi(e^(i t))), both from one array w_k = 1 - b_k e^(-i t).
 
-
-def _phase_offset(phi: BlaschkeProduct, t):
-    """Theta(t) - (m+1) t, where Theta lifts arg(e^(i t) phi(e^(i t))).
-
-    Each factor equals e^(i t) w/conj(w) with w = 1 - b e^(-i t) and
-    Re w > 0, so its argument lifts to t + 2 arg(w) in closed form.
+    Each factor equals e^(i t) w/conj(w) with Re w > 0, so its argument lifts
+    to t + 2 arg(w) in closed form, with derivative (1 - |b|^2)/|w|^2, as
+    |e^(i t) - b| = |w|; the slope is Re(z phi'(z)/phi(z)) on the circle.
     """
-    w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * phi.zeros
-    return 2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor)
+    b = phi.zeros
+    w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * b
+    # re^2 + im^2 rounds less than abs(b)**2; 1 - |b|^2 magnifies that
+    scale = 1.0 - (b.real ** 2 + b.imag ** 2)
+    return (2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor),
+            (scale / np.abs(w) ** 2).sum(axis=-1))
 
 
 def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
@@ -103,25 +96,27 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     (0, 1] and sum to 1 within 1e-10 (ConvergenceError otherwise).
 
     The closed-form lift Theta(t) of arg(z*phi(z)), z = e^(i t), increases
-    strictly by 2 pi (m+1) over a full turn with Theta' = 1 + boundary_speed,
-    so the roots are the m+1 solutions of Theta(t) = 2 pi j for the levels
-    in [Theta(0), Theta(0) + 2 pi (m+1)).  All of them are polished at once
-    by Newton steps on (Theta - level)/(m+1), each guarded by its own
-    bisection bracket in [0, 2 pi], then finished with Newton steps on the
-    principal residual arg(z*phi(z)).
+    strictly by 2 pi (m+1) over a full turn with Theta' > 1, so the roots are
+    the m+1 solutions of Theta(t) = 2 pi j for the levels in
+    [Theta(0), Theta(0) + 2 pi (m+1)).  All of them are polished at once by
+    Newton steps on (Theta - level)/(m+1), each guarded by its own bisection
+    bracket in [0, 2 pi], then finished with Newton steps on the principal
+    residual arg(z*phi(z)).  Each step reads Theta and Theta' from one pass
+    of _lift over the (m+1) x m array w, and the residues are 1/Theta'.
     """
     m1 = phi.degree + 1
-    theta0 = float(_phase_offset(phi, 0.0))
+    theta0 = float(_lift(phi, 0.0)[0])
     # levels and residual are scaled by 1/(m+1), so no term grows like 2 pi m
     levels = TWO_PI * (math.ceil(theta0 / TWO_PI) + np.arange(m1)) / m1
     t = levels - theta0 / m1
     lo, hi = np.zeros(m1), np.full(m1, TWO_PI)
     step = np.full(m1, TWO_PI)
     for _ in range(_POLISH_ITERS):
-        g = t + _phase_offset(phi, t) / m1 - levels
+        offset, slope = _lift(phi, t)
+        g = t + offset / m1 - levels
         lo = np.where(g < 0.0, t, lo)
         hi = np.where(g < 0.0, hi, t)
-        newton = t - g * m1 / (1.0 + phi.boundary_speed(t))
+        newton = t - g * m1 / (1.0 + slope)
         # near enough for the principal-residual steps, or t resolved to roundoff
         done = ((np.abs(g) * m1 <= 1e-10)
                 | (np.minimum(np.abs(newton - t), hi - lo) <= _EPS * TWO_PI))
@@ -135,9 +130,9 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError("boundary root polish did not converge")
     for _ in range(2):
         z = np.exp(1j * t)
-        t = t - np.angle(z * phi(z)) / (1.0 + phi.boundary_speed(t))
-
-    residues = 1.0 / (1.0 + phi.boundary_speed(t))
+        t = t - np.angle(z * phi(z)) / (1.0 + slope)
+        slope = _lift(phi, t)[1]
+    residues = 1.0 / (1.0 + slope)
     if abs(residues.sum() - 1.0) > 1e-10:
         raise ConvergenceError("boundary residues do not sum to 1 within 1e-10")
     return np.exp(1j * t), residues

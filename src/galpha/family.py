@@ -183,8 +183,9 @@ def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:
     N's monomial coefficients are never formed.  T(b) = 0 makes b a convex
     combination of the p_k, with weights t_k/|b - p_k|^2, so the zeros lie
     in the closed disk (the Gauss-Lucas argument; Marden, Geometry of
-    Polynomials, AMS 1966).  The prefactor is fixed by matching a pointwise
-    value.
+    Polynomials, AMS 1966).  The prefactor is fixed by matching phi at the
+    one of 16 points on |z| = 0.9 where |B| is largest: with zeros near the
+    circle, |B| at a fixed point can fall below 1e-15 at degree 96.
     """
     poles, weights = np.conj(measure.atoms), measure.weights
     pivot = int(np.argmax(weights))
@@ -199,15 +200,11 @@ def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:
     if zeros.size and np.max(np.abs(zeros)) >= 1.0 - 1e-12:
         raise ConvergenceError("recovered zeros touch the unit circle; "
                                "the measure is too close to degenerate")
-    candidate = BlaschkeProduct(zeros=zeros, prefactor=1.0)
-    for probe in (0.0 + 0.0j, 0.37 + 0.29j, -0.21 + 0.43j):
-        ref = candidate(probe)
-        if abs(ref) > 1e-8:
-            prefactor = complex(induced_self_map(measure, probe) / ref)
-            break
-    else:  # |B| <= 1e-8 at every probe, as at degree >= 64 with zeros near the circle
-        raise ConvergenceError("could not normalize the recovered prefactor")
-    if abs(abs(prefactor) - 1.0) > 1e-6:
+    ring = 0.9 * np.exp(1j * TWO_PI * np.arange(16) / 16)
+    values = BlaschkeProduct(zeros=zeros)(ring)
+    k = int(np.argmax(np.abs(values)))
+    prefactor = complex(induced_self_map(measure, ring[k]) / values[k])
+    if not abs(abs(prefactor) - 1.0) <= 1e-6:  # NaN where B underflows on the ring
         raise ConvergenceError("recovered prefactor is not unimodular")
     return BlaschkeProduct(zeros=zeros, prefactor=prefactor / abs(prefactor))
 

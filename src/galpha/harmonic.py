@@ -91,7 +91,7 @@ class DilatationSpec:
             k = int(np.argmax(self.coefficients != 0))
             out = z ** k * np.polynomial.polynomial.polyval(z, self.coefficients[k:])
         else:
-            out = self.scale * self.blaschke(z)
+            out = np.multiply(self.scale, self.blaschke(z))  # as the product applies its prefactor
         out = np.asarray(out, dtype=complex)
         return out[()] if out.ndim == 0 else out
 

@@ -1,7 +1,8 @@
 """A smoke run of the benchmark in perfbench/: its environment record, one
 untraced pass of each workload at seed 1 and one traced pass of norms-small.
 Every name of galpha that an untraced benchmark run reads is read here, so
-deleting one fails this test before it fails every benchmark run; the traced
+deleting one fails this test before it fails every benchmark run, and every
+operation's output must pass the benchmark's own checks; the traced
 pass fails where the tracer's hooks no longer reach the norm search.
 """
 
@@ -39,7 +40,8 @@ def test_one_pass_of_each_workload(bench, tmp_path):
         record = run.Pass()
         for op in workload.prepare(inputs, directory, galpha):
             record.run(op)
-        assert record.latencies and record.unexpected == 0, (name, record.failures)
+        assert record.latencies and record.unexpected == record.failed == 0, (
+            name, record.failures)
 
 
 def test_traced_pass_reaches_the_norm_search(bench, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpha.blaschke import BlaschkeProduct, _phase_offset, boundary_roots
+from galpha import blaschke
+from galpha.blaschke import BlaschkeProduct, _lift, boundary_roots
 from galpha.complexfn import ConvergenceError, DomainError, TWO_PI
 
 
@@ -16,7 +17,13 @@ def random_product(rng, degree, r_cap=0.95, random_prefactor=True):
 
 def phase_lift(phi, t):
     """Lift of arg(e^(it) phi(e^(it))) from t = 0: the form boundary_roots solves."""
-    return (phi.degree + 1) * t + _phase_offset(phi, t) - _phase_offset(phi, 0.0)
+    return (phi.degree + 1) * t + _lift(phi, t)[0] - _lift(phi, 0.0)[0]
+
+
+def poisson_speed(phi, z):
+    """1 + sum_k (1 - |b_k|^2)/|z - b_k|^2: d/dt arg(z phi(z)) at z = e^(it)."""
+    b = phi.zeros
+    return 1.0 + ((1.0 - np.abs(b) ** 2) / np.abs(np.asarray(z)[..., None] - b) ** 2).sum(axis=-1)
 
 
 class TestEvaluation:
@@ -74,18 +81,14 @@ class TestEvaluation:
             phi(1.5 + 0.0j)
 
     def test_degree_zero_and_domain(self):
-        # the product and its boundary speed take their shape, scalar result
-        # and checks of z from _blocks, also at degree 0 where a slice has
-        # no terms
+        # the product takes its shape, scalar result and checks of z from
+        # _blocks, also at degree 0 where a slice has no terms
         pre = np.exp(0.9j)
         z = 0.5 * np.exp(1j * np.arange(6.0)).reshape(2, 3)
         const = BlaschkeProduct(zeros=[], prefactor=pre)
         assert np.array_equal(const(z), np.full((2, 3), pre))
         value = const(np.asarray(0.25j))
         assert isinstance(value, np.complex128) and value == pre
-        theta = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(const.boundary_speed(theta), np.zeros((3, 2)))
-        assert isinstance(const.boundary_speed(0.5), np.float64)
         for phi in (const, BlaschkeProduct(zeros=[0.1, 0.3j])):
             with pytest.raises(DomainError):
                 phi(np.array([0.5, 1.5]))
@@ -93,8 +96,6 @@ class TestEvaluation:
                 with pytest.raises(ValueError, match="finite") as raised:
                     phi(bad)
                 assert not isinstance(raised.value, DomainError)
-            with pytest.raises(ValueError, match="finite"):
-                phi.boundary_speed(np.array([0.0, np.nan]))
 
     @settings(max_examples=100, deadline=None)
     @given(r=st.floats(0.0, 0.9), zeta=st.floats(0.0, TWO_PI),
@@ -180,7 +181,7 @@ class TestBoundaryRoots:
 
     def test_zeros_near_the_circle(self):
         # the lift steepens to ~2/(1-|b|) near arg b; every root must still
-        # solve z*phi(z) = 1 to roundoff in t
+        # solve z*phi(z) = 1 to roundoff in t, and its residue is 1/speed
         rng = np.random.default_rng(19)
         eps = np.finfo(float).eps
         for gap in (1e-6, 1e-9):
@@ -190,9 +191,11 @@ class TestBoundaryRoots:
             roots, residues = boundary_roots(phi)
             assert roots.size == 13
             assert abs(residues.sum() - 1.0) < 1e-10
-            speed = 1.0 + phi.boundary_speed(np.angle(roots))
+            speed = poisson_speed(phi, roots)
             assert np.all(np.abs(np.angle(roots * phi(roots)))
                           <= 64 * eps * speed)
+            # |z - b| cancels to ~gap near arg b, in either form of it
+            assert np.allclose(residues * speed, 1.0, rtol=0.0, atol=8 * eps / gap)
 
     def test_zero_at_the_rejection_margin(self):
         # the accepted |b| < 1 - 1e-12 leaves a residue near 1e-12 at z = 1
@@ -219,8 +222,8 @@ class TestBoundaryRoots:
 
     def test_residue_sum_is_checked(self, monkeypatch):
         # residues that miss 1 by more than the solver's 1e-10 are its failure
-        speed = BlaschkeProduct.boundary_speed
-        monkeypatch.setattr(BlaschkeProduct, "boundary_speed",
-                            lambda self, theta: 2.0 * speed(self, theta))
+        lift = blaschke._lift
+        monkeypatch.setattr(blaschke, "_lift", lambda phi, t: (
+            lift(phi, t)[0], 2.0 * lift(phi, t)[1]))
         with pytest.raises(ConvergenceError, match="sum to 1"):
             boundary_roots(BlaschkeProduct(zeros=[0.5 + 0.0j]))

@@ -534,6 +534,12 @@ class TestRoundTrips:
         assert grid_margin(f) > 0.0
 
 
+# blaschke_from_measure matches phi where |B| is largest on these points
+NORMALIZING_RING = 0.9 * np.exp(1j * TWO_PI * np.arange(16) / 16)
+# the benchmark's inverse check compares B and phi on these 768 points
+INVERSE_SAMPLES = np.exp(1j * TWO_PI * np.arange(96) / 96)[:, None] * np.linspace(0.1125, 0.9, 8)
+
+
 def expanded_numerator_zeros(measure):
     """np.roots of N(z) = sum_k t_k prod_{i != k} (z - p_i) expanded in the
     monomial basis, one np.poly per atom."""
@@ -548,13 +554,10 @@ def expansion_rebuild_error(measure, z):
     zeros = expanded_numerator_zeros(measure)
     if np.max(np.abs(zeros)) >= 1.0 - 1e-12:
         return np.inf
-    candidate = BlaschkeProduct(zeros=zeros)
-    probe = next((w for w in (0.0, 0.37 + 0.29j, -0.21 + 0.43j) if abs(candidate(w)) > 1e-8),
-                 None)
-    if probe is None:
-        return np.inf
-    prefactor = induced_self_map(measure, probe) / candidate(probe)
-    if abs(abs(prefactor) - 1.0) > 1e-6:
+    values = BlaschkeProduct(zeros=zeros)(NORMALIZING_RING)
+    k = np.argmax(np.abs(values))
+    prefactor = induced_self_map(measure, NORMALIZING_RING[k]) / values[k]
+    if not abs(abs(prefactor) - 1.0) <= 1e-6:
         return np.inf
     rebuilt = BlaschkeProduct(zeros=zeros, prefactor=prefactor / abs(prefactor))
     return np.max(np.abs(rebuilt(z) - induced_self_map(measure, z)))
@@ -626,6 +629,19 @@ class TestInverse:
         for phi in products[2], products[4], products[5]:
             assert rebuild_error(measure_from_blaschke(phi), z) < 1e-8
         assert expansion_rebuild_error(measure_from_blaschke(products[5]), z) > 1e-8
+
+    def test_edges_rebuild(self):
+        # degree 0; degree 1 with its zero near the circle, or on the
+        # normalizing ring, where B vanishes; and the benchmark roundtrip
+        # panel's d64, d96 and d128 products, whose |B| fell to 6.6e-12,
+        # 7.2e-16 and 5.3e-16 at the best of three fixed normalizing points
+        products = [BlaschkeProduct(zeros=[], prefactor=np.exp(0.9j)),
+                    BlaschkeProduct(zeros=[0.999 * np.exp(2.0j)], prefactor=np.exp(-1.1j)),
+                    BlaschkeProduct(zeros=[0.9], prefactor=np.exp(0.4j))]
+        products += list(near_circle_products(np.random.default_rng(ROUNDTRIP_PANEL_SEED),
+                                              (8, 12, 16, 24, 32, 48, 64, 96, 128)))[6:]
+        for phi in products:
+            assert rebuild_error(measure_from_blaschke(phi), INVERSE_SAMPLES) < 1e-12, phi.degree
 
     def test_rebuilds_every_product_the_expansion_rebuilds(self):
         rng = np.random.default_rng(43)
@@ -700,9 +716,8 @@ def blocked_kernels(f, z):
 
 
 def product_kernels(phi, z):
-    """A Blaschke product's two _blocks kernels at z: phi(z), and its
-    boundary speed at the angle of z."""
-    return {"product": phi(z), "boundary_speed": phi.boundary_speed(np.angle(z))}
+    """A Blaschke product's one _blocks kernel at z: phi(z)."""
+    return {"product": phi(z)}
 
 
 class TestBlockedKernels:
@@ -759,13 +774,16 @@ class TestBlockedKernels:
                                       whole[start:start + 3000]), (m, start)
             for i in range(0, z.size, 997):
                 assert f.hprime(z[i]) == whole[i], (m, i)
-        # and a product's two kernels at a point, alone or in the grid
-        for degree in (1, 28):
-            phi = random_product(rng, degree)
-            whole = product_kernels(phi, z)
+        # and a product, or a dilatation that scales one, at a point, alone
+        # or in the grid; scale * (a temporary) multiplied in place once the
+        # temporary reached 16,384 points, and rounded apart
+        omegas = [random_product(rng, degree) for degree in (1, 28)]
+        omegas += [DilatationSpec.blaschke_scaled(0.5 * np.exp(0.3j), random_product(rng, degree))
+                   for degree in (1, 4, 16)]
+        for n, omega in enumerate(omegas):
+            whole = omega(z)
             for i in range(0, z.size, 997):
-                for name, value in product_kernels(phi, z[i]).items():
-                    assert value == whole[name][i], (degree, name, i)
+                assert omega(z[i]) == whole[i], (n, i)
 
     def test_slices_share_one_buffer(self, monkeypatch):
         # the default grid makes 8 slices at m = 28 and one at m = 1; each
@@ -781,8 +799,7 @@ class TestBlockedKernels:
         for degree in (1, 28):
             phi = random_product(rng, degree)
             kernels[f"product_{degree}"] = phi
-            kernels[f"boundary_speed_{degree}"] = lambda z, phi=phi: phi.boundary_speed(np.angle(z))
-            slices[f"product_{degree}"] = slices[f"boundary_speed_{degree}"] = 8 if degree > 1 else 1
+            slices[f"product_{degree}"] = 8 if degree > 1 else 1
         outs = []
         recording_blocks(monkeypatch, outs)
         for name, kernel in kernels.items():
@@ -794,16 +811,15 @@ class TestBlockedKernels:
 
     def test_temporaries_bounded(self):
         # a degree-32 product on the grid once broadcast 32.5 MB of
-        # (points x zeros) terms, and its boundary speed 24.5 MB
+        # (points x zeros) terms
         rng = np.random.default_rng(63)
         f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 64))
         z = DiskGrid().points
-        theta = np.angle(z)
         phi = random_product(rng, 32)
         dilatation = DilatationSpec.blaschke_scaled(0.5, phi)
         kernels = {"hprime": f.hprime, "schwarzian": lambda z: schwarzian(f, z),
                    "jacobian": HarmonicMap(analytic_part=f, dilatation=dilatation).jacobian,
-                   "product": phi, "boundary_speed": lambda z: phi.boundary_speed(theta)}
+                   "product": phi}
         for name, kernel in kernels.items():
             tracemalloc.start()
             try:
