@@ -2,8 +2,8 @@
 
 _blocks, the one evaluator of per-point work, which every kernel of a
 member and of a Blaschke product runs through; the one disk sampling grid
-the norm search uses, and sup-norm estimation of several objectives at once
-by one sweep of that grid and one batched finite-difference Newton ascent.
+the norm search uses, and the sup-norm estimate of one objective by one
+sweep of that grid and one batched finite-difference Newton ascent.
 Everything here is pure and reentrant.
 """
 
@@ -190,104 +190,91 @@ def _model_step(g, q, lam):
 
 
 def _sweep(objective, grid, limit, cell_bounds):
-    """The K = len(limit) objectives on grid.points, shape (K,) +
-    grid.points.shape, from one call on the points of the cells some
-    objective keeps, in row-major order.  Objective k is -inf in the cells
-    whose bound in cell_bounds[k], raised by _BOUND_MARGIN, lies below
-    limit[k] (see sup_norm_estimate); None, with no call, if none reaches it.
+    """The objective on grid.points, from one call on the points of the
+    cells whose bound in cell_bounds, raised by _BOUND_MARGIN, reaches
+    limit.value (see sup_norm_estimate), in row-major order, and -inf in
+    the others; None, with no call, if none reaches it.
     """
     pts, blocks = grid.points, np.broadcast(*grid.cells).shape
     bound = np.asarray(cell_bounds, dtype=float)
-    if bound.shape != (len(limit),) + blocks or np.any(np.isnan(bound)):
-        raise ValueError("cell_bounds must hold one bound per cell for each objective")
-    floor = np.array([[[est.value]] for est in limit])
-    keep = bound + _BOUND_MARGIN * np.abs(bound) >= floor
+    if bound.shape != blocks or np.any(np.isnan(bound)):
+        raise ValueError("cell_bounds must hold one bound per cell")
+    keep = bound + _BOUND_MARGIN * np.abs(bound) >= limit.value
     if not keep.any():
         return None
-    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=1), _BLOCK_RADII,
-                       axis=2)[:, :pts.shape[0], :pts.shape[1]]
-    union = inside.any(axis=0)
-    v = np.asarray(objective(pts[union]), dtype=float)
+    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
+                       axis=1)[:pts.shape[0], :pts.shape[1]]
+    v = np.asarray(objective(pts[inside]), dtype=float)
     _require_finite("objective on the grid", v)
-    vals = np.empty((len(limit),) + pts.shape)
-    vals.reshape(len(limit), -1)[:, np.flatnonzero(union)] = v.reshape(len(limit), -1)
-    np.copyto(vals, -np.inf, where=~inside)
+    vals = np.full(pts.shape, -np.inf)
+    vals[inside] = v
     return vals
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[NormEstimate, ...]:
-    """Sups of K real objectives over the disk by one grid sweep and one
-    batched Newton ascent; one NormEstimate per objective.
+def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bounds) -> NormEstimate:
+    """The sup of a real objective over the disk by one grid sweep and one
+    batched Newton ascent.
 
-    limit holds K known lower bounds of the sups, such as closed-form
-    boundary limits, and gives limit[k] as estimate k unless a point
-    evaluated beats it.  objective(z) returns the K objectives stacked, in
-    the order of shape (K,) + z.shape.  cell_bounds[k], shape (angle
-    blocks, radius blocks) as grid.cells broadcast, bounds objective k on
-    each cell; the float objective may exceed it by at most 1e-9 relative.
-    The sweep takes, in one call, the union of the cells whose bound,
-    raised by 1e-9 relative, reaches its limit; each objective is -inf
-    outside its own cells, and the limits are returned without a call if
-    there are none.
-    So every grid point whose value beats its limit is evaluated;
-    candidates below a limit come only from cells whose bound reaches it.
-    Refinement starts, for each objective, from the best evaluated point of
-    each of the (at most) _ROW_STARTS highest angle rows (ties go to the
-    smallest angle, then the smallest radius).  Each step evaluates every
-    live candidate's stencil c + h e^(i arg c) s (see _STENCIL) in one
-    objective call, reads its own objective and proposes the trial step of
-    _model_step, pulling points beyond r_max inside.  A candidate moves
-    only to a point that beats its value.  If the centre c is no worse
-    than its best point, the next stencil is centred on the trial point
-    and h becomes the trial step's length; else it goes back to the best
-    point with h/8.  h starts at min(1 - |c|, 2 pi / angles_per_circle)/2
-    and stays <= (1 - |c|)/2.  A candidate stops once it lies within h of
-    a better one of its objective or h < sqrt(eps) (1 - |c|), where the
-    differences reach the objective's rounding, or once its last trial was
-    pulled inside r_max while its value is below its limit: a heuristic,
-    not a certificate, for objectives that tend on the circle to at most
-    their limits, as the norms' do.  All stop after _MAX_STEPS steps.  So
-    each objective's estimate is the one a search of it alone would give.
-    Estimate k is the best (point, value) of objective k that a call of the
-    sweep or the ascent returned, or limit[k] unless that value beats it.
+    limit is a known lower bound of the sup, such as a closed-form boundary
+    limit, and is the estimate unless a point evaluated beats it.
+    objective(z) returns one value per point, in the shape of z.
+    cell_bounds, shape (angle blocks, radius blocks) as grid.cells
+    broadcast, bounds the objective on each cell; the float objective may
+    exceed it by at most 1e-9 relative.  The sweep takes, in one call, the
+    points of the cells whose bound, raised by 1e-9 relative, reaches the
+    limit, and the limit is returned without a call if there are none.
+    So every grid point whose value beats the limit is evaluated;
+    candidates below it come only from cells whose bound reaches it.
+    Refinement starts from the best evaluated point of each of the (at
+    most) _ROW_STARTS highest angle rows (ties go to the smallest angle,
+    then the smallest radius).  Each step evaluates every live candidate's
+    stencil c + h e^(i arg c) s (see _STENCIL) in one objective call and
+    proposes the trial step of _model_step, pulling points beyond r_max
+    inside.  A candidate moves only to a point that beats its value.  If
+    the centre c is no worse than its best point, the next stencil is
+    centred on the trial point and h becomes the trial step's length; else
+    it goes back to the best point with h/8.  h starts at min(1 - |c|,
+    2 pi / angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate
+    stops once it lies within h of a better one or h < sqrt(eps) (1 - |c|),
+    where the differences reach the objective's rounding, or once its last
+    trial was pulled inside r_max while its value is below the limit: a
+    heuristic, not a certificate, for objectives that tend on the circle
+    to at most their limits, as the norms' do.  All stop after _MAX_STEPS
+    steps.  The estimate is the best candidate's (point, value), the first
+    of equals, as a call of the sweep or the ascent returned it, or limit
+    unless that value beats it.
     As the top row's best grid point is a start and candidates only move
-    up, it is never below objective k's grid maximum.
+    up, it is never below the objective's grid maximum.
     """
     pts = grid.points
     vals = _sweep(objective, grid, limit, cell_bounds)
     if vals is None:
-        return tuple(limit)
-    # the angle rows of all objectives, objective k's from k * n_angles on
-    n_obj, n_angles = vals.shape[:2]
-    row_best = np.argmax(vals, axis=2).ravel()
-    row_vals = vals.reshape(n_obj * n_angles, -1)[np.arange(row_best.size), row_best]
-    rows = np.argsort(-row_vals.reshape(n_obj, -1), axis=1, kind="stable")[:, :_ROW_STARTS]
-    rows = (rows + n_angles * np.arange(n_obj)[:, None]).ravel()
+        return limit
+    row_best = np.argmax(vals, axis=1)
+    row_vals = vals[np.arange(vals.shape[0]), row_best]
+    rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]
     rows = rows[row_vals[rows] > -np.inf]
-    owner, angle = np.divmod(rows, n_angles)
     # the candidates' state is Python numbers, as few are live per step
-    owner, point, value = owner.tolist(), pts[angle, row_best[rows]].tolist(), row_vals[rows].tolist()
+    point, value = pts[rows, row_best[rows]].tolist(), row_vals[rows].tolist()
     center, room = list(point), [1.0 - abs(p) for p in point]
     h = [min(r, TWO_PI / grid.angles_per_circle) / 2.0 for r in room]
-    # a candidate's rivals are all candidates of its objective, stopped ones too
-    peers = [[j for j, k in enumerate(owner) if k == o] for o in owner]
     tol, r_in = math.sqrt(np.finfo(float).eps), grid.r_max * (1.0 - 2.0 ** -50)
-    floor, pulled = [limit[o].value for o in owner], [False] * len(point)
-    live = range(len(point))
+    pulled = [False] * len(point)
+    live = each = range(len(point))
     for _ in range(_MAX_STEPS):
-        # stopped: at the rounding, near a better rival, or pulled in below the limit
-        live = [i for i in live if h[i] >= tol * room[i] and not (pulled[i] and value[i] < floor[i])
-                and not any(value[j] > value[i] and abs(point[j] - point[i]) < h[i] for j in peers[i])]
+        # stopped: at the rounding, near a better candidate (stopped ones
+        # too), or pulled in below the limit
+        live = [i for i in live if h[i] >= tol * room[i]
+                and not (pulled[i] and value[i] < limit.value)
+                and not any(value[j] > value[i] and abs(point[j] - point[i]) < h[i] for j in each)]
         if not live:
             break
         c = np.array([center[i] for i in live])
         step = np.array([h[i] for i in live]) * np.exp(1j * np.angle(c))
         w = _clip(c[:, None] + step[:, None] * _STENCIL, grid.r_max)
-        f = np.asarray(objective(w), dtype=float).reshape((n_obj,) + w.shape)
-        each = np.arange(len(live))
-        f = f[[owner[i] for i in live], each]
+        f = np.asarray(objective(w), dtype=float).reshape(w.shape)
         _require_finite("objective during refinement", f)
-        best = each, f.argmax(axis=1)
+        best = np.arange(len(live)), f.argmax(axis=1)
         for i, ci, si, m, f0, fb, wb in zip(live, c.tolist(), step.tolist(), (f @ _WEIGHTS).tolist(),
                                             f[:, 0].tolist(), f[best].tolist(), w[best].tolist()):
             # the trial point, pulled inside as _clip does
@@ -301,9 +288,5 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit, cell_bounds) -> tuple[No
             center[i] = t if ok else point[i]
             room[i] = 1.0 - abs(center[i])
             h[i] = min(abs(t - ci) if ok else h[i] / 8.0, room[i] / 2.0)
-    # each objective's first best candidate, where it beats the limit
-    estimates = list(limit)
-    for i, o in enumerate(owner):
-        if value[i] > estimates[o].value:
-            estimates[o] = NormEstimate(value=value[i], argmax=point[i])
-    return tuple(estimates)
+    i = max(each, key=value.__getitem__)
+    return NormEstimate(value=value[i], argmax=point[i]) if value[i] > limit.value else limit

@@ -13,7 +13,7 @@ bounds are 2 alpha and 2 alpha (2 + alpha), attained by single-atom members;
 for alpha < 1/2 the pre-Schwarzian bound yields a quasiconformal extension
 with constant (1 + 2 alpha)/(1 - 2 alpha).  `norms` bounds both objectives
 on the cells of the one DiskGrid in closed form, by a cap per atom, and
-searches both in one sweep and one ascent; `radial_limit_report` gives
+searches each in its own sweep and ascent; `radial_limit_report` gives
 each norm's closed-form enclosure with no search.
 """
 
@@ -145,16 +145,16 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
 def norms(f: GAlphaFunction) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
-    Off the atoms both objectives tend to 0 at the circle, so the search
-    reports the heaviest atom's radial limits (`radial_limit_report`)
-    unless a value one of its calls returns beats them.  One
-    sup_norm_estimate call searches both objectives on DiskGrid(), built on
-    the first call and kept, and skips each on the grid.cells, one per
-    (angle block, radius block), whose bound lies below its limit.  With d_k
-    the distance from conj(zeta_k) to the cell r0 <= |z| <= r1,
-    th0 <= arg z <= th1, |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so
-    (1-|z|^2)/|1 - zeta_k z| is at most the cap c_k = (1 - rho^2)/max(d_k,
-    1 - rho) at rho = clip(1 - d_k, r0, r1), where it peaks over the cell:
+    Off the atoms both objectives tend to 0 at the circle, so each search
+    reports the heaviest atom's radial limit (`radial_limit_report`) unless
+    a value one of its calls returns beats it.  Two sup_norm_estimate
+    calls, one per objective, search DiskGrid(), built on the first call
+    and kept, and each skips the grid.cells, one per (angle block, radius
+    block), whose bound lies below its limit.  With d_k the distance from
+    conj(zeta_k) to the cell r0 <= |z| <= r1, th0 <= arg z <= th1,
+    |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so (1-|z|^2)/|1 - zeta_k z|
+    is at most the cap c_k = (1 - rho^2)/max(d_k, 1 - rho) at
+    rho = clip(1 - d_k, r0, r1), where it peaks over the cell:
 
         (1-|z|^2) |P|    <= alpha sum_k t_k c_k
         (1-|z|^2)^2 |S|  <= alpha sum_k t_k c_k^2 + (alpha sum_k t_k c_k)^2 / 2
@@ -163,15 +163,9 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     """
     grid = _default_grid()
     floor = radial_limit_report(f)
-
-    def objective(z):
-        w = 1.0 - np.abs(z) ** 2
-        out = np.empty((2,) + np.shape(z))
-        out[0] = np.abs(pre_schwarzian(f, z)) * w
-        out[1] = np.abs(schwarzian(f, z)) * w ** 2
-        return out
-
-    pre, sch = sup_norm_estimate(objective, grid,
-                                 limit=[floor.pre_schwarzian_norm, floor.schwarzian_norm],
-                                 cell_bounds=_cell_bounds(f, *grid.cells))
+    bounds = _cell_bounds(f, *grid.cells)
+    pre = sup_norm_estimate(lambda z: np.abs(pre_schwarzian(f, z)) * (1.0 - np.abs(z) ** 2), grid,
+                            limit=floor.pre_schwarzian_norm, cell_bounds=bounds[0])
+    sch = sup_norm_estimate(lambda z: np.abs(schwarzian(f, z)) * (1.0 - np.abs(z) ** 2) ** 2, grid,
+                            limit=floor.schwarzian_norm, cell_bounds=bounds[1])
     return SchwarzReport(pre, sch, f.alpha, "search")

@@ -49,13 +49,12 @@ def panel_member(i):
 UNBOUNDED = NormEstimate(value=-np.finfo(float).max, argmax=0j)
 
 
-def search(objective, grid, limit=None, cell_bounds=None):
-    """sup_norm_estimate, with one UNBOUNDED limit where none is given and
+def search(objective, grid, limit=UNBOUNDED, cell_bounds=None):
+    """sup_norm_estimate, with the UNBOUNDED limit where none is given and
     infinite cell bounds where none are: the unpruned, unfloored search."""
-    limit = [UNBOUNDED] if limit is None else limit
     if cell_bounds is None:
-        cell_bounds = np.full((len(limit),) + np.broadcast(*grid.cells).shape, np.inf)
-    return sup_norm_estimate(objective, grid, limit, cell_bounds)
+        cell_bounds = np.full(np.broadcast(*grid.cells).shape, np.inf)
+    return sup_norm_estimate(objective, grid, limit=limit, cell_bounds=cell_bounds)
 
 
 def norm_objectives(f):
@@ -192,7 +191,7 @@ class TestDiskGrid:
 
 class TestSupNormEstimate:
     def test_constant_objective(self):
-        (est,) = search(lambda z: np.ones(z.shape), DiskGrid())
+        est = search(lambda z: np.ones(z.shape), DiskGrid())
         assert est.value == pytest.approx(1.0)
         assert abs(est.argmax) < 1.0
 
@@ -201,26 +200,26 @@ class TestSupNormEstimate:
         # |z| <= 0.999 is exactly 2 - 1e-3; the slack covers cancellation dust
         grid = grid_double(r_max=1 - 1e-3)
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        (est,) = search(obj, grid)
+        est = search(obj, grid)
         assert est.value == pytest.approx(2.0, abs=1e-3 + 1e-10)
 
     def test_schwarzian_objective_of_linear_hprime(self):
         # (1-|z|^2)^2 * (3/2)/|1-z|^2 -> sup 6 (the classical sharp value)
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
-        (est,) = search(obj, DiskGrid())
+        est = search(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
 
     def test_value_matches_objective_at_argmax(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(-1.0 / (1.0 - z))
-        (est,) = search(obj, DiskGrid())
+        est = search(obj, DiskGrid())
         assert est.value == pytest.approx(float(obj(np.asarray(est.argmax))), abs=1e-12)
 
     def test_monotone_in_grid_density(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - 0.93j * z) ** 2
         # the dense grid holds every point of the sparse one
         sparse, dense = grid_double(17, 64), grid_double(33, 128)
-        r_sparse = search(obj, sparse)[0].value
-        r_dense = search(obj, dense)[0].value
+        r_sparse = search(obj, sparse).value
+        r_dense = search(obj, dense).value
         assert r_dense >= r_sparse - 1e-12
 
     def test_refinement_calls_are_batched(self):
@@ -233,7 +232,7 @@ class TestSupNormEstimate:
             calls.append(np.size(z))
             return (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z) ** 2
 
-        (est,) = search(obj, DiskGrid())
+        est = search(obj, DiskGrid())
         assert est.value == pytest.approx(6.0, abs=1e-3)
         assert len(calls) <= 12
 
@@ -244,8 +243,8 @@ class TestSupNormEstimate:
         # it the search reports an interior point below 6
         boundary = complex(np.exp(-0.7j))
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 * 1.5 / np.abs(1.0 - z / boundary) ** 2
-        (plain,) = search(obj, DiskGrid())
-        (floored,) = search(obj, DiskGrid(), limit=[NormEstimate(value=6.0, argmax=boundary)])
+        plain = search(obj, DiskGrid())
+        floored = search(obj, DiskGrid(), limit=NormEstimate(value=6.0, argmax=boundary))
         assert plain.value < 6.0 and abs(plain.argmax) < 1.0
         assert floored == NormEstimate(value=6.0, argmax=boundary)
 
@@ -294,7 +293,7 @@ class TestSupNormEstimate:
         obj = lambda z: (1.0 - np.abs(z) ** 2) * np.abs(1.0 / (1.0 - 0.9 * z))
         grid = DiskGrid()
         plain = search(obj, grid)
-        floored = search(obj, grid, limit=[NormEstimate(value=0.5, argmax=1j)])
+        floored = search(obj, grid, limit=NormEstimate(value=0.5, argmax=1j))
         assert floored == plain
 
     def test_objective_and_grid_lead_the_signature(self):
@@ -316,16 +315,15 @@ class TestSupNormEstimate:
         obj = lambda z: 1.0 + z.real / np.maximum(np.abs(z), 0.05)
         limit = NormEstimate(value=1.9, argmax=1.0)
         runs = []
-        for cell_bounds in (None, [bounds]):
+        for cell_bounds in (None, bounds):
             calls = []
 
             def recorded(z, calls=calls):
                 calls.append(np.array(z))
                 return obj(z)
 
-            runs.append((search(recorded, grid, limit=[limit], cell_bounds=cell_bounds),
-                         calls))
-        ((full,), _), ((pruned,), pruned_calls) = runs
+            runs.append((search(recorded, grid, limit=limit, cell_bounds=cell_bounds), calls))
+        (full, _), (pruned, pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
         # the grid points in the closed sectors of the cells that reach it
         reach = bounds + 1e-9 * np.abs(bounds) >= limit.value
@@ -351,29 +349,29 @@ class TestSupNormEstimate:
             calls.append(np.shape(z))
             return obj(z)
 
-        low = np.zeros((1,) + np.broadcast(*grid.cells).shape)
+        low = np.zeros(np.broadcast(*grid.cells).shape)
         assert search(recorded, grid, cell_bounds=low) == search(obj, grid)
         assert calls[0] == (64 * 16,)
 
     def test_cell_bound_gives_one_bound_per_block(self):
         # the bound is checked against the UNBOUNDED limit and a real one:
-        # one bound per (angle block, radius block) for each objective, and
-        # no NaN; the cells raveled into one row are rejected too
+        # one bound per (angle block, radius block) of the one objective,
+        # and no NaN; the cells raveled into one row are rejected, and so
+        # are the stacked bounds of one and of two objectives
         obj = lambda z: np.ones(z.shape)
         cells = np.broadcast(*DiskGrid().cells).shape
-        for limit in (None, [NormEstimate(value=1.0, argmax=0j)]):
-            for cell_bounds in (np.ones(3), np.ones(cells), np.ones((1, np.prod(cells))),
-                                np.ones((1,) + cells[::-1]), np.full((1,) + cells, np.nan)):
+        for limit in (UNBOUNDED, NormEstimate(value=1.0, argmax=0j)):
+            assert search(obj, DiskGrid(), limit=limit, cell_bounds=np.ones(cells)).value == 1.0
+            for cell_bounds in (np.ones(3), np.ones((1, np.prod(cells))), np.ones(cells[::-1]),
+                                np.full(cells, np.nan), np.ones((1,) + cells),
+                                np.ones((2,) + cells)):
                 with pytest.raises(ValueError, match="cell_bounds"):
                     search(obj, DiskGrid(), limit=limit, cell_bounds=cell_bounds)
-        with pytest.raises(ValueError, match="cell_bounds"):
-            search(obj, DiskGrid(), limit=[NormEstimate(value=1.0, argmax=0j)],
-                   cell_bounds=np.ones((2,) + cells))
 
     def test_refinement_never_below_grid_max(self):
         obj = lambda z: (1.0 - np.abs(z) ** 2) ** 2 / np.abs(1.0 - z * np.exp(-0.7j)) ** 2
         grid = DiskGrid()
-        (est,) = search(obj, grid)
+        est = search(obj, grid)
         assert est.value >= np.max(obj(grid.points))
 
     def test_grid_swept_in_one_call_on_the_calling_thread(self, monkeypatch):
@@ -405,8 +403,8 @@ class TestSupNormEstimate:
             calls.append(np.array(z))
             return np.exp(-4.0 * np.abs(z - peak) ** 2)
 
-        (est,) = search(recorded, grid, limit=[NormEstimate(value=-1.0, argmax=0j)],
-                        cell_bounds=[[[-2.0], [np.inf]]])
+        est = search(recorded, grid, limit=NormEstimate(value=-1.0, argmax=0j),
+                     cell_bounds=[[-2.0], [np.inf]])
         sweep, *steps = calls
         assert sweep.size == 4 and [len(w) for w in steps] == [2, 1]
         assert steps[0][0, 0] == peak and steps[1][0, 0] != peak
@@ -424,9 +422,8 @@ class TestSupNormEstimate:
             calls.append(np.array(z))
             return (z * np.exp(-5.4j)).real
 
-        (est,) = search(recorded, grid_double(2, 10, 0.7),
-                        limit=[NormEstimate(value=limit, argmax=1.0)],
-                        cell_bounds=[[[-2.0], [np.inf]]])
+        est = search(recorded, grid_double(2, 10, 0.7), limit=NormEstimate(value=limit, argmax=1.0),
+                     cell_bounds=[[-2.0], [np.inf]])
         return est, [w for w in calls[1:] if w.ndim == 2]
 
     def test_a_candidate_pulled_in_below_its_limit_stops(self):
