@@ -100,9 +100,10 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     the m+1 solutions of Theta(t) = 2 pi j for the levels in
     [Theta(0), Theta(0) + 2 pi (m+1)).  All of them are polished at once by
     Newton steps on (Theta - level)/(m+1), each guarded by its own bisection
-    bracket in [0, 2 pi], then finished with Newton steps on the principal
-    residual arg(z*phi(z)).  Each step reads Theta and Theta' from one pass
-    of _lift over the (m+1) x m array w, and the residues are 1/Theta'.
+    bracket in [0, 2 pi], then finished with two Newton steps on the
+    principal residual arg(z*phi(z)) with the polish's last slope.  Each
+    polish step reads Theta and Theta' from one pass of _lift over the
+    (m+1) x m array w, and the residues are 1/Theta' from one more pass.
     """
     m1 = phi.degree + 1
     theta0 = float(_lift(phi, 0.0)[0])
@@ -131,8 +132,7 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(2):
         z = np.exp(1j * t)
         t = t - np.angle(z * phi(z)) / (1.0 + slope)
-        slope = _lift(phi, t)[1]
-    residues = 1.0 / (1.0 + slope)
+    residues = 1.0 / (1.0 + _lift(phi, t)[1])
     if abs(residues.sum() - 1.0) > 1e-10:
         raise ConvergenceError("boundary residues do not sum to 1 within 1e-10")
     return np.exp(1j * t), residues

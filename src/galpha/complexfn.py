@@ -3,7 +3,8 @@
 _blocks, the one evaluator of per-point work, which every kernel of a
 member and of a Blaschke product runs through; the one disk sampling grid
 the norm search uses, and the sup-norm estimate of one objective by one
-sweep of that grid and one batched finite-difference Newton ascent.
+sweep of the grid cells that the caller's bounds on the float objective
+leave open, and one batched finite-difference Newton ascent.
 Everything here is pure and reentrant.
 """
 
@@ -24,8 +25,6 @@ _ROW_STARTS = 8
 # the sweep's cells of angles x radii
 _BLOCK_ANGLES = 8
 _BLOCK_RADII = 2
-# relative allowance for the rounding of a float objective above a cell bound
-_BOUND_MARGIN = 1e-9
 # refinement stops after this many stencil evaluations
 _MAX_STEPS = 60
 
@@ -116,6 +115,7 @@ class DiskGrid:
     cells   the sweep's cells (r0, r1, th0, th1): the closed polar sectors
             of 8 angles by 2 radii of points, edge cells partial; r0, r1 a
             row (1, radius blocks), th0, th1 a column (angle blocks, 1).
+            They cover the grid's points, not the disk: gaps lie between blocks.
     """
 
     n_radii = 64
@@ -189,28 +189,6 @@ def _model_step(g, q, lam):
                        u.imag / max(a - lam.real, abs(u.imag) / math.sqrt(2.0), 1e-300))
 
 
-def _sweep(objective, grid, limit, cell_bounds):
-    """The objective on grid.points, from one call on the points of the
-    cells whose bound in cell_bounds, raised by _BOUND_MARGIN, reaches
-    limit.value (see sup_norm_estimate), in row-major order, and -inf in
-    the others; None, with no call, if none reaches it.
-    """
-    pts, blocks = grid.points, np.broadcast(*grid.cells).shape
-    bound = np.asarray(cell_bounds, dtype=float)
-    if bound.shape != blocks or np.any(np.isnan(bound)):
-        raise ValueError("cell_bounds must hold one bound per cell")
-    keep = bound + _BOUND_MARGIN * np.abs(bound) >= limit.value
-    if not keep.any():
-        return None
-    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
-                       axis=1)[:pts.shape[0], :pts.shape[1]]
-    v = np.asarray(objective(pts[inside]), dtype=float)
-    _require_finite("objective on the grid", v)
-    vals = np.full(pts.shape, -np.inf)
-    vals[inside] = v
-    return vals
-
-
 def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bounds) -> NormEstimate:
     """The sup of a real objective over the disk by one grid sweep and one
     batched Newton ascent.
@@ -219,12 +197,10 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     limit, and is the estimate unless a point evaluated beats it.
     objective(z) returns one value per point, in the shape of z.
     cell_bounds, shape (angle blocks, radius blocks) as grid.cells
-    broadcast, bounds the objective on each cell; the float objective may
-    exceed it by at most 1e-9 relative.  The sweep takes, in one call, the
-    points of the cells whose bound, raised by 1e-9 relative, reaches the
-    limit, and the limit is returned without a call if there are none.
-    So every grid point whose value beats the limit is evaluated;
-    candidates below it come only from cells whose bound reaches it.
+    broadcast, bounds the float objective at each cell's grid points.  The
+    sweep takes, in one row-major call, the points of the cells whose bound
+    is at least the limit, or returns the limit with no call if there are
+    none: every grid point that beats the limit is evaluated.
     Refinement starts from the best evaluated point of each of the (at
     most) _ROW_STARTS highest angle rows (ties go to the smallest angle,
     then the smallest radius).  Each step evaluates every live candidate's
@@ -246,10 +222,18 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     As the top row's best grid point is a start and candidates only move
     up, it is never below the objective's grid maximum.
     """
-    pts = grid.points
-    vals = _sweep(objective, grid, limit, cell_bounds)
-    if vals is None:
+    pts, bound = grid.points, np.asarray(cell_bounds, dtype=float)
+    if bound.shape != np.broadcast(*grid.cells).shape or np.any(np.isnan(bound)):
+        raise ValueError("cell_bounds must hold one bound per cell")
+    keep = bound >= limit.value
+    if not keep.any():
         return limit
+    inside = np.repeat(np.repeat(keep, _BLOCK_ANGLES, axis=0), _BLOCK_RADII,
+                       axis=1)[:pts.shape[0], :pts.shape[1]]
+    v = np.asarray(objective(pts[inside]), dtype=float)
+    _require_finite("objective on the grid", v)
+    vals = np.full(pts.shape, -np.inf)
+    vals[inside] = v
     row_best = np.argmax(vals, axis=1)
     row_vals = vals[np.arange(vals.shape[0]), row_best]
     rows = np.argsort(-row_vals, kind="stable")[:_ROW_STARTS]

@@ -1,0 +1,124 @@
+"""The golden corpus: every report galpha prints for a fixed set of specs.
+
+    specs/<id>.json     the 20 `verify-mixed` specs of the benchmark at seed
+                        1 (perfbench/workloads.py), and four edge specs:
+                        one atom at angle 0 with alpha = 1/2 and with alpha
+                        = 1, the 128-atom member of `galpha gen --seed 128
+                        --atoms 128 --alpha 0.7`, and the d128 product of the
+                        benchmark's `roundtrip` panel with alpha = 0.3;
+    reports/<id>.json   each spec's `verify` and `norms` runs, and its
+                        `roundtrip` run where it has a Blaschke source, as
+                        {command: {"exit": code, "report": JSON report}};
+    render/<id>.csv     the `render` CSVs of an analytic and a harmonic curve.
+
+tests/test_golden.py regenerates every report and compares it key by key:
+strings, booleans, exit codes and floats must match exactly, the floats to
+the bit.  A change that moves a number rewrites the corpus with
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+which prints every moved key as `key: old -> new`.  The specs are inputs:
+it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
+another numpy or CPU may round some kernels differently, and the moved keys
+then show by how much.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from galpha.cli import main
+
+HERE = Path(__file__).resolve().parent
+SPECS = HERE / "specs"
+# an analytic curve and a harmonic shear's, each on 64 points of |z| = 0.99
+RENDERED = ("atoms-m1", "atoms-m20-blaschke_scaled")
+_RENDER_ARGS = ("--samples", "64")
+
+
+def _run(argv) -> int:
+    """galpha's exit code for argv, its printed text discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+def generate(work: Path) -> dict:
+    """The corpus as the current code prints it, {path under HERE: content}:
+    each report file's runs as a dict, each CSV as its text.  work holds
+    the reports while they are written."""
+    corpus = {}
+    for spec in sorted(SPECS.glob("*.json")):
+        commands = ["verify", "norms"]
+        if "blaschke" in json.loads(spec.read_text()):
+            commands.append("roundtrip")
+        runs = {}
+        for command in commands:
+            out = work / f"{spec.stem}.{command}.json"
+            code = _run([command, spec, "--out", out])
+            runs[command] = {"exit": code,
+                             "report": json.loads(out.read_text()) if out.exists() else None}
+        corpus[f"reports/{spec.name}"] = runs
+    for ident in RENDERED:
+        out = work / f"{ident}.csv"
+        _run(["render", SPECS / f"{ident}.json", *_RENDER_ARGS, "--out", out])
+        corpus[f"render/{ident}.csv"] = out.read_text()
+    return corpus
+
+
+def stored() -> dict:
+    """The corpus as checked in, in the form `generate` returns."""
+    corpus = {f"reports/{p.name}": json.loads(p.read_text())
+              for p in sorted((HERE / "reports").glob("*.json"))}
+    corpus.update((f"render/{p.name}", p.read_text())
+                  for p in sorted((HERE / "render").glob("*.csv")))
+    return corpus
+
+
+def _keys(value, key=""):
+    """(key, leaf) for every leaf of a corpus; a CSV's leaves are its lines."""
+    if isinstance(value, str) and "\n" in value:
+        value = value.splitlines()
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _keys(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _keys(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """`key: old -> new` for each leaf whose type or repr differs (a float's
+    repr round-trips, so equal reprs are equal bits), or that one side lacks."""
+    a, b = dict(_keys(old)), dict(_keys(new))
+
+    def show(flat, key):
+        return f"{type(flat[key]).__name__} {flat[key]!r}" if key in flat else "absent"
+
+    return [f"{k}: {show(a, k)} -> {show(b, k)}" for k in sorted(a.keys() | b.keys())
+            if show(a, k) != show(b, k)]
+
+
+def write(corpus: dict) -> None:
+    """Replace reports/ and render/ by corpus."""
+    for path in [*(HERE / "reports").glob("*.json"), *(HERE / "render").glob("*.csv")]:
+        path.unlink()
+    for name, content in corpus.items():
+        path = HERE / name
+        path.parent.mkdir(exist_ok=True)
+        # a report is one line of JSON: what moved is read from `moved`, not the diff
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        corpus = generate(Path(work))
+    for line in moved(stored(), corpus):
+        print(line)
+    write(corpus)

@@ -306,9 +306,9 @@ class TestSupNormEstimate:
     def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
         # 1 + cos(arg z) off the origin and 1 at it, bounded by its exact
         # max on each sector (the bound does not depend on the radii).  The
-        # one sweep call takes exactly the points of the cells whose bound,
-        # raised by 1e-9 relative, reaches the limit, and with them every
-        # grid point above the limit; the result is the full sweep's.
+        # one sweep call takes exactly the points of the cells whose bound
+        # is at least the limit, and with them every grid point above the
+        # limit; the result is the full sweep's.
         grid = grid_double(64, 512, 0.9)
         r0, r1, th0, th1 = np.broadcast_arrays(*grid.cells)
         bounds = 1.0 + np.maximum(np.maximum(np.cos(th0), np.cos(th1)), 0.0)
@@ -326,7 +326,7 @@ class TestSupNormEstimate:
         (full, _), (pruned, pruned_calls) = runs
         assert (pruned.value, pruned.argmax) == (full.value, full.argmax)
         # the grid points in the closed sectors of the cells that reach it
-        reach = bounds + 1e-9 * np.abs(bounds) >= limit.value
+        reach = bounds >= limit.value
         a, r = grid.angles[:, None], grid.radii[:, None]
         in_angle = (th0[reach] <= a) & (a <= th1[reach])
         in_radius = (r0[reach] <= r) & (r <= r1[reach])
@@ -337,6 +337,13 @@ class TestSupNormEstimate:
         above = pts[obj(pts) > limit.value]
         assert above.size and np.isin(above, swept).all()
         assert swept.size < pts.size / 4
+        # a bound equal to the limit keeps its cell, with no allowance for
+        # rounding: the next float below it prunes the cell
+        edge = np.full(bounds.shape, -np.inf)
+        edge[0, 0], edge[1, 0] = limit.value, np.nextafter(limit.value, -np.inf)
+        calls.clear()
+        search(recorded, grid, limit=limit, cell_bounds=edge)
+        assert np.array_equal(np.sort(calls[0]), np.sort(pts[:8, :2].ravel()))
 
     def test_cell_bound_without_a_limit_prunes_nothing(self):
         # a bound below the objective everywhere prunes nothing against the

@@ -364,13 +364,17 @@ PANEL_NORMS = [
 
 class TestCellBounds:
     def test_bounds_dominate_the_float_objectives(self):
-        # every block of the default grid, a ragged one and one reaching
-        # 1 - 1e-9 (where the float objectives on a one-radius edge block
-        # read up to 2e-7 above the exact bound), for 1-64 atoms, half of
-        # the members with atoms exactly on grid angles
+        # sup_norm_estimate prunes a cell exactly when its bound is below
+        # the limit, so pruning is exact only if these bounds hold for the
+        # float objectives at every grid point.  Every block of the default
+        # grid, a ragged one and one reaching 1 - 1e-9 (where the float
+        # objectives on a one-radius edge block read up to 2e-7 above the
+        # exact bound), for 1-64 atoms, half of the members with atoms
+        # exactly on grid angles; and the panel members on the default grid,
+        # the members norms-small searches
         grids = GRIDS + (grid_double(n_radii=33, angles_per_circle=64, r_max=1 - 1e-9),)
         rng = np.random.default_rng(97)
-        worst = 0.0
+        cases = [(f, DiskGrid()) for f in panel_members()]
         for i in range(48):
             m = int(rng.integers(1, 65))
             measure = random_measure(rng, m)
@@ -379,7 +383,9 @@ class TestCellBounds:
                 steps = rng.choice(grid.angles_per_circle, m, replace=False)
                 measure = AtomicMeasure(angles=TWO_PI * steps / grid.angles_per_circle,
                                         weights=measure.weights)
-            f = GAlphaFunction(alpha=1.0 - rng.uniform(), measure=measure)
+            cases.append((GAlphaFunction(alpha=1.0 - rng.uniform(), measure=measure), grid))
+        worst = 0.0
+        for f, grid in cases:
             pts = grid.points
             for which, objective in enumerate(norm_objectives(f)):
                 sector, maxima = sweep_blocks(grid, objective(pts))
