@@ -98,35 +98,41 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     The closed-form lift Theta(t) of arg(z*phi(z)), z = e^(i t), increases
     strictly by 2 pi (m+1) over a full turn with Theta' > 1, so the roots are
     the m+1 solutions of Theta(t) = 2 pi j for the levels in
-    [Theta(0), Theta(0) + 2 pi (m+1)).  All of them are polished at once by
+    [Theta(0), Theta(0) + 2 pi (m+1)).  They are polished together by
     Newton steps on (Theta - level)/(m+1), each guarded by its own bisection
-    bracket in [0, 2 pi], then finished with two Newton steps on the
-    principal residual arg(z*phi(z)) with the polish's last slope.  Each
-    polish step reads Theta and Theta' from one pass of _lift over the
-    (m+1) x m array w, and the residues are 1/Theta' from one more pass.
+    bracket in [0, 2 pi]; a root leaves the polish once it has converged, so
+    only the unconverged roots are polished again.  Each is then finished
+    with two Newton steps on the principal residual arg(z*phi(z)) with the
+    slope of its own last polish step.  Each polish step reads Theta and
+    Theta' from one pass of _lift over the (unconverged roots) x m array w,
+    and the residues are 1/Theta' from one more pass.
     """
     m1 = phi.degree + 1
     theta0 = float(_lift(phi, 0.0)[0])
     # levels and residual are scaled by 1/(m+1), so no term grows like 2 pi m
     levels = TWO_PI * (math.ceil(theta0 / TWO_PI) + np.arange(m1)) / m1
-    t = levels - theta0 / m1
-    lo, hi = np.zeros(m1), np.full(m1, TWO_PI)
-    step = np.full(m1, TWO_PI)
+    t, slope = np.empty(m1), np.empty(m1)
+    # the polish state of the roots still moving; a done root's t and slope stay
+    live, tl = np.arange(m1), levels - theta0 / m1
+    lo, hi, step = np.zeros(m1), np.full(m1, TWO_PI), np.full(m1, TWO_PI)
     for _ in range(_POLISH_ITERS):
-        offset, slope = _lift(phi, t)
-        g = t + offset / m1 - levels
-        lo = np.where(g < 0.0, t, lo)
-        hi = np.where(g < 0.0, hi, t)
-        newton = t - g * m1 / (1.0 + slope)
+        offset, s = _lift(phi, tl)
+        g = tl + offset / m1 - levels
+        lo = np.where(g < 0.0, tl, lo)
+        hi = np.where(g < 0.0, hi, tl)
+        newton = tl - g * m1 / (1.0 + s)
         # near enough for the principal-residual steps, or t resolved to roundoff
-        done = ((np.abs(g) * m1 <= 1e-10)
-                | (np.minimum(np.abs(newton - t), hi - lo) <= _EPS * TWO_PI))
-        if np.all(done):
+        moving = ~((np.abs(g) * m1 <= 1e-10)
+                   | (np.minimum(np.abs(newton - tl), hi - lo) <= _EPS * TWO_PI))
+        t[live], slope[live] = tl, s
+        if not moving.any():
             break
+        live, tl, levels, lo, hi, step, newton = (
+            a[moving] for a in (live, tl, levels, lo, hi, step, newton))
         bisect = ((newton < lo) | (newton > hi)
-                  | (np.abs(newton - t) > 0.5 * np.abs(step)))
-        t_new = np.where(done, t, np.where(bisect, 0.5 * (lo + hi), newton))
-        step, t = t_new - t, t_new
+                  | (np.abs(newton - tl) > 0.5 * np.abs(step)))
+        t_new = np.where(bisect, 0.5 * (lo + hi), newton)
+        step, tl = t_new - tl, t_new
     else:
         raise ConvergenceError("boundary root polish did not converge")
     for _ in range(2):

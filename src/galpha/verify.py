@@ -32,9 +32,9 @@ from .harmonic import HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, radial_limit_report
 from .specfile import FunctionSpec
 
-# the round trip is compared on these points filling |z| <= 0.9
-_ROUNDTRIP_POINTS = (np.exp(1j * (TWO_PI * np.arange(96) / 96))[:, None]
-                     * np.linspace(0.9 / 8, 0.9, 8)[None, :])
+# the round trip is compared on these 96 points of |z| = 0.9, where its
+# error on |z| <= 0.9 peaks (see blaschke_roundtrip_error)
+_ROUNDTRIP_POINTS = 0.9 * np.exp(1j * (TWO_PI * np.arange(96) / 96))
 # the roundtrip_error check's threshold
 ROUNDTRIP_TOL = 1e-8
 # coefficients a_2..a_N checked against |a_n| <= alpha / (n (n - 1))
@@ -119,7 +119,10 @@ def norm_checks() -> list[Check]:
 
 
 def blaschke_roundtrip_error(phi, measure) -> float:
-    """Max pointwise |phi - phi_hat| on |z| <= 0.9 through the measure."""
+    """Max pointwise |phi - phi_hat| on |z| <= 0.9 through the measure,
+    read on 96 points of |z| = 0.9: phi's poles 1/conj(b) lie outside the
+    disk and phi_hat = H/G with Re G > 1/2, so phi - phi_hat is analytic on
+    |z| <= 0.9 and, by the maximum modulus principle, peaks on its rim."""
     z = _ROUNDTRIP_POINTS
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 

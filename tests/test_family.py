@@ -12,11 +12,12 @@ from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            roots_of_unity_measure, single_atom)
 from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import schwarzian
-from galpha.specfile import FunctionSpec
+from galpha.specfile import FunctionSpec, load_function_spec
 from galpha.verify import run_verification
 
-from test_blaschke import random_product
+from test_blaschke import near_circle_products, panel_products, random_product
 from test_complexfn import grid_double
+from golden import regen
 
 
 def random_measure(rng, count):
@@ -527,6 +528,21 @@ class TestRoundTrips:
             assert np.max(np.abs(back.angles - measure.angles)) < 1e-8
             assert np.max(np.abs(back.weights - measure.weights)) < 1e-8
 
+    def test_roundtrip_error_is_read_on_the_outer_ring(self):
+        # phi - phi_hat is analytic on |z| <= 0.9, so its largest modulus on
+        # the 8 x 96 grid the check once sampled lies on the grid's outer
+        # ring, whose 96 points are the check's points bit for bit
+        grid = (np.exp(1j * (TWO_PI * np.arange(96) / 96))[:, None]
+                * np.linspace(0.9 / 8, 0.9, 8)[None, :])
+        assert verify._ROUNDTRIP_POINTS.tobytes() == grid[:, -1].tobytes()
+        sources = [load_function_spec(path) for path in sorted(regen.SPECS.glob("*.json"))]
+        products = panel_products() + [spec.blaschke for spec in sources if spec.blaschke]
+        assert len(products) == 9 + 4
+        for phi in products:
+            measure = measure_from_blaschke(phi)
+            assert verify.blaschke_roundtrip_error(phi, measure) == np.max(
+                np.abs(phi(grid) - induced_self_map(measure, grid))), phi.degree
+
     def test_from_blaschke_member_is_wellformed(self):
         phi = BlaschkeProduct(zeros=[0.5 + 0.0j])
         f = GAlphaFunction(alpha=0.5, measure=measure_from_blaschke(phi))
@@ -572,27 +588,8 @@ def rebuild_error(measure, z):
     return np.max(np.abs(rebuilt(z) - induced_self_map(measure, z)))
 
 
-def near_circle_products(rng, degrees):
-    """Products drawn as in the benchmark's roundtrip panel: zeros uniform in
-    |b| <= 0.9, then max(1, degree // 16) of them moved to 0.99 <= |b| <= 0.999,
-    the first to 0.999, and a random prefactor."""
-    for degree in degrees:
-        zeros = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, degree)) * np.exp(
-            1j * rng.uniform(0.0, TWO_PI, degree))
-        near = max(1, degree // 16)
-        moduli = 1.0 - 10.0 ** -rng.uniform(2.0, 3.0, near)
-        moduli[0] = 0.999
-        zeros[:near] = moduli * np.exp(1j * rng.uniform(0.0, TWO_PI, near))
-        yield BlaschkeProduct(zeros=zeros, prefactor=np.exp(1j * rng.uniform(0.0, TWO_PI)))
-
-
 def unconverged_eigvals(a):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-# the seed of the benchmark's roundtrip panel, whose d48 product the
-# monomial expansion rebuilt only to 5.4e-6
-ROUNDTRIP_PANEL_SEED = 240714922 + 2
 
 
 class TestInverse:
@@ -623,9 +620,9 @@ class TestInverse:
                 assert np.max(np.min(gaps, axis=1)) < 1e-12
 
     def test_high_degree_near_circle_products_rebuild(self):
+        # the monomial expansion rebuilds the panel's d48 product only to 5.4e-6
         z = random_points(np.random.default_rng(42), 400)
-        products = list(near_circle_products(np.random.default_rng(ROUNDTRIP_PANEL_SEED),
-                                             (8, 12, 16, 24, 32, 48)))
+        products = panel_products()[:6]
         for phi in products[2], products[4], products[5]:
             assert rebuild_error(measure_from_blaschke(phi), z) < 1e-8
         assert expansion_rebuild_error(measure_from_blaschke(products[5]), z) > 1e-8
@@ -638,8 +635,7 @@ class TestInverse:
         products = [BlaschkeProduct(zeros=[], prefactor=np.exp(0.9j)),
                     BlaschkeProduct(zeros=[0.999 * np.exp(2.0j)], prefactor=np.exp(-1.1j)),
                     BlaschkeProduct(zeros=[0.9], prefactor=np.exp(0.4j))]
-        products += list(near_circle_products(np.random.default_rng(ROUNDTRIP_PANEL_SEED),
-                                              (8, 12, 16, 24, 32, 48, 64, 96, 128)))[6:]
+        products += panel_products()[6:]
         for phi in products:
             assert rebuild_error(measure_from_blaschke(phi), INVERSE_SAMPLES) < 1e-12, phi.degree
 
