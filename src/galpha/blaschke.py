@@ -2,11 +2,8 @@
 
 A degree-m product maps the disk to itself and the circle to the circle;
 z*phi(z) then winds m+1 times around the circle with strictly increasing
-phase, so z*phi(z) = 1 has exactly m+1 simple roots there.  Those roots and
-their partial-fraction residues are what the disk-family correspondence
-consumes.  The phase is lifted in closed form, factor by factor: on the
-circle (z - b)/(1 - conj(b) z) = z w/conj(w) with w = 1 - b/z and Re w > 0,
-so no sampled lift table is needed.
+phase, so z*phi(z) = 1 has exactly m+1 simple roots there: with their
+partial-fraction residues, they are what the disk-family correspondence consumes.
 """
 
 from __future__ import annotations
@@ -63,31 +60,49 @@ class BlaschkeProduct:
     def __call__(self, z):
         """Evaluate the product for |z| < 1 + 1e-9 (poles raise DomainError)."""
         def kernel(zb, buf):
-            denom = _one_minus(zb, np.conj(self.zeros), buf)
-            if np.any(np.abs(denom) < 1e-12):
+            denom = _one_minus(zb, np.conj(self.zeros), buf)  # |denom| >= 1 - |z|
+            if np.any(np.abs(denom[np.abs(zb) > 1.0 - 2e-12]) < 1e-12):
                 raise DomainError("z coincides with a pole 1/conj(b)")
-            # prefactor * (a temporary) would multiply in place, operands
-            # swapped, and round unlike a call of another size
+            # prefactor * (a temporary) would multiply in place and round by call size
             return np.multiply(self.prefactor, np.prod(
                 np.divide(zb[:, None] - self.zeros, denom, out=buf), axis=1))
 
         return _blocks(z, self.degree, kernel, _REACH)
 
 
-def _lift(phi: BlaschkeProduct, t):
-    """The offset Theta(t) - (m+1) t and the slope Theta'(t) - 1, where Theta
-    lifts arg(e^(i t) phi(e^(i t))), both from one array w_k = 1 - b_k e^(-i t).
-
-    Each factor equals e^(i t) w/conj(w) with Re w > 0, so its argument lifts
-    to t + 2 arg(w) in closed form, with derivative (1 - |b|^2)/|w|^2, as
-    |e^(i t) - b| = |w|; the slope is Re(z phi'(z)/phi(z)) on the circle.
-    """
-    b = phi.zeros
-    w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * b
+def _slope(phi: BlaschkeProduct, w):
+    """Theta'(t) - 1 = sum_k (1 - |b_k|^2)/|w_k|^2 from w_k = 1 - b_k e^(-i t)."""
     # re^2 + im^2 rounds less than abs(b)**2; 1 - |b|^2 magnifies that
-    scale = 1.0 - (b.real ** 2 + b.imag ** 2)
-    return (2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor),
-            (scale / np.abs(w) ** 2).sum(axis=-1))
+    return ((1.0 - (phi.zeros.real ** 2 + phi.zeros.imag ** 2)) / np.abs(w) ** 2).sum(axis=-1)
+
+
+def _lift(phi: BlaschkeProduct, t):
+    """The offset Theta(t) - (m+1) t and the slope Theta'(t) - 1 of the lift
+    Theta of arg(e^(i t) phi(e^(i t))), from one array w_k = 1 - b_k e^(-i t):
+    on the circle each factor is e^(i t) w/conj(w), Re w > 0, of argument t + 2 arg(w)."""
+    w = 1.0 - np.exp(-1j * np.asarray(t, dtype=float))[..., None] * phi.zeros
+    return 2.0 * np.angle(w).sum(axis=-1) + np.angle(phi.prefactor), _slope(phi, w)
+
+
+def _sampled_start(phi: BlaschkeProduct):
+    """boundary_roots' levels, scaled by 1/(m+1), and each one's start and bracket."""
+    b, m1 = phi.zeros, phi.degree + 1
+    gap = 1.0 - np.abs(b)
+    near = gap < TWO_PI / m1
+    around = np.angle(b[near])[:, None] + gap[near][:, None] * np.array([0, -1, 1, -4, 4, -16, 16])
+    t = np.sort(np.concatenate((TWO_PI * np.arange(m1 + 1) / m1, np.ravel(around % TWO_PI))))
+    offset, slope = _lift(phi, t)
+    # levels and lift are scaled by 1/(m+1), so no term grows like 2 pi m
+    levels = TWO_PI * (math.ceil(offset[0] / TWO_PI) + np.arange(m1)) / m1
+    g, dt = t + offset / m1, m1 / (1.0 + slope)  # the scaled lift and dt/dg
+    rounding = 32.0 * _EPS * (m1 + (1.0 / gap).sum()) / m1
+    below, above = np.searchsorted(g, (levels - rounding, levels + rounding))
+    lo = np.clip(below - 1, 0, t.size - 2)
+    hi = np.clip(above, lo + 1, t.size - 1)
+    u = (levels - g[lo]) / (g[hi] - g[lo])
+    start = t[lo] + u * u * (3.0 - 2.0 * u) * (t[hi] - t[lo]) + (g[hi] - g[lo]) * u * (
+        1.0 - u) * ((1.0 - u) * dt[lo] - u * dt[hi])
+    return levels, np.clip(start, t[lo], t[hi]), t[lo], t[hi]
 
 
 def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
@@ -95,26 +110,22 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     t_k = 1/(1 + z_k phi'(z_k)/phi(z_k)) in phi/(z phi - 1), which lie in
     (0, 1] and sum to 1 within 1e-10 (ConvergenceError otherwise).
 
-    The closed-form lift Theta(t) of arg(z*phi(z)), z = e^(i t), increases
-    strictly by 2 pi (m+1) over a full turn with Theta' > 1, so the roots are
-    the m+1 solutions of Theta(t) = 2 pi j for the levels in
-    [Theta(0), Theta(0) + 2 pi (m+1)).  They are polished together by
-    Newton steps on (Theta - level)/(m+1), each guarded by its own bisection
-    bracket in [0, 2 pi]; a root leaves the polish once it has converged, so
-    only the unconverged roots are polished again.  Each is then finished
-    with two Newton steps on the principal residual arg(z*phi(z)) with the
-    slope of its own last polish step.  Each polish step reads Theta and
-    Theta' from one pass of _lift over the (unconverged roots) x m array w,
-    and the residues are 1/Theta' from one more pass.
+    The lift Theta(t) of arg(z*phi(z)), z = e^(i t), rises by 2 pi (m+1) over a
+    turn with Theta' > 1: the roots solve Theta(t) = 2 pi j for the m+1 levels
+    in [Theta(0), Theta(0) + 2 pi (m+1)).  _sampled_start reads Theta in one
+    _lift pass at 2 pi k/(m+1), k = 0..m+1, and at arg b + (1 - |b|){0, +-1,
+    +-4, +-16} for each zero b with 1 - |b| below that spacing.  A root's
+    bracket [lo, hi] ends at the samples that miss its level by more than
+    Theta's rounding, 32 eps (m+1 + sum_b 1/(1 - |b|)), so Theta(lo) <= level
+    <= Theta(hi) holds exactly; it starts at the cubic Hermite interpolant of
+    t(Theta).  Newton steps on (Theta - level)/(m+1), kept in the shrinking
+    brackets, polish the unconverged roots; two steps on arg(z*phi(z)) with the
+    last polish slope finish each root, and its residue is 1/Theta'.
     """
     m1 = phi.degree + 1
-    theta0 = float(_lift(phi, 0.0)[0])
-    # levels and residual are scaled by 1/(m+1), so no term grows like 2 pi m
-    levels = TWO_PI * (math.ceil(theta0 / TWO_PI) + np.arange(m1)) / m1
-    t, slope = np.empty(m1), np.empty(m1)
-    # the polish state of the roots still moving; a done root's t and slope stay
-    live, tl = np.arange(m1), levels - theta0 / m1
-    lo, hi, step = np.zeros(m1), np.full(m1, TWO_PI), np.full(m1, TWO_PI)
+    levels, tl, lo, hi = _sampled_start(phi)
+    # live, step, tl, lo, hi: the polish state of the moving roots; a done root's t, slope stay
+    t, slope, live, step = np.empty(m1), np.empty(m1), np.arange(m1), np.full(m1, TWO_PI)
     for _ in range(_POLISH_ITERS):
         offset, s = _lift(phi, tl)
         g = tl + offset / m1 - levels
@@ -138,7 +149,7 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(2):
         z = np.exp(1j * t)
         t = t - np.angle(z * phi(z)) / (1.0 + slope)
-    residues = 1.0 / (1.0 + _lift(phi, t)[1])
+    residues = 1.0 / (1.0 + _slope(phi, 1.0 - np.exp(-1j * t)[:, None] * phi.zeros))
     if abs(residues.sum() - 1.0) > 1e-10:
         raise ConvergenceError("boundary residues do not sum to 1 within 1e-10")
     return np.exp(1j * t), residues
