@@ -119,36 +119,33 @@ def boundary_roots(phi: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     Theta's rounding, 32 eps (m+1 + sum_b 1/(1 - |b|)), so Theta(lo) <= level
     <= Theta(hi) holds exactly; it starts at the cubic Hermite interpolant of
     t(Theta).  Newton steps on (Theta - level)/(m+1), kept in the shrinking
-    brackets, polish the unconverged roots; two steps on arg(z*phi(z)) with the
-    last polish slope finish each root, and its residue is 1/Theta'.
+    brackets, polish every root in every pass, a converged root held still,
+    so lo and hi end as every root's last bracket.  The finishing step, one
+    step on arg(z*phi(z)) with the last polish slope, ends each root, and its
+    residue is 1/Theta'.
     """
     m1 = phi.degree + 1
-    levels, tl, lo, hi = _sampled_start(phi)
-    # live, step, tl, lo, hi: the polish state of the moving roots; a done root's t, slope stay
-    t, slope, live, step = np.empty(m1), np.empty(m1), np.arange(m1), np.full(m1, TWO_PI)
+    levels, t, lo, hi = _sampled_start(phi)
+    step = np.full(m1, TWO_PI)
     for _ in range(_POLISH_ITERS):
-        offset, s = _lift(phi, tl)
-        g = tl + offset / m1 - levels
-        lo = np.where(g < 0.0, tl, lo)
-        hi = np.where(g < 0.0, hi, tl)
-        newton = tl - g * m1 / (1.0 + s)
-        # near enough for the principal-residual steps, or t resolved to roundoff
-        moving = ~((np.abs(g) * m1 <= 1e-10)
-                   | (np.minimum(np.abs(newton - tl), hi - lo) <= _EPS * TWO_PI))
-        t[live], slope[live] = tl, s
-        if not moving.any():
+        offset, slope = _lift(phi, t)
+        g = t + offset / m1 - levels
+        lo = np.where(g < 0.0, t, lo)
+        hi = np.where(g < 0.0, hi, t)
+        newton = t - g * m1 / (1.0 + slope)
+        # near enough for the principal-residual step, or t resolved to roundoff
+        done = ((np.abs(g) * m1 <= 1e-10)
+                | (np.minimum(np.abs(newton - t), hi - lo) <= _EPS * TWO_PI))
+        if done.all():
             break
-        live, tl, levels, lo, hi, step, newton = (
-            a[moving] for a in (live, tl, levels, lo, hi, step, newton))
         bisect = ((newton < lo) | (newton > hi)
-                  | (np.abs(newton - tl) > 0.5 * np.abs(step)))
-        t_new = np.where(bisect, 0.5 * (lo + hi), newton)
-        step, tl = t_new - tl, t_new
+                  | (np.abs(newton - t) > 0.5 * np.abs(step)))
+        t_new = np.where(done, t, np.where(bisect, 0.5 * (lo + hi), newton))
+        step, t = t_new - t, t_new
     else:
         raise ConvergenceError("boundary root polish did not converge")
-    for _ in range(2):
-        z = np.exp(1j * t)
-        t = t - np.angle(z * phi(z)) / (1.0 + slope)
+    z = np.exp(1j * t)
+    t = t - np.angle(z * phi(z)) / (1.0 + slope)
     residues = 1.0 / (1.0 + _slope(phi, 1.0 - np.exp(-1j * t)[:, None] * phi.zeros))
     if abs(residues.sum() - 1.0) > 1e-10:
         raise ConvergenceError("boundary residues do not sum to 1 within 1e-10")

@@ -17,17 +17,21 @@ the bit.  A change that moves a number rewrites the corpus with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-which prints every moved key as `key: old -> new`.  The specs are inputs:
-it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
+which prints every moved key as `key: old -> new`, then one line per
+family of moved keys (the key with its spec id and list indices stripped)
+with the count and the largest relative move of its floats.  The specs are
+inputs: it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
 another numpy or CPU may round some kernels differently, and the moved keys
 then show by how much.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -92,16 +96,42 @@ def _keys(value, key=""):
         yield key, value
 
 
-def moved(old: dict, new: dict) -> list[str]:
-    """`key: old -> new` for each leaf whose type or repr differs (a float's
-    repr round-trips, so equal reprs are equal bits), or that one side lacks."""
+_ABSENT = object()  # the leaf of a key that one side lacks
+
+
+def _show(leaf) -> str:
+    return "absent" if leaf is _ABSENT else f"{type(leaf).__name__} {leaf!r}"
+
+
+def _changes(old: dict, new: dict):
+    """(key, old leaf, new leaf) for each leaf whose type or repr differs (a
+    float's repr round-trips, so equal reprs are equal bits), or that one
+    side lacks."""
     a, b = dict(_keys(old)), dict(_keys(new))
+    for k in sorted(a.keys() | b.keys()):
+        x, y = a.get(k, _ABSENT), b.get(k, _ABSENT)
+        if _show(x) != _show(y):
+            yield k, x, y
 
-    def show(flat, key):
-        return f"{type(flat[key]).__name__} {flat[key]!r}" if key in flat else "absent"
 
-    return [f"{k}: {show(a, k)} -> {show(b, k)}" for k in sorted(a.keys() | b.keys())
-            if show(a, k) != show(b, k)]
+def moved(old: dict, new: dict) -> list[str]:
+    """`key: old -> new` for each leaf that _changes finds."""
+    return [f"{k}: {_show(x)} -> {_show(y)}" for k, x, y in _changes(old, new)]
+
+
+def families(old: dict, new: dict) -> list[str]:
+    """One line per family of moved keys, a key with its file's spec id and
+    list indices stripped: how many moved, and the largest relative move
+    of those whose leaf is a float on both sides."""
+    count, worst = collections.Counter(), {}
+    for k, x, y in _changes(old, new):
+        family = re.sub(r"\[\d+\]", "", re.sub(r"^(\w+)/.*?\.(json|csv)", r"\1", k))
+        count[family] += 1
+        if type(x) is float and type(y) is float:
+            move = abs(y - x) / abs(x) if x else abs(y)
+            worst[family] = max(worst.get(family, 0.0), move)
+    return [f"{f}: {n} keys, " + (f"largest relative move {worst[f]:.2g}" if f in worst
+                                  else "no float on both sides") for f, n in sorted(count.items())]
 
 
 def write(corpus: dict) -> None:
@@ -119,6 +149,7 @@ def write(corpus: dict) -> None:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         corpus = generate(Path(work))
-    for line in moved(stored(), corpus):
+    old = stored()
+    for line in moved(old, corpus) + families(old, corpus):
         print(line)
     write(corpus)

@@ -56,34 +56,6 @@ def edge_products():
     return products
 
 
-def all_roots_polish(phi):
-    """boundary_roots as it was before converged roots left the polish:
-    every pass runs _lift on all m + 1 roots and holds a done root still.
-    It starts from the same sampled brackets as boundary_roots."""
-    m1 = phi.degree + 1
-    levels, t, lo, hi = blaschke._sampled_start(phi)
-    step = np.full(m1, TWO_PI)
-    for _ in range(blaschke._POLISH_ITERS):
-        offset, slope = blaschke._lift(phi, t)
-        g = t + offset / m1 - levels
-        lo = np.where(g < 0.0, t, lo)
-        hi = np.where(g < 0.0, hi, t)
-        newton = t - g * m1 / (1.0 + slope)
-        done = ((np.abs(g) * m1 <= 1e-10)
-                | (np.minimum(np.abs(newton - t), hi - lo) <= blaschke._EPS * TWO_PI))
-        if np.all(done):
-            break
-        bisect = ((newton < lo) | (newton > hi)
-                  | (np.abs(newton - t) > 0.5 * np.abs(step)))
-        t_new = np.where(done, t, np.where(bisect, 0.5 * (lo + hi), newton))
-        step, t = t_new - t, t_new
-    for _ in range(2):
-        z = np.exp(1j * t)
-        t = t - np.angle(z * phi(z)) / (1.0 + slope)
-    w = 1.0 - np.exp(-1j * t)[:, None] * phi.zeros
-    return np.exp(1j * t), 1.0 / (1.0 + blaschke._slope(phi, w))
-
-
 def phase_lift(phi, t):
     """Lift of arg(e^(it) phi(e^(it))) from t = 0: the form boundary_roots solves."""
     return (phi.degree + 1) * t + _lift(phi, t)[0] - _lift(phi, 0.0)[0]
@@ -300,37 +272,34 @@ class TestBoundaryRoots:
         total = phase_lift(phi, TWO_PI) - phase_lift(phi, 0.0)
         assert abs(total - (6 + 1) * TWO_PI) < 1e-9
 
-    def test_polishing_only_moving_roots_changes_no_bit(self):
-        # a converged root keeps its t, bracket and slope, so dropping it
-        # from the polish gives the all-roots loop's roots and residues
-        for phi in panel_products() + edge_products():
-            for new, old in zip(boundary_roots(phi), all_roots_polish(phi)):
-                assert new.tobytes() == old.tobytes(), phi.degree
-
     def test_polish_work_on_the_panel(self, monkeypatch):
         # a work guard that counts rather than times: the (angle, zero)
-        # pairs _lift forms over the nine panel products, 141,192 measured
-        # (the sample pass included), against 193,812 when every pass
-        # polishes every root; and at most 6 _lift calls per product, the
-        # sample pass and the polish passes (1 + 3 or 4 measured)
-        pairs, calls, lift = [], [], blaschke._lift
+        # pairs _lift forms over the nine panel products, 193,812 measured
+        # (the sample pass included, every root in every polish pass); at
+        # most 6 _lift calls per product, the sample pass and the polish
+        # passes (1 + 3 or 4 measured); and one evaluation of the product,
+        # the finishing step's
+        pairs, lifts, evaluations = [], [], []
+        lift, evaluate = blaschke._lift, BlaschkeProduct.__call__
 
         def counted(phi, t):
             pairs.append(np.size(t) * phi.degree)
             return lift(phi, t)
 
+        def evaluated(phi, z):
+            evaluations[-1] += 1
+            return evaluate(phi, z)
+
         monkeypatch.setattr(blaschke, "_lift", counted)
-        products = panel_products()
-        for phi in products:
+        monkeypatch.setattr(BlaschkeProduct, "__call__", evaluated)
+        for phi in panel_products():
             before = len(pairs)
+            evaluations.append(0)
             boundary_roots(phi)
-            calls.append(len(pairs) - before)
-        assert sum(pairs) <= 148_250
-        assert max(calls) <= 6, calls
-        pairs.clear()
-        for phi in products:
-            all_roots_polish(phi)
-        assert sum(pairs) > 180_000
+            lifts.append(len(pairs) - before)
+        assert sum(pairs) <= 203_500
+        assert max(lifts) <= 6, lifts
+        assert evaluations == [1] * len(lifts), evaluations
 
     def test_residue_sum_is_checked(self, monkeypatch):
         # residues that miss 1 by more than the solver's 1e-10 are its
@@ -339,6 +308,24 @@ class TestBoundaryRoots:
         monkeypatch.setattr(blaschke, "_slope", lambda phi, w: 2.0 * slope(phi, w))
         with pytest.raises(ConvergenceError, match="sum to 1"):
             boundary_roots(BlaschkeProduct(zeros=[0.5 + 0.0j]))
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the 1e-10 residue-sum tolerance is below the residues' rounding "
+                              "next to a zero 1e-11 from the circle")
+    def test_zero_near_the_margin_in_a_larger_product(self):
+        # the constructor accepts this product, and every root and residue
+        # lies within TestAccuracyOracle's rounding bounds, yet the residues
+        # miss 1 by 5.2e-10: the first zero is 1e-11 from the circle
+        zeros = np.array([
+            -0.4541734472507829 + 0.890913284103644j, -0.7195005373508769 - 0.5348562036845905j,
+            0.03925729092560519 + 0.5469661175931038j, -0.3904357987667805 - 0.014928598136280695j,
+            0.08450831273260584 - 0.30355216154162157j, -0.47851653151510404 - 0.13264116609766152j,
+            -0.20581296848873215 - 0.5166671164287324j, -0.20722570087614747 - 0.4635126141332148j,
+            -0.8057754141196316 + 0.39007976907493996j, 0.5271566159321993 + 0.21576648562156836j,
+            -0.2946114520714756 + 0.28936129544977984j, -0.11515526258699252 - 0.761390375509727j,
+            -0.5396721335145926 - 0.4437777609006917j])
+        _, residues = boundary_roots(BlaschkeProduct(zeros=zeros))
+        assert abs(residues.sum() - 1.0) <= 1e-10
 
 
 class TestAccuracyOracle:
@@ -388,7 +375,7 @@ class TestAccuracyOracle:
     def test_roots_and_residues_within_their_rounding_bounds(self):
         # eps = 2^-52; at t, w_k = 1 - b_k e^(-it), P_k = (1 - |b_k|^2)/|w_k|^2,
         # Theta' = 1 + sum_k P_k and |Theta''| <= sum_k 2 |b_k| P_k/|w_k|.
-        # Root: the finishing steps zero the float arg(z phi(z)), whose
+        # Root: the finishing step zeroes the float arg(z phi(z)), whose
         # factors round by <= 4 eps (1 + 1/|w_k|) each (1 - conj(b) z and
         # the rounded z cancel to |w_k| near b_k), so Theta misses its level
         # by <= 4 eps (m+1 + sum_k 1/|w_k|), and t by that over Theta', plus
@@ -398,7 +385,7 @@ class TestAccuracyOracle:
         # error moves P_k by <= 4 |b_k| P_k dt/|w_k| (Theta'' with 2x slack);
         # the sum and the reciprocal add eps (2 + log2(m+1)).
         # Measured: every error is below 0.39 of its bound, and the test fails
-        # on a slope term scaled by 1 + 1e-12 or without the finishing steps.
+        # on a slope term scaled by 1 + 1e-12 or without the finishing step.
         eps = np.finfo(float).eps
         for phi in panel_products() + edge_products():
             roots, residues = boundary_roots(phi)

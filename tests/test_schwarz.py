@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from galpha import complexfn
 from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import _cell_bounds, norms, pre_schwarzian, schwarzian
@@ -588,3 +589,19 @@ class TestCellBounds:
                 assert returned(calls, est)
         assert searched == 2 + 5
 
+    def test_step_cap_bounds_the_ascent(self, monkeypatch):
+        # each search makes the sweep's objective call and one per ascent
+        # step, and complexfn._MAX_STEPS caps the steps; at 60 the panel's
+        # searches make up to 19 calls and 30 of the 54 make more than 3, so
+        # a cap of 2 binds on those: each makes 3 calls, and each estimate
+        # is still its limit or a value one of its calls returned
+        monkeypatch.setattr(complexfn, "_MAX_STEPS", 2)
+        calls_made = []
+        for f in panel_members():
+            rep, searches = norm_calls(f, DiskGrid())
+            for calls, est, limit in zip(searches, (rep.pre_schwarzian_norm, rep.schwarzian_norm),
+                                         (boundary_limit(f, 0), boundary_limit(f, 1)), strict=True):
+                calls_made.append(len(calls))
+                assert est == limit or returned(calls, est)
+        assert len(calls_made) == 54 and max(calls_made) <= 3
+        assert calls_made.count(3) >= 27  # 30 measured: the cap binds
