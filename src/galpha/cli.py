@@ -88,9 +88,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     if spec.blaschke is None:
         raise SpecFileError("roundtrip requires a spec with a blaschke source")
-    member = spec.resolve_member()
-    check, recovered = roundtrip_check(spec.blaschke, member.measure)
-    return _emit(VerifyReport(checks=[check], schwarz=radial_limit_report(member),
+    check, recovered = roundtrip_check(spec.blaschke, spec.member.measure)
+    return _emit(VerifyReport(checks=[check], schwarz=radial_limit_report(spec.member),
                               recovered_atoms=recovered), args.out)
 
 
@@ -101,9 +100,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.samples < 4:
         raise SpecFileError("samples must be at least 4")
     theta = 2.0 * np.pi * np.arange(args.samples) / args.samples
-    z, member = args.radius * np.exp(1j * theta), spec.resolve_member()
-    curve = (member.h(z) if spec.dilatation is None else
-             HarmonicMap(analytic_part=member, dilatation=spec.dilatation).evaluate(z))
+    z = args.radius * np.exp(1j * theta)
+    curve = (spec.member.h(z) if spec.dilatation is None else
+             HarmonicMap(analytic_part=spec.member, dilatation=spec.dilatation).evaluate(z))
     if args.format == "csv":
         lines = ["theta,re,im"]
         lines += [f"{float(t)!r},{float(w.real)!r},{float(w.imag)!r}"
@@ -137,8 +136,6 @@ def _svg_document(curve: np.ndarray) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.atoms < 1:
         raise SpecFileError("--atoms must be at least 1")
-    if not 0.0 < args.alpha <= 1.0:
-        raise SpecFileError("--alpha must lie in (0, 1]")
     rng = np.random.default_rng(args.seed)
     for _ in range(64):
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, args.atoms))
@@ -156,7 +153,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_norms(args: argparse.Namespace) -> int:
-    sch = norms(load_function_spec(args.spec).resolve_member())
+    sch = norms(load_function_spec(args.spec).member)
     return _emit(VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None),
                  args.out)
 

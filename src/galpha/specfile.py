@@ -13,21 +13,23 @@ Blaschke product -- and optionally a dilatation for harmonic shears:
 Angles are radians.  Constant and monomial dilatations load as polynomials
 and are saved as such.  A key an object does not define, at any level, is
 rejected rather than ignored, so a misspelled key cannot fall back to its
-default.  All module invariants are enforced on load; floats are
-written with Python's shortest round-trip repr, so load -> save -> load is
-an identity on the in-memory values.
+default.  All invariants, the member's included (the alpha range and the
+Blaschke root solve), are enforced on load; floats are written with
+Python's shortest round-trip repr, so load -> save -> load is an identity
+on the in-memory values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
+from .complexfn import ConvergenceError
 from .family import AtomicMeasure, GAlphaFunction, measure_from_blaschke
 from .harmonic import DilatationSpec
 
@@ -47,22 +49,21 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """In-memory form of a spec file; exactly one of measure/blaschke is set."""
+    """In-memory form of a spec file; exactly one of measure/blaschke is set,
+    and member is the family member, built from it once."""
 
     alpha: float
     measure: AtomicMeasure | None = None
     blaschke: BlaschkeProduct | None = None
     dilatation: DilatationSpec | None = None
+    member: GAlphaFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.measure is None) == (self.blaschke is None):
             raise SpecFileError("exactly one of atoms/blaschke must be present")
-
-    def resolve_member(self) -> GAlphaFunction:
-        """The family member: direct for atoms, via boundary roots for blaschke."""
         measure = (self.measure if self.measure is not None
                    else measure_from_blaschke(self.blaschke))
-        return GAlphaFunction(alpha=self.alpha, measure=measure)
+        object.__setattr__(self, "member", GAlphaFunction(alpha=self.alpha, measure=measure))
 
 
 def _number(value, what: str) -> float:
@@ -94,40 +95,44 @@ def _complex_to(value: complex) -> dict:
 
 
 def spec_from_dict(data: dict) -> FunctionSpec:
-    """Build a FunctionSpec from parsed JSON, enforcing every invariant."""
-    if not isinstance(data, dict):
-        raise SpecFileError("spec must be a JSON object")
-    _known_keys(data, ("alpha", "atoms", "blaschke", "dilatation"), "spec")
-    if "alpha" not in data:
-        raise SpecFileError("spec must provide alpha")
-    alpha = _number(data["alpha"], "alpha")
-    if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise SpecFileError("alpha must lie in (0, 1]")
+    """Build a FunctionSpec from parsed JSON, enforcing every invariant: a
+    constructor's ValueError or ConvergenceError becomes a SpecFileError."""
+    try:
+        if not isinstance(data, dict):
+            raise SpecFileError("spec must be a JSON object")
+        _known_keys(data, ("alpha", "atoms", "blaschke", "dilatation"), "spec")
+        if "alpha" not in data:
+            raise SpecFileError("spec must provide alpha")
+        alpha = _number(data["alpha"], "alpha")
 
-    measure = None
-    phi = None
-    if "atoms" in data:
-        atoms = data["atoms"]
-        if not isinstance(atoms, list) or not atoms:
-            raise SpecFileError("atoms must be a nonempty list")
-        for atom in atoms:
-            _known_keys(atom, ("theta", "weight"), "atom")
-        try:
-            angles = [_number(a["theta"], "theta") for a in atoms]
-            weights = [_number(a["weight"], "weight") for a in atoms]
-        except (TypeError, KeyError, ValueError):
-            raise SpecFileError("every atom needs numeric theta and weight") from None
-        measure = _wrap(lambda: AtomicMeasure(angles=angles, weights=weights))
-    if "blaschke" in data:
-        _known_keys(data["blaschke"], ("zeros", "prefactor_angle"), "blaschke")
-        phi = _blaschke_from(data["blaschke"], "blaschke")
+        measure = None
+        phi = None
+        if "atoms" in data:
+            atoms = data["atoms"]
+            if not isinstance(atoms, list) or not atoms:
+                raise SpecFileError("atoms must be a nonempty list")
+            for atom in atoms:
+                _known_keys(atom, ("theta", "weight"), "atom")
+            try:
+                angles = [_number(a["theta"], "theta") for a in atoms]
+                weights = [_number(a["weight"], "weight") for a in atoms]
+            except (TypeError, KeyError, ValueError):
+                raise SpecFileError("every atom needs numeric theta and weight") from None
+            measure = AtomicMeasure(angles=angles, weights=weights)
+        if "blaschke" in data:
+            _known_keys(data["blaschke"], ("zeros", "prefactor_angle"), "blaschke")
+            phi = _blaschke_from(data["blaschke"], "blaschke")
 
-    dilatation = None
-    if "dilatation" in data:
-        dilatation = _dilatation_from(data["dilatation"])
+        dilatation = None
+        if "dilatation" in data:
+            dilatation = _dilatation_from(data["dilatation"])
 
-    return FunctionSpec(alpha=alpha, measure=measure, blaschke=phi,
-                        dilatation=dilatation)
+        return FunctionSpec(alpha=alpha, measure=measure, blaschke=phi,
+                            dilatation=dilatation)
+    except SpecFileError:
+        raise
+    except (ValueError, ConvergenceError) as exc:
+        raise SpecFileError(str(exc)) from exc
 
 
 def _blaschke_from(raw, where: str) -> BlaschkeProduct:
@@ -136,22 +141,12 @@ def _blaschke_from(raw, where: str) -> BlaschkeProduct:
     zeros = [_complex_from(b, f"{where} zero") for b in raw["zeros"]]
     prefactor = np.exp(1j * _number(raw.get("prefactor_angle", 0.0),
                                     f"{where} prefactor_angle"))
-    return _wrap(lambda: BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex),
-                                         prefactor=prefactor))
+    return BlaschkeProduct(zeros=np.asarray(zeros, dtype=complex), prefactor=prefactor)
 
 
 def _blaschke_to(phi: BlaschkeProduct) -> dict:
     return {"zeros": [_complex_to(b) for b in phi.zeros],
             "prefactor_angle": float(np.angle(phi.prefactor))}
-
-
-def _wrap(build):
-    try:
-        return build()
-    except SpecFileError:
-        raise
-    except (ValueError, RuntimeError) as exc:
-        raise SpecFileError(str(exc)) from exc
 
 
 def _dilatation_from(raw) -> DilatationSpec:
@@ -168,25 +163,24 @@ def _dilatation_from(raw) -> DilatationSpec:
     if kind == "blaschke_scaled":
         scale = _complex_from(params.get("scale"), "dilatation scale")
         phi = _blaschke_from(params, "blaschke_scaled dilatation")
-        return _wrap(lambda: DilatationSpec.blaschke_scaled(scale, phi))
+        return DilatationSpec.blaschke_scaled(scale, phi)
     if kind == "constant":
-        values = [_complex_from(params.get("value"), "dilatation value")]
-    elif kind == "monomial":
+        return DilatationSpec.constant(_complex_from(params.get("value"), "dilatation value"))
+    if kind == "monomial":
         degree = _number(params.get("degree", 1), "monomial degree")
-        if not (degree.is_integer() and 1 <= degree <= _MAX_DEGREE):
-            raise SpecFileError(f"monomial degree must be an integer in 1..{_MAX_DEGREE}, "
-                                f"got {degree!r}")
+        if not (degree.is_integer() and degree <= _MAX_DEGREE):
+            raise SpecFileError(f"monomial degree must be an integer of at most "
+                                f"{_MAX_DEGREE}, got {degree!r}")
         scale = _complex_from(params.get("scale"), "dilatation scale")
-        values = [0j] * int(degree) + [scale]
-    else:
-        coeffs = params.get("coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise SpecFileError("polynomial dilatation needs a coefficients list")
-        if len(coeffs) > _MAX_DEGREE + 1:
-            raise SpecFileError(f"polynomial dilatation takes at most {_MAX_DEGREE + 1} "
-                                f"coefficients, got {len(coeffs)}")
-        values = [_complex_from(c, "dilatation coefficient") for c in coeffs]
-    return _wrap(lambda: DilatationSpec.polynomial(values))
+        return DilatationSpec.monomial(scale, int(degree))
+    coeffs = params.get("coefficients")
+    if not isinstance(coeffs, list) or not coeffs:
+        raise SpecFileError("polynomial dilatation needs a coefficients list")
+    if len(coeffs) > _MAX_DEGREE + 1:
+        raise SpecFileError(f"polynomial dilatation takes at most {_MAX_DEGREE + 1} "
+                            f"coefficients, got {len(coeffs)}")
+    return DilatationSpec.polynomial([_complex_from(c, "dilatation coefficient")
+                                      for c in coeffs])
 
 
 def spec_to_dict(spec: FunctionSpec) -> dict:

@@ -136,7 +136,7 @@ def roundtrip_check(phi, measure: AtomicMeasure) -> tuple[Check, list]:
 
 def run_verification(spec: FunctionSpec) -> VerifyReport:
     """The battery on spec's member; its norms are the closed-form enclosure."""
-    member = spec.resolve_member()
+    member = spec.member
     n = np.arange(2, _N_COEFFICIENTS + 1)
     a, error = member.coefficients(_N_COEFFICIENTS, error_bound=True)
 

@@ -9,18 +9,26 @@
     reports/<id>.json   each spec's `verify` and `norms` runs, and its
                         `roundtrip` run where it has a Blaschke source, as
                         {command: {"exit": code, "report": JSON report}};
-    render/<id>.csv     the `render` CSVs of an analytic and a harmonic curve.
+    render/<id>.csv     the `render` CSVs of an analytic and a harmonic curve;
+    text/<id>.<command>.txt
+                        the text that `verify` and `norms` print for an
+                        analytic, a harmonic and a Blaschke spec, and that
+                        `roundtrip` prints for the Blaschke one.
+
+A file in specs/ named *.report.json is not a spec: it is the report a
+bare `galpha verify specs/<id>.json` leaves beside its spec, and is skipped.
 
 tests/test_golden.py regenerates every report and compares it key by key:
 strings, booleans, exit codes and floats must match exactly, the floats to
-the bit.  A change that moves a number rewrites the corpus with
+the bit, and a CSV or text file line by line.  A change that moves a
+number rewrites the corpus with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-which prints every moved key as `key: old -> new`, then one line per
-family of moved keys (the key with its spec id and list indices stripped)
-with the count and the largest relative move of its floats.  The specs are
-inputs: it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
+which prints every moved key or line as `key: old -> new`, then one line
+per family of moved keys (the key with its spec id and list indices
+stripped) with the count and the largest relative move of its floats.  The
+specs are inputs: it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
 another numpy or CPU may round some kernels differently, and the moved keys
 then show by how much.
 """
@@ -42,29 +50,38 @@ SPECS = HERE / "specs"
 # an analytic curve and a harmonic shear's, each on 64 points of |z| = 0.99
 RENDERED = ("atoms-m1", "atoms-m20-blaschke_scaled")
 _RENDER_ARGS = ("--samples", "64")
+# (spec id, command) whose printed text is kept
+PRINTED = (("atoms-m1", "verify"), ("atoms-m1", "norms"),
+           ("atoms-m20-blaschke_scaled", "verify"), ("atoms-m20-blaschke_scaled", "norms"),
+           ("blaschke-d4", "verify"), ("blaschke-d4", "norms"), ("blaschke-d4", "roundtrip"))
 
 
-def _run(argv) -> int:
-    """galpha's exit code for argv, its printed text discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main([str(a) for a in argv])
+def _run(argv) -> tuple[int, str]:
+    """galpha's exit code for argv and the text it prints, stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv]), out.getvalue()
 
 
 def generate(work: Path) -> dict:
     """The corpus as the current code prints it, {path under HERE: content}:
-    each report file's runs as a dict, each CSV as its text.  work holds
-    the reports while they are written."""
+    each report file's runs as a dict, each CSV and printed text as its
+    text.  work holds the reports while they are written."""
     corpus = {}
     for spec in sorted(SPECS.glob("*.json")):
+        if spec.name.endswith(".report.json"):
+            continue  # the report a bare `galpha verify` leaves beside its spec
         commands = ["verify", "norms"]
         if "blaschke" in json.loads(spec.read_text()):
             commands.append("roundtrip")
         runs = {}
         for command in commands:
             out = work / f"{spec.stem}.{command}.json"
-            code = _run([command, spec, "--out", out])
+            code, text = _run([command, spec, "--out", out])
             runs[command] = {"exit": code,
                              "report": json.loads(out.read_text()) if out.exists() else None}
+            if (spec.stem, command) in PRINTED:
+                corpus[f"text/{spec.stem}.{command}.txt"] = text
         corpus[f"reports/{spec.name}"] = runs
     for ident in RENDERED:
         out = work / f"{ident}.csv"
@@ -77,13 +94,14 @@ def stored() -> dict:
     """The corpus as checked in, in the form `generate` returns."""
     corpus = {f"reports/{p.name}": json.loads(p.read_text())
               for p in sorted((HERE / "reports").glob("*.json"))}
-    corpus.update((f"render/{p.name}", p.read_text())
-                  for p in sorted((HERE / "render").glob("*.csv")))
+    corpus.update((f"{p.parent.name}/{p.name}", p.read_text())
+                  for p in sorted([*(HERE / "render").glob("*.csv"),
+                                   *(HERE / "text").glob("*.txt")]))
     return corpus
 
 
 def _keys(value, key=""):
-    """(key, leaf) for every leaf of a corpus; a CSV's leaves are its lines."""
+    """(key, leaf) for every leaf of a corpus; a CSV's or text's leaves are its lines."""
     if isinstance(value, str) and "\n" in value:
         value = value.splitlines()
     if isinstance(value, dict):
@@ -125,7 +143,7 @@ def families(old: dict, new: dict) -> list[str]:
     of those whose leaf is a float on both sides."""
     count, worst = collections.Counter(), {}
     for k, x, y in _changes(old, new):
-        family = re.sub(r"\[\d+\]", "", re.sub(r"^(\w+)/.*?\.(json|csv)", r"\1", k))
+        family = re.sub(r"\[\d+\]", "", re.sub(r"^(\w+)/.*?\.(json|csv|txt)", r"\1", k))
         count[family] += 1
         if type(x) is float and type(y) is float:
             move = abs(y - x) / abs(x) if x else abs(y)
@@ -135,8 +153,9 @@ def families(old: dict, new: dict) -> list[str]:
 
 
 def write(corpus: dict) -> None:
-    """Replace reports/ and render/ by corpus."""
-    for path in [*(HERE / "reports").glob("*.json"), *(HERE / "render").glob("*.csv")]:
+    """Replace reports/, render/ and text/ by corpus."""
+    for path in [*(HERE / "reports").glob("*.json"), *(HERE / "render").glob("*.csv"),
+                 *(HERE / "text").glob("*.txt")]:
         path.unlink()
     for name, content in corpus.items():
         path = HERE / name

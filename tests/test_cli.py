@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from galpha import schwarz
+from galpha import family, schwarz
 from galpha.cli import build_parser, main
-from galpha.complexfn import DiskGrid
+from galpha.complexfn import ConvergenceError, DiskGrid
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.harmonic import DilatationSpec, HarmonicMap
 from galpha.schwarz import norms
@@ -38,7 +38,7 @@ CONSTANT_SHEAR = {"alpha": 0.25, "atoms": [{"theta": 0.0, "weight": 1.0}],
 
 def near_circle_report():
     """ONE_ATOM's norm report on a grid reaching 1e-12 from the circle."""
-    sch = norms_on(spec_from_dict(ONE_ATOM).resolve_member(), grid_double(r_max=1 - 1e-12))
+    sch = norms_on(spec_from_dict(ONE_ATOM).member, grid_double(r_max=1 - 1e-12))
     return VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None)
 
 
@@ -165,8 +165,35 @@ class TestSpecFile:
 
     def test_resolve_member_from_blaschke(self, tmp_path):
         spec = load_function_spec(write_spec(tmp_path, HALF_ZERO))
-        member = spec.resolve_member()
+        member = spec.member
         assert np.allclose(np.sort(member.measure.weights), [0.25, 0.75], atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0, float("nan"), float("inf")])
+    def test_spec_out_of_the_family_is_not_built(self, alpha):
+        # the spec builds its member, so it cannot be saved and then fail to load
+        with pytest.raises(ValueError, match="alpha must"):
+            FunctionSpec(alpha=alpha, measure=single_atom())
+
+    def test_failed_root_solve_is_malformed_input(self, tmp_path, capsys, monkeypatch):
+        def fail(phi):
+            raise ConvergenceError("residues must sum to 1")
+        monkeypatch.setattr("galpha.family.boundary_roots", fail)
+        path = write_spec(tmp_path, HALF_ZERO)
+        with pytest.raises(SpecFileError, match="residues must sum to 1"):
+            load_function_spec(path)
+        assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "residues must sum to 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "roundtrip", "norms", "render"])
+    def test_each_command_solves_the_roots_once(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        calls = []
+        solve = family.boundary_roots
+        monkeypatch.setattr("galpha.family.boundary_roots",
+                            lambda phi: calls.append(phi) or solve(phi))
+        spec = Path(__file__).resolve().parent / "golden" / "specs" / "blaschke-d4.json"
+        assert main([command, str(spec), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:
@@ -287,7 +314,7 @@ class TestVerifyCommand:
         # |z| <= 0.9, so the report must hold no injectivity check at all
         spec = FunctionSpec(alpha=1.0, measure=single_atom(0.0),
                             dilatation=DilatationSpec.monomial(0.98, 2))
-        hmap = HarmonicMap(analytic_part=spec.resolve_member(), dilatation=spec.dilatation)
+        hmap = HarmonicMap(analytic_part=spec.member, dilatation=spec.dilatation)
         f = lambda t: hmap.evaluate(0.9 * np.exp(1j * t))
         t = np.array([0.517, 5.766])
         for _ in range(3):  # Newton on f(0.9 e^(i t0)) = f(0.9 e^(i t1)), forward differences
@@ -509,7 +536,7 @@ class TestNormsCommand:
         if command == "verify":
             library = run_verification(spec)
         else:
-            sch = norms(spec.resolve_member())
+            sch = norms(spec.member)
             library = VerifyReport(checks=norm_checks(), schwarz=sch, recovered_atoms=None)
         assert json.loads(out.read_text()) == json.loads(json.dumps(library.to_dict()))
 
@@ -628,7 +655,7 @@ class TestNormEnclosure:
                                     weights=rng.dirichlet(np.ones(m)))
             spec = FunctionSpec(alpha=alpha, measure=measure)
             enclosure = run_verification(spec).schwarz
-            searched = norms(spec.resolve_member())
+            searched = norms(spec.member)
             k = int(np.argmax(measure.weights))
             t = float(measure.weights[k])
             limits = {"pre_schwarzian": 2.0 * alpha * t,
