@@ -1,8 +1,8 @@
-"""Command-line surface: verify, roundtrip, render, gen, norms.
+"""Command-line surface: verify, render, gen, norms.
 
-verify, roundtrip and norms take only a spec and --out, so each report is a
-function of its spec.  Exit codes: 0 = pass, 1 = a check failed, 2 =
-malformed input, such as a size (--atoms, --samples) too large to allocate.
+verify and norms take only a spec and --out, so each report is a function
+of its spec.  Exit codes: 0 = pass, 1 = a check failed, 2 = malformed
+input, such as a size (--atoms, --samples) too large to allocate.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 from .complexfn import ConvergenceError
 from .family import _PATH_LIMIT, AtomicMeasure
 from .harmonic import HarmonicMap
-from .schwarz import norms, radial_limit_report
+from .schwarz import norms
 from .specfile import (FunctionSpec, SpecFileError, dumps_spec,
                        load_function_spec, save_function_spec)
-from .verify import VerifyReport, norm_checks, roundtrip_check, run_verification
+from .verify import VerifyReport, norm_checks, run_verification
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -41,11 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None,
                           help="machine-readable report path "
                                "(default: <spec>.report.json beside the spec)")
-
-    p_round = sub.add_parser("roundtrip",
-                             help="Blaschke product -> atoms -> product round trip")
-    p_round.add_argument("spec", help="spec file with a blaschke source")
-    p_round.add_argument("--out", default=None, help="optional JSON report path")
 
     p_render = sub.add_parser("render", help="export an image-circle curve")
     p_render.add_argument("spec", help="path to a function spec file")
@@ -82,15 +77,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_function_spec(args.spec)
     out = args.out or Path(args.spec).with_name(Path(args.spec).stem + ".report.json")
     return _emit(run_verification(spec), out)
-
-
-def cmd_roundtrip(args: argparse.Namespace) -> int:
-    spec = load_function_spec(args.spec)
-    if spec.blaschke is None:
-        raise SpecFileError("roundtrip requires a spec with a blaschke source")
-    check, recovered = roundtrip_check(spec.blaschke, spec.member.measure)
-    return _emit(VerifyReport(checks=[check], schwarz=radial_limit_report(spec.member),
-                              recovered_atoms=recovered), args.out)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -160,7 +146,6 @@ def cmd_norms(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "verify": cmd_verify,
-    "roundtrip": cmd_roundtrip,
     "render": cmd_render,
     "gen": cmd_gen,
     "norms": cmd_norms,

@@ -10,13 +10,13 @@ shear's injectivity is checked only through the univalence criterion, so
 only for alpha < 1/2.  Its norm block is the closed-form enclosure of
 `radial_limit_report`, with no search.  `galpha norms` emits the same
 report with only the two norm checks and the norms searched on
-`DiskGrid()`, and `galpha roundtrip` with only the round trip.  Membership, the
-real-part bound, |omega| < 1 and both norms hold for every member, so they
-are exact checks naming their certificate, in G(z) = sum_k t_k/(1 - zeta_k
-z), which lies in the disk |G - 1| <= |z||G| (Ahlfors, Complex Analysis,
-1979), or in (1 - |z|^2)/|1 - zeta_k z| < 2 (proofs in
-tests/test_certificates.py).  The coefficient ratio is a bound: it first
-takes a forward-error bound off |a_n|.
+`DiskGrid()`.  Membership, the real-part bound, |omega| < 1 and both norms
+hold for every member, so they are exact checks naming their certificate,
+in G(z) = sum_k t_k/(1 - zeta_k z), which lies in the disk
+|G - 1| <= |z||G| (Ahlfors, Complex Analysis, 1979), or in
+(1 - |z|^2)/|1 - zeta_k z| < 2 (proofs in tests/test_certificates.py).
+The coefficient ratio is a bound: it first takes a forward-error bound
+off |a_n|.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfn import TWO_PI
-from .family import AtomicMeasure, induced_self_map
+from .family import induced_self_map
 from .harmonic import HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, radial_limit_report
 from .specfile import FunctionSpec
@@ -127,13 +127,6 @@ def blaschke_roundtrip_error(phi, measure) -> float:
     return float(np.max(np.abs(phi(z) - induced_self_map(measure, z))))
 
 
-def roundtrip_check(phi, measure: AtomicMeasure) -> tuple[Check, list]:
-    """The round-trip check of phi through its measure, and the measure's atoms."""
-    return (Check("roundtrip_error", blaschke_roundtrip_error(phi, measure),
-                  "<", ROUNDTRIP_TOL, "sampled"),
-            [(float(t), float(w)) for t, w in zip(measure.angles, measure.weights)])
-
-
 def run_verification(spec: FunctionSpec) -> VerifyReport:
     """The battery on spec's member; its norms are the closed-form enclosure."""
     member = spec.member
@@ -155,8 +148,10 @@ def run_verification(spec: FunctionSpec) -> VerifyReport:
 
     recovered = None
     if spec.blaschke is not None:
-        check, recovered = roundtrip_check(spec.blaschke, member.measure)
-        checks.append(check)
+        measure = member.measure
+        checks.append(Check("roundtrip_error", blaschke_roundtrip_error(spec.blaschke, measure),
+                            "<", ROUNDTRIP_TOL, "sampled"))
+        recovered = [(float(t), float(w)) for t, w in zip(measure.angles, measure.weights)]
 
     if spec.dilatation is not None:
         # J = |h'|^2 (1 - |omega|^2) > 0 on the disk, as h' != 0 there

@@ -6,14 +6,12 @@
                         = 1, the 128-atom member of `galpha gen --seed 128
                         --atoms 128 --alpha 0.7`, and the d128 product of the
                         benchmark's `roundtrip` panel with alpha = 0.3;
-    reports/<id>.json   each spec's `verify` and `norms` runs, and its
-                        `roundtrip` run where it has a Blaschke source, as
+    reports/<id>.json   each spec's `verify` and `norms` runs, as
                         {command: {"exit": code, "report": JSON report}};
     render/<id>.csv     the `render` CSVs of an analytic and a harmonic curve;
     text/<id>.<command>.txt
                         the text that `verify` and `norms` print for an
-                        analytic, a harmonic and a Blaschke spec, and that
-                        `roundtrip` prints for the Blaschke one.
+                        analytic, a harmonic and a Blaschke spec.
 
 A file in specs/ named *.report.json is not a spec: it is the report a
 bare `galpha verify specs/<id>.json` leaves beside its spec, and is skipped.
@@ -25,10 +23,11 @@ number rewrites the corpus with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-which prints every moved key or line as `key: old -> new`, then one line
-per family of moved keys (the key with its spec id and list indices
-stripped) with the count and the largest relative move of its floats.  The
-specs are inputs: it never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
+which prints every moved key or line as `key: old -> new`, in key order
+with list indices compared as numbers, then one line per family of moved
+keys (the key with its spec id and list indices stripped) with the count
+and the largest relative move of its floats.  The specs are inputs: it
+never rewrites them.  The corpus was written with numpy 2.4.6 on x86-64;
 another numpy or CPU may round some kernels differently, and the moved keys
 then show by how much.
 """
@@ -53,7 +52,7 @@ _RENDER_ARGS = ("--samples", "64")
 # (spec id, command) whose printed text is kept
 PRINTED = (("atoms-m1", "verify"), ("atoms-m1", "norms"),
            ("atoms-m20-blaschke_scaled", "verify"), ("atoms-m20-blaschke_scaled", "norms"),
-           ("blaschke-d4", "verify"), ("blaschke-d4", "norms"), ("blaschke-d4", "roundtrip"))
+           ("blaschke-d4", "verify"), ("blaschke-d4", "norms"))
 
 
 def _run(argv) -> tuple[int, str]:
@@ -71,11 +70,8 @@ def generate(work: Path) -> dict:
     for spec in sorted(SPECS.glob("*.json")):
         if spec.name.endswith(".report.json"):
             continue  # the report a bare `galpha verify` leaves beside its spec
-        commands = ["verify", "norms"]
-        if "blaschke" in json.loads(spec.read_text()):
-            commands.append("roundtrip")
         runs = {}
-        for command in commands:
+        for command in ("verify", "norms"):
             out = work / f"{spec.stem}.{command}.json"
             code, text = _run([command, spec, "--out", out])
             runs[command] = {"exit": code,
@@ -124,9 +120,11 @@ def _show(leaf) -> str:
 def _changes(old: dict, new: dict):
     """(key, old leaf, new leaf) for each leaf whose type or repr differs (a
     float's repr round-trips, so equal reprs are equal bits), or that one
-    side lacks."""
+    side lacks, in key order with list indices compared as numbers."""
     a, b = dict(_keys(old)), dict(_keys(new))
-    for k in sorted(a.keys() | b.keys()):
+    # re.split with one group alternates text and index: [text, index, text, ...]
+    order = lambda k: [int(p) if i % 2 else p for i, p in enumerate(re.split(r"\[(\d+)\]", k))]
+    for k in sorted(a.keys() | b.keys(), key=order):
         x, y = a.get(k, _ABSENT), b.get(k, _ABSENT)
         if _show(x) != _show(y):
             yield k, x, y

@@ -184,7 +184,7 @@ class TestSpecFile:
         assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert "residues must sum to 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["verify", "roundtrip", "norms", "render"])
+    @pytest.mark.parametrize("command", ["verify", "norms", "render"])
     def test_each_command_solves_the_roots_once(self, tmp_path, capsys, monkeypatch,
                                                 command):
         calls = []
@@ -234,6 +234,47 @@ class TestVerifyCommand:
         assert atoms[1][0] == pytest.approx(np.pi, abs=1e-10)
         assert atoms[1][1] == pytest.approx(0.75, abs=1e-10)
         assert report["roundtrip_error"] < 1e-8
+
+    @pytest.mark.parametrize("zeros", [
+        [{"re": 0.0, "im": 0.0}],
+        [{"re": 0.5, "im": 0.0}],
+        [{"re": 0.3, "im": 0.4}, {"re": -0.2, "im": 0.0}],
+    ])
+    def test_small_products_roundtrip(self, tmp_path, capsys, zeros):
+        data = {"alpha": 0.5, "blaschke": {"zeros": zeros}}
+        out = tmp_path / "r.json"
+        assert main(["verify", str(write_spec(tmp_path, data)), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["roundtrip_error"] < 1e-8
+        assert len(report["recovered_atoms"]) == len(zeros) + 1
+
+    def test_failed_round_trip_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("galpha.verify.ROUNDTRIP_TOL", 0.0)
+        out = tmp_path / "r.json"
+        assert main(["verify", str(write_spec(tmp_path, HALF_ZERO)), "--out", str(out)]) == 1
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]
+                if not c["passed"]] == ["roundtrip_error"]
+        assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
+
+    def test_zero_near_circle_rejected(self, tmp_path, capsys):
+        data = {"alpha": 0.5,
+                "blaschke": {"zeros": [{"re": 1.0 - 1e-14, "im": 0.0}]}}
+        assert main(["verify", str(write_spec(tmp_path, data))]) == 2
+
+    def test_non_numeric_prefactor_angle_exit_two(self, tmp_path, capsys):
+        for angle in (None, "0.5", False):
+            data = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0}],
+                                               "prefactor_angle": angle}}
+            assert main(["verify", str(write_spec(tmp_path, data))]) == 2
+            assert "prefactor_angle must be a number" in capsys.readouterr().err
+
+    def test_roundtrip_is_not_a_command(self, capsys):
+        # verify is the one checking command for a Blaschke spec
+        spec = Path(__file__).resolve().parent / "golden" / "specs" / "blaschke-d4.json"
+        with pytest.raises(SystemExit) as exited:
+            main(["roundtrip", str(spec)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'roundtrip'" in capsys.readouterr().err
 
     def test_harmonic_spec_checks(self, tmp_path, capsys):
         code = main(["verify", str(write_spec(tmp_path, CONSTANT_SHEAR))])
@@ -330,8 +371,9 @@ class TestVerifyCommand:
         # one shared parser gives each command the result a fresh parser gives
         half_zero = write_spec(tmp_path, HALF_ZERO, "half_zero.json")
         extremal = write_spec(tmp_path, EXTREMAL)
-        commands = [["roundtrip", str(half_zero)], ["norms", str(extremal)],
-                    ["roundtrip", str(extremal)], ["norms", str(tmp_path / "absent.json")]]
+        absent, out = str(tmp_path / "absent.json"), str(tmp_path / "r.json")
+        commands = [["verify", str(half_zero), "--out", out], ["norms", str(extremal)],
+                    ["verify", absent, "--out", out], ["norms", absent]]
 
         def run(argv):
             return main(argv), capsys.readouterr()
@@ -344,62 +386,6 @@ class TestVerifyCommand:
         assert [run(argv) for argv in commands] == fresh
         assert [code for code, _ in fresh] == [0, 0, 2, 2]
         assert build_parser.cache_info().misses == 1
-
-
-class TestRoundtripCommand:
-    @pytest.mark.parametrize("zeros", [
-        [{"re": 0.0, "im": 0.0}],
-        [{"re": 0.5, "im": 0.0}],
-        [{"re": 0.3, "im": 0.4}, {"re": -0.2, "im": 0.0}],
-    ])
-    def test_small_products_roundtrip(self, tmp_path, capsys, zeros):
-        data = {"alpha": 0.5, "blaschke": {"zeros": zeros}}
-        code = main(["roundtrip", str(write_spec(tmp_path, data))])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert float(out.split(":")[1].split()[0]) < 1e-8
-
-    def test_emits_the_verify_report(self, tmp_path, capsys):
-        # roundtrip --out writes verify's keys, its roundtrip_error record,
-        # its recovered atoms and its closed-form schwarz block
-        path = write_spec(tmp_path, HALF_ZERO)
-        reports, texts = {}, {}
-        for command in ("verify", "roundtrip"):
-            out = tmp_path / f"{command}.json"
-            assert main([command, str(path), "--out", str(out)]) == 0
-            reports[command] = json.loads(out.read_text())
-            texts[command] = capsys.readouterr().out.splitlines()
-        verify, roundtrip = reports["verify"], reports["roundtrip"]
-        assert roundtrip.keys() == verify.keys()
-        assert roundtrip["checks"] == [c for c in verify["checks"]
-                                       if c["name"] == "roundtrip_error"]
-        for key in ("schwarz", "roundtrip_error", "recovered_atoms", "passed"):
-            assert roundtrip[key] == verify[key], key
-        assert set(texts["roundtrip"]) <= set(texts["verify"])
-        assert texts["roundtrip"][-1].endswith("PASS")
-
-    def test_failed_round_trip_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("galpha.verify.ROUNDTRIP_TOL", 0.0)
-        path = write_spec(tmp_path, HALF_ZERO)
-        assert main(["roundtrip", str(path)]) == 1
-        assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
-
-    def test_zero_near_circle_rejected(self, tmp_path, capsys):
-        data = {"alpha": 0.5,
-                "blaschke": {"zeros": [{"re": 1.0 - 1e-14, "im": 0.0}]}}
-        assert main(["roundtrip", str(write_spec(tmp_path, data))]) == 2
-
-    def test_requires_blaschke_source(self, tmp_path, capsys):
-        assert main(["roundtrip", str(write_spec(tmp_path, EXTREMAL))]) == 2
-
-    def test_non_numeric_prefactor_angle_exit_two(self, tmp_path, capsys):
-        for angle in (None, "0.5", False):
-            data = {"alpha": 0.5, "blaschke": {"zeros": [{"re": 0.5, "im": 0}],
-                                               "prefactor_angle": angle}}
-            path = write_spec(tmp_path, data)
-            for command in ("roundtrip", "verify"):
-                assert main([command, str(path)]) == 2
-                assert "prefactor_angle must be a number" in capsys.readouterr().err
 
 
 class TestRenderCommand:
@@ -641,8 +627,6 @@ class TestNormEnclosure:
         monkeypatch.setattr("galpha.schwarz.sup_norm_estimate", searched)
         path = write_spec(tmp_path, data)
         assert main(["verify", str(path)]) == 0
-        if "blaschke" in data:
-            assert main(["roundtrip", str(path)]) == 0
 
     def test_verify_norms_enclose_the_searched_norms(self):
         # verify reports the heaviest atom's radial limits, bit for bit, at
@@ -697,8 +681,8 @@ class TestGridConstruction:
         assert done.stdout.split() == ["0", "1"]
 
     def test_only_the_norm_search_builds_a_grid(self, tmp_path, capsys, monkeypatch):
-        # verify and roundtrip build none; norms without a grid builds the
-        # default one on its first call and keeps it
+        # verify builds none; norms without a grid builds the default one on
+        # its first call and keeps it
         built, post_init = [], DiskGrid.__post_init__
 
         def counted(self):
@@ -709,7 +693,6 @@ class TestGridConstruction:
         schwarz._default_grid.cache_clear()
         path = write_spec(tmp_path, HALF_ZERO)
         assert main(["verify", str(path)]) == 0
-        assert main(["roundtrip", str(path)]) == 0
         assert built == []
         f = GAlphaFunction(alpha=0.4, measure=AtomicMeasure(angles=[0.3, 2.0],
                                                             weights=[0.6, 0.4]))
@@ -763,7 +746,7 @@ class TestEvidence:
         # every command exits 2 and writes no report; verify runs no search,
         # so a grid flag there would change nothing
         path = write_spec(tmp_path, HALF_ZERO)
-        for command in ("verify", "roundtrip", "norms"):
+        for command in ("verify", "norms"):
             with pytest.raises(SystemExit) as exited:
                 main([command, str(path), flag, "1e-3"])
             assert exited.value.code == 2
@@ -775,7 +758,7 @@ class TestEvidence:
         # function of more than its spec
         commands = next(action for action in build_parser()._actions
                         if isinstance(action, argparse._SubParsersAction)).choices
-        for command in ("verify", "roundtrip", "norms"):
+        for command in ("verify", "norms"):
             actions = commands[command]._actions
             assert [a.dest for a in actions if not a.option_strings] == ["spec"], command
             assert sorted(flag for a in actions for flag in a.option_strings) == sorted(
