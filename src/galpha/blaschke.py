@@ -9,12 +9,11 @@ partial-fraction residues, they are what the disk-family correspondence consumes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _fields_equal,
-                        _fields_hash, _one_minus, _require_finite)
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _one_minus, _Record,
+                        _require_finite)
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
@@ -22,8 +21,7 @@ _POLISH_ITERS = 200  # every pass halves a root's bracket or its Newton step
 _REACH = 1.0 + 1e-9  # the product takes |z| < _REACH
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct:
+class BlaschkeProduct(_Record):
     """prefactor * prod_k (z - b_k) / (1 - conj(b_k) z), all |b_k| < 1.
 
     The prefactor must be unimodular (within 1e-12; it is renormalized to
@@ -32,26 +30,19 @@ class BlaschkeProduct:
     residues degenerate.  The stored zeros are a read-only copy.
     """
 
-    zeros: np.ndarray
-    prefactor: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        zeros = np.array(self.zeros, dtype=complex, ndmin=1)
+    def __init__(self, zeros: np.ndarray, prefactor: complex = 1.0 + 0.0j) -> None:
+        zeros = np.array(zeros, dtype=complex, ndmin=1)
         if zeros.ndim != 1:
             raise ValueError("zeros must be a 1-d array")
         _require_finite("zeros", zeros)
         if zeros.size and np.max(np.abs(zeros)) >= 1.0 - _BOUNDARY_MARGIN:
             raise ValueError("every zero must satisfy |b| < 1 - 1e-12")
-        pre = complex(self.prefactor)
+        pre = complex(prefactor)
         _require_finite("prefactor", pre)
         if abs(abs(pre) - 1.0) > 1e-12:
             raise ValueError("prefactor must be unimodular within 1e-12")
         zeros.flags.writeable = False
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "prefactor", pre / abs(pre))
-
-    __eq__ = _fields_equal
-    __hash__ = _fields_hash
+        vars(self).update(zeros=zeros, prefactor=pre / abs(pre))
 
     @property
     def degree(self) -> int:

@@ -4,14 +4,14 @@ _blocks, the one evaluator of per-point work, which every kernel of a
 member and of a Blaschke product runs through; the one disk sampling grid
 the norm search uses, and the sup-norm estimate of one objective by one
 sweep of the grid cells that the caller's bounds on the float objective
-leave open, and one batched finite-difference Newton ascent.
+leave open, and one batched finite-difference Newton ascent; and
+_Record, the one base of galpha's immutable records.
 Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,20 +48,46 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _fields_equal(a, b):
-    """== for a frozen dataclass holding arrays: each compared field equal
-    by value, where the generated == takes the truth value of an array."""
-    if type(a) is not type(b):
-        return NotImplemented
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(a) if f.compare)
+def _frozen(message: str):
+    """dataclasses.FrozenInstanceError(message), imported on first use, as
+    importing dataclasses with galpha adds ~0.8 ms on a 2-core host."""
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(message)
 
 
-def _fields_hash(a):
-    """hash() to match _fields_equal: each compared field hashed by value,
-    where the generated hash hashes the array; -0.0 and 0.0 hash alike."""
-    return hash(tuple(tuple(np.ravel(getattr(a, f.name)).tolist())
-                      for f in fields(a) if f.compare))
+class _Record:
+    """Base of galpha's records: immutable values whose fields are the
+    parameters of their class's __init__, read once per class.
+
+    __init__ stores the fields, and any attributes derived from them, with
+    vars(self).update; assigning or deleting an attribute afterwards raises
+    dataclasses.FrozenInstanceError.  Only the fields enter ==, hash and
+    repr.  == is type-strict and compares each field by value, arrays
+    elementwise, and hash matches it: each field is hashed flattened to a
+    tuple, so a list hashes as a tuple and -0.0 as 0.0.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(tuple(np.ravel(getattr(self, f)).tolist()) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _one_minus(z, atoms, out):
@@ -97,8 +123,7 @@ def _blocks(z, width, kernel, bound=1.0):
     return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class DiskGrid:
+class DiskGrid(_Record):
     """The norm search's polar grid: n_radii radii accumulating toward r_max,
     where this family's norm objectives peak, on angles_per_circle rays.
     It takes no arguments, so every DiskGrid() is equal.  Its arrays are
@@ -122,7 +147,7 @@ class DiskGrid:
     angles_per_circle = 512
     r_max = 1.0 - 1e-4
 
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         k, n = self.angles_per_circle, self.n_radii
         radii = 1.0 - np.geomspace(1.0, 1.0 - self.r_max, n)
         radii[0], radii[-1] = 0.0, self.r_max
@@ -138,8 +163,7 @@ class DiskGrid:
         vars(self).update(radii=radii, angles=angles, points=points, cells=cells)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(_Record):
     """An estimate of a supremum over the disk.
 
     value is the float objective at argmax as a call of the search returned
@@ -149,14 +173,12 @@ class NormEstimate:
     circle the float objective can read ~1e-11 above its exact value.
     """
 
-    value: float
-    argmax: complex
-
-    def __post_init__(self) -> None:
-        _require_finite("value", self.value)
-        _require_finite("argmax", self.argmax)
-        if abs(self.argmax) > 1.0 + 4.0 * np.finfo(float).eps:
+    def __init__(self, value: float, argmax: complex) -> None:
+        _require_finite("value", value)
+        _require_finite("argmax", argmax)
+        if abs(argmax) > 1.0 + 4.0 * np.finfo(float).eps:
             raise ValueError("argmax must lie in the closed unit disk")
+        vars(self).update(value=value, argmax=argmax)
 
 
 def _clip(z, r_max):

@@ -15,13 +15,12 @@ measure induces the disk self-map phi with z h''/h' = alpha * z phi/(z phi - 1).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, boundary_roots
-from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _fields_equal,
-                        _fields_hash, _one_minus, _require_finite)
+from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _one_minus, _Record,
+                        _require_finite)
 
 _MIN_SEPARATION = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
@@ -91,8 +90,7 @@ def _log_sum(u, weights):
     return log_modulus + 1j * np.einsum("ij,j->i", np.arctan2(im, re, out=buf), weights)
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(_Record):
     """Finitely many point masses on the unit circle, weights summing to 1.
 
     Angles are canonicalized to [0, 2 pi) and sorted ascending; weights are
@@ -101,13 +99,9 @@ class AtomicMeasure:
     atom positions zeta_k = e^(i angle_k), formed once for every kernel.
     """
 
-    angles: np.ndarray
-    weights: np.ndarray
-    atoms: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+    def __init__(self, angles: np.ndarray, weights: np.ndarray) -> None:
+        angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        weights = np.atleast_1d(np.asarray(weights, dtype=float))
         _require_finite("angles", angles)
         _require_finite("weights", weights)
         if angles.shape != weights.shape or angles.ndim != 1 or angles.size == 0:
@@ -125,13 +119,10 @@ class AtomicMeasure:
                 raise ValueError("atom angles must be pairwise distinct "
                                  "(separation > 1e-9)")
         # angles[order] and the arrays formed from it are the measure's own
-        for name, array in (("angles", angles), ("weights", weights / weights.sum()),
-                            ("atoms", np.exp(1j * angles))):
+        arrays = dict(angles=angles, weights=weights / weights.sum(), atoms=np.exp(1j * angles))
+        for array in arrays.values():
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    __eq__ = _fields_equal
-    __hash__ = _fields_hash
+        vars(self).update(arrays)
 
     @property
     def count(self) -> int:
@@ -221,17 +212,14 @@ def induced_self_map(measure: AtomicMeasure, z):
     return t / (z * t - 1.0)
 
 
-@dataclass(frozen=True)
-class GAlphaFunction:
+class GAlphaFunction(_Record):
     """A member of the family: alpha in (0, 1] plus an atomic measure."""
 
-    alpha: float
-    measure: AtomicMeasure
-
-    def __post_init__(self) -> None:
-        _require_finite("alpha", self.alpha)
-        if not 0.0 < self.alpha <= 1.0:
+    def __init__(self, alpha: float, measure: AtomicMeasure) -> None:
+        _require_finite("alpha", alpha)
+        if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
+        vars(self).update(alpha=alpha, measure=measure)
 
     def hprime(self, z):
         """h'(z) = prod_k (1 - zeta_k z)^(alpha t_k) = exp(alpha L); h'(0) = 1."""

@@ -15,19 +15,17 @@ Injectivity is checked only through the criterion, so only for alpha < 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import _fields_equal, _fields_hash, _require_finite
+from .complexfn import _Record, _require_finite
 from .family import GAlphaFunction, _path_integral
 
 _SENSE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class DilatationSpec:
+class DilatationSpec(_Record):
     """An analytic dilatation with sup |omega| <= 1 - 1e-9 (sense-preserving).
 
     Either a polynomial sum_j c_j z^j or scale * phi for a finite Blaschke
@@ -36,32 +34,25 @@ class DilatationSpec:
     from the read-only copy of the coefficients that the spec stores.
     """
 
-    coefficients: np.ndarray | None = None
-    scale: complex = 1.0 + 0.0j
-    blaschke: BlaschkeProduct | None = None
-    sup_bound: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if (self.coefficients is None) == (self.blaschke is None):
+    def __init__(self, coefficients: np.ndarray | None = None, scale: complex = 1.0 + 0.0j,
+                 blaschke: BlaschkeProduct | None = None) -> None:
+        if (coefficients is None) == (blaschke is None):
             raise ValueError("exactly one of coefficients/blaschke must be given")
-        _require_finite("scale", self.scale)
-        object.__setattr__(self, "scale", complex(self.scale))
-        if self.blaschke is None:
-            if self.scale != 1.0:
+        _require_finite("scale", scale)
+        scale = complex(scale)
+        if blaschke is None:
+            if scale != 1.0:
                 raise ValueError("scale applies to Blaschke dilatations only")
-            coeffs = np.array(self.coefficients, dtype=complex, ndmin=1)
-            if coeffs.ndim != 1 or coeffs.size == 0:
+            coefficients = np.array(coefficients, dtype=complex, ndmin=1)
+            if coefficients.ndim != 1 or coefficients.size == 0:
                 raise ValueError("coefficients must be a nonempty 1-d array")
-            _require_finite("coefficients", coeffs)
-            coeffs.flags.writeable = False
-            object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "sup_bound", _sup_on_circle(self))
+            _require_finite("coefficients", coefficients)
+            coefficients.flags.writeable = False
+        vars(self).update(coefficients=coefficients, scale=scale, blaschke=blaschke)
+        vars(self)["sup_bound"] = _sup_on_circle(self)
         if self.sup_bound > 1.0 - _SENSE_MARGIN:
             raise ValueError("dilatation must satisfy sup |omega| <= 1 - 1e-9 "
                              "(sense-preserving)")
-
-    __eq__ = _fields_equal
-    __hash__ = _fields_hash
 
     @classmethod
     def constant(cls, value: complex) -> "DilatationSpec":
@@ -96,13 +87,12 @@ class DilatationSpec:
         return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class HarmonicMap:
+class HarmonicMap(_Record):
     """f = h + conj(g), g' = omega * h', g(0) = 0; g integrates omega h'
     along [0, z] by the rule h uses, for |z| <= 1 - 1e-6."""
 
-    analytic_part: GAlphaFunction
-    dilatation: DilatationSpec
+    def __init__(self, analytic_part: GAlphaFunction, dilatation: DilatationSpec) -> None:
+        vars(self).update(analytic_part=analytic_part, dilatation=dilatation)
 
     def g(self, z):
         """g(z) = z * integral_0^1 omega(t z) h'(t z) dt."""

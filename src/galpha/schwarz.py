@@ -20,11 +20,10 @@ each norm's closed-form enclosure with no search.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI, DiskGrid, NormEstimate, _blocks, sup_norm_estimate
+from .complexfn import TWO_PI, DiskGrid, NormEstimate, _blocks, _Record, sup_norm_estimate
 from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
@@ -56,8 +55,7 @@ def _radial_limits(alpha, t):
     return 2.0 * alpha * t, 2.0 * alpha * t * (2.0 + alpha * t)
 
 
-@dataclass(frozen=True)
-class SchwarzReport:
+class SchwarzReport(_Record):
     """Norm estimates next to the family's sharp bounds, which follow from alpha.
 
     source says where the estimates came from: "search" (`norms`) or
@@ -66,10 +64,10 @@ class SchwarzReport:
     that constant.
     """
 
-    pre_schwarzian_norm: NormEstimate
-    schwarzian_norm: NormEstimate
-    alpha: float
-    source: str
+    def __init__(self, pre_schwarzian_norm: NormEstimate, schwarzian_norm: NormEstimate,
+                 alpha: float, source: str) -> None:
+        vars(self).update(pre_schwarzian_norm=pre_schwarzian_norm,
+                          schwarzian_norm=schwarzian_norm, alpha=alpha, source=source)
 
     @property
     def pre_schwarzian_bound(self) -> float:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .complexfn import ConvergenceError
+from .complexfn import ConvergenceError, _Record
 from .family import AtomicMeasure, GAlphaFunction, measure_from_blaschke
 from .harmonic import DilatationSpec
 
@@ -47,23 +46,19 @@ class SpecFileError(ValueError):
     """A spec file is malformed or violates a constructor invariant."""
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(_Record):
     """In-memory form of a spec file; exactly one of measure/blaschke is set,
     and member is the family member, built from it once."""
 
-    alpha: float
-    measure: AtomicMeasure | None = None
-    blaschke: BlaschkeProduct | None = None
-    dilatation: DilatationSpec | None = None
-    member: GAlphaFunction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if (self.measure is None) == (self.blaschke is None):
+    def __init__(self, alpha: float, measure: AtomicMeasure | None = None,
+                 blaschke: BlaschkeProduct | None = None,
+                 dilatation: DilatationSpec | None = None) -> None:
+        if (measure is None) == (blaschke is None):
             raise SpecFileError("exactly one of atoms/blaschke must be present")
-        measure = (self.measure if self.measure is not None
-                   else measure_from_blaschke(self.blaschke))
-        object.__setattr__(self, "member", GAlphaFunction(alpha=self.alpha, measure=measure))
+        member = GAlphaFunction(alpha=alpha, measure=measure if measure is not None
+                                else measure_from_blaschke(blaschke))
+        vars(self).update(alpha=alpha, measure=measure, blaschke=blaschke,
+                          dilatation=dilatation, member=member)
 
 
 def _number(value, what: str) -> float:

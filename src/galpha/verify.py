@@ -22,11 +22,10 @@ off |a_n|.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfn import TWO_PI
+from .complexfn import TWO_PI, _Record
 from .family import induced_self_map
 from .harmonic import HarmonicMap, univalence_criterion
 from .schwarz import SchwarzReport, radial_limit_report
@@ -43,16 +42,14 @@ _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 ">=": operator.ge, "==": operator.eq}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """A named check that passes when `value comparison threshold` holds;
     evidence is `exact: <certificate>`, `bound` or `sampled`."""
 
-    name: str
-    value: float | bool
-    comparison: str
-    threshold: float | bool
-    evidence: str
+    def __init__(self, name: str, value: float | bool, comparison: str,
+                 threshold: float | bool, evidence: str) -> None:
+        vars(self).update(name=name, value=value, comparison=comparison, threshold=threshold,
+                          evidence=evidence)
 
     @property
     def passed(self) -> bool:
@@ -70,11 +67,10 @@ class Check:
         return dict(vars(self), passed=self.passed)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: list[Check]
-    schwarz: SchwarzReport
-    recovered_atoms: list | None
+class VerifyReport(_Record):
+    def __init__(self, checks: list[Check], schwarz: SchwarzReport,
+                 recovered_atoms: list | None) -> None:
+        vars(self).update(checks=checks, schwarz=schwarz, recovered_atoms=recovered_atoms)
 
     @property
     def passed(self) -> bool:

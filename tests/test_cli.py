@@ -661,7 +661,7 @@ class TestGridConstruction:
             "import sys\n"
             "built = []\n"
             "def profile(frame, event, arg):\n"
-            "    if (event == 'call' and frame.f_code.co_name == '__post_init__'\n"
+            "    if (event == 'call' and frame.f_code.co_name == '__init__'\n"
             "            and type(frame.f_locals.get('self')).__name__ == 'DiskGrid'):\n"
             "        built.append(1)\n"
             "sys.setprofile(profile)\n"
@@ -683,13 +683,13 @@ class TestGridConstruction:
     def test_only_the_norm_search_builds_a_grid(self, tmp_path, capsys, monkeypatch):
         # verify builds none; norms without a grid builds the default one on
         # its first call and keeps it
-        built, post_init = [], DiskGrid.__post_init__
+        built, init = [], DiskGrid.__init__
 
         def counted(self):
             built.append(self)
-            post_init(self)
+            init(self)
 
-        monkeypatch.setattr(DiskGrid, "__post_init__", counted)
+        monkeypatch.setattr(DiskGrid, "__init__", counted)
         schwarz._default_grid.cache_clear()
         path = write_spec(tmp_path, HALF_ZERO)
         assert main(["verify", str(path)]) == 0

@@ -14,10 +14,10 @@ from galpha.schwarz import norms, pre_schwarzian, schwarzian
 
 def grid_double(n_radii=DiskGrid.n_radii, angles_per_circle=DiskGrid.angles_per_circle,
                 r_max=DiskGrid.r_max):
-    """A test double of DiskGrid: a frozen subclass overriding its three
-    constants, for a small, ragged or near-circle grid."""
+    """A test double of DiskGrid: a subclass overriding its three constants,
+    for a small, ragged or near-circle grid; frozen as DiskGrid is."""
     constants = dict(n_radii=n_radii, angles_per_circle=angles_per_circle, r_max=r_max)
-    return dataclasses.dataclass(frozen=True)(type("GridDouble", (DiskGrid,), constants))()
+    return type("GridDouble", (DiskGrid,), constants)()
 
 
 def norms_on(f, grid):
