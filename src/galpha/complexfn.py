@@ -211,7 +211,8 @@ def _model_step(g, q, lam):
                        u.imag / max(a - lam.real, abs(u.imag) / math.sqrt(2.0), 1e-300))
 
 
-def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bounds) -> NormEstimate:
+def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bounds,
+                      radius: float) -> NormEstimate:
     """The sup of a real objective over the disk by one grid sweep and one
     batched Newton ascent.
 
@@ -232,15 +233,16 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     the centre c is no worse than its best point, the next stencil is
     centred on the trial point and h becomes the trial step's length; else
     it goes back to the best point with h/8.  h starts at min(1 - |c|,
-    2 pi / angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate
-    stops once it lies within h of a better one or h < sqrt(eps) (1 - |c|),
-    where the differences reach the objective's rounding, or once its last
-    trial was pulled inside r_max while its value is below the limit: a
-    heuristic, not a certificate, for objectives that tend on the circle
-    to at most their limits, as the norms' do.  All stop after _MAX_STEPS
-    steps.  The estimate is the best candidate's (point, value), the first
-    of equals, as a call of the sweep or the ascent returned it, or limit
-    unless that value beats it.
+    2 pi / angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate stops
+    once it lies within h of a better one or h < sqrt(eps) (1 - |c|), where
+    the differences reach the objective's rounding, or, below the limit,
+    once its point lies within radius of limit.argmax, where the caller
+    certifies that the objective is at most the limit, or its last trial was
+    pulled inside r_max, a heuristic stop, not a certified one, for objectives
+    that tend on the circle to at most their limits, as the norms'.  All stop
+    after _MAX_STEPS steps.  The estimate is the best candidate's (point,
+    value), the first of equals, as a call of the sweep or the ascent
+    returned it, or limit unless that value beats it.
     As the top row's best grid point is a start and candidates only move
     up, it is never below the objective's grid maximum.
     """
@@ -269,9 +271,10 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     live = each = range(len(point))
     for _ in range(_MAX_STEPS):
         # stopped: at the rounding, near a better candidate (stopped ones
-        # too), or pulled in below the limit
+        # too), or below the limit and pulled in or in the certified disk
         live = [i for i in live if h[i] >= tol * room[i]
-                and not (pulled[i] and value[i] < limit.value)
+                and not (value[i] < limit.value
+                         and (pulled[i] or abs(point[i] - limit.argmax) <= radius))
                 and not any(value[j] > value[i] and abs(point[j] - point[i]) < h[i] for j in each)]
         if not live:
             break

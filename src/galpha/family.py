@@ -111,6 +111,7 @@ class AtomicMeasure(_Record):
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1")
         angles = np.mod(angles, TWO_PI)
+        angles[angles == TWO_PI] = 0.0  # np.mod(-1e-20, 2 pi) rounds to 2 pi
         order = np.argsort(angles)
         angles, weights = angles[order], weights[order]
         if angles.size > 1:
@@ -154,8 +155,7 @@ def measure_from_blaschke(phi: BlaschkeProduct) -> AtomicMeasure:
     renormalized here before the measure's stricter 1e-12 applies.
     """
     roots, residues = boundary_roots(phi)
-    return AtomicMeasure(angles=np.mod(-np.angle(roots), TWO_PI),
-                         weights=residues / residues.sum())
+    return AtomicMeasure(angles=-np.angle(roots), weights=residues / residues.sum())
 
 
 def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:

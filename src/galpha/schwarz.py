@@ -20,6 +20,7 @@ each norm's closed-form enclosure with no search.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -140,6 +141,29 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
 
+def _certified_radii(f: GAlphaFunction):
+    """The radii r of the disks |z - p| <= r about p = conj(zeta_j), j the
+    heaviest atom, on which the objectives are at most their limits L in
+    exact arithmetic, inf for one atom: for rho = |z - p| <= cap each is at
+    most L (1 + rho (max(Re A, 0) - 1/2) + rho^2 Q) (symbols and proof:
+    TestCertifiedDisk in tests/test_certificates.py)."""
+    w, poles, alpha = f.measure.weights, np.conj(f.measure.atoms), f.alpha
+    j = int(np.argmax(w))
+    p, t, d_t = complex(poles[j]), float(w[j]), 1.0 + 0.5 * alpha * float(w[j])
+    others, ti = np.delete(poles, j), np.delete(w, j)
+    if not ti.size:
+        return [math.inf, math.inf]
+    d = np.abs(p - others)
+    cap = 0.5 * float(d.min())
+    s1, s2, s3 = (float(ti @ (d - cap) ** -n) for n in (1, 2, 3))
+    r = complex(ti @ (1.0 / (p - others)))
+    b1 = (s2 / t, alpha * s2 / d_t
+          + (s2 + 0.5 * alpha * s1 ** 2 + cap * (2.0 * s3 + alpha * s1 * s2)) / (t * d_t))
+    a = (-p * r / t, -p * alpha * r / d_t)
+    q = [0.5 * (x.imag ** 2 + abs(x) ** 2 + abs(x)) + b for x, b in zip(a, b1)]
+    return [min(cap, (0.5 - max(x.real, 0.0)) / y) if x.real < 0.5 else 0.0 for x, y in zip(a, q)]
+
+
 def norms(f: GAlphaFunction) -> SchwarzReport:
     """Estimate both hyperbolic norms and report them against the bounds.
 
@@ -148,7 +172,9 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     a value one of its calls returns beats it.  Two sup_norm_estimate
     calls, one per objective, search DiskGrid(), built on the first call
     and kept, and each skips the grid.cells, one per (angle block, radius
-    block), whose bound lies below its limit.  With d_k the distance from
+    block), whose bound lies below its limit, and stops a candidate below
+    its limit within _certified_radii of p = conj(zeta_j), j the heaviest
+    atom, where no point beats it.  With d_k the distance from
     conj(zeta_k) to the cell r0 <= |z| <= r1, th0 <= arg z <= th1,
     |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so (1-|z|^2)/|1 - zeta_k z|
     is at most the cap c_k = (1 - rho^2)/max(d_k, 1 - rho) at
@@ -161,9 +187,9 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     """
     grid = _default_grid()
     floor = radial_limit_report(f)
-    bounds = _cell_bounds(f, *grid.cells)
+    bounds, radii = _cell_bounds(f, *grid.cells), _certified_radii(f)
     pre = sup_norm_estimate(lambda z: np.abs(pre_schwarzian(f, z)) * (1.0 - np.abs(z) ** 2), grid,
-                            limit=floor.pre_schwarzian_norm, cell_bounds=bounds[0])
+                            limit=floor.pre_schwarzian_norm, cell_bounds=bounds[0], radius=radii[0])
     sch = sup_norm_estimate(lambda z: np.abs(schwarzian(f, z)) * (1.0 - np.abs(z) ** 2) ** 2, grid,
-                            limit=floor.schwarzian_norm, cell_bounds=bounds[1])
+                            limit=floor.schwarzian_norm, cell_bounds=bounds[1], radius=radii[1])
     return SchwarzReport(pre, sch, f.alpha, "search")

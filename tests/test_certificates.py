@@ -6,8 +6,8 @@ and shows a sign on a box [0,1]^n from its Bernstein coefficients: if every
 coefficient of p in the tensor Bernstein basis is >= 0, then p >= 0 on the
 box, because each basis polynomial is (Farouki, The Bernstein polynomial
 basis: a centennial retrospective, CAGD 29, 2012).  A complex number is a
-pair of real polynomials.  Standard library only, apart from one 40-digit
-mpmath check.
+pair of real polynomials.  Standard library only, apart from two 40-digit
+mpmath checks and the members and disks of the second.
 """
 
 import random
@@ -387,3 +387,144 @@ class TestGenericCertificates:
                     omega = -mpmath.expm1(log_sum)
                     worst = max(worst, abs(omega) / abs(z))
                 assert worst <= 1 + mpmath.mpf(10) ** -35, (m, worst)
+
+
+class TestCertifiedDisk:
+    """schwarz._certified_radii.  Let j be the heaviest atom, p = conj(zeta_j),
+    t = t_j, L = 2 alpha t (k = 1, the pre-Schwarzian) or 2 alpha t (2 + alpha t)
+    (k = 2, the Schwarzian), and F the objective, (1 - |z|^2)^k times |P| or |S|.
+    Put u = z - p = -p rho e^(i psi), c = cos psi, s = sin psi; for the other
+    poles p_i with weights t_i, d_i = |p - p_i|, cap = min d_i/2,
+    s_n = sum t_i/(d_i - cap)^n, R(z) = sum t_i/(z - p_i) and D = 1 + alpha t/2.
+
+    1. |z|^2 = |1 - rho e^(i psi)|^2, so 1 - |z|^2 = rho (2c - rho): z lies in
+       the disk iff c > rho/2, and then 0 < c - rho/2 <= 1.
+    2. u P = alpha t (1 + u B) with B = R(z)/t, and u^2 S = -alpha t D (1 + u B)
+       with B = alpha R/D - u (R' - alpha R^2/2)/(t D), so
+       F = L (c - rho/2)^k |1 + u B(z)| <= L (c - rho/2) |1 + u B(z)|.
+    3. On |u| <= cap, |z - p_i| >= d_i - cap, so |R^(n)| <= n! s_(n+1) and
+       |B'| <= B1: s_2/t for k = 1, and alpha s_2/D + (s_2 + alpha s_1^2/2)/(t D)
+       + cap (2 s_3 + alpha s_1 s_2)/(t D) for k = 2.  Along [p, z],
+       |1 + u B(z)| <= |1 + rho A e^(i psi)| + rho^2 B1, with A = -p B(p).
+    4. sqrt(1 + x) <= 1 + x/2 gives |1 + rho A e^(i psi)| <= 1 + rho Re(A e^(i psi))
+       + rho^2 |A|^2/2, and the rho^2 terms times c - rho/2 <= 1 stay below
+       themselves.
+    5. (c - rho/2)(1 + rho Re(A e^(i psi))) = c - rho/2 + rho c (a c - b s)
+       - rho^2 Re(A e^(i psi))/2 with a + i b = A: rho a c^2 <= rho max(a, 0),
+       -rho b c s <= rho |b| |s|, -Re(A e^(i psi)) <= |A|, c <= 1 - s^2/2, and
+       -s^2/2 + rho |b| |s| is at most its maximum over s, rho^2 b^2/2.
+
+    So F <= L (1 + rho (max(a, 0) - 1/2) + rho^2 Q) with
+    Q = (b^2 + |A|^2 + |A|)/2 + B1, which is <= L for
+    rho <= r = min(cap, (1/2 - max(a, 0))/Q) when a < 1/2 (r = 0 otherwise).
+    One atom has B = 0, so F <= L on the whole disk (r = inf).
+    """
+
+    def test_one_minus_modulus_squared(self):
+        # step 1, with s^2 = 1 - c^2 on the circle
+        rho, c, s = variables(3)
+        gap = 1 - ((1 - rho * c) ** 2 + (rho * s) ** 2) - rho * (2 * c - rho)
+        assert gap == rho ** 2 * (1 - c ** 2 - s ** 2)
+
+    def test_objectives_factor_at_the_heaviest_atom(self):
+        # step 2 with u P = alpha (t + u R) and u^2 P' = alpha (-t + u^2 R'),
+        # its B times t D, to stay a polynomial
+        a, t, u, r, r1 = variables(5)
+        half = Fraction(1, 2)
+        p_u, dp_u2 = a * (t + u * r), a * (-t + u ** 2 * r1)
+        d = 1 + half * a * t
+        b_td = a * t * r - u * (r1 - half * a * r ** 2)
+        assert p_u == a * t + u * (a * r)
+        assert dp_u2 - half * p_u ** 2 == -a * (t * d + u * b_td)
+
+    @staticmethod
+    def members():
+        """The norm panel, the gate member and 120 seeded members, by quarters:
+        m = 2-12 atoms random, clustered, or with a light atom 1e-4 to 1e-1
+        from one made the heaviest; and three atoms with a tiny one between
+        the heaviest and a lighter one, where r is the cap and the
+        pre-Schwarzian beats its limit within 2r."""
+        import numpy as np
+        from galpha.family import AtomicMeasure, GAlphaFunction
+        from test_schwarz import gate_member, panel_members
+        rng = np.random.default_rng(48)
+        out = panel_members() + [gate_member()]
+        for i in range(120):
+            m = int(rng.integers(2, 13))
+            angles = rng.uniform(0.0, 2 * pi, m)
+            weights = rng.dirichlet(np.ones(m))
+            if i % 4 == 1:
+                angles = angles[0] + np.cumsum(rng.uniform(1e-4, 3e-2, m))
+            elif i % 4 == 2:
+                angles[1] = angles[0] + rng.choice([-1, 1]) * 10 ** rng.uniform(-4, -1)
+                weights[0] += 1.0
+            elif i % 4 == 3:
+                gap, t = 10 ** rng.uniform(-2.5, -1), rng.uniform(0.8, 0.95)
+                tiny = 10 ** rng.uniform(-4, -3)
+                angles = np.array([0.0, -gap, -gap * rng.uniform(0.2, 0.6)])
+                weights = np.array([t, 1 - t - tiny, tiny])
+            out.append(GAlphaFunction(alpha=float(1 - rng.uniform()), measure=AtomicMeasure(
+                angles=angles, weights=weights / weights.sum())))
+        return out
+
+    @staticmethod
+    def float_excess(f, k, rho, psi):
+        """F/L - 1 in floats from step 2's factored form, whose u = -p rho e^(i psi)
+        avoids the cancellation of z - p: a screen for the exact check."""
+        import numpy as np
+        poles, w, alpha = np.conj(f.measure.atoms), f.measure.weights, f.alpha
+        j = int(np.argmax(w))
+        p, t, others, ti = poles[j], w[j], np.delete(poles, j), np.delete(w, j)
+        u = -p * rho * np.exp(1j * psi)
+        g = 1.0 / ((p + u)[:, None] - others)
+        r, d = g @ ti, 1.0 + alpha * t / 2
+        b = r / t if k == 1 else alpha * r / d + u * ((g * g) @ ti + alpha * r * r / 2) / (t * d)
+        return (np.cos(psi) - rho / 2) ** k * np.abs(1.0 + u * b) - 1.0
+
+    @staticmethod
+    def exact_ratio(mpmath, f, k, rho, psi):
+        """F/L at z = p (1 - rho e^(i psi)) in the working precision, from the
+        atoms' angles and the member's float weights and alpha."""
+        alpha = mpmath.mpf(f.alpha)
+        weights = [mpmath.mpf(float(w)) for w in f.measure.weights]
+        poles = [mpmath.expj(-mpmath.mpf(float(th))) for th in f.measure.angles]
+        j = max(range(len(weights)), key=weights.__getitem__)
+        rho, psi = mpmath.mpf(float(rho)), mpmath.mpf(float(psi))
+        z = poles[j] * (1 - rho * mpmath.expj(psi))
+        g = [1 / (z - q) for q in poles]
+        big_p = alpha * mpmath.fsum(t * gi for t, gi in zip(weights, g))
+        limit = 2 * alpha * weights[j]
+        if k == 1:
+            value = abs(big_p)
+        else:
+            big_dp = -alpha * mpmath.fsum(t * gi ** 2 for t, gi in zip(weights, g))
+            value = abs(big_dp - big_p ** 2 / 2)
+            limit *= 2 + alpha * weights[j]
+        return (rho * (2 * mpmath.cos(psi) - rho)) ** k * value / limit
+
+    def test_objectives_stay_below_their_limits_on_the_disks_in_40_digits(self):
+        # each disk is sampled at 1,000 points, rho uniform or log-uniform down
+        # to 1e-9 of its reach min(r, 2 cos psi), and at rho = r, psi = 0; the
+        # 4 worst in floats are checked with F in 40-digit mpmath.  Dropping
+        # B1 from Q or doubling r makes the check fail
+        import numpy as np
+        from galpha.schwarz import _certified_radii
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(49)
+        worst, disks = -1.0, 0
+        with mpmath.workdps(40):
+            for f in self.members():
+                for k, radius in zip((1, 2), _certified_radii(f)):
+                    if radius == 0.0:
+                        continue
+                    disks += 1
+                    psi = rng.uniform(-pi / 2, pi / 2, 1000)
+                    v = rng.uniform(size=1000)
+                    rho = np.minimum(radius, 2.0 * np.cos(psi)) * np.where(v < 0.5, 2 * v,
+                                                                         1e-9 ** (2 * v - 1))
+                    if radius < 2.0:
+                        psi, rho = np.append(psi, 0.0), np.append(rho, radius)
+                    for i in np.argsort(self.float_excess(f, k, rho, psi))[-4:]:
+                        worst = max(worst, self.exact_ratio(mpmath, f, k, rho[i], psi[i]) - 1)
+        assert disks >= 280
+        assert worst < 0, worst

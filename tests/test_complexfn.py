@@ -49,12 +49,13 @@ def panel_member(i):
 UNBOUNDED = NormEstimate(value=-np.finfo(float).max, argmax=0j)
 
 
-def search(objective, grid, limit=UNBOUNDED, cell_bounds=None):
-    """sup_norm_estimate, with the UNBOUNDED limit where none is given and
-    infinite cell bounds where none are: the unpruned, unfloored search."""
+def search(objective, grid, limit=UNBOUNDED, cell_bounds=None, radius=0.0):
+    """sup_norm_estimate, with the UNBOUNDED limit where none is given,
+    infinite cell bounds where none are and no certified disk about the
+    limit's argmax where no radius is: the unpruned, unfloored search."""
     if cell_bounds is None:
         cell_bounds = np.full(np.broadcast(*grid.cells).shape, np.inf)
-    return sup_norm_estimate(objective, grid, limit=limit, cell_bounds=cell_bounds)
+    return sup_norm_estimate(objective, grid, limit=limit, cell_bounds=cell_bounds, radius=radius)
 
 
 def norm_objectives(f):
@@ -298,9 +299,9 @@ class TestSupNormEstimate:
 
     def test_objective_and_grid_lead_the_signature(self):
         # perfbench/spans.py binds the first two arguments by these names;
-        # both bounds are required
+        # both bounds and the certified radius are required
         params = inspect.signature(sup_norm_estimate).parameters
-        assert list(params) == ["objective", "grid", "limit", "cell_bounds"]
+        assert list(params) == ["objective", "grid", "limit", "cell_bounds", "radius"]
         assert all(p.default is p.empty for p in params.values())
 
     def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
@@ -416,6 +417,24 @@ class TestSupNormEstimate:
         assert sweep.size == 4 and [len(w) for w in steps] == [2, 1]
         assert steps[0][0, 0] == peak and steps[1][0, 0] != peak
         assert est == NormEstimate(value=1.0, argmax=complex(peak))
+
+    def test_a_candidate_in_the_certified_disk_stops_below_the_limit(self):
+        # 1 - |z - peak|^2 peaks at 1 < 2, the limit; with the limit's
+        # argmax at the peak and a radius holding every start, no candidate
+        # takes a step, and with radius 0 the ascent climbs as before
+        peak = 0.3 + 0.2j
+        limit = NormEstimate(value=2.0, argmax=peak)
+        counts = []
+        for radius in (1.5, 0.0):
+            calls = []
+
+            def recorded(z, calls=calls):
+                calls.append(np.array(z))
+                return 1.0 - np.abs(z - peak) ** 2
+
+            assert search(recorded, grid_double(8, 32), limit=limit, radius=radius) == limit
+            counts.append(len(calls))
+        assert counts[0] == 1 < counts[1]
 
     @staticmethod
     def _toward_edge(limit):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from galpha import complexfn, family, harmonic, verify
-from galpha.blaschke import BlaschkeProduct
+from galpha.blaschke import BlaschkeProduct, boundary_roots
 from galpha.complexfn import TWO_PI, DiskGrid, DomainError
 from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke,
@@ -41,6 +41,17 @@ class TestAtomicMeasure:
         assert np.array_equal(m.atoms, np.exp(1j * m.angles))
         assert "atoms" not in repr(m)
         assert single_atom(5.0) == AtomicMeasure(angles=[5.0], weights=[1.0])
+
+    def test_an_angle_just_below_zero_wraps_to_zero(self):
+        # np.mod(-1e-20, 2 pi) rounds to 2 pi itself, outside [0, 2 pi)
+        m = AtomicMeasure(angles=[1.0, -1e-20], weights=[0.5, 0.5])
+        assert m.angles[0] == 0.0 and m == AtomicMeasure(angles=[0.0, 1.0], weights=[0.5, 0.5])
+        assert AtomicMeasure(angles=[-1e-20], weights=[1.0]) == single_atom(0.0)
+        # the forward correspondence: phi = 1 - 1e-20 i has its one root of
+        # z phi(z) = 1 at angle 1e-20, so its atom's angle is -1e-20
+        phi = BlaschkeProduct(zeros=[], prefactor=1.0 - 1e-20j)
+        assert np.angle(boundary_roots(phi)[0][0]) == 1e-20
+        assert measure_from_blaschke(phi) == single_atom(0.0)
 
     def test_arrays_are_read_only_copies(self):
         angles, weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
