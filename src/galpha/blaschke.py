@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .complexfn import (TWO_PI, ConvergenceError, DomainError, _blocks, _one_minus, _Record,
-                        _require_finite)
+from .complexfn import TWO_PI, ConvergenceError, DomainError, _blocks, _Record, _require_finite
 
 _BOUNDARY_MARGIN = 1e-12  # zeros closer than this to the circle are rejected
 _EPS = float(np.finfo(float).eps)
@@ -49,16 +48,24 @@ class BlaschkeProduct(_Record):
         return int(self.zeros.size)
 
     def __call__(self, z):
-        """Evaluate the product for |z| < 1 + 1e-9 (poles raise DomainError)."""
-        def kernel(zb, buf):
-            denom = _one_minus(zb, np.conj(self.zeros), buf)  # |denom| >= 1 - |z|
-            if np.any(np.abs(denom[np.abs(zb) > 1.0 - 2e-12]) < 1e-12):
-                raise DomainError("z coincides with a pole 1/conj(b)")
-            # prefactor * (a temporary) would multiply in place and round by call size
-            return np.multiply(self.prefactor, np.prod(
-                np.divide(zb[:, None] - self.zeros, denom, out=buf), axis=1))
+        """Evaluate the product for |z| < 1 + 1e-9 (poles raise DomainError).
 
-        return _blocks(z, self.degree, kernel, _REACH)
+        A slice's buffer holds, zero by zero, rows of the denominators
+        1 - conj(b_k) z and of the ratios (z - b_k)/denominator, so the
+        product over zeros multiplies whole contiguous rows.
+        """
+        m, b = self.degree, self.zeros[:, None]
+
+        def kernel(zb, buf):
+            denom, ratio = buf.reshape(2, m, zb.size)
+            np.subtract(1.0, np.multiply(np.conj(b), zb, out=denom), out=denom)  # >= 1 - |z|
+            if np.any(np.abs(denom[:, np.abs(zb) > 1.0 - 2e-12]) < 1e-12):
+                raise DomainError("z coincides with a pole 1/conj(b)")
+            np.divide(np.subtract(zb, b, out=ratio), denom, out=ratio)
+            # prefactor * (a temporary) would multiply in place and round by call size
+            return np.multiply(self.prefactor, np.prod(ratio, axis=0))
+
+        return _blocks(z, 2 * m, kernel, _REACH)
 
 
 def _slope(phi: BlaschkeProduct, w):

@@ -91,9 +91,9 @@ class _Record:
 
 
 def _one_minus(z, atoms, out):
-    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out; atoms is
-    broadcast to that shape, as a (1, 1) outer product would round apart."""
-    u = np.multiply(z[:, None], np.broadcast_to(atoms, out.shape), out=out)
+    """u_k = 1 - zeta_k z for 1-d z, shape (z.size, m), formed in out for
+    hprime, its one caller."""
+    u = np.multiply(z[:, None], atoms, out=out)
     return np.subtract(1.0, u, out=u)
 
 
@@ -101,25 +101,26 @@ def _blocks(z, width, kernel, bound=1.0):
     """kernel over the points of z, |z| < bound, on the fewest slices of at
     most _BLOCK // width points, whose sizes differ by at most one.
 
-    kernel(zb, buf) gets a 1-d slice zb and buf, a (zb.size, width) complex
-    view of one buffer shared by every slice (width may be 0), in which it
-    forms its terms per (point, term): fresh slice-sized arrays let the
-    allocator hand memory back to the system and fault it in again.  It
-    returns one value per point of zb; the result has the shape of z, and a
-    0-d z gives a numpy scalar.  Balanced slices leave no short tail: a
-    one-point slice runs its kernel's products down a different numpy
-    path, which rounds differently.
+    kernel(zb, buf) gets a 1-d slice zb and buf, a contiguous (zb.size,
+    width) complex view of one buffer shared by every slice (width may be
+    0), which it may reshape, and forms its terms there: fresh slice-sized
+    arrays let the allocator hand memory back to the system and fault it in
+    again.  It returns one value per point of zb; the result has the shape
+    of z, and a 0-d z gives a numpy scalar.  A one-point slice runs its
+    kernel's products down other numpy loops, which round differently, so
+    the slices are balanced, leaving no short tail, and a lone point runs
+    as a pair whose first value is kept.
     """
     z = np.asarray(z, dtype=complex)
     _require_finite("z", z)
     if (np.abs(z) >= bound).any():
         raise DomainError(f"evaluation requires |z| < {bound}")
-    flat = z.ravel()
+    flat = np.resize(z, 2) if z.size == 1 else z.ravel()
     n = max(1, -(-flat.size // max(1, _BLOCK // max(1, width))))
     work = np.empty((-(-flat.size // n), width), dtype=complex)
     ends = [i * flat.size // n for i in range(n + 1)]
     parts = [kernel(flat[a:b], work[:b - a]) for a, b in zip(ends, ends[1:])]
-    out = (parts[0] if n == 1 else np.concatenate(parts)).reshape(np.shape(z))
+    out = (parts[0] if n == 1 else np.concatenate(parts))[:z.size].reshape(np.shape(z))
     return out[()] if out.ndim == 0 else out
 
 
@@ -168,9 +169,9 @@ class NormEstimate(_Record):
 
     value is the float objective at argmax as a call of the search returned
     it or, where |argmax| = 1 up to rounding, its closed-form limit as z ->
-    argmax radially; a one-point call objective(argmax) can differ from it
-    in the last bits.  It is an estimate, not a certified bound: near the
-    circle the float objective can read ~1e-11 above its exact value.
+    argmax radially; a 0-d objective(argmax), in numpy's scalar math, can
+    differ in the last bit.  It is an estimate, not a certified bound: near
+    the circle the float objective can read ~1e-11 above its exact value.
     """
 
     def __init__(self, value: float, argmax: complex) -> None:

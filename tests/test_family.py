@@ -781,6 +781,13 @@ class TestBlockedKernels:
                                       whole[start:start + 3000]), (m, start)
             for i in range(0, z.size, 997):
                 assert f.hprime(z[i]) == whole[i], (m, i)
+            if m in (1, 2, 5, 8, 28, 64):
+                # and P and S at a point, alone or in the grid: their (1, m) @
+                # (m,) product rounded apart until a lone point ran as a pair
+                for kernel in (f.hprime_log_derivative, lambda z: schwarzian(f, z)):
+                    grid = kernel(z)
+                    for i in range(0, z.size, 997):
+                        assert kernel(z[i]) == grid[i], (m, i)
         # and a product, or a dilatation that scales one, at a point, alone
         # or in the grid; scale * (a temporary) multiplied in place once the
         # temporary reached 16,384 points, and rounded apart
@@ -793,7 +800,8 @@ class TestBlockedKernels:
                 assert omega(z[i]) == whole[i], (n, i)
 
     def test_slices_share_one_buffer(self, monkeypatch):
-        # the default grid makes 8 slices at m = 28 and one at m = 1; each
+        # the default grid makes 8 slices at m = 28, and 15 for a product of
+        # degree 28, which holds 2m terms per point, but one at degree 1; each
         # kernel forms its terms in the view of one buffer that _blocks
         # hands it, not in a fresh slice-sized array
         rng = np.random.default_rng(67)
@@ -806,7 +814,7 @@ class TestBlockedKernels:
         for degree in (1, 28):
             phi = random_product(rng, degree)
             kernels[f"product_{degree}"] = phi
-            slices[f"product_{degree}"] = 8 if degree > 1 else 1
+            slices[f"product_{degree}"] = 15 if degree > 1 else 1
         outs = []
         recording_blocks(monkeypatch, outs)
         for name, kernel in kernels.items():
