@@ -89,6 +89,20 @@ class TestDiskGrid:
                 DiskGrid(**{name: value})
         assert allocated == []
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_radii": 1}, {"n_radii": 8.5}, {"n_radii": "16"},
+        {"angles_per_circle": 4}, {"angles_per_circle": 8.5},
+        {"r_max": 0.0}, {"r_max": 1.0}, {"r_max": -0.1}, {"r_max": np.nan},
+    ])
+    def test_malformed_fields_rejected_before_allocating(self, monkeypatch, kwargs):
+        # DiskGrid has no fields: one passed by name is a TypeError that
+        # names it, raised before anything is built
+        allocated = []
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: allocated.append(a))
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            DiskGrid(**kwargs)
+        assert allocated == []
+
     def test_radii_are_read_only(self):
         grid = DiskGrid()
         with pytest.raises(ValueError, match="read-only"):
