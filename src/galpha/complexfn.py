@@ -109,19 +109,22 @@ def _blocks(z, width, kernel, bound=1.0):
     of z, and a 0-d z gives a numpy scalar.  A one-point slice runs its
     kernel's products down other numpy loops, which round differently, so
     the slices are balanced, leaving no short tail, and a lone point runs
-    as a pair whose first value is kept.
+    as a pair whose first value is kept; one slice runs on the whole buffer.
+    One test, |z| < bound, checks z; if it fails, NaN and inf raise ValueError first.
     """
     z = np.asarray(z, dtype=complex)
-    _require_finite("z", z)
-    if (np.abs(z) >= bound).any():
+    if not (np.abs(z) < bound).all():
+        _require_finite("z", z)
         raise DomainError(f"evaluation requires |z| < {bound}")
     flat = np.resize(z, 2) if z.size == 1 else z.ravel()
     n = max(1, -(-flat.size // max(1, _BLOCK // max(1, width))))
     work = np.empty((-(-flat.size // n), width), dtype=complex)
-    ends = [i * flat.size // n for i in range(n + 1)]
-    parts = [kernel(flat[a:b], work[:b - a]) for a, b in zip(ends, ends[1:])]
-    out = (parts[0] if n == 1 else np.concatenate(parts))[:z.size].reshape(np.shape(z))
-    return out[()] if out.ndim == 0 else out
+    if n == 1:
+        out = kernel(flat, work)
+    else:
+        ends = [i * flat.size // n for i in range(n + 1)]
+        out = np.concatenate([kernel(flat[a:b], work[:b - a]) for a, b in zip(ends, ends[1:])])
+    return out[:z.size].reshape(z.shape)[()]  # a numpy scalar for 0-d z
 
 
 class DiskGrid(_Record):

@@ -95,8 +95,9 @@ class AtomicMeasure(_Record):
 
     Angles are canonicalized to [0, 2 pi) and sorted ascending; weights are
     renormalized when their sum deviates from 1 by at most 1e-12 and
-    rejected otherwise.  The three arrays are read-only; atoms holds the
-    atom positions zeta_k = e^(i angle_k), formed once for every kernel.
+    rejected otherwise.  The four arrays are read-only; atoms holds the atom
+    positions zeta_k = e^(i angle_k) and poles their conjugates p_k, formed
+    once for every kernel and, as they follow from angles, outside ==, hash and repr.
     """
 
     def __init__(self, angles: np.ndarray, weights: np.ndarray) -> None:
@@ -121,6 +122,7 @@ class AtomicMeasure(_Record):
                                  "(separation > 1e-9)")
         # angles[order] and the arrays formed from it are the measure's own
         arrays = dict(angles=angles, weights=weights / weights.sum(), atoms=np.exp(1j * angles))
+        arrays["poles"] = np.conj(arrays["atoms"])
         for array in arrays.values():
             array.flags.writeable = False
         vars(self).update(arrays)
@@ -178,7 +180,7 @@ def blaschke_from_measure(measure: AtomicMeasure) -> BlaschkeProduct:
     one of 16 points on |z| = 0.9 where |B| is largest: with zeros near the
     circle, |B| at a fixed point can fall below 1e-15 at degree 96.
     """
-    poles, weights = np.conj(measure.atoms), measure.weights
+    poles, weights = measure.poles, measure.weights
     pivot = int(np.argmax(weights))
     others = np.delete(poles, pivot)
     c = np.delete(weights, pivot) * (others - poles[pivot])
@@ -207,9 +209,11 @@ def induced_self_map(measure: AtomicMeasure, z):
     P = h''/h' of the alpha = 1 member, formed by complexfn's _blocks; the
     formula is regular at z = 0 where it returns sum_k t_k zeta_k.  z must lie
     in the open disk: |z| >= 1 raises DomainError("evaluation requires |z| < 1.0").
+    phi is formed on arrays, as numpy's scalar math rounds a lone point apart.
     """
-    t = GAlphaFunction(alpha=1.0, measure=measure).hprime_log_derivative(z)
-    return t / (z * t - 1.0)
+    z = np.asarray(z, dtype=complex)
+    t = np.ravel(GAlphaFunction(alpha=1.0, measure=measure).hprime_log_derivative(z))
+    return (t / (z.ravel() * t - 1.0)).reshape(z.shape)[()]
 
 
 class GAlphaFunction(_Record):
@@ -230,7 +234,7 @@ class GAlphaFunction(_Record):
     def hprime_log_derivative(self, z):
         """h''(z)/h'(z) = -alpha sum_k t_k zeta_k/(1 - zeta_k z) = alpha sum_k t_k/(z - p_k)
         = alpha T, for `induced_self_map`'s T and its poles p_k = conj(zeta_k)."""
-        poles, weights, alpha = np.conj(self.measure.atoms), self.measure.weights, self.alpha
+        poles, weights, alpha = self.measure.poles, self.measure.weights, self.alpha
         return _blocks(z, self.measure.count,
                        lambda zb, buf: -alpha * (_pole_terms(zb, poles, buf) @ weights))
 

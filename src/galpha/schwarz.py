@@ -41,7 +41,7 @@ def schwarzian(f: GAlphaFunction, z):
     With g_k = zeta_k/(1 - zeta_k z) = 1/(p_k - z), formed once per slice
     in pole form, P = -alpha sum_k t_k g_k and P' = -alpha sum_k t_k g_k^2.
     """
-    poles, weights, alpha = np.conj(f.measure.atoms), f.measure.weights, f.alpha
+    poles, weights, alpha = f.measure.poles, f.measure.weights, f.alpha
 
     def kernel(zb, buf):
         g = _pole_terms(zb, poles, buf)
@@ -103,7 +103,7 @@ def radial_limit_report(f: GAlphaFunction) -> SchwarzReport:
     heaviest atom's radial limits, approached as z -> conj(zeta_k) (the
     argmax, on the circle), so lower bounds on the suprema."""
     k = int(np.argmax(f.measure.weights))
-    at = complex(np.conj(f.measure.atoms[k]))
+    at = complex(f.measure.poles[k])
     pre, sch = (NormEstimate(v, at) for v in _radial_limits(f.alpha, float(f.measure.weights[k])))
     return SchwarzReport(pre, sch, f.alpha, "radial_limit")
 
@@ -130,13 +130,15 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
     gap = np.where(gap < 0.0, gap + TWO_PI, gap)
     delta = np.maximum(np.minimum(gap - (th1 - th0), TWO_PI - gap), 0.0)
     half_sin2 = np.sin(delta * 0.5) ** 2
-    r = np.clip(1.0 - half_sin2 * 2.0, r0, r1)
-    d = np.sqrt(half_sin2 * 4.0 * r + (1.0 - r) ** 2)
-    u = np.clip(d, 1.0 - r1, 1.0 - r0)
-    c = u / np.maximum(d, u) * (2.0 - u)
-    t = f.measure.weights.reshape((-1,) + (1,) * (c.ndim - 1)) * c
+    r = np.minimum(np.maximum(1.0 - half_sin2 * 2.0, r0), r1)
+    d = half_sin2 * 4.0 * r
+    d += np.square(np.subtract(1.0, r, out=r), out=r)
+    u = np.minimum(np.maximum(np.sqrt(d, out=d), 1.0 - r1, out=r), 1.0 - r0, out=r)
+    c = np.divide(u, np.maximum(d, u, out=d), out=d)
+    c *= 2.0 - u
+    t = np.multiply(f.measure.weights.reshape((-1,) + (1,) * (c.ndim - 1)), c, out=u)
     s1 = f.alpha * t.sum(axis=0)
-    s2 = f.alpha * (t * c).sum(axis=0)
+    s2 = f.alpha * np.multiply(t, c, out=c).sum(axis=0)
     allowance = 1.0 + 16.0 * np.finfo(float).eps / (1.0 - r1)
     return np.stack([allowance * s1, allowance ** 2 * (s2 + 0.5 * s1 ** 2)])
 
@@ -147,10 +149,11 @@ def _certified_radii(f: GAlphaFunction):
     exact arithmetic, inf for one atom: for rho = |z - p| <= cap each is at
     most L (1 + rho (max(Re A, 0) - 1/2) + rho^2 Q) (symbols and proof:
     TestCertifiedDisk in tests/test_certificates.py)."""
-    w, poles, alpha = f.measure.weights, np.conj(f.measure.atoms), f.alpha
+    w, poles, alpha = f.measure.weights, f.measure.poles, f.alpha
     j = int(np.argmax(w))
     p, t, d_t = complex(poles[j]), float(w[j]), 1.0 + 0.5 * alpha * float(w[j])
-    others, ti = np.delete(poles, j), np.delete(w, j)
+    rest = np.arange(w.size) != j
+    others, ti = poles[rest], w[rest]
     if not ti.size:
         return [math.inf, math.inf]
     d = np.abs(p - others)

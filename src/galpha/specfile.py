@@ -21,7 +21,6 @@ on the in-memory values.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from pathlib import Path
 
@@ -64,8 +63,10 @@ class FunctionSpec(_Record):
 def _number(value, what: str) -> float:
     """A JSON number (int or float, not bool) as a float; else SpecFileError."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond the float range
+        try:
             return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
     raise SpecFileError(f"{what} must be a number, got {value!r}")
 
 

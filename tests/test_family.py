@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -56,12 +57,19 @@ class TestAtomicMeasure:
     def test_arrays_are_read_only_copies(self):
         angles, weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
         m = AtomicMeasure(angles=angles, weights=weights)
-        for name in ("angles", "weights", "atoms"):
+        for name in ("angles", "weights", "atoms", "poles"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, name)[0] = 5.0
         assert angles.flags.writeable and weights.flags.writeable
         angles[0], weights[0] = 0.5, 0.5
         assert np.array_equal(m.angles, [0.0, 1.0]) and np.array_equal(m.weights, [0.25, 0.75])
+
+    def test_poles_are_the_conjugate_atoms(self):
+        # formed once for the kernels: conj(atoms) bit for bit, and like
+        # atoms derived, so outside the fields that ==, hash and repr read
+        m = random_measure(np.random.default_rng(71), 7)
+        assert np.array_equal(m.poles.view(np.uint64), np.conj(m.atoms).view(np.uint64))
+        assert AtomicMeasure._fields == ("angles", "weights") and "poles" not in repr(m)
 
     def test_equality_by_value(self):
         m = AtomicMeasure(angles=[0.0, 1.0], weights=[0.5, 0.5])
@@ -782,9 +790,11 @@ class TestBlockedKernels:
             for i in range(0, z.size, 997):
                 assert f.hprime(z[i]) == whole[i], (m, i)
             if m in (1, 2, 5, 8, 28, 64):
-                # and P and S at a point, alone or in the grid: their (1, m) @
-                # (m,) product rounded apart until a lone point ran as a pair
-                for kernel in (f.hprime_log_derivative, lambda z: schwarzian(f, z)):
+                # and P, S and phi at a point, alone or in the grid: their
+                # (1, m) @ (m,) product rounded apart until a lone point ran
+                # as a pair, and phi = T/(zT - 1) until it ran on arrays
+                for kernel in (f.hprime_log_derivative, lambda z: schwarzian(f, z),
+                               lambda z: induced_self_map(f.measure, z)):
                     grid = kernel(z)
                     for i in range(0, z.size, 997):
                         assert kernel(z[i]) == grid[i], (m, i)
@@ -798,6 +808,35 @@ class TestBlockedKernels:
             whole = omega(z)
             for i in range(0, z.size, 997):
                 assert omega(z[i]) == whole[i], (n, i)
+
+    @pytest.mark.parametrize("name", ["hprime", "hprime_log_derivative", "schwarzian",
+                                      "induced_self_map", "product"])
+    def test_validation_order(self, name):
+        # _blocks tests |z| < bound alone and looks for NaN and inf only when
+        # that fails, so they raise ValueError first, even beside a point
+        # outside the domain; alone, as one point or in a grid
+        rng = np.random.default_rng(72)
+        f = GAlphaFunction(alpha=0.6, measure=random_measure(rng, 5))
+        kernel = {"hprime": f.hprime, "hprime_log_derivative": f.hprime_log_derivative,
+                  "schwarzian": lambda z: schwarzian(f, z),
+                  "induced_self_map": lambda z: induced_self_map(f.measure, z),
+                  "product": random_product(rng, 6)}[name]
+        bound, shown = (1.0 + 1e-9, "1.000000001") if name == "product" else (1.0, "1.0")
+
+        def placed(bad):
+            grid = DiskGrid().points.copy()
+            grid[100, 30] = bad
+            return np.asarray(bad, dtype=complex), np.array([bad], dtype=complex), grid
+
+        for bad in (np.nan, np.inf, -np.inf):
+            for z in placed(bad) + (np.array([bad, 1.5]),):
+                with pytest.raises(ValueError, match="^z must be finite$") as raised:
+                    kernel(z)
+                assert not isinstance(raised.value, DomainError)
+        for bad in (bound, 1.5j):
+            for z in placed(bad):
+                with pytest.raises(DomainError, match=re.escape(f"evaluation requires |z| < {shown}")):
+                    kernel(z)
 
     def test_slices_share_one_buffer(self, monkeypatch):
         # the default grid makes 8 slices at m = 28, and 15 for a product of
