@@ -172,9 +172,8 @@ class NormEstimate(_Record):
 
     value is the float objective at argmax as a call of the search returned
     it or, where |argmax| = 1 up to rounding, its closed-form limit as z ->
-    argmax radially; a 0-d objective(argmax), in numpy's scalar math, can
-    differ in the last bit.  It is an estimate, not a certified bound: near
-    the circle the float objective can read ~1e-11 above its exact value.
+    argmax radially.  It is an estimate, not a certified bound: near the
+    circle the float objective can read ~1e-11 above its exact value.
     """
 
     def __init__(self, value: float, argmax: complex) -> None:
@@ -216,7 +215,7 @@ def _model_step(g, q, lam):
 
 
 def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bounds,
-                      radius: float) -> NormEstimate:
+                      disks) -> NormEstimate:
     """The sup of a real objective over the disk by one grid sweep and one
     batched Newton ascent.
 
@@ -240,7 +239,8 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     2 pi / angles_per_circle)/2 and stays <= (1 - |c|)/2.  A candidate stops
     once it lies within h of a better one or h < sqrt(eps) (1 - |c|), where
     the differences reach the objective's rounding, or, below the limit,
-    once its point lies within radius of limit.argmax, where the caller
+    once its point lies in one of the disks |z - q_k| <= r_k, (q, r) =
+    disks, each tested only where |z| >= min(|q_k| - r_k), where the caller
     certifies that the objective is at most the limit, or its last trial was
     pulled inside r_max, a heuristic stop, not a certified one, for objectives
     that tend on the circle to at most their limits, as the norms'.  All stop
@@ -273,12 +273,14 @@ def sup_norm_estimate(objective, grid: DiskGrid, limit: NormEstimate, cell_bound
     tol, r_in = math.sqrt(np.finfo(float).eps), grid.r_max * (1.0 - 2.0 ** -50)
     pulled = [False] * len(point)
     live = each = range(len(point))
+    disks = list(zip(np.ravel(disks[0]).tolist(), np.ravel(disks[1]).tolist()))
+    inner = min((abs(q) - r for q, r in disks), default=math.inf)  # no disk reaches nearer 0
     for _ in range(_MAX_STEPS):
         # stopped: at the rounding, near a better candidate (stopped ones
-        # too), or below the limit and pulled in or in the certified disk
+        # too), or below the limit and pulled in or in a certified disk
         live = [i for i in live if h[i] >= tol * room[i]
-                and not (value[i] < limit.value
-                         and (pulled[i] or abs(point[i] - limit.argmax) <= radius))
+                and not (value[i] < limit.value and (pulled[i] or abs(point[i]) >= inner and any(
+                    abs(point[i] - q) <= r for q, r in disks)))
                 and not any(value[j] > value[i] and abs(point[j] - point[i]) < h[i] for j in each)]
         if not live:
             break

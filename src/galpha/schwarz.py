@@ -28,6 +28,8 @@ from .complexfn import TWO_PI, DiskGrid, NormEstimate, _blocks, _Record, sup_nor
 from .family import GAlphaFunction, _pole_terms
 
 _default_grid = functools.cache(DiskGrid)
+# _certified_radii's trial radii R, in units of the cap, and the powers n of its s_n
+_TRIAL_RADII, _POWERS = 0.5 ** np.arange(6), np.arange(1, 4)[:, None, None]
 
 
 def pre_schwarzian(f: GAlphaFunction, z):
@@ -144,27 +146,54 @@ def _cell_bounds(f: GAlphaFunction, r0, r1, th0, th1):
 
 
 def _certified_radii(f: GAlphaFunction):
-    """The radii r of the disks |z - p| <= r about p = conj(zeta_j), j the
-    heaviest atom, on which the objectives are at most their limits L in
-    exact arithmetic, inf for one atom: for rho = |z - p| <= cap each is at
-    most L (1 + rho (max(Re A, 0) - 1/2) + rho^2 Q) (symbols and proof:
-    TestCertifiedDisk in tests/test_certificates.py)."""
+    """The radii r, shape (2, m), of the disks |z - p_j| <= r about the poles
+    p_j = conj(zeta_j), one per objective and atom, on which each objective
+    is at most its limit L, the heaviest atom's, in exact arithmetic; inf
+    for one atom.  At an atom of the largest weight t (ties too), r is the
+    best min(R, (1/2 - max(Re A, 0))/Q(R)) of R = cap 2^-k, k = 0..5, cap
+    half the distance to the nearest other pole; at a lighter atom, r =
+    min(d_j/2, (t - t_j)/(2 sum_k t_k/d_jk)), d_jk the distances to the
+    other poles and d_j the least.  Symbols and proofs: TestCertifiedDisk
+    in tests/test_certificates.py, whose 40-digit check fails at r x 1.25
+    and passes at r x 1.15: the first excess above L lies at 1.19 r on its
+    tightest heaviest disk and beyond 2 r on every lighter one.
+    """
     w, poles, alpha = f.measure.weights, f.measure.poles, f.alpha
-    j = int(np.argmax(w))
-    p, t, d_t = complex(poles[j]), float(w[j]), 1.0 + 0.5 * alpha * float(w[j])
-    rest = np.arange(w.size) != j
-    others, ti = poles[rest], w[rest]
-    if not ti.size:
-        return [math.inf, math.inf]
-    d = np.abs(p - others)
-    cap = 0.5 * float(d.min())
-    s1, s2, s3 = (float(ti @ (d - cap) ** -n) for n in (1, 2, 3))
-    r = complex(ti @ (1.0 / (p - others)))
-    b1 = (s2 / t, alpha * s2 / d_t
-          + (s2 + 0.5 * alpha * s1 ** 2 + cap * (2.0 * s3 + alpha * s1 * s2)) / (t * d_t))
-    a = (-p * r / t, -p * alpha * r / d_t)
-    q = [0.5 * (x.imag ** 2 + abs(x) ** 2 + abs(x)) + b for x, b in zip(a, b1)]
-    return [min(cap, (0.5 - max(x.real, 0.0)) / y) if x.real < 0.5 else 0.0 for x, y in zip(a, q)]
+    if w.size == 1:
+        return np.full((2, 1), math.inf)
+    diff = np.subtract.outer(poles, poles)
+    diff.flat[::w.size + 1] = math.inf  # so each pole's own terms vanish
+    dist = np.abs(diff)
+    cap, t = 0.5 * dist.min(axis=1), max(w.tolist())
+    light = np.minimum(cap, (t - w) / (2.0 * ((1.0 / dist) @ w)))
+    radii, d_t = np.array([light, light]), 1.0 + 0.5 * alpha * t
+    for j in (k for k, x in enumerate(w.tolist()) if x == t):
+        big_r = cap[j] * _TRIAL_RADII
+        sums = ((1.0 / (dist[j] - big_r[:, None])) ** _POWERS @ w).T.tolist()
+        a = -complex(poles[j]) * complex((1.0 / diff[j]) @ w) / t
+        a = a, a * alpha * t / d_t
+        lead = [0.5 - max(x.real, 0.0) for x in a]
+        q, best = [0.5 * (x.imag ** 2 + abs(x) ** 2 + abs(x)) for x in a], [0.0, 0.0]
+        for big, (s1, s2, s3) in zip(big_r.tolist(), sums):
+            b1 = s2 / t, ((1.0 + alpha * t) * s2 + alpha * s1 * (0.5 * s1 + big * s2)
+                          + 2.0 * big * s3) / (t * d_t)
+            best = [max(r, min(big, x / (y + z))) for r, x, y, z in zip(best, lead, q, b1)]
+        radii[:, j] = best
+    return radii
+
+
+def _objectives(f: GAlphaFunction):
+    """The objectives of `norms`, (1-|z|^2)|P| and (1-|z|^2)^2 |S|; a 0-d z runs as a
+    one-point array, as numpy's scalar math rounds a lone point apart."""
+    def objective(kernel, k):
+        def value(z):
+            z = np.asarray(z, dtype=complex)
+            if z.ndim == 0:
+                return value(z.reshape(1))[0]
+            weight = 1.0 - np.abs(z) ** 2
+            return np.abs(kernel(f, z)) * (weight if k == 1 else weight ** k)
+        return value
+    return objective(pre_schwarzian, 1), objective(schwarzian, 2)
 
 
 def norms(f: GAlphaFunction) -> SchwarzReport:
@@ -176,8 +205,8 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     calls, one per objective, search DiskGrid(), built on the first call
     and kept, and each skips the grid.cells, one per (angle block, radius
     block), whose bound lies below its limit, and stops a candidate below
-    its limit within _certified_radii of p = conj(zeta_j), j the heaviest
-    atom, where no point beats it.  With d_k the distance from
+    its limit in the disks of _certified_radii, one about each pole
+    conj(zeta_k), where no point beats it.  With d_k the distance from
     conj(zeta_k) to the cell r0 <= |z| <= r1, th0 <= arg z <= th1,
     |1 - zeta_k z| >= max(d_k, 1 - |z|) on it, so (1-|z|^2)/|1 - zeta_k z|
     is at most the cap c_k = (1 - rho^2)/max(d_k, 1 - rho) at
@@ -188,11 +217,10 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
 
     A lone atom's cell bounds are at most alpha t (1 + r_max) < 2 alpha t.
     """
-    grid = _default_grid()
-    floor = radial_limit_report(f)
-    bounds, radii = _cell_bounds(f, *grid.cells), _certified_radii(f)
-    pre = sup_norm_estimate(lambda z: np.abs(pre_schwarzian(f, z)) * (1.0 - np.abs(z) ** 2), grid,
-                            limit=floor.pre_schwarzian_norm, cell_bounds=bounds[0], radius=radii[0])
-    sch = sup_norm_estimate(lambda z: np.abs(schwarzian(f, z)) * (1.0 - np.abs(z) ** 2) ** 2, grid,
-                            limit=floor.schwarzian_norm, cell_bounds=bounds[1], radius=radii[1])
+    grid, floor = _default_grid(), radial_limit_report(f)
+    limits = floor.pre_schwarzian_norm, floor.schwarzian_norm
+    pre, sch = (sup_norm_estimate(objective, grid, limit=limit, cell_bounds=bounds,
+                                  disks=(f.measure.poles, radii))
+                for objective, limit, bounds, radii in zip(
+                    _objectives(f), limits, _cell_bounds(f, *grid.cells), _certified_radii(f)))
     return SchwarzReport(pre, sch, f.alpha, "search")

@@ -49,13 +49,13 @@ def panel_member(i):
 UNBOUNDED = NormEstimate(value=-np.finfo(float).max, argmax=0j)
 
 
-def search(objective, grid, limit=UNBOUNDED, cell_bounds=None, radius=0.0):
+def search(objective, grid, limit=UNBOUNDED, cell_bounds=None, disks=((), ())):
     """sup_norm_estimate, with the UNBOUNDED limit where none is given,
-    infinite cell bounds where none are and no certified disk about the
-    limit's argmax where no radius is: the unpruned, unfloored search."""
+    infinite cell bounds where none are and no certified disk where none
+    is: the unpruned, unfloored search."""
     if cell_bounds is None:
         cell_bounds = np.full(np.broadcast(*grid.cells).shape, np.inf)
-    return sup_norm_estimate(objective, grid, limit=limit, cell_bounds=cell_bounds, radius=radius)
+    return sup_norm_estimate(objective, grid, limit=limit, cell_bounds=cell_bounds, disks=disks)
 
 
 def norm_objectives(f):
@@ -300,9 +300,9 @@ class TestSupNormEstimate:
 
     def test_objective_and_grid_lead_the_signature(self):
         # perfbench/spans.py binds the first two arguments by these names;
-        # both bounds and the certified radius are required
+        # both bounds and the certified disks are required
         params = inspect.signature(sup_norm_estimate).parameters
-        assert list(params) == ["objective", "grid", "limit", "cell_bounds", "radius"]
+        assert list(params) == ["objective", "grid", "limit", "cell_bounds", "disks"]
         assert all(p.default is p.empty for p in params.values())
 
     def test_limit_prunes_the_blocks_whose_bound_is_below_it(self):
@@ -420,22 +420,23 @@ class TestSupNormEstimate:
         assert est == NormEstimate(value=1.0, argmax=complex(peak))
 
     def test_a_candidate_in_the_certified_disk_stops_below_the_limit(self):
-        # 1 - |z - peak|^2 peaks at 1 < 2, the limit; with the limit's
-        # argmax at the peak and a radius holding every start, no candidate
-        # takes a step, and with radius 0 the ascent climbs as before
+        # 1 - |z - peak|^2 peaks at 1 < 2, the limit; with a disk about the
+        # peak holding every start, alone or after a small one elsewhere,
+        # no candidate takes a step, and with radius 0 or no disk the
+        # ascent climbs as before
         peak = 0.3 + 0.2j
         limit = NormEstimate(value=2.0, argmax=peak)
         counts = []
-        for radius in (1.5, 0.0):
+        for disks in (([peak], [1.5]), ([-0.9, peak], [0.05, 1.5]), ([peak], [0.0]), ((), ())):
             calls = []
 
             def recorded(z, calls=calls):
                 calls.append(np.array(z))
                 return 1.0 - np.abs(z - peak) ** 2
 
-            assert search(recorded, grid_double(8, 32), limit=limit, radius=radius) == limit
+            assert search(recorded, grid_double(8, 32), limit=limit, disks=disks) == limit
             counts.append(len(calls))
-        assert counts[0] == 1 < counts[1]
+        assert counts[0] == counts[1] == 1 < counts[2] == counts[3]
 
     @staticmethod
     def _toward_edge(limit):

@@ -12,7 +12,7 @@ from galpha.family import (AtomicMeasure, GAlphaFunction, blaschke_from_measure,
                            induced_self_map, measure_from_blaschke,
                            roots_of_unity_measure, single_atom)
 from galpha.harmonic import DilatationSpec, HarmonicMap
-from galpha.schwarz import schwarzian
+from galpha.schwarz import _objectives, schwarzian
 from galpha.specfile import FunctionSpec, load_function_spec
 from galpha.verify import run_verification
 
@@ -776,8 +776,9 @@ class TestBlockedKernels:
         # 7 rows later, or alone; a BLAS product over the atoms rounded a
         # row by its place in the slice, and the outer product of one point
         # and one atom rounded differently from every larger one
-        rng = np.random.default_rng(0)
+        rng, draw = np.random.default_rng(0), np.random.default_rng(1)
         z = DiskGrid().points.ravel()
+        near = (1.0 - 10.0 ** draw.uniform(-8, -1, 500)) * np.exp(1j * draw.uniform(0, TWO_PI, 500))
         for m in range(1, 65):
             f = GAlphaFunction(alpha=float(rng.uniform(0.1, 1.0)),
                                measure=random_measure(rng, m))
@@ -790,14 +791,19 @@ class TestBlockedKernels:
             for i in range(0, z.size, 997):
                 assert f.hprime(z[i]) == whole[i], (m, i)
             if m in (1, 2, 5, 8, 28, 64):
-                # and P, S and phi at a point, alone or in the grid: their
-                # (1, m) @ (m,) product rounded apart until a lone point ran
-                # as a pair, and phi = T/(zT - 1) until it ran on arrays
+                # and P, S, phi and the two norm objectives at a point, alone
+                # or in one call, on grid points and on 500 points off the
+                # grid near the circle: their (1, m) @ (m,) product rounded
+                # apart until a lone point ran as a pair, and phi = T/(zT - 1)
+                # and the objectives until they ran on arrays (the Schwarzian
+                # one's scalar math differed at 21 of the 3,000 points near
+                # the circle)
                 for kernel in (f.hprime_log_derivative, lambda z: schwarzian(f, z),
-                               lambda z: induced_self_map(f.measure, z)):
-                    grid = kernel(z)
-                    for i in range(0, z.size, 997):
-                        assert kernel(z[i]) == grid[i], (m, i)
+                               lambda z: induced_self_map(f.measure, z), *_objectives(f)):
+                    for points, step in ((z, 997), (near, 1)):
+                        values = kernel(points)
+                        for i in range(0, points.size, step):
+                            assert kernel(points[i]) == values[i], (m, i)
         # and a product, or a dilatation that scales one, at a point, alone
         # or in the grid; scale * (a temporary) multiplied in place once the
         # temporary reached 16,384 points, and rounded apart
