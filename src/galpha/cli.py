@@ -66,10 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: VerifyReport, out: str | Path | None) -> int:
-    """Print the report, write its JSON to `out` if given, return the exit code."""
+    """Print the report, write it to `out` if given as one line of JSON with
+    sorted keys, formed by json's C encoder, and return the exit code."""
     print(report.render_text())
     if out:
-        Path(out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(out).write_text(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 

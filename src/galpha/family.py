@@ -40,6 +40,17 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(10)
 
 
+@functools.lru_cache(maxsize=64)
+def _fixed_terms(n_max, m):
+    """coefficients' terms in n_max and the atom count m alone, read-only: n = 1..n_max,
+    gamma_(5j+3m+6) and sqrt(2) gamma_(2j+2) for j < n_max - 1; 1 + gamma_(16 n_max + 64)."""
+    n, j = np.arange(1, n_max + 1), np.arange(n_max - 1)
+    terms = n, _gamma(5 * j + 3 * m + 6), np.sqrt(2.0) * _gamma(2 * j + 2)
+    for array in terms:
+        array.flags.writeable = False
+    return *terms, 1.0 + _gamma(16 * n_max + 64)
+
+
 def _path_integral(z, integrand):
     """z * integral_0^1 F(t z) dt for |z| <= _PATH_LIMIT, where F = integrand
     maps the points t_j z, stacked on a new leading axis, to values on it.
@@ -248,7 +259,8 @@ class GAlphaFunction(_Record):
         j theta_k would inherit the rounding of j theta_k, ~1.5e-13 alpha/n at
         n = 255 against <= 1e-14 alpha/n here.  p_j is summed over atoms
         elementwise, as a threaded complex BLAS product of this skinny shape
-        can stall for milliseconds.
+        can stall for milliseconds.  Each step dots c with a slice of p reversed
+        once, the BLAS dot numpy runs on a copy of p[n::-1]: the same arithmetic.
 
         Every member satisfies |a_n| <= alpha/(n (n-1)) for n >= 2, with
         equality at index n for the equal-weight measure on the (n-1)-th
@@ -260,29 +272,28 @@ class GAlphaFunction(_Record):
         + sum_(j<=n) ((q_(n-j) + sqrt(2) gamma_(2n+2) |p_(n-j)|) |c_j| + alpha e_j).
         So E_n = e_(n-1)/n + gamma_3 |a_n|, raised by a relative
         gamma_(16 n_max + 64) for its own rounding (terms derived in
-        tests/test_family.py).
+        tests/test_family.py); its terms in n_max and m alone are kept (_fixed_terms).
         """
         if n_max < 2:
             raise ValueError("n_max must be at least 2")
         atoms = self.measure.atoms
+        n, q_gamma, dot_gamma, own_rounding = _fixed_terms(n_max, atoms.size)
         powers = np.cumprod(np.broadcast_to(atoms, (n_max - 1, atoms.size)), axis=0)
         p = -self.alpha * (powers * self.measure.weights).sum(axis=1)
-        c = np.ones(n_max, dtype=complex)
-        for k in range(n_max - 1):
-            c[k + 1] = np.dot(p[k::-1], c[: k + 1]) / (k + 1)
-        n = np.arange(1, n_max + 1)
+        c, rp = np.ones(n_max, dtype=complex), p[::-1].copy()
+        for k in range(n_max - 1):  # rp[n_max-2-k:] is p[k::-1], with no copy
+            c[k + 1] = np.dot(rp[n_max - 2 - k:], c[: k + 1]) / (k + 1)
         a = c / n
         if not error_bound:
             return a
-        size, j, alpha = np.abs(c), np.arange(n_max - 1), self.alpha
-        q = alpha * _gamma(5 * j + 3 * self.measure.count + 6)
-        own = (np.convolve(q, size)[: j.size] + np.sqrt(2.0) * _gamma(2 * j + 2)
-               * np.convolve(np.abs(p), size)[: j.size]) / (j + 1) + _gamma(3) * size[1:]
+        size, alpha = np.abs(c), self.alpha
+        own = (np.convolve(alpha * q_gamma, size)[:p.size] + dot_gamma
+               * np.convolve(np.abs(p), size)[:p.size]) / n[:p.size] + _gamma(3) * size[1:]
         e, total = [0.0], 0.0
         for k, term in enumerate(own.tolist()):
             e.append(term + alpha * total / (k + 1))
             total += e[-1]
-        return a, (np.array(e) / n + _gamma(3) * np.abs(a)) * (1.0 + _gamma(16 * n_max + 64))
+        return a, (np.array(e) / n + _gamma(3) * np.abs(a)) * own_rounding
 
     def h(self, z):
         """h(z) = z * integral_0^1 h'(t z) dt for |z| <= 1 - 1e-6, within

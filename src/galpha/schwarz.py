@@ -219,8 +219,11 @@ def norms(f: GAlphaFunction) -> SchwarzReport:
     """
     grid, floor = _default_grid(), radial_limit_report(f)
     limits = floor.pre_schwarzian_norm, floor.schwarzian_norm
-    pre, sch = (sup_norm_estimate(objective, grid, limit=limit, cell_bounds=bounds,
-                                  disks=(f.measure.poles, radii))
-                for objective, limit, bounds, radii in zip(
-                    _objectives(f), limits, _cell_bounds(f, *grid.cells), _certified_radii(f)))
+    bounds = _cell_bounds(f, *grid.cells)
+    tops = bounds.reshape(2, -1).max(axis=1).tolist()
+    reached = any(top >= limit.value for top, limit in zip(tops, limits))
+    radii = _certified_radii(f) if reached else (None, None)  # else no search reads them
+    pre, sch = (sup_norm_estimate(objective, grid, limit=limit, cell_bounds=bound,
+                                  disks=(f.measure.poles, radius))
+                for objective, limit, bound, radius in zip(_objectives(f), limits, bounds, radii))
     return SchwarzReport(pre, sch, f.alpha, "search")

@@ -44,16 +44,14 @@ _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 class Check(_Record):
     """A named check that passes when `value comparison threshold` holds;
-    evidence is `exact: <certificate>`, `bound` or `sampled`."""
+    evidence is `exact: <certificate>`, `bound` or `sampled`.  The verdict,
+    passed, is formed once from the fields and is outside ==, hash and repr."""
 
     def __init__(self, name: str, value: float | bool, comparison: str,
                  threshold: float | bool, evidence: str) -> None:
         vars(self).update(name=name, value=value, comparison=comparison, threshold=threshold,
-                          evidence=evidence)
-
-    @property
-    def passed(self) -> bool:
-        return bool(_COMPARISONS[self.comparison](self.value, self.threshold))
+                          evidence=evidence,
+                          passed=bool(_COMPARISONS[comparison](value, threshold)))
 
     def render(self) -> str:
         """The text line `name : value  (comparison threshold)  [evidence]  ok|FAIL`."""
@@ -64,17 +62,16 @@ class Check(_Record):
 
     def to_dict(self) -> dict:
         """The JSON record of the check, with its verdict."""
-        return dict(vars(self), passed=self.passed)
+        return dict(vars(self))
 
 
 class VerifyReport(_Record):
+    """Its verdict, passed (every check passed), is formed once, outside ==, hash and repr."""
+
     def __init__(self, checks: list[Check], schwarz: SchwarzReport,
                  recovered_atoms: list | None) -> None:
-        vars(self).update(checks=checks, schwarz=schwarz, recovered_atoms=recovered_atoms)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        vars(self).update(checks=checks, schwarz=schwarz, recovered_atoms=recovered_atoms,
+                          passed=all(c.passed for c in checks))
 
     def to_dict(self) -> dict:
         roundtrip = [c.value for c in self.checks if c.name == "roundtrip_error"]

@@ -14,7 +14,7 @@ import pytest
 import galpha
 from galpha import (AtomicMeasure, BlaschkeProduct, Check, DilatationSpec, FunctionSpec,
                     GAlphaFunction, HarmonicMap, NormEstimate, SchwarzReport, VerifyReport,
-                    run_verification)
+                    run_verification, verify)
 from galpha.complexfn import DiskGrid, _Record
 
 
@@ -139,8 +139,9 @@ RECORD_SIGNATURES = {
     "VerifyReport": (("checks", EMPTY), ("schwarz", EMPTY), ("recovered_atoms", EMPTY)),
 }
 # the attributes a record derives from its fields
-DERIVED = {"AtomicMeasure": ("atoms",), "DilatationSpec": ("sup_bound",),
-           "DiskGrid": ("radii", "angles", "points", "cells"), "FunctionSpec": ("member",)}
+DERIVED = {"AtomicMeasure": ("atoms",), "Check": ("passed",), "DilatationSpec": ("sup_bound",),
+           "DiskGrid": ("radii", "angles", "points", "cells"), "FunctionSpec": ("member",),
+           "VerifyReport": ("passed",)}
 
 
 def test_record_constructors_keep_their_signatures():
@@ -192,3 +193,32 @@ def test_records_are_immutable_and_show_their_fields():
         # repr shows the fields, not the derived attributes
         shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
         assert repr(record) == f"{name}({shown})"
+
+
+@pytest.mark.parametrize("comparison", sorted(verify._COMPARISONS))
+def test_check_verdict_is_derived_once(comparison):
+    # passed is value comparison threshold, formed in __init__; a record
+    # with the same fields and a flipped verdict stays equal, with the same
+    # hash and repr, and to_dict carries the verdict it holds
+    compare = verify._COMPARISONS[comparison]
+    for value, threshold in [(0.5, 1.0), (1.0, 1.0), (1.5, 1.0), (True, True), (False, True)]:
+        check = Check("c", value, comparison, threshold, "bound")
+        assert check.passed is bool(compare(value, threshold))
+        assert check.to_dict() == dict(name="c", value=value, comparison=comparison,
+                                       threshold=threshold, evidence="bound",
+                                       passed=check.passed)
+        flipped = Check("c", value, comparison, threshold, "bound")
+        vars(flipped)["passed"] = not check.passed
+        assert flipped == check and hash(flipped) == hash(check)
+        assert repr(flipped) == repr(check) and "passed" not in repr(check)
+        assert flipped.to_dict()["passed"] is not check.passed
+    assert "passed" not in Check._fields and "passed" not in VerifyReport._fields
+
+
+def test_report_verdict_is_derived_once():
+    spec = FunctionSpec(alpha=0.5, measure=AtomicMeasure(angles=[0.0], weights=[1.0]))
+    report = run_verification(spec)
+    failing = Check("c", 2.0, "<=", 1.0, "bound")
+    assert report.passed and all(c.passed for c in report.checks)
+    assert not VerifyReport(report.checks + [failing], report.schwarz, None).passed
+    assert report.to_dict()["passed"] is True

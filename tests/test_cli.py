@@ -495,6 +495,33 @@ class TestGenCommand:
         assert main(["verify", str(path)]) == 0
 
 
+class TestReportFile:
+    @pytest.mark.parametrize("command, out", [("verify", None), ("verify", "r.json"),
+                                              ("norms", "r.json")])
+    def test_report_is_one_line_with_sorted_keys(self, tmp_path, capsys, command, out):
+        # json's C encoder writes the report: one line ending in a newline,
+        # with sorted keys, holding what the library's report holds
+        path = write_spec(tmp_path, HALF_ZERO)
+        assert main([command, str(path)] + (["--out", str(tmp_path / out)] if out else [])) == 0
+        text = (tmp_path / (out or "fn.report.json")).read_text()
+        spec = load_function_spec(path)
+        report = (run_verification(spec) if command == "verify" else
+                  VerifyReport(checks=norm_checks(), schwarz=norms(spec.member),
+                               recovered_atoms=None))
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert json.loads(text) == json.loads(json.dumps(report.to_dict()))
+
+    def test_spec_file_stays_indented(self, tmp_path, capsys):
+        # people edit spec files, so gen writes them two-space indented
+        path = tmp_path / "gen.json"
+        assert main(["gen", "--seed", "3", "--atoms", "2", "--alpha", "0.5",
+                     "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text.count("\n") > 1
+
+
 class TestNormsCommand:
     def test_reports_extremal_values(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"alpha": 0.25,

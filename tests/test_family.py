@@ -272,6 +272,59 @@ class TestCoefficients:
             n = np.arange(2, 51)
             assert np.all(np.abs(a[1:]) <= alpha / (n * (n - 1)) + 1e-9)
 
+    @staticmethod
+    def strided_coefficients(f, n_max):
+        """(a, E) from the recurrence on the negative-stride views p[k::-1],
+        with every term of E_n formed in the call."""
+        gamma = family._gamma
+        atoms = f.measure.atoms
+        powers = np.cumprod(np.broadcast_to(atoms, (n_max - 1, atoms.size)), axis=0)
+        p = -f.alpha * (powers * f.measure.weights).sum(axis=1)
+        c = np.ones(n_max, dtype=complex)
+        for k in range(n_max - 1):
+            c[k + 1] = np.dot(p[k::-1], c[:k + 1]) / (k + 1)
+        n = np.arange(1, n_max + 1)
+        a = c / n
+        size, j, alpha = np.abs(c), np.arange(n_max - 1), f.alpha
+        q = alpha * gamma(5 * j + 3 * f.measure.count + 6)
+        own = (np.convolve(q, size)[:j.size] + np.sqrt(2.0) * gamma(2 * j + 2)
+               * np.convolve(np.abs(p), size)[:j.size]) / (j + 1) + gamma(3) * size[1:]
+        e, total = [0.0], 0.0
+        for k, term in enumerate(own.tolist()):
+            e.append(term + alpha * total / (k + 1))
+            total += e[-1]
+        return a, (np.array(e) / n + gamma(3) * np.abs(a)) * (1.0 + gamma(16 * n_max + 64))
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 16, 64, 128])
+    def test_bits_equal_the_strided_recurrence(self, count):
+        # numpy copies a negative-stride view before the same BLAS dot that
+        # the contiguous slice of the reversed p takes, so (a, E) agree to
+        # the bit on whatever kernel the BLAS library picks
+        rng = np.random.default_rng(530 + count)
+        f = GAlphaFunction(alpha=float(rng.uniform(0.05, 1.0)), measure=random_measure(rng, count))
+        for n_max in (2, 3, 50, 257):
+            a, bound = f.coefficients(n_max, error_bound=True)
+            ref_a, ref_bound = self.strided_coefficients(f, n_max)
+            assert a.tobytes() == ref_a.tobytes(), (count, n_max)
+            assert bound.tobytes() == ref_bound.tobytes(), (count, n_max)
+            assert f.coefficients(n_max).tobytes() == ref_a.tobytes(), (count, n_max)
+
+    def test_fixed_terms_are_kept_read_only(self):
+        # formed once per (n_max, atom count) and shared by every call
+        gamma = family._gamma
+        GAlphaFunction(alpha=0.5, measure=roots_of_unity_measure(3)).coefficients(50, True)
+        n, q_gamma, dot_gamma, own_rounding = terms = family._fixed_terms(50, 3)
+        assert family._fixed_terms(50, 3) is terms
+        j = np.arange(49)
+        assert n.tolist() == list(range(1, 51))
+        assert q_gamma.tobytes() == gamma(5 * j + 15).tobytes()
+        assert dot_gamma.tobytes() == (np.sqrt(2.0) * gamma(2 * j + 2)).tobytes()
+        assert own_rounding == 1.0 + gamma(16 * 50 + 64)
+        for array in (n, q_gamma, dot_gamma):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
 
 def grid_margin(f, grid=DiskGrid()):
     """1/2 - max Re(z h''/(alpha h')) over the grid's points."""

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from galpha import complexfn
+from galpha import complexfn, schwarz
 from galpha.complexfn import TWO_PI, DiskGrid, NormEstimate, sup_norm_estimate
 from galpha.family import AtomicMeasure, GAlphaFunction, single_atom
 from galpha.schwarz import (_cell_bounds, _certified_radii, _objectives, norms, pre_schwarzian,
@@ -599,6 +599,29 @@ class TestCellBounds:
         rep, searches = norm_calls(f, grid_double(16, 64, 0.5))
         assert (rep.pre_schwarzian_norm.value, rep.schwarzian_norm.value) == (1.0, 2.5)
         assert searches == [[], []]
+
+    @pytest.mark.parametrize("weights, searched", [([0.9, 0.1], False), ([0.5, 0.5], True)])
+    def test_radii_are_formed_only_for_a_search(self, monkeypatch, weights, searched):
+        # the disks only stop an ascent: with weights 0.9 and 0.1 no cell
+        # bound reaches either limit and norms forms no radii; with equal
+        # weights the pre-Schwarzian search runs and reads them.  Each norm
+        # equals the search given the radii
+        f = GAlphaFunction(alpha=0.5, measure=AtomicMeasure(angles=[0.0, np.pi],
+                                                             weights=weights))
+        grid, floor = schwarz._default_grid(), schwarz.radial_limit_report(f)
+        limits = floor.pre_schwarzian_norm, floor.schwarzian_norm
+        bounds = _cell_bounds(f, *grid.cells)
+        assert [bool((b >= limit.value).any()) for b, limit in zip(bounds, limits)] == [
+            searched, False]
+        expected = [sup_norm_estimate(objective, grid, limit, b, (f.measure.poles, radii))
+                    for objective, limit, b, radii in zip(
+                        _objectives(f), limits, bounds, _certified_radii(f))]
+        calls = []
+        monkeypatch.setattr(schwarz, "_certified_radii",
+                            lambda g: calls.append(g) or _certified_radii(g))
+        rep = norms(f)
+        assert len(calls) == int(searched)
+        assert [rep.pre_schwarzian_norm, rep.schwarzian_norm] == expected
 
     def test_each_estimate_is_a_value_some_call_returned(self):
         # no point is evaluated a second time on its own: each estimate that
